@@ -96,26 +96,30 @@ class LieAlgebra:
     # ---- Lie-ness ----
 
     def jacobi_defect(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
-        """Basis triples i<j<k whose cyclic bracket sum is nonzero."""
-        bad = []
-        for i, j, k in itertools.combinations(range(1, self.dim + 1), 3):
-            t1 = self.bracket_basis_vec(i, self.bracket_basis(j, k))
-            t2 = self.bracket_basis_vec(j, self.bracket_basis(k, i))
-            t3 = self.bracket_basis_vec(k, self.bracket_basis(i, j))
-            tot = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
-            if not is_zero_vec(tot):
-                bad.append((i, j, k, tot))
-        return bad
+        """Basis triples i<j<k whose cyclic bracket sum is nonzero.
+
+        The triple loop runs once per algebra; later calls copy the cache.
+        """
+        if self._jacobi is None:
+            bad = []
+            for i, j, k in itertools.combinations(range(1, self.dim + 1), 3):
+                t1 = self.bracket_basis_vec(i, self.bracket_basis(j, k))
+                t2 = self.bracket_basis_vec(j, self.bracket_basis(k, i))
+                t3 = self.bracket_basis_vec(k, self.bracket_basis(i, j))
+                tot = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
+                if not is_zero_vec(tot):
+                    bad.append((i, j, k, tot))
+            self._jacobi = bad
+        return list(self._jacobi)
 
     def is_lie(self) -> bool:
-        if self._jacobi is None:
-            self._jacobi = not self.jacobi_defect()
-        return self._jacobi
+        return not self.jacobi_defect()
 
     def _require_lie(self):
-        if not self.is_lie():
+        bad = self.jacobi_defect()
+        if bad:
             raise ValidationError("Jacobi identity fails", law="jacobi",
-                                  witness=self.jacobi_defect()[0][:3])
+                                  witness=bad[0][:3])
 
     # ---- subspace invariants ----
 

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .acceptance import run_all, verify_catalog_entry
+from .acceptance import run_all, verify_catalog_entry, verify_report
 from .algebra import LieAlgebra
 from .alternating import AltCoeffs, format_coeffs, parse_coeffs
 from .catalog import CATALOG, catalog, catalog_counts, lambda_trivector
@@ -20,13 +20,13 @@ from .convert import (all_roads, chain_to_coeffs, coeffs_to_chain,
                       coeffs_to_family, family_to_coeffs)
 from .doubleext import chain_to_algebra, validate_chain
 from .errors import QuadlieError, ValidationError
-from .forms import QuadraticStructure, invariance_defect
+from .forms import QuadraticStructure
 from .io import (algebra_from_obj, algebra_to_obj, chain_from_obj,
                  chain_to_obj, coeffs_from_obj, coeffs_to_obj, dumps,
                  family_from_obj, family_to_obj, general_cocycle_from_obj,
                  general_cocycle_to_obj, load_json, quadratic_to_obj)
-from .latex import latex_table
-from .linalg import Mat, kernel, rank, scalar, scalar_str
+from .latex import bracket_cells, latex_table
+from .linalg import rank, scalar, scalar_str
 from .quadfam import f_matrix, validate_family
 from .randgen import random_coeffs
 from .trivector import (Trivector, algebra_from_trivector, delta,
@@ -57,56 +57,8 @@ def _load_coeffs(text: str, n: int | None, cls) -> AltCoeffs:
     return parse_coeffs(text, n=n, cls=cls)
 
 
-def _label(k: int, split: int | None) -> str:
-    if split is not None and k > split:
-        return f"e{k - split}*"
-    return f"e{k}"
-
-
-def _text_value(v, split) -> str:
-    parts = []
-    for k, c in enumerate(v, start=1):
-        if not c:
-            continue
-        mag = "" if abs(c) == 1 else f"{scalar_str(abs(c))}*"
-        text = mag + _label(k, split)
-        parts.append(("-" if c < 0 else "") + text if not parts
-                     else (" - " if c < 0 else " + ") + text)
-    return "".join(parts) if parts else "0"
-
-
 def _text_table(alg: LieAlgebra, split: int | None = None) -> str:
-    lines = [f"[{_label(i, split)},{_label(j, split)}] = "
-             f"{_text_value(v, split)}"
-             for (i, j), v in sorted(alg.brackets.items())]
-    return "\n".join(lines) if lines else "(abelian)"
-
-
-def _verify_report(alg: LieAlgebra, form: Mat | None) -> dict:
-    rep: dict = {"dim": alg.dim}
-    jd = alg.jacobi_defect()
-    rep["lie"] = not jd
-    if jd:
-        rep["jacobi_defect"] = [list(t[:3]) for t in jd[:5]]
-    ok = rep["lie"]
-    if form is not None:
-        defects = invariance_defect(alg, form)
-        rep["invariant"] = not defects
-        if defects:
-            rep["invariance_defect"] = [list(t) for t in defects[:5]]
-        rep["nondegenerate"] = rank(form) == alg.dim
-        ok = ok and rep["invariant"] and rep["nondegenerate"]
-    if rep["lie"]:
-        rep["nilindex"] = alg.nilindex()
-        r, s = alg.algebra_type()
-        rep["type"] = [r, s]
-        rep["reduced"] = alg.is_reduced()
-        if form is not None and rep["nondegenerate"]:
-            perp = kernel(Mat.from_rows(alg.derived().vectors(),
-                                        cols=alg.dim) * form)
-            rep["derived_perp_equals_centre"] = perp == alg.centre()
-    rep["pass"] = ok
-    return rep
+    return "\n".join(bracket_cells(alg, split)) or "(abelian)"
 
 
 def _print_verify_summary(rep: dict):
@@ -133,7 +85,7 @@ def _print_verify_summary(rep: dict):
 
 def cmd_verify(args) -> int:
     alg, form = algebra_from_obj(load_json(args.file))
-    rep = _verify_report(alg, form)
+    rep = verify_report(alg, form)
     fmt = _fmt(args)
     if fmt == "json":
         print(dumps(rep), end="")

@@ -26,32 +26,32 @@ def hyperbolic_form(n: int) -> Mat:
 
 
 def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
-    """Ordered basis triples (i,j,k) with phi([ei,ej],ek) + phi(ej,[ei,ek]) != 0."""
+    """Ordered basis triples (i,j,k) with phi([ei,ej],ek) + phi(ej,[ei,ek]) != 0.
+
+    With phi symmetric the sum is T(i,j,k) + T(i,k,j) for
+    T(i,j,k) = phi([ei,ej],ek), so only the stored brackets are visited:
+    invariance holds exactly when T is alternating.
+    """
     if form.rows != alg.dim or form.cols != alg.dim:
         raise ValidationError("form shape does not match algebra dimension",
                               law="shape")
     if not form.is_symmetric():
         raise ValidationError("form is not symmetric", law="symmetric")
-    n = alg.dim
-    bad = []
-    for i in range(1, n + 1):
-        cols = [alg.bracket_basis(i, j) for j in range(1, n + 1)]
-        # t1[j][k] = phi([e_i,e_j], e_k); t2[j][k] = phi(e_j, [e_i,e_k])
-        t1 = [form.vecmat(cols[j]) if any(cols[j]) else None for j in range(n)]
-        t2 = Mat([[c for c in col] for col in zip(*cols)])  # columns = [e_i,e_k]
-        ft2 = form * t2
-        for j in range(n):
-            r1 = t1[j]
-            r2 = ft2.data[j]
-            if r1 is None:
-                for k in range(n):
-                    if r2[k]:
-                        bad.append((i, j + 1, k + 1))
-            else:
-                for k in range(n):
-                    if r1[k] + r2[k]:
-                        bad.append((i, j + 1, k + 1))
-    return bad
+    # sparse rows of the form: phi(e_r, e_k) for the nonzero k
+    nz = [[(k, e) for k, e in enumerate(r, start=1) if e] for r in form.data]
+    t: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j), v in alg.brackets.items():
+        for r, c in enumerate(v):
+            if c:
+                for k, e in nz[r]:
+                    t[(i, j, k)] = t.get((i, j, k), ZERO) + c * e
+    for (i, j, k), c in list(t.items()):
+        t[(j, i, k)] = -c
+    bad = set()
+    for (i, j, k), c in t.items():
+        if c + t.get((i, k, j), ZERO):
+            bad.update(((i, j, k), (i, k, j)))
+    return sorted(bad)
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ def _mat_in(rows, where: str) -> Mat:
         raise QuadlieError(f"{where}: matrix must be a list of rows")
     if not rows:
         return Mat.zero(0, 0)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise QuadlieError(f"{where}: rows differ in length")
     return Mat([[_scalar_in(e, where) for e in r] for r in rows])
 
 
@@ -82,11 +84,18 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
     dim = _expect(obj, "dim", "algebra")
     if not isinstance(dim, int) or dim < 0:
         raise QuadlieError(f"bad dimension {dim!r}")
+    entries = _expect(obj, "brackets", "algebra")
+    if not isinstance(entries, list):
+        raise QuadlieError("algebra brackets must be a list")
     brackets = {}
-    for ent in _expect(obj, "brackets", "algebra"):
+    for ent in entries:
         i = _expect(ent, "i", "bracket")
         j = _expect(ent, "j", "bracket")
         v = _expect(ent, "v", "bracket")
+        if not isinstance(i, int) or not isinstance(j, int):
+            raise QuadlieError(f"bad bracket index pair ({i!r},{j!r})")
+        if not isinstance(v, list):
+            raise QuadlieError(f"bracket ({i},{j}): value must be a list")
         if (i, j) in brackets:
             raise QuadlieError(f"duplicate bracket ({i},{j})")
         brackets[(i, j)] = tuple(_scalar_in(c, f"bracket ({i},{j})")

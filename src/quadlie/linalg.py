@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Scalar = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -48,26 +46,6 @@ def basis_vec(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(ONE if t == k - 1 else ZERO for t in range(n))
 
 
-def vec_add(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: Fraction, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in x)
-
-
-def vec_dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    tot = ZERO
-    for a, b in zip(x, y, strict=True):
-        if a and b:
-            tot += a * b
-    return tot
-
-
 def is_zero_vec(x: Sequence[Fraction]) -> bool:
     return not any(x)
 
@@ -87,12 +65,19 @@ class Mat:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "Mat":
+    def _of(cls, data: Iterable[Sequence[Fraction]], cols: int) -> "Mat":
+        """Trusted constructor: rows already hold Fractions, each of length
+        cols. The column count is explicit so a result with no rows keeps
+        its shape."""
         m = object.__new__(cls)
-        m.data = ((ZERO,) * cols,) * rows
-        m.rows = rows
+        m.data = tuple(tuple(r) for r in data)
+        m.rows = len(m.data)
         m.cols = cols
         return m
+
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "Mat":
+        return cls._of(((ZERO,) * cols,) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -117,8 +102,8 @@ class Mat:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)])
+        return Mat._of(zip(*self.data) if self.rows else
+                       ((),) * self.cols, self.rows)
 
     def is_zero(self) -> bool:
         return all(not e for r in self.data for e in r)
@@ -152,20 +137,20 @@ class Mat:
 
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(([a + b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        return Mat([[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)])
+        return Mat._of(([a - b for a, b in zip(r1, r2)]
+                        for r1, r2 in zip(self.data, other.data)), self.cols)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.data])
+        return Mat._of(([-a for a in r] for r in self.data), self.cols)
 
     def scale(self, c) -> "Mat":
         c = scalar(c)
-        return Mat([[c * a for a in r] for r in self.data])
+        return Mat._of(([c * a for a in r] for r in self.data), self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -176,7 +161,7 @@ class Mat:
         for r in self.data:
             nz = [(j, c) for j, c in enumerate(r) if c]
             out.append([sum((c * oc[j] for j, c in nz), start=ZERO) for oc in ot])
-        return Mat(out)
+        return Mat._of(out, other.cols)
 
     def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(x):
@@ -209,7 +194,8 @@ class Mat:
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    return Mat([ra + rb for ra, rb in zip(a.data, b.data)])
+    return Mat._of((ra + rb for ra, rb in zip(a.data, b.data)),
+                   a.cols + b.cols)
 
 
 def vstack(a: Mat, b: Mat) -> Mat:

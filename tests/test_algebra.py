@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import (LieAlgebra, SplitMix64, Subspace, abelian,
-                     from_bracket_table, heisenberg)
+from quadlie import (LieAlgebra, SplitMix64, Subspace, ValidationError,
+                     abelian, from_bracket_table, heisenberg)
 
 
 def test_constructor_canonicalizes():
@@ -144,3 +144,17 @@ def test_two_step_brackets_central_implies_lie():
         a = LieAlgebra(dim, br)
         assert a.centre().contains(a.derived())
         assert a.jacobi_defect() == []
+
+
+def test_jacobi_defect_cache_survives_caller_mutation():
+    a = LieAlgebra(3, {(1, 2): (1, 0, 0), (1, 3): (0, 1, 0)})
+    got = a.jacobi_defect()
+    got.clear()
+    assert a.jacobi_defect() == [(1, 2, 3, (0, -1, 0))]
+    assert not a.is_lie()
+    with pytest.raises(ValidationError) as e:
+        a.nilindex()
+    assert e.value.witness == (1, 2, 3)
+    h = heisenberg()
+    h.jacobi_defect().append((1, 2, 3, (0, 0, 1)))
+    assert h.is_lie() and h.jacobi_defect() == []

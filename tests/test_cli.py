@@ -1,8 +1,14 @@
 """End-to-end checks of the command-line surface via cli.main(argv)."""
+import itertools
 import json
+import os
+import subprocess
+import sys
+import types
 
 import pytest
 
+import quadlie
 from quadlie import algebra_from_trivector, catalog
 from quadlie.alternating import parse_coeffs
 from quadlie.cli import main
@@ -309,3 +315,68 @@ def test_env_format_override(monkeypatch, capsys):
     assert rep["total"] == 22
     assert rep["counts"] == {"6": 1, "8": 0, "10": 1, "12": 2,
                              "14": 5, "16": 13}
+
+
+def test_verify_abelian_quadratic(tmp_path, capsys):
+    # D = 0, so D^perp is the whole space, which is the centre
+    path = tmp_path / "abelian.json"
+    path.write_text(json.dumps({"dim": 2, "brackets": [],
+                                "form": [["0", "1"], ["1", "0"]]}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    rep = json.loads(out)
+    assert code == 0
+    assert rep["type"] == [0, 2]
+    assert rep["derived_perp_equals_centre"] is True
+
+
+def test_verify_runs_the_jacobi_loop_once(tmp_path, capsys, monkeypatch):
+    # the Jacobi triple loop is the only 3-subset enumeration in algebra
+    import quadlie.algebra as algebra_module
+    loops = []
+
+    def combinations(items, r):
+        loops.append(r)
+        return itertools.combinations(items, r)
+
+    monkeypatch.setattr(algebra_module, "itertools",
+                        types.SimpleNamespace(combinations=combinations))
+    path = write_catalog_algebra(tmp_path, "L5,1")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["nilindex"] == 2
+    assert loops == [3]
+
+
+def _cli_process(*argv):
+    src = os.path.dirname(os.path.dirname(quadlie.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("QUADLIE_FORMAT", None)
+    return subprocess.run([sys.executable, "-m", "quadlie.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+_FORM = [["0", "1"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("obj", [
+    {"dim": 2, "brackets": [], "form": [["0", "1"], ["1"]]},
+    {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": 5}], "form": _FORM},
+    {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": "12"}], "form": _FORM},
+    {"dim": 2, "brackets": [{"i": "1", "j": 2, "v": ["0", "0"]}]},
+    {"dim": 2, "brackets": [{"i": 1.0, "j": 2, "v": ["0", "0"]}]},
+    {"dim": 2, "brackets": 7},
+    {"dim": 2, "brackets": [], "form": [["0", "1", "0"], ["1", "0", "0"]]},
+], ids=["ragged-form", "v-int", "v-string", "i-string", "i-float",
+        "brackets-int", "form-not-square"])
+def test_verify_bad_input_is_one_json_error(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    for fmt in ("summary", "json"):
+        proc = _cli_process("verify", str(path), "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) <= {"error", "law", "witness"}

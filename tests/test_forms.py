@@ -152,3 +152,73 @@ def test_ideal_iff_perp_ideal():
         cases += left
     # the sample actually contains ideals (e.g. everything containing A^2)
     assert cases > 0
+
+
+# ---- differential check of the sparse invariance defect ----
+
+def _dense_invariance_defect(alg, form):
+    """phi([ei,ej],ek) + phi(ej,[ei,ek]) over every ordered basis triple,
+    straight from the definition."""
+    n = alg.dim
+    br = [[alg.bracket_basis(i, j) for j in range(1, n + 1)]
+          for i in range(1, n + 1)]
+    left = [[form.vecmat(v) for v in row] for row in br]   # phi([ei,ej], .)
+    right = [[form.matvec(v) for v in row] for row in br]  # phi(., [ei,ek])
+    return [(i + 1, j + 1, k + 1)
+            for i in range(n) for j in range(n) for k in range(n)
+            if left[i][j][k] + right[i][k][j]]
+
+
+def _perturbed(alg, g):
+    """The same algebra with one stored bracket coefficient shifted."""
+    brackets = {key: list(v) for key, v in alg.brackets.items()}
+    key = sorted(brackets)[g.randint(0, len(brackets) - 1)]
+    brackets[key][g.randint(0, alg.dim - 1)] += g.nonzero_entry()
+    return LieAlgebra(alg.dim, brackets)
+
+
+def _random_symmetric(n, g):
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r, n):
+            if g.randint(0, 2) == 0:
+                rows[r][c] = rows[c][r] = g.nonzero_entry()
+    return Mat(rows)
+
+
+def _differential_inputs():
+    from quadlie import (CATALOG, algebra_from_trivector, double_extend_1d,
+                         lambda_trivector)
+    from quadlie.randgen import random_skew_derivation
+    for entry in CATALOG:
+        q = algebra_from_trivector(entry.trivector)
+        yield q.alg, q.form
+    for lam in (1, "3/2", -2):
+        q = algebra_from_trivector(lambda_trivector(lam))
+        yield q.alg, q.form
+    g = SplitMix64(2024)
+    for seed in range(40):
+        q = tstar_extend(random_coeffs(3 + seed % 5, seed=seed, nonzero=True))
+        yield q.alg, q.form
+        yield _perturbed(q.alg, g), q.form
+        yield q.alg, _random_symmetric(q.dim, g)
+    for seed in range(12):
+        m = 2 + seed % 2
+        aq = (tstar_extend(random_coeffs(3, seed=seed, nonzero=True))
+              if seed % 3 == 0 else
+              QuadraticStructure(abelian(2 * m), hyperbolic_form(m)))
+        ext = double_extend_1d(aq, random_skew_derivation(aq, seed))
+        yield ext.alg, ext.form
+        yield _perturbed(ext.alg, g), ext.form
+
+
+def test_invariance_defect_matches_dense_definition():
+    cases = invariant = 0
+    for alg, form in _differential_inputs():
+        want = _dense_invariance_defect(alg, form)
+        assert invariance_defect(alg, form) == want
+        cases += 1
+        invariant += not want
+    # both verdicts are well represented
+    assert cases == 22 + 3 + 3 * 40 + 2 * 12
+    assert 40 < invariant < cases - 40

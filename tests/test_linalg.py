@@ -169,3 +169,17 @@ def test_subspace_dedupes_dependent_rows():
     s = Subspace.from_rows(3, [(1, 2, 0), (2, 4, 0), (0, 0, 0)])
     assert s.dim == 1
     assert s.contains_vec(("1/2", 1, 0))
+
+
+def test_empty_results_keep_their_shape():
+    e = Mat.zero(0, 2)
+    m = Mat([[1, 2], [3, 4]])
+    assert (e * m).rows == 0 and (e * m).cols == 2
+    assert Mat.zero(2, 0) * Mat.zero(0, 3) == Mat.zero(2, 3)
+    for r in (e + e, e - e, -e, e.scale(2)):
+        assert (r.rows, r.cols) == (0, 2)
+    assert e.transpose() == Mat.zero(2, 0)
+    assert Mat.zero(2, 0).transpose() == Mat.zero(0, 2)
+    assert hstack(Mat.zero(0, 1), e) == Mat.zero(0, 3)
+    # a kernel of the empty 0x2 product is the whole plane
+    assert kernel(e * m) == Subspace.full(2)
