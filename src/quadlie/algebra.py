@@ -8,7 +8,6 @@ e_k is v[k-1].
 """
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -77,14 +76,20 @@ class LieAlgebra:
         return tuple(out)
 
     def bracket_basis_vec(self, i: int, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """[e_i, y] iterating only the nonzero coordinates of y."""
+        """[e_i, y] iterating only the nonzero coordinates of y and the
+        stored brackets they meet."""
         out = [ZERO] * self.dim
         for b, c in enumerate(y, start=1):
-            if c:
-                w = self.bracket_basis(i, b)
-                for r, e in enumerate(w):
-                    if e:
-                        out[r] += c * e
+            if not c or b == i:
+                continue
+            w = self.brackets.get((i, b) if i < b else (b, i))
+            if w is None:
+                continue
+            if i > b:
+                c = -c
+            for r, e in enumerate(w):
+                if e:
+                    out[r] += c * e
         return tuple(out)
 
     def ad_basis(self, i: int) -> Mat:
@@ -98,17 +103,45 @@ class LieAlgebra:
     def jacobi_defect(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
         """Basis triples i<j<k whose cyclic bracket sum is nonzero.
 
-        The triple loop runs once per algebra; later calls copy the cache.
+        Only stored brackets are visited: each term [e_a,[e_b,e_c]] of a
+        cyclic sum expands over the support r of [e_b,e_c] into the stored
+        [e_a,e_r], so a triple whose double brackets all vanish (every
+        triple of a 2-step algebra) costs nothing. The pass runs once per
+        algebra; later calls copy the cache.
         """
         if self._jacobi is None:
+            sparse = {key: [(r, c) for r, c in enumerate(v) if c]
+                      for key, v in self.brackets.items()}
+            # ad_into[r]: (a, w, neg) for each a with [e_a, e_r] != 0, where
+            # [e_a, e_r] is the sparse w, negated when neg
+            ad_into: dict[int, list] = {}
+            for (i, j), w in sparse.items():
+                ad_into.setdefault(j, []).append((i, w, False))
+                ad_into.setdefault(i, []).append((j, w, True))
+            acc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+            for (b, c), v in sparse.items():
+                for r, x in v:
+                    for a, w, neg in ad_into.get(r + 1, ()):
+                        if a == b or a == c:
+                            continue
+                        # b < c, so the sorted triple is one of three, and
+                        # (a,b,c) is a cyclic shift of it unless b < a < c
+                        if a < b:
+                            key, cyclic = (a, b, c), True
+                        elif a < c:
+                            key, cyclic = (b, a, c), False
+                        else:
+                            key, cyclic = (b, c, a), True
+                        f = x if cyclic != neg else -x
+                        t = acc.setdefault(key, {})
+                        for k, e in w:
+                            t[k] = t.get(k, ZERO) + f * e
             bad = []
-            for i, j, k in itertools.combinations(range(1, self.dim + 1), 3):
-                t1 = self.bracket_basis_vec(i, self.bracket_basis(j, k))
-                t2 = self.bracket_basis_vec(j, self.bracket_basis(k, i))
-                t3 = self.bracket_basis_vec(k, self.bracket_basis(i, j))
-                tot = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
-                if not is_zero_vec(tot):
-                    bad.append((i, j, k, tot))
+            for key in sorted(acc):
+                t = acc[key]
+                if any(t.values()):
+                    tot = tuple(t.get(k, ZERO) for k in range(self.dim))
+                    bad.append((*key, tot))
             self._jacobi = bad
         return list(self._jacobi)
 
@@ -127,36 +160,52 @@ class LieAlgebra:
         return Subspace.from_rows(self.dim, list(self.brackets.values()))
 
     def centre(self) -> Subspace:
-        """{x : [x, e_s] = 0 for all s} by one kernel computation."""
-        rows = []
-        for s in range(1, self.dim + 1):
-            cols = [self.bracket_basis(i, s) for i in range(1, self.dim + 1)]
-            for r in range(self.dim):
-                row = [cols[i][r] for i in range(self.dim)]
-                if any(row):
-                    rows.append(row)
+        """{x : [x, e_s] = 0 for all s} by one kernel computation.
+
+        Row (s, r) holds the coefficients [e_i, e_s]_r over i; only the
+        stored brackets fill it. Row order cannot change the kernel.
+        """
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for (i, j), v in self.brackets.items():
+            for r, c in enumerate(v):
+                if c:
+                    # [e_i, e_j]_r = c and [e_j, e_i]_r = -c
+                    rows.setdefault((j, r), [ZERO] * self.dim)[i - 1] = c
+                    rows.setdefault((i, r), [ZERO] * self.dim)[j - 1] = -c
         if not rows:
             return Subspace.full(self.dim)
         from .linalg import kernel
-        return kernel(Mat(rows))
+        return kernel(Mat._of(rows.values(), self.dim))
 
     def lower_central_series(self) -> list[Subspace]:
-        """[A^1, A^2, ...] until the first repeat (which is kept once)."""
+        """[A^1, A^2, ...] until the first repeat (which is kept once).
+
+        A^2 is spanned by the stored brackets. Each later term is spanned by
+        [e_a, v] over every a and every basis vector v of the one before,
+        summed from the stored brackets that meet the support of v.
+        """
         self._require_lie()
         cur = Subspace.full(self.dim)
         series = [cur]
+        nxt = self.derived()
         while True:
-            rows = []
-            for i in range(1, self.dim + 1):
-                for v in cur.basis.data:
-                    w = self.bracket_basis_vec(i, v)
-                    if not is_zero_vec(w):
-                        rows.append(w)
-            nxt = Subspace.from_rows(self.dim, rows)
             series.append(nxt)
             if nxt.dim == cur.dim or nxt.dim == 0:
                 return series
             cur = nxt
+            rows = []
+            for v in cur.basis.data:
+                ad: dict[int, list[Fraction]] = {}  # a -> [e_a, v]
+                for (i, j), w in self.brackets.items():
+                    # [e_i, e_j] = w adds v_j w to [e_i, v], -v_i w to [e_j, v]
+                    for a, c in ((i, v[j - 1]), (j, -v[i - 1])):
+                        if c:
+                            row = ad.setdefault(a, [ZERO] * self.dim)
+                            for r, e in enumerate(w):
+                                if e:
+                                    row[r] += c * e
+                rows += [row for row in ad.values() if any(row)]
+            nxt = Subspace.from_rows(self.dim, rows)
 
     def nilindex(self) -> int | None:
         """Smallest t with A^{t+1} = 0, or None when not nilpotent."""

@@ -421,6 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a negative value such as -2/3 as an option, so attach
+    # the word after --lam to it, as --lam=-2/3 does
+    if "--lam" in argv[:-1]:
+        k = argv.index("--lam")
+        if not argv[k + 1].startswith("--"):
+            argv[k:k + 2] = ["--lam=" + argv[k + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

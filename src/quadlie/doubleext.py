@@ -17,10 +17,26 @@ from .linalg import Fraction, Mat, Subspace, ZERO, kernel, solve, zero_vec
 
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
-    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0."""
-    m = d.transpose() * form + form * d
-    return [(i + 1, j + 1) for i in range(m.rows) for j in range(m.cols)
-            if m.data[i][j]]
+    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0.
+
+    These are the nonzero entries of d^T F + F d, summed from the nonzero
+    entries of F against the nonzero entries of the rows of d.
+    """
+    n = form.rows
+    if not form.cols == d.rows == d.cols == n:
+        raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
+                         f"d {d.rows}x{d.cols}")
+    d_rows = [[(j, c) for j, c in enumerate(r) if c] for r in d.data]
+    acc: dict[tuple[int, int], Fraction] = {}
+    for k, row in enumerate(form.data):
+        for j, f in enumerate(row):
+            if f:
+                # F[k][j] pairs with row k of d in d^T F, row j of d in F d
+                for i, c in d_rows[k]:
+                    acc[(i, j)] = acc.get((i, j), ZERO) + c * f
+                for m, c in d_rows[j]:
+                    acc[(k, m)] = acc.get((k, m), ZERO) + f * c
+    return [(i + 1, j + 1) for (i, j) in sorted(acc) if acc[(i, j)]]
 
 
 def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:

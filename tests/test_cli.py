@@ -1,10 +1,8 @@
 """End-to-end checks of the command-line surface via cli.main(argv)."""
-import itertools
 import json
 import os
 import subprocess
 import sys
-import types
 
 import pytest
 
@@ -127,6 +125,19 @@ def test_catalog_parametric_entry(capsys):
     code, out, err = run(capsys, "catalog", "--lam", "0")
     assert code == 1
     assert json.loads(err)["law"] == "nonzero"
+
+
+@pytest.mark.parametrize("fmt", ["summary", "json", "latex"])
+def test_catalog_negative_lambda(capsys, fmt):
+    # argparse alone reads -2/3 as an option and exits 2 with usage text
+    code, out, err = run(capsys, "catalog", "--lam", "-2/3", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert run(capsys, "catalog", "--lam=-2/3", "--format", fmt) == \
+        (code, out, err)
+    if fmt == "summary":
+        assert "lambda=-2/3  n=9  dim=18" in out
+        proc = _cli_process("catalog", "--lam", "-2/3")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_catalog_unknown_label(capsys):
@@ -331,20 +342,26 @@ def test_verify_abelian_quadratic(tmp_path, capsys):
 
 
 def test_verify_runs_the_jacobi_loop_once(tmp_path, capsys, monkeypatch):
-    # the Jacobi triple loop is the only 3-subset enumeration in algebra
-    import quadlie.algebra as algebra_module
-    loops = []
+    # every Jacobi evaluation ends by filling the _jacobi cache of its
+    # algebra; count those fills through a descriptor around the slot
+    from quadlie.algebra import LieAlgebra
+    slot = LieAlgebra.__dict__["_jacobi"]
+    fills = []
 
-    def combinations(items, r):
-        loops.append(r)
-        return itertools.combinations(items, r)
+    class CountingSlot:
+        def __get__(self, obj, cls=None):
+            return slot.__get__(obj, cls)
 
-    monkeypatch.setattr(algebra_module, "itertools",
-                        types.SimpleNamespace(combinations=combinations))
+        def __set__(self, obj, value):
+            if value is not None:
+                fills.append(obj)
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(LieAlgebra, "_jacobi", CountingSlot())
     path = write_catalog_algebra(tmp_path, "L5,1")
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
     assert code == 0 and json.loads(out)["nilindex"] == 2
-    assert loops == [3]
+    assert len(fills) == 1
 
 
 def _cli_process(*argv):

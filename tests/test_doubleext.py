@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from quadlie import (ExtensionChain, LieAlgebra, Mat, QuadraticStructure,
-                     SkewDerivation, Subspace, ValidationError, abelian,
-                     build_chain, centre_formula_1d, chain_dcoeffs,
+                     SkewDerivation, SplitMix64, Subspace, ValidationError,
+                     abelian, build_chain, centre_formula_1d, chain_dcoeffs,
                      chain_display_permutation, chain_reduced_check,
                      chain_to_algebra, derivation_defect, derivation_space,
                      double_extend, double_extend_1d, fold_chain,
@@ -34,6 +34,51 @@ def test_skew_defect():
     aq = hyperbolic_abelian(1)
     assert skew_defect(aq.form, rot(aq)) == []
     assert skew_defect(aq.form, Mat.identity(2)) != []
+
+
+def _skew_inputs():
+    g = SplitMix64(1618)
+    for seed in range(24):
+        m = 1 + seed % 4
+        aq = (tstar_extend(random_coeffs(3 + seed % 3, seed=seed,
+                                         nonzero=True))
+              if seed % 2 else hyperbolic_abelian(m))
+        n = aq.dim
+        d = random_skew_derivation(aq, seed)
+        yield aq.form, d
+        # one entry of the derivation shifted
+        rows = [list(r) for r in d.data]
+        rows[g.randint(0, n - 1)][g.randint(0, n - 1)] += g.nonzero_entry()
+        yield aq.form, Mat(rows)
+        # a sparse random map against a random symmetric form
+        sym = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for c in range(r, n):
+                if g.randint(0, 2) == 0:
+                    sym[r][c] = sym[c][r] = g.nonzero_entry()
+        yield Mat(sym), Mat([[g.nonzero_entry() if g.randint(0, 3) == 0
+                              else 0 for _ in range(n)] for _ in range(n)])
+    yield Mat.zero(0, 0), Mat.zero(0, 0)
+
+
+def test_skew_defect_matches_dense_products():
+    cases = skew = 0
+    for form, d in _skew_inputs():
+        m = d.transpose() * form + form * d
+        want = [(i + 1, j + 1) for i in range(m.rows) for j in range(m.cols)
+                if m.data[i][j]]
+        assert skew_defect(form, d) == want
+        cases += 1
+        skew += not want
+    assert cases == 3 * 24 + 1
+    assert 20 < skew < cases - 20
+
+
+@pytest.mark.parametrize("form_shape, d_shape", [
+    ((2, 2), (3, 3)), ((2, 2), (2, 3)), ((2, 3), (3, 3)), ((3, 2), (2, 2))])
+def test_skew_defect_rejects_shape_mismatch(form_shape, d_shape):
+    with pytest.raises(ValueError):
+        skew_defect(Mat.zero(*form_shape), Mat.zero(*d_shape))
 
 
 def test_derivation_defect_abelian_trivial():
