@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, Subspace, ZERO, is_zero_vec, scalar, vec,
-                     zero_vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, is_zero_vec, kernel,
+                     scalar, vec, zero_vec)
 
 
 class AlgebraType(NamedTuple):
@@ -159,23 +159,35 @@ class LieAlgebra:
     def derived(self) -> Subspace:
         return Subspace.from_rows(self.dim, list(self.brackets.values()))
 
-    def centre(self) -> Subspace:
-        """{x : [x, e_s] = 0 for all s} by one kernel computation.
+    def _centraliser(self, ann_by_col: Mapping[int, Sequence]) -> Subspace:
+        """{x : u([x, e_s]) = 0 for every s and every annihilator row u}.
 
-        Row (s, r) holds the coefficients [e_i, e_s]_r over i; only the
-        stored brackets fill it. Row order cannot change the kernel.
+        ann_by_col[r] lists (a, u_r) for each row a with u_r != 0. Row (s, a)
+        holds u_a([e_i, e_s]) over i; only the stored brackets fill it, and
+        entry i of row (j, a) or (i, a) comes from the stored (i, j) alone.
+        Row order cannot change the kernel.
         """
         rows: dict[tuple[int, int], list[Fraction]] = {}
         for (i, j), v in self.brackets.items():
+            dots: dict[int, Fraction] = {}  # a -> u_a([e_i, e_j])
             for r, c in enumerate(v):
                 if c:
-                    # [e_i, e_j]_r = c and [e_j, e_i]_r = -c
-                    rows.setdefault((j, r), [ZERO] * self.dim)[i - 1] = c
-                    rows.setdefault((i, r), [ZERO] * self.dim)[j - 1] = -c
+                    for a, u in ann_by_col.get(r, ()):
+                        # the centre's identity rows cost no arithmetic
+                        x = c if u is ONE else u * c
+                        dots[a] = dots[a] + x if a in dots else x
+            for a, x in dots.items():
+                if x:
+                    # u_a([e_i, e_j]) = x and u_a([e_j, e_i]) = -x
+                    rows.setdefault((j, a), [ZERO] * self.dim)[i - 1] = x
+                    rows.setdefault((i, a), [ZERO] * self.dim)[j - 1] = -x
         if not rows:
             return Subspace.full(self.dim)
-        from .linalg import kernel
         return kernel(Mat._of(rows.values(), self.dim))
+
+    def centre(self) -> Subspace:
+        """{x : [x, e_s] = 0 for all s} by one kernel computation."""
+        return self._centraliser({r: ((r, ONE),) for r in range(self.dim)})
 
     def lower_central_series(self) -> list[Subspace]:
         """[A^1, A^2, ...] until the first repeat (which is kept once).
@@ -215,35 +227,24 @@ class LieAlgebra:
         return None
 
     def upper_central_series(self) -> list[Subspace]:
-        """[Z_1, Z_2, ...] until stabilization; Z_{t+1} is the preimage of Z_t."""
-        from .linalg import kernel
+        """[Z_1, Z_2, ...] until stabilization; Z_{t+1} is the preimage of Z_t.
+
+        v lies in Z_t exactly when u.v = 0 for every row u of a basis of
+        the null space of Z_t's basis (its annihilator under the dot product).
+        """
         series = [self.centre()]
-        while True:
+        while series[-1].dim < self.dim:
             zt = series[-1]
-            if zt.dim == self.dim:
-                return series
-            # annihilator rows: v in row space of B  <=>  u.v = 0 for every u
-            # in the null space of B (row space = null space ^ perp under dot)
-            ann = (kernel(zt.basis).basis.data if zt.dim else
-                   Mat.identity(self.dim).data)
-            rows = []
-            for s in range(1, self.dim + 1):
-                cols = [self.bracket_basis(i, s) for i in range(1, self.dim + 1)]
-                for a in ann:
-                    row = []
-                    for i in range(self.dim):
-                        tot = ZERO
-                        col = cols[i]
-                        for r, e in enumerate(a):
-                            if e and col[r]:
-                                tot += e * col[r]
-                        row.append(tot)
-                    if any(row):
-                        rows.append(row)
-            nxt = kernel(Mat(rows)) if rows else Subspace.full(self.dim)
+            ann_by_col: dict[int, list] = {}
+            for a, u in enumerate(kernel(zt.basis).basis.data):
+                for r, e in enumerate(u):
+                    if e:
+                        ann_by_col.setdefault(r, []).append((a, e))
+            nxt = self._centraliser(ann_by_col)
             if nxt.dim == zt.dim:
-                return series
+                break
             series.append(nxt)
+        return series
 
     def algebra_type(self) -> AlgebraType:
         return AlgebraType(self.derived().dim, self.centre().dim)

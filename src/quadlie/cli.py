@@ -158,8 +158,7 @@ _KINDS = ("cocycle", "trivector", "family", "chain")
 
 def _read_as_coeffs(kind: str, text: str, n: int | None) -> CocycleCoeffs:
     if kind in ("cocycle", "trivector"):
-        c = _load_coeffs(text, n, CocycleCoeffs)
-        return CocycleCoeffs(c.n, c.terms)
+        return _load_coeffs(text, n, CocycleCoeffs)
     if not os.path.exists(text):
         raise QuadlieError(f"{kind} input must be a JSON file")
     if kind == "family":
@@ -266,7 +265,6 @@ def cmd_family(args) -> int:
 
 def cmd_rank(args) -> int:
     t = _load_coeffs(args.input, args.n, Trivector)
-    t = Trivector(t.n, t.terms)
     r = trivector_rank(t)
     if _fmt(args) == "json":
         print(dumps({"n": t.n, "rank": r}), end="")

@@ -1,15 +1,16 @@
 """Double extensions: B + A + B* from skew derivations of a quadratic base.
 
-Covers the general construction, the one-dimensional case with its centre
-formula and 2-step criterion, and telescoped chains of one-dimensional
-extensions driven by an alternating coefficient family.
+Covers the general construction, the one-dimensional case (the general
+construction by the one-dimensional abelian algebra) with its centre formula
+and 2-step criterion, and telescoped chains of one-dimensional extensions
+driven by an alternating coefficient family.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
@@ -86,7 +87,7 @@ def _deriv_mat(aq: QuadraticStructure | None, d) -> Mat:
 
 
 def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
-                  phi: Sequence[Mat]) -> QuadraticStructure:
+                  phi: Sequence[Mat | SkewDerivation]) -> QuadraticStructure:
     """General double extension of aq by (b, phi); aq None means A = 0.
 
     Basis order: b's basis, then A's, then the duals of b's. phi lists the
@@ -99,12 +100,11 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
     if len(phi) != m:
         raise ValidationError(f"need {m} derivation images, got {len(phi)}")
     amn = aq.dim if aq is not None else 0
-    for mat in phi:
-        _deriv_mat(aq, mat)
+    mats = [_deriv_mat(aq, d) for d in phi]
 
     def phi_of(x: Sequence[Fraction]) -> Mat:
         out = Mat.zero(amn, amn)
-        for c, mat in zip(x, phi):
+        for c, mat in zip(x, mats):
             if c:
                 out = out + mat.scale(c)
         return out
@@ -112,45 +112,47 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             lhs = phi_of(b.bracket_basis(i, j))
-            rhs = phi[i - 1] * phi[j - 1] - phi[j - 1] * phi[i - 1]
+            rhs = mats[i - 1] * mats[j - 1] - mats[j - 1] * mats[i - 1]
             if lhs != rhs:
                 raise ValidationError(
                     f"phi is not a homomorphism at pair {(i, j)}",
                     law="homomorphism", witness=(i, j))
 
     dim = 2 * m + amn
-    brackets: dict[tuple[int, int], tuple] = {}
+    star = m + amn  # e_k* of b has label star + k
+    brackets: dict[tuple[int, int], list[Fraction]] = {}
 
-    def put(i: int, j: int, v: Sequence[Fraction]):
-        if any(v):
-            brackets[(i, j)] = tuple(v)
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            bb = b.bracket_basis(i, j)
-            put(i, j, tuple(bb) + zero_vec(amn + m))
-        for j in range(1, amn + 1):
-            put(i, m + j, zero_vec(m) + phi[i - 1].col(j - 1) + zero_vec(m))
-        for k in range(1, m + 1):
-            star = [ZERO] * m
-            for ell in range(1, m + 1):
-                c = b.bracket_basis(i, ell)[k - 1]
-                if c:
-                    star[ell - 1] = -c
-            put(i, m + amn + k, zero_vec(m + amn) + tuple(star))
+    def row(i: int, j: int) -> list[Fraction]:
+        return brackets.setdefault((i, j), [ZERO] * dim)
+    for (i, j), v in b.brackets.items():
+        row(i, j)[:m] = v
+        for k, c in enumerate(v, start=1):
+            if c:
+                # [e_i, e_k*] = ad*(e_i)(e_k*) has -[e_i, e_j]_k at e_j*
+                row(i, star + k)[star + j - 1] = -c
+                row(j, star + k)[star + i - 1] = c
+    for i, mat in enumerate(mats, start=1):
+        for j in range(amn):
+            img = mat.col(j)
+            if any(img):
+                row(i, m + 1 + j)[m:star] = img
     if aq is not None:
         fa = aq.form
         for i in range(1, amn + 1):
+            # phi(phi_k e_i, e_j) for every k and j
+            fphi = [fa.matvec(mat.col(i - 1)) for mat in mats]
             for j in range(i + 1, amn + 1):
                 apart = aq.alg.bracket_basis(i, j)
-                star = [(fa.matvec(phi[k].col(i - 1)))[j - 1]
-                        for k in range(m)]
-                put(m + i, m + j, zero_vec(m) + tuple(apart) + tuple(star))
+                beta = [f[j - 1] for f in fphi]
+                if any(apart) or any(beta):
+                    r = row(m + i, m + j)
+                    r[m:star] = apart
+                    r[star:] = beta
 
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(m):
-        form[i][m + amn + i] = Fraction(1)
-        form[m + amn + i][i] = Fraction(1)
+        form[i][star + i] = Fraction(1)
+        form[star + i][i] = Fraction(1)
     if aq is not None:
         for i in range(amn):
             for j in range(amn):
@@ -164,31 +166,7 @@ def double_extend_1d(aq: QuadraticStructure | None,
 
     Basis order: the new generator b, then A's basis, then the dual beta.
     """
-    d = _deriv_mat(aq, d)
-    amn = aq.dim if aq is not None else 0
-    dim = amn + 2
-    brackets: dict[tuple[int, int], tuple] = {}
-    for j in range(1, amn + 1):
-        img = d.col(j - 1)
-        if any(img):
-            brackets[(1, 1 + j)] = (ZERO,) + tuple(img) + (ZERO,)
-    if aq is not None:
-        fa = aq.form
-        for i in range(1, amn + 1):
-            fdi = fa.matvec(d.col(i - 1))
-            for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
-                beta = fdi[j - 1]
-                if any(apart) or beta:
-                    brackets[(1 + i, 1 + j)] = (ZERO,) + tuple(apart) + (beta,)
-    form = [[ZERO] * dim for _ in range(dim)]
-    form[0][dim - 1] = Fraction(1)
-    form[dim - 1][0] = Fraction(1)
-    if aq is not None:
-        for i in range(amn):
-            for j in range(amn):
-                form[1 + i][1 + j] = aq.form.data[i][j]
-    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
+    return double_extend(aq, abelian(1), [d])
 
 
 def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:

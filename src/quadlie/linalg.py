@@ -10,6 +10,7 @@ are 1-based; coordinates here are 0-based Python indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -323,20 +324,27 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @cached_property
+    def _lead_rows(self) -> tuple[tuple[int, tuple], ...]:
+        """(leading column, nonzero (column, entry) pairs) of each basis
+        row; computed once, and not part of equality."""
+        out = []
+        for r in self.basis.data:
+            nz = tuple((j, e) for j, e in enumerate(r) if e)
+            if nz:
+                out.append((nz[0][0], nz))
+        return tuple(out)
+
     def contains_vec(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("length mismatch")
         # reduce v against the RREF basis
         v = [scalar(e) for e in v]
-        for r in self.basis.data:
-            lead = next((j for j, e in enumerate(r) if e), None)
-            if lead is None:
-                continue
+        for lead, row in self._lead_rows:
             f = v[lead]
             if f:
-                for j in range(self.ambient_dim):
-                    if r[j]:
-                        v[j] -= f * r[j]
+                for j, e in row:
+                    v[j] -= f * e
         return not any(v)
 
     def contains(self, other: "Subspace") -> bool:

@@ -2,7 +2,9 @@
 
 Two cocycle containers: CocycleCoeffs (alternating coefficients over an
 abelian base, shared storage with trivectors) and GeneralCocycle (arbitrary
-Lie base, one covector per basis pair). Both feed tstar_extend.
+Lie base, one covector per basis pair). Coefficient input converts once,
+through GeneralCocycle.from_coeffs, and one sparse builder makes the bracket
+of every extension; the cocycle law is checked as its Jacobi law.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     is_lagrangian, lagrangian_complement)
 from .linalg import (Fraction, Mat, Subspace, ZERO, inverse, is_zero_vec,
-                     kernel, vec, vstack, zero_vec)
+                     vec, vstack, zero_vec)
 
 
 class CocycleCoeffs(AltCoeffs):
@@ -43,13 +45,17 @@ class GeneralCocycle:
 
     @classmethod
     def from_coeffs(cls, c: AltCoeffs) -> "GeneralCocycle":
-        vals: dict[tuple[int, int], list] = {}
+        """w(e_i,e_j)(e_k) = c_ijk over the abelian base. Each (pair, slot)
+        comes from exactly one stored triple, already range-checked."""
+        vals: dict[tuple[int, int], list[Fraction]] = {}
         for (i, j, k), cv in c.terms:
-            for pair, pos, sign in (((i, j), k, 1), ((i, k), j, -1),
-                                    ((j, k), i, 1)):
-                row = vals.setdefault(pair, [ZERO] * c.n)
-                row[pos - 1] += cv if sign > 0 else -cv
-        return cls(abelian(c.n), vals)
+            for pair, pos, v in (((i, j), k, cv), ((i, k), j, -cv),
+                                 ((j, k), i, cv)):
+                vals.setdefault(pair, [ZERO] * c.n)[pos - 1] = v
+        w = object.__new__(cls)
+        w.base = abelian(c.n)
+        w.values = {pair: tuple(v) for pair, v in vals.items()}
+        return w
 
     def value_pair(self, i: int, j: int) -> tuple[Fraction, ...]:
         """w(e_i, e_j) with sign resolution; zero covector on i == j."""
@@ -92,31 +98,68 @@ class GeneralCocycle:
                                  for k in range(j + 1, n + 1)})
 
 
-def _touched_pairs(c: AltCoeffs) -> list[tuple[int, int]]:
-    pairs = set()
-    for (i, j, k), _ in c.terms:
-        pairs.update(((i, j), (i, k), (j, k)))
-    return sorted(pairs)
+def _general(w: GeneralCocycle | AltCoeffs) -> GeneralCocycle:
+    return GeneralCocycle.from_coeffs(w) if isinstance(w, AltCoeffs) else w
+
+
+def _tstar_algebra(w: GeneralCocycle) -> LieAlgebra:
+    """The candidate bracket on B + B*, read from the stored brackets of B
+    and the stored values of w.
+
+    [e_i, e_j] = [e_i, e_j]_B + w(e_i, e_j), and [e_i, e_k*] = ad*(e_i)(e_k*)
+    has component -[e_i, e_l]_k at e_l*.
+    """
+    n = w.base.dim
+    brackets: dict[tuple[int, int], list[Fraction]] = {}
+
+    def row(i, j):
+        return brackets.setdefault((i, j), [ZERO] * (2 * n))
+    for (i, j), v in w.base.brackets.items():
+        row(i, j)[:n] = v
+        for k, c in enumerate(v, start=1):
+            if c:
+                # [e_i, e_j]_k = c and [e_j, e_i]_k = -c
+                row(i, n + k)[n + j - 1] = -c
+                row(j, n + k)[n + i - 1] = c
+    for pair, v in w.values.items():
+        row(*pair)[n:] = v
+    return LieAlgebra(2 * n, brackets)
 
 
 def cyclic_defect(w: GeneralCocycle | AltCoeffs
                   ) -> list[tuple[int, int, int]]:
-    """Ordered triples with w(e_i,e_j)(e_k) != w(e_k,e_i)(e_j)."""
+    """Ordered triples with w(e_i,e_j)(e_k) != w(e_k,e_i)(e_j).
+
+    With t(i,j,k) = w(e_i,e_j)(e_k), a defect needs t(i,j,k) or t(k,i,j)
+    nonzero, so the candidates are the nonzero entries of t and their
+    cyclic pre-images.
+    """
     if isinstance(w, AltCoeffs):
         return []  # alternating storage is cyclic by construction
-    n = w.base.dim
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            vij = w.value_pair(i, j)
-            for k in range(1, n + 1):
-                if vij[k - 1] != w.value_pair(k, i)[j - 1]:
-                    bad.append((i, j, k))
-    return bad
+    t: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j), v in w.values.items():
+        for k, c in enumerate(v, start=1):
+            if c:
+                t[(i, j, k)] = c
+                t[(j, i, k)] = -c
+    cands = set(t) | {(b, c, a) for (a, b, c) in t}
+    return sorted(x for x in cands
+                  if t.get(x, ZERO) != t.get((x[2], x[0], x[1]), ZERO))
 
 
 def is_cyclic(w: GeneralCocycle | AltCoeffs) -> bool:
     return not cyclic_defect(w)
+
+
+def _cocycle_defect(w: GeneralCocycle, alg: LieAlgebra
+                    ) -> list[tuple[int, int, int]]:
+    """Over a Lie base, the Jacobi sum of alg = _tstar_algebra(w) on a base
+    triple is the cyclic sum of ad*(a)(w(b,c)) - w([a,b],c), and a triple
+    with a dual vector satisfies Jacobi because ad* is a representation
+    (Bordemann 1997). So the defect is exactly alg's Jacobi defect."""
+    if not w.base.is_lie():
+        raise ValidationError("base is not a Lie algebra", law="jacobi")
+    return [(i, j, k) for i, j, k, _ in alg.jacobi_defect()]
 
 
 def cocycle_defect(w: GeneralCocycle | AltCoeffs
@@ -128,28 +171,7 @@ def cocycle_defect(w: GeneralCocycle | AltCoeffs
     """
     if isinstance(w, AltCoeffs):
         return []
-    base = w.base
-    if not base.is_lie():
-        raise ValidationError("base is not a Lie algebra", law="jacobi")
-    n = base.dim
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                lhs = [ZERO] * n
-                rhs = [ZERO] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    wl = w.apply(base.bracket_basis(a, b), c)
-                    wbc = w.value_pair(b, c)
-                    for t in range(n):
-                        lhs[t] += wl[t]
-                        # ad*(e_a)(beta)(e_t) = -beta([e_a, e_t])
-                        br = base.bracket_basis(a, t + 1)
-                        rhs[t] -= sum((wbc[s] * br[s] for s in range(n)
-                                       if wbc[s] and br[s]), start=ZERO)
-                if lhs != rhs:
-                    bad.append((i, j, k))
-    return bad
+    return _cocycle_defect(w, _tstar_algebra(w))
 
 
 def is_two_cocycle(w: GeneralCocycle | AltCoeffs) -> bool:
@@ -161,66 +183,31 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
 
     Basis labels: 1..n the base, n+k the dual vector e_k*.
     """
-    if isinstance(w, AltCoeffs):
-        n = w.n
-        brackets = {}
-        for (i, j) in _touched_pairs(w):
-            star = [w.value(i, j, k) for k in range(1, n + 1)]
-            brackets[(i, j)] = zero_vec(n) + tuple(star)
-        alg = LieAlgebra(2 * n, brackets)
-        return QuadraticStructure(alg, hyperbolic_form(n))
     bad = cyclic_defect(w)
     if bad:
         raise ValidationError(f"cocycle is not cyclic at triple {bad[0]}",
                               law="cyclic", witness=bad[0])
-    bad = cocycle_defect(w)
-    if bad:
-        raise ValidationError(f"2-cocycle identity fails at triple {bad[0]}",
-                              law="cocycle", witness=bad[0])
-    base = w.base
-    n = base.dim
-    brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = tuple(base.bracket_basis(i, j)) + w.value_pair(i, j)
-            brackets[(i, j)] = v
-        # [e_i, e_k*] = ad*(e_i)(e_k*): component l is -(e_k* of [e_i, e_l])
-        for k in range(1, n + 1):
-            star = [ZERO] * n
-            for ell in range(1, n + 1):
-                c = base.bracket_basis(i, ell)[k - 1]
-                if c:
-                    star[ell - 1] = -c
-            key = (i, n + k)
-            brackets[key] = zero_vec(n) + tuple(star)
-    alg = LieAlgebra(2 * n, brackets)
-    return QuadraticStructure(alg, hyperbolic_form(n))
+    g = _general(w)
+    alg = _tstar_algebra(g)
+    # coefficient storage is alternating over an abelian base: a cocycle
+    if not isinstance(w, AltCoeffs):
+        bad = _cocycle_defect(g, alg)
+        if bad:
+            raise ValidationError(f"2-cocycle identity fails at triple "
+                                  f"{bad[0]}", law="cocycle", witness=bad[0])
+    return QuadraticStructure(alg, hyperbolic_form(g.base.dim))
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
-    """{b in B : w(b, -) = 0}."""
-    if isinstance(w, AltCoeffs):
-        return w.kernel_subspace()
-    n = w.base.dim
-    rows = []
-    for j in range(1, n + 1):
-        cols = [w.value_pair(i, j) for i in range(1, n + 1)]
-        for k in range(n):
-            row = [cols[i][k] for i in range(n)]
-            if any(row):
-                rows.append(row)
-    return kernel(Mat.from_rows(rows, cols=n))
+    """{b in B : w(b, -) = 0}: the centre of the bracket w on B."""
+    g = _general(w)
+    return LieAlgebra(g.base.dim, g.values).centre()
 
 
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:
     """span{w(b, b')} inside B* coordinates."""
-    if isinstance(w, AltCoeffs):
-        n = w.n
-        rows = [[w.value(i, j, k) for k in range(1, n + 1)]
-                for (i, j) in _touched_pairs(w)]
-        return Subspace.from_rows(n, rows)
-    n = w.base.dim
-    return Subspace.from_rows(n, list(w.values.values()))
+    g = _general(w)
+    return Subspace.from_rows(g.base.dim, list(g.values.values()))
 
 
 def reduced_criteria(w: AltCoeffs) -> tuple[bool, bool, bool]:

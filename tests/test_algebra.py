@@ -342,3 +342,5 @@ def test_chain_cocycle_at_dim_120():
     assert alg.nilindex() == 2
     assert alg.centre().dim == 60
     assert alg.is_reduced()
+    assert alg.upper_central_series() == [alg.centre(),
+                                          Subspace.full(120)]

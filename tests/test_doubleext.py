@@ -9,7 +9,7 @@ from quadlie import (ExtensionChain, LieAlgebra, Mat, QuadraticStructure,
                      chain_display_permutation, chain_reduced_check,
                      chain_to_algebra, derivation_defect, derivation_space,
                      double_extend, double_extend_1d, fold_chain,
-                     heisenberg, hyperbolic_form, inner_preimage,
+                     heisenberg, hyperbolic_form, inner_preimage, inverse,
                      invariance_defect, parse_coeffs, skew_defect,
                      tstar_extend, two_step_criterion, validate_chain)
 from quadlie.randgen import random_coeffs, random_skew_derivation
@@ -414,3 +414,86 @@ def test_derivation_space_dimensions():
         mat = Mat([v[r * n:(r + 1) * n] for r in range(n)])
         assert skew_defect(aq.form, mat) == []
         assert derivation_defect(aq.alg, mat) == []
+
+
+# ---- the one-dimensional extension as the m = 1 case ----
+
+def _ref_double_extend_1d(aq, d):
+    """The dedicated one-dimensional construction the general one replaced."""
+    if isinstance(d, SkewDerivation):
+        d = d.mat
+    elif aq is not None:
+        SkewDerivation(aq, d)
+    elif not (d.rows == d.cols == 0):
+        raise ValidationError("derivation of the zero algebra must be 0x0")
+    amn = aq.dim if aq is not None else 0
+    dim = amn + 2
+    brackets = {}
+    for j in range(1, amn + 1):
+        img = d.col(j - 1)
+        if any(img):
+            brackets[(1, 1 + j)] = (0,) + tuple(img) + (0,)
+    form = [[0] * dim for _ in range(dim)]
+    form[0][dim - 1] = form[dim - 1][0] = 1
+    if aq is not None:
+        for i in range(1, amn + 1):
+            fdi = aq.form.matvec(d.col(i - 1))
+            for j in range(i + 1, amn + 1):
+                apart = aq.alg.bracket_basis(i, j)
+                if any(apart) or fdi[j - 1]:
+                    brackets[(1 + i, 1 + j)] = ((0,) + tuple(apart)
+                                                + (fdi[j - 1],))
+            for j in range(amn):
+                form[1 + i - 1][1 + j] = aq.form.data[i - 1][j]
+    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
+
+
+def _extension_outcome(fn, aq, d):
+    try:
+        q = fn(aq, d)
+    except ValidationError as e:
+        return ("error", e.law, e.witness, str(e))
+    return ("ok", q.alg, q.form)
+
+
+def test_double_extend_1d_matches_dedicated_construction():
+    from quadlie.acceptance import _random_extension_case
+    g = SplitMix64(3141)
+    cases = [(None, Mat.zero(0, 0)), (None, Mat.zero(2, 2))]
+    for seed in range(2000, 2060):
+        aq, d = _random_extension_case(seed)
+        cases.append((aq, d))
+        # one entry shifted: not skew, or skew but not a derivation
+        rows = [list(r) for r in d.data]
+        rows[g.randint(0, aq.dim - 1)][g.randint(0, aq.dim - 1)] += \
+            g.nonzero_entry()
+        cases.append((aq, Mat(rows)))
+        # plus F^-1 A for an antisymmetric A: still skew, and a derivation
+        # only where the base allows it
+        a, b = g.randint(0, aq.dim - 2), aq.dim - 1
+        anti = [[0] * aq.dim for _ in range(aq.dim)]
+        anti[a][b], anti[b][a] = 1, -1
+        cases.append((aq, d + inverse(aq.form) * Mat(anti)))
+    laws = set()
+    for aq, d in cases:
+        want = _extension_outcome(_ref_double_extend_1d, aq, d)
+        assert _extension_outcome(double_extend_1d, aq, d) == want
+        if want[0] == "error":
+            laws.add(want[1])
+        else:
+            assert double_extend_1d(aq, SkewDerivation(aq, d)
+                                    if aq is not None else d).alg == want[1]
+    assert laws == {"skew", "derivation", ""}
+
+
+def test_double_extend_takes_skew_derivations():
+    aq = hyperbolic_abelian(2)
+    d = Mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
+    sd = SkewDerivation(aq, d)
+    via_1d = double_extend_1d(aq, d)
+    for ext in (double_extend(aq, abelian(1), [sd]), double_extend_1d(aq, sd)):
+        assert ext.alg == via_1d.alg
+        assert ext.form == via_1d.form
+    ext = double_extend(aq, abelian(2), [sd, Mat.zero(4, 4)])
+    assert ext.alg.jacobi_defect() == []
+    assert invariance_defect(ext.alg, ext.form) == []

@@ -183,3 +183,28 @@ def test_empty_results_keep_their_shape():
     assert hstack(Mat.zero(0, 1), e) == Mat.zero(0, 3)
     # a kernel of the empty 0x2 product is the whole plane
     assert kernel(e * m) == Subspace.full(2)
+
+
+def test_contains_matches_rank_reference():
+    # v lies in S exactly when adding it keeps the dimension
+    from quadlie import SplitMix64
+    g = SplitMix64(4242)
+    inside = outside = 0
+    for seed in range(40):
+        n = 1 + seed % 7
+        s = Subspace.from_rows(n, [[g.randint(-2, 2) if g.randint(0, 1)
+                                    else 0 for _ in range(n)]
+                                   for _ in range(g.randint(0, n))])
+        combos = [[sum((Fraction(g.randint(-3, 3), g.randint(1, 3)) * r[j]
+                        for r in s.basis.data), start=Fraction(0))
+                   for j in range(n)] for _ in range(3)]
+        randoms = [[g.randint(-2, 2) for _ in range(n)] for _ in range(3)]
+        for v in combos + randoms:
+            want = s.sum(Subspace.from_rows(n, [v])).dim == s.dim
+            assert s.contains_vec(v) == want
+            assert s.contains(Subspace.from_rows(n, [v])) == want
+            inside += want
+            outside += not want
+        t = Subspace.from_rows(n, combos + randoms[:1])
+        assert s.contains(t) == (s.sum(t).dim == s.dim)
+    assert inside > 100 and outside > 50

@@ -8,8 +8,8 @@ from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      cocycle_defect, cyclic_defect, decompose_as_tstar,
                      find_lagrangian_ideal, heisenberg, hyperbolic_form,
                      inflation, is_cyclic, is_isometry, is_two_cocycle,
-                     parse_coeffs, radical, reduced_criteria, tstar_extend,
-                     value_span)
+                     kernel, parse_coeffs, radical, reduced_criteria,
+                     tstar_extend, value_span)
 from quadlie.randgen import SplitMix64, random_coeffs
 
 
@@ -207,3 +207,231 @@ def test_random_cocycles_always_extend_quadratically():
         q = tstar_extend(c)  # constructor re-validates invariance
         assert q.alg.nilindex() in (1, 2)
         assert q.alg.centre().contains(q.alg.derived())
+
+
+
+# ---- differential tests: the one sparse path against the dense ones ----
+#
+# The _ref_* functions are the two paths each function had before one
+# sparse builder served every cocycle: a branch for coefficient input and
+# dense loops over basis pairs and triples for a GeneralCocycle.
+
+def _ref_touched_pairs(c):
+    pairs = set()
+    for (i, j, k), _ in c.terms:
+        pairs.update(((i, j), (i, k), (j, k)))
+    return sorted(pairs)
+
+
+def _ref_from_coeffs(c):
+    vals = {}
+    for (i, j, k), cv in c.terms:
+        for pair, pos, sign in (((i, j), k, 1), ((i, k), j, -1),
+                                ((j, k), i, 1)):
+            row = vals.setdefault(pair, [Fraction(0)] * c.n)
+            row[pos - 1] += cv if sign > 0 else -cv
+    return GeneralCocycle(abelian(c.n), vals)
+
+
+def _ref_cyclic_defect(w):
+    if not isinstance(w, GeneralCocycle):
+        return []
+    n = w.base.dim
+    return [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
+            for k in range(1, n + 1)
+            if w.value_pair(i, j)[k - 1] != w.value_pair(k, i)[j - 1]]
+
+
+def _ref_cocycle_defect(w):
+    if not isinstance(w, GeneralCocycle):
+        return []
+    base = w.base
+    if not base.is_lie():
+        raise ValidationError("base is not a Lie algebra", law="jacobi")
+    n = base.dim
+    bad = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                lhs = [Fraction(0)] * n
+                rhs = [Fraction(0)] * n
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    wl = w.apply(base.bracket_basis(a, b), c)
+                    wbc = w.value_pair(b, c)
+                    for t in range(n):
+                        lhs[t] += wl[t]
+                        br = base.bracket_basis(a, t + 1)
+                        rhs[t] -= sum(wbc[s] * br[s] for s in range(n))
+                if lhs != rhs:
+                    bad.append((i, j, k))
+    return bad
+
+
+def _ref_tstar(w):
+    if not isinstance(w, GeneralCocycle):
+        n = w.n
+        brackets = {(i, j): (0,) * n + tuple(w.value(i, j, k)
+                                             for k in range(1, n + 1))
+                    for (i, j) in _ref_touched_pairs(w)}
+        return QuadraticStructure(LieAlgebra(2 * n, brackets),
+                                  hyperbolic_form(n))
+    bad = _ref_cyclic_defect(w)
+    if bad:
+        raise ValidationError(f"cocycle is not cyclic at triple {bad[0]}",
+                              law="cyclic", witness=bad[0])
+    bad = _ref_cocycle_defect(w)
+    if bad:
+        raise ValidationError(f"2-cocycle identity fails at triple {bad[0]}",
+                              law="cocycle", witness=bad[0])
+    base = w.base
+    n = base.dim
+    brackets = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            brackets[(i, j)] = (tuple(base.bracket_basis(i, j))
+                                + w.value_pair(i, j))
+        for k in range(1, n + 1):
+            star = [-base.bracket_basis(i, ell)[k - 1]
+                    for ell in range(1, n + 1)]
+            brackets[(i, n + k)] = (0,) * n + tuple(star)
+    return QuadraticStructure(LieAlgebra(2 * n, brackets), hyperbolic_form(n))
+
+
+def _ref_radical(w):
+    if not isinstance(w, GeneralCocycle):
+        return w.kernel_subspace()
+    n = w.base.dim
+    rows = [[w.value_pair(i, j)[k] for i in range(1, n + 1)]
+            for j in range(1, n + 1) for k in range(n)]
+    return kernel(Mat.from_rows([r for r in rows if any(r)], cols=n))
+
+
+def _ref_value_span(w):
+    if not isinstance(w, GeneralCocycle):
+        n = w.n
+        return Subspace.from_rows(n, [[w.value(i, j, k)
+                                       for k in range(1, n + 1)]
+                                      for (i, j) in _ref_touched_pairs(w)])
+    return Subspace.from_rows(w.base.dim, list(w.values.values()))
+
+
+def _outcome(fn, w):
+    """The result, or the law, witness and message of the error."""
+    try:
+        r = fn(w)
+    except ValidationError as e:
+        return ("error", e.law, e.witness, str(e))
+    if isinstance(r, QuadraticStructure):
+        return ("ok", r.alg, r.form)
+    return ("ok", r)
+
+
+_PAIRS = ((cyclic_defect, _ref_cyclic_defect),
+          (cocycle_defect, _ref_cocycle_defect),
+          (tstar_extend, _ref_tstar),
+          (radical, _ref_radical),
+          (value_span, _ref_value_span))
+
+
+def _assert_paths_agree(w):
+    for new, ref in _PAIRS:
+        assert _outcome(new, w) == _outcome(ref, w), (new.__name__, w)
+
+
+def _from_trivector(base, t):
+    """w(e_i, e_j)(e_k) = t(i, j, k): cyclic for any alternating t."""
+    n = base.dim
+    return GeneralCocycle(base, {(i, j): [t(i, j, k) for k in range(1, n + 1)]
+                                 for i in range(1, n + 1)
+                                 for j in range(i + 1, n + 1)})
+
+
+def _canonical(base, form):
+    """t(i, j, k) = phi([e_i, e_j], e_k), alternating for an invariant phi
+    and a 2-cocycle by the Jacobi identity."""
+    def t(i, j, k):
+        return sum((c * form.data[r][k - 1]
+                    for r, c in enumerate(base.bracket_basis(i, j))),
+                   start=Fraction(0))
+    return t
+
+
+def _general_cocycles():
+    """GeneralCocycles over Lie and non-Lie bases: zero, the canonical
+    cocycle phi([x,y],z) of a quadratic base, random alternating ones (cyclic,
+    often not cocycles) and random or perturbed ones (rarely cyclic)."""
+    from quadlie import CATALOG, algebra_from_trivector
+    from quadlie.acceptance import _jordan_extension
+    g = SplitMix64(1997)
+    quad = [_jordan_extension(2), _jordan_extension(3)]
+    quad += [algebra_from_trivector(e.trivector) for e in CATALOG[:2]]
+    bases = [(q.alg, q.form) for q in quad]
+    bases += [(heisenberg(), None), (abelian(3), None), (abelian(4), None),
+              (heisenberg().direct_sum(abelian(1)), None),
+              (heisenberg().direct_sum(abelian(2)), None),
+              (heisenberg().direct_sum(heisenberg()), None)]
+    for dim in (3, 4, 4, 5):
+        base = LieAlgebra(dim, {(i, j): [g.randint(-2, 2) if g.randint(0, 2)
+                                         == 0 else 0 for _ in range(dim)]
+                                for i in range(1, dim + 1)
+                                for j in range(i + 1, dim + 1)})
+        bases.append((base, None))
+    for base, form in bases:
+        n = base.dim
+        yield GeneralCocycle(base, {})
+        if form is not None:
+            yield _from_trivector(base, _canonical(base, form))
+        for rep in range(5 if n <= 6 else 2):
+            t = random_coeffs(n, seed=100 * n + 7 * rep + len(base.brackets),
+                              density=Fraction(1, 3), nonzero=True)
+            w = _from_trivector(base, t.value)
+            yield w
+            # one stored entry shifted breaks cyclicity
+            vals = {p: list(v) for p, v in w.values.items()}
+            p = sorted(vals)[g.randint(0, len(vals) - 1)]
+            vals[p][g.randint(0, n - 1)] += g.nonzero_entry()
+            yield GeneralCocycle(base, vals)
+        yield GeneralCocycle(base, {
+            (i, j): [g.nonzero_entry() if g.randint(0, 3) == 0 else 0
+                     for _ in range(n)]
+            for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if g.randint(0, 1)})
+
+
+def test_coefficient_paths_match_dense_reference():
+    from quadlie import CATALOG, lambda_trivector
+    inputs = [CocycleCoeffs(e.n, e.trivector.terms) for e in CATALOG]
+    inputs += [CocycleCoeffs(9, lambda_trivector(lam).terms)
+               for lam in (1, "-2/3", "3/2")]
+    inputs += [random_coeffs(3 + seed % 7, seed=seed,
+                             density=Fraction(1 + seed % 3, 4))
+               for seed in range(60)]
+    inputs += [CocycleCoeffs(0), CocycleCoeffs(4)]
+    for c in inputs:
+        _assert_paths_agree(c)
+        w = GeneralCocycle.from_coeffs(c)
+        ref = _ref_from_coeffs(c)
+        assert (w.base, w.values) == (ref.base, ref.values)
+        # the general path of the old code agrees on the converted cocycle
+        assert _outcome(tstar_extend, c) == _outcome(_ref_tstar, ref)
+    assert len(inputs) == 22 + 3 + 60 + 2
+
+
+def test_general_paths_match_dense_reference():
+    kinds = {"cyclic": 0, "jacobi": 0, "cocycle": 0, "ok": 0}
+    for w in _general_cocycles():
+        _assert_paths_agree(w)
+        out = _outcome(tstar_extend, w)
+        kinds[out[1] if out[0] == "error" else "ok"] += 1
+    assert kinds["cyclic"] >= 50
+    assert kinds["cocycle"] >= 20
+    assert kinds["jacobi"] >= 4
+    assert kinds["ok"] >= 20
+
+
+def test_decomposed_cocycles_match_dense_reference():
+    from quadlie import CATALOG, algebra_from_trivector
+    for e in CATALOG:
+        q = algebra_from_trivector(e.trivector)
+        _, w, _ = decompose_as_tstar(q, q.alg.derived())
+        _assert_paths_agree(w)
