@@ -8,7 +8,7 @@ e_k is v[k-1].
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, is_zero_vec, kernel,
@@ -159,13 +159,14 @@ class LieAlgebra:
     def derived(self) -> Subspace:
         return Subspace.from_rows(self.dim, list(self.brackets.values()))
 
-    def _centraliser(self, ann_by_col: Mapping[int, Sequence]) -> Subspace:
-        """{x : u([x, e_s]) = 0 for every s and every annihilator row u}.
+    def _centraliser_rows(self, ann_by_col: Mapping[int, Sequence]
+                          ) -> dict[tuple[int, int], list[Fraction]]:
+        """The nonzero rows of {x : u([x, e_s]) = 0 for every s and every
+        annihilator row u}.
 
         ann_by_col[r] lists (a, u_r) for each row a with u_r != 0. Row (s, a)
         holds u_a([e_i, e_s]) over i; only the stored brackets fill it, and
         entry i of row (j, a) or (i, a) comes from the stored (i, j) alone.
-        Row order cannot change the kernel.
         """
         rows: dict[tuple[int, int], list[Fraction]] = {}
         for (i, j), v in self.brackets.items():
@@ -181,6 +182,11 @@ class LieAlgebra:
                     # u_a([e_i, e_j]) = x and u_a([e_j, e_i]) = -x
                     rows.setdefault((j, a), [ZERO] * self.dim)[i - 1] = x
                     rows.setdefault((i, a), [ZERO] * self.dim)[j - 1] = -x
+        return rows
+
+    def _centraliser(self, ann_by_col: Mapping[int, Sequence]) -> Subspace:
+        """The kernel of _centraliser_rows; row order cannot change it."""
+        rows = self._centraliser_rows(ann_by_col)
         if not rows:
             return Subspace.full(self.dim)
         return kernel(Mat._of(rows.values(), self.dim))

@@ -13,7 +13,6 @@ import os
 import sys
 
 from .acceptance import run_all, verify_catalog_entry, verify_report
-from .algebra import LieAlgebra
 from .alternating import AltCoeffs, format_coeffs, parse_coeffs
 from .catalog import CATALOG, catalog, catalog_counts, lambda_trivector
 from .convert import (all_roads, chain_to_coeffs, coeffs_to_chain,
@@ -21,12 +20,12 @@ from .convert import (all_roads, chain_to_coeffs, coeffs_to_chain,
 from .doubleext import chain_to_algebra, validate_chain
 from .errors import QuadlieError, ValidationError
 from .forms import QuadraticStructure
-from .io import (algebra_from_obj, algebra_to_obj, chain_from_obj,
+from .io import (_scalar_in, algebra_from_obj, algebra_to_obj, chain_from_obj,
                  chain_to_obj, coeffs_from_obj, coeffs_to_obj, dumps,
                  family_from_obj, family_to_obj, general_cocycle_from_obj,
                  general_cocycle_to_obj, load_json, quadratic_to_obj)
 from .latex import bracket_cells, latex_table
-from .linalg import rank, scalar, scalar_str
+from .linalg import rank, scalar_str
 from .quadfam import f_matrix, validate_family
 from .randgen import random_coeffs
 from .trivector import (Trivector, algebra_from_trivector, delta,
@@ -35,8 +34,15 @@ from .tstar import (CocycleCoeffs, decompose_as_tstar, find_lagrangian_ideal,
                     tstar_extend)
 
 
+_FORMATS = ("json", "latex", "summary")
+
+
 def _fmt(args) -> str:
-    return os.environ.get("QUADLIE_FORMAT") or args.format
+    fmt = os.environ.get("QUADLIE_FORMAT") or args.format
+    if fmt not in _FORMATS:
+        raise QuadlieError(f"QUADLIE_FORMAT must be json, latex or summary, "
+                           f"not {fmt!r}")
+    return fmt
 
 
 def _fail(message: str, law: str = "", witness=None) -> int:
@@ -57,8 +63,19 @@ def _load_coeffs(text: str, n: int | None, cls) -> AltCoeffs:
     return parse_coeffs(text, n=n, cls=cls)
 
 
-def _text_table(alg: LieAlgebra, split: int | None = None) -> str:
-    return "\n".join(bracket_cells(alg, split)) or "(abelian)"
+def _print_algebra(fmt: str, q: QuadraticStructure, split: int, header,
+                   obj=None) -> int:
+    """q as the JSON object obj() (q's own when obj is None), as the LaTeX
+    table, or as the lines of header() above the text table; obj and
+    header run only for their own format."""
+    if fmt == "json":
+        print(dumps(quadratic_to_obj(q) if obj is None else obj()), end="")
+    elif fmt == "latex":
+        print(latex_table(q.alg, split=split), end="")
+    else:
+        print("\n".join(header()))
+        print("\n".join(bracket_cells(q.alg, split)) or "(abelian)")
+    return 0
 
 
 def _print_verify_summary(rep: dict):
@@ -100,20 +117,13 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     fmt = _fmt(args)
     if args.lam is not None:
-        t = lambda_trivector(scalar(args.lam))
+        t = lambda_trivector(_scalar_in(args.lam, "--lam"))
         q = algebra_from_trivector(t)
-        if fmt == "json":
-            print(dumps({"lambda": args.lam, "n": t.n, "dim": q.dim,
-                         "trivector": coeffs_to_obj(t),
-                         "algebra": quadratic_to_obj(q)}), end="")
-        elif fmt == "latex":
-            print(latex_table(q.alg, split=t.n), end="")
-        else:
-            print(f"parametric entry  lambda={args.lam}  n={t.n}  "
-                  f"dim={q.dim}")
-            print(f"trivector: {format_coeffs(t)}")
-            print(_text_table(q.alg, split=t.n))
-        return 0
+        return _print_algebra(fmt, q, t.n, lambda: (
+            f"parametric entry  lambda={args.lam}  n={t.n}  dim={q.dim}",
+            f"trivector: {format_coeffs(t)}"), lambda: {
+            "lambda": args.lam, "n": t.n, "dim": q.dim,
+            "trivector": coeffs_to_obj(t), "algebra": quadratic_to_obj(q)})
     if args.counts:
         counts = catalog_counts()
         if fmt == "json":
@@ -139,18 +149,12 @@ def cmd_catalog(args) -> int:
         return _fail("need a label, --counts, or --all")
     entry = catalog(args.label)
     q = algebra_from_trivector(entry.trivector)
-    if fmt == "json":
-        print(dumps({"label": entry.label, "n": entry.n,
-                     "dim": entry.expected_dim,
-                     "trivector": coeffs_to_obj(entry.trivector),
-                     "algebra": quadratic_to_obj(q)}), end="")
-    elif fmt == "latex":
-        print(latex_table(q.alg, split=entry.n), end="")
-    else:
-        print(f"{entry.label}  n={entry.n}  dim={entry.expected_dim}")
-        print(f"trivector: {format_coeffs(entry.trivector)}")
-        print(_text_table(q.alg, split=entry.n))
-    return 0
+    return _print_algebra(fmt, q, entry.n, lambda: (
+        f"{entry.label}  n={entry.n}  dim={entry.expected_dim}",
+        f"trivector: {format_coeffs(entry.trivector)}"), lambda: {
+        "label": entry.label, "n": entry.n, "dim": entry.expected_dim,
+        "trivector": coeffs_to_obj(entry.trivector),
+        "algebra": quadratic_to_obj(q)})
 
 
 _KINDS = ("cocycle", "trivector", "family", "chain")
@@ -192,13 +196,8 @@ def cmd_convert(args) -> int:
         if not rep.equal:
             return _fail(f"route mismatch: {rep.mismatches}")
         q = rep.algebra
-        if fmt == "latex":
-            print(latex_table(q.alg, split=c.n), end="")
-        elif fmt == "summary":
-            print(f"dim {q.dim} algebra, all three routes agree")
-            print(_text_table(q.alg, split=c.n))
-        else:
-            print(dumps(quadratic_to_obj(q)), end="")
+        return _print_algebra(fmt, q, c.n, lambda: (
+            f"dim {q.dim} algebra, all three routes agree",))
     return 0
 
 
@@ -208,16 +207,9 @@ def cmd_extend(args) -> int:
     if problems:
         return _fail("; ".join(problems), law="chain")
     q = chain_to_algebra(ch)
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(dumps(quadratic_to_obj(q)), end="")
-    elif fmt == "latex":
-        print(latex_table(q.alg, split=ch.n), end="")
-    else:
-        print(f"chain of {ch.n} links -> dim {q.dim} algebra, "
-              f"nilindex {q.alg.nilindex()}")
-        print(_text_table(q.alg, split=ch.n))
-    return 0
+    return _print_algebra(_fmt(args), q, ch.n, lambda: (
+        f"chain of {ch.n} links -> dim {q.dim} algebra, "
+        f"nilindex {q.alg.nilindex()}",))
 
 
 def cmd_tstar(args) -> int:
@@ -233,15 +225,8 @@ def cmd_tstar(args) -> int:
         w = parse_coeffs(args.input, n=args.n, cls=CocycleCoeffs)
         split = w.n
     q = tstar_extend(w)
-    fmt = _fmt(args)
-    if fmt == "json":
-        print(dumps(quadratic_to_obj(q)), end="")
-    elif fmt == "latex":
-        print(latex_table(q.alg, split=split), end="")
-    else:
-        print(f"dual extension: dim {q.dim}, nilindex {q.alg.nilindex()}")
-        print(_text_table(q.alg, split=split))
-    return 0
+    return _print_algebra(_fmt(args), q, split, lambda: (
+        f"dual extension: dim {q.dim}, nilindex {q.alg.nilindex()}",))
 
 
 def cmd_family(args) -> int:
@@ -274,7 +259,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_random(args) -> int:
-    density = scalar(args.density)
+    density = _scalar_in(args.density, "--density")
     c = random_coeffs(args.n, seed=args.seed, density=density)
     q = tstar_extend(c)
     summary = {
@@ -345,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_format(sp):
-        sp.add_argument("--format", choices=("json", "latex", "summary"),
+        sp.add_argument("--format", choices=_FORMATS,
                         default="summary",
                         help="output format (env QUADLIE_FORMAT overrides)")
 

@@ -14,45 +14,86 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import Fraction, Mat, Subspace, ZERO, kernel, solve, zero_vec
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, kernel, solve,
+                     zero_vec)
+from .tstar import GeneralCocycle, _tstar_algebra
+
+
+def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
+    """The nonzero entries (r, s, d[r][s]) of d, 0-based."""
+    return [(r, s, c) for r, row in enumerate(d.data)
+            for s, c in enumerate(row) if c]
+
+
+def _skew_map(form: Mat):
+    """The map d -> d^T F + F d as image(nonzero entries of d) ->
+    {(i, j): value}, 0-based: an entry d[r][s] = c meets row r of F in
+    d^T F and column r of F in F d."""
+    rows = [[(j, f) for j, f in enumerate(r) if f] for r in form.data]
+    cols = [[(i, f) for i, f in enumerate(c) if f] for c in zip(*form.data)]
+
+    def image(entries) -> dict[tuple[int, int], Fraction]:
+        acc: dict[tuple[int, int], Fraction] = {}
+        for r, s, c in entries:
+            for j, f in rows[r]:
+                acc[(s, j)] = acc.get((s, j), ZERO) + c * f
+            for i, f in cols[r]:
+                acc[(i, s)] = acc.get((i, s), ZERO) + f * c
+        return acc
+    return image
+
+
+def _derivation_map(alg: LieAlgebra):
+    """The map d -> D(i, j) = d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], i < j,
+    as image(nonzero entries of d) -> {(i, j, t): D(i, j)_t}, 0-based.
+
+    Only stored brackets are read. An entry d[r][s] = c adds c v_s e_r to
+    D(a, b) for each stored [e_a, e_b] = v, and -c [e_r, e_y] to D(s, y)
+    for each y; D(y, s) counts as -D(s, y), and D(s, s) is dropped.
+    """
+    by_comp: dict[int, list] = {}  # s -> (a, b, v_s) with v_s != 0
+    ad: dict[int, list] = {}  # r -> (y, [e_r, e_y] sparse)
+    for (a, b), v in alg.brackets.items():
+        nz = [(t, x) for t, x in enumerate(v) if x]
+        for s, x in nz:
+            by_comp.setdefault(s, []).append((a - 1, b - 1, x))
+        ad.setdefault(a - 1, []).append((b - 1, nz))
+        ad.setdefault(b - 1, []).append((a - 1, [(t, -x) for t, x in nz]))
+
+    def image(entries) -> dict[tuple[int, int, int], Fraction]:
+        acc: dict[tuple[int, int, int], Fraction] = {}
+        for r, s, c in entries:
+            for a, b, x in by_comp.get(s, ()):
+                key = (a, b, r)
+                acc[key] = acc.get(key, ZERO) + c * x
+            for y, nz in ad.get(r, ()):
+                if y != s:
+                    # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
+                    i, j, f = (s, y, -c) if s < y else (y, s, c)
+                    for t, x in nz:
+                        key = (i, j, t)
+                        acc[key] = acc.get(key, ZERO) + f * x
+        return acc
+    return image
 
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
-    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0.
-
-    These are the nonzero entries of d^T F + F d, summed from the nonzero
-    entries of F against the nonzero entries of the rows of d.
-    """
-    n = form.rows
-    if not form.cols == d.rows == d.cols == n:
+    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0: the nonzero
+    entries of d^T F + F d."""
+    if not form.rows == form.cols == d.rows == d.cols:
         raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
                          f"d {d.rows}x{d.cols}")
-    d_rows = [[(j, c) for j, c in enumerate(r) if c] for r in d.data]
-    acc: dict[tuple[int, int], Fraction] = {}
-    for k, row in enumerate(form.data):
-        for j, f in enumerate(row):
-            if f:
-                # F[k][j] pairs with row k of d in d^T F, row j of d in F d
-                for i, c in d_rows[k]:
-                    acc[(i, j)] = acc.get((i, j), ZERO) + c * f
-                for m, c in d_rows[j]:
-                    acc[(k, m)] = acc.get((k, m), ZERO) + f * c
+    acc = _skew_map(form)(_entries(d))
     return [(i + 1, j + 1) for (i, j) in sorted(acc) if acc[(i, j)]]
 
 
 def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
     """Basis pairs where d([x,y]) != [d(x),y] + [x,d(y)]."""
-    n = alg.dim
-    cols = [d.col(j) for j in range(n)]
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = d.matvec(alg.bracket_basis(i, j))
-            rhs1 = alg.bracket_basis_vec(j, cols[i - 1])  # [e_j, d e_i]
-            rhs2 = alg.bracket_basis_vec(i, cols[j - 1])  # [e_i, d e_j]
-            if any(l + r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
-                bad.append((i, j))
-    return bad
+    if not d.rows == d.cols == alg.dim:
+        raise ValueError(f"shape mismatch: algebra dim {alg.dim}, "
+                         f"d {d.rows}x{d.cols}")
+    acc = _derivation_map(alg)(_entries(d))
+    return sorted({(i + 1, j + 1) for (i, j, _), x in acc.items() if x})
 
 
 class SkewDerivation:
@@ -92,7 +133,8 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
 
     Basis order: b's basis, then A's, then the duals of b's. phi lists the
     image of each b basis vector, every image a form-skew derivation, and
-    phi must be a Lie homomorphism on b's basis pairs.
+    phi must be a Lie homomorphism on b's basis pairs. The bracket is the
+    T*-builder's with w = 0.
     """
     if not b.is_lie():
         raise ValidationError("extending algebra is not Lie", law="jacobi")
@@ -119,45 +161,14 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
                     law="homomorphism", witness=(i, j))
 
     dim = 2 * m + amn
-    star = m + amn  # e_k* of b has label star + k
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
-
-    def row(i: int, j: int) -> list[Fraction]:
-        return brackets.setdefault((i, j), [ZERO] * dim)
-    for (i, j), v in b.brackets.items():
-        row(i, j)[:m] = v
-        for k, c in enumerate(v, start=1):
-            if c:
-                # [e_i, e_k*] = ad*(e_i)(e_k*) has -[e_i, e_j]_k at e_j*
-                row(i, star + k)[star + j - 1] = -c
-                row(j, star + k)[star + i - 1] = c
-    for i, mat in enumerate(mats, start=1):
-        for j in range(amn):
-            img = mat.col(j)
-            if any(img):
-                row(i, m + 1 + j)[m:star] = img
-    if aq is not None:
-        fa = aq.form
-        for i in range(1, amn + 1):
-            # phi(phi_k e_i, e_j) for every k and j
-            fphi = [fa.matvec(mat.col(i - 1)) for mat in mats]
-            for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
-                beta = [f[j - 1] for f in fphi]
-                if any(apart) or any(beta):
-                    r = row(m + i, m + j)
-                    r[m:star] = apart
-                    r[star:] = beta
-
     form = [[ZERO] * dim for _ in range(dim)]
     for i in range(m):
-        form[i][star + i] = Fraction(1)
-        form[star + i][i] = Fraction(1)
+        form[i][m + amn + i] = form[m + amn + i][i] = ONE
     if aq is not None:
-        for i in range(amn):
-            for j in range(amn):
-                form[m + i][m + j] = aq.form.data[i][j]
-    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
+        for i, r in enumerate(aq.form.data):
+            form[m + i][m:m + amn] = r
+    alg = _tstar_algebra(GeneralCocycle(b, {}), aq, mats)
+    return QuadraticStructure(alg, Mat._of(form, dim))
 
 
 def double_extend_1d(aq: QuadraticStructure | None,
@@ -170,21 +181,19 @@ def double_extend_1d(aq: QuadraticStructure | None,
 
 
 def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
-    """x with d = ad(x), or None when d is outer. Free components are 0."""
+    """x with d = ad(x), or None when d is outer. Free components are 0.
+
+    x solves the centre's rows (s, r) -> {i: [e_i, e_s]_r} against d[r][s],
+    and none does when an absent row meets a nonzero entry of d.
+    """
     d = _deriv_mat(aq, d)
     if aq is None:
         return ()
-    n = aq.dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(1, n + 1):
-        # [x, e_j] = d(e_j), linear in x
-        cols = [aq.alg.bracket_basis(i, j) for i in range(1, n + 1)]
-        img = d.col(j - 1)
-        for t in range(n):
-            rows.append([cols[i][t] for i in range(n)])
-            rhs.append(img[t])
-    return solve(Mat.from_rows(rows, cols=n), tuple(rhs))
+    rows = aq.alg._centraliser_rows({r: ((r, ONE),) for r in range(aq.dim)})
+    if any((s + 1, r) not in rows for r, s, _ in _entries(d)):
+        return None
+    return solve(Mat._of(rows.values(), aq.dim),
+                 tuple(d.data[r][s - 1] for s, r in rows))
 
 
 def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
@@ -193,6 +202,8 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     (Z(A) intersect ker d) + the dual line, plus the line through b - x
     exactly when d = ad(x) is inner.
     """
+    if aq is not None and isinstance(d, Mat):
+        d = SkewDerivation(aq, d)  # validated once, here
     dmat = _deriv_mat(aq, d)
     amn = aq.dim if aq is not None else 0
     dim = amn + 2
@@ -202,7 +213,7 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
         for r in core.basis.data:
             rows.append((ZERO,) + tuple(r) + (ZERO,))
     rows.append(zero_vec(dim - 1) + (Fraction(1),))
-    x = inner_preimage(aq, dmat)
+    x = inner_preimage(aq, d)
     if x is not None:
         rows.append((Fraction(1),) + tuple(-c for c in x) + (ZERO,))
     return Subspace.from_rows(dim, rows)
@@ -369,35 +380,21 @@ def chain_reduced_check(ch: ExtensionChain) -> bool:
 
 
 def derivation_space(aq: QuadraticStructure) -> Subspace:
-    """All form-skew derivations, as row-major vectorized matrices."""
+    """All form-skew derivations, as row-major vectorized matrices: the
+    kernel of both law maps, whose column (r, s) is the image of E_rs.
+
+    The skew rows come first, then the derivation rows, each block sorted;
+    the kernel is canonical, but this order eliminates fastest.
+    """
     n = aq.dim
     nn = n * n
-    rows = []
-    f = aq.form.data
-    for i in range(n):
-        for j in range(n):
-            row = [ZERO] * nn
-            for r in range(n):
-                if f[r][j]:
-                    row[r * n + i] += f[r][j]
-            for c in range(n):
-                if f[i][c]:
-                    row[c * n + j] += f[i][c]
-            rows.append(row)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            br = aq.alg.bracket_basis(i, j)
-            for t in range(n):
-                row = [ZERO] * nn
-                for s in range(n):
-                    if br[s]:
-                        row[t * n + s] += br[s]
-                for s in range(1, n + 1):
-                    c1 = aq.alg.bracket_basis(s, j)[t]
-                    if c1:
-                        row[(s - 1) * n + (i - 1)] -= c1
-                    c2 = aq.alg.bracket_basis(i, s)[t]
-                    if c2:
-                        row[(s - 1) * n + (j - 1)] -= c2
-                rows.append(row)
-    return kernel(Mat.from_rows(rows, cols=nn))
+    maps = (_skew_map(aq.form), _derivation_map(aq.alg))
+    blocks: tuple[dict, dict] = ({}, {})
+    for r in range(n):
+        for s in range(n):
+            for image, rows in zip(maps, blocks):
+                for key, x in image(((r, s, ONE),)).items():
+                    if x:
+                        rows.setdefault(key, [ZERO] * nn)[r * n + s] = x
+    return kernel(Mat._of([rows[k] for rows in blocks for k in sorted(rows)],
+                          nn))

@@ -84,46 +84,56 @@ class GeneralCocycle:
     def is_zero(self) -> bool:
         return not self.values
 
-    def as_coeffs(self) -> CocycleCoeffs:
-        """Role cast for cyclic cocycles over an abelian base."""
-        if self.base.brackets:
-            raise ValidationError("base is not abelian", law="abelian")
-        bad = cyclic_defect(self)
-        if bad:
-            raise ValidationError(f"not cyclic at {bad[0]}", law="cyclic",
-                                  witness=bad[0])
-        n = self.base.dim
-        return CocycleCoeffs(n, {(i, j, k): self.value(i, j, k)
-                                 for (i, j) in self.values
-                                 for k in range(j + 1, n + 1)})
-
 
 def _general(w: GeneralCocycle | AltCoeffs) -> GeneralCocycle:
     return GeneralCocycle.from_coeffs(w) if isinstance(w, AltCoeffs) else w
 
 
-def _tstar_algebra(w: GeneralCocycle) -> LieAlgebra:
-    """The candidate bracket on B + B*, read from the stored brackets of B
-    and the stored values of w.
+def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
+                   phi: Sequence[Mat] = ()) -> LieAlgebra:
+    """The bracket on B + A + B*, read from the stored brackets of B and A,
+    the stored values of w and the nonzero entries of each phi_k in Der(A).
 
-    [e_i, e_j] = [e_i, e_j]_B + w(e_i, e_j), and [e_i, e_k*] = ad*(e_i)(e_k*)
-    has component -[e_i, e_l]_k at e_l*.
+    Labels: 1..m the base, then A's basis, then e_k* (A = 0 when aq is
+    None). [e_i, e_j] = [e_i, e_j]_B + w(e_i, e_j); [e_i, e_k*] =
+    ad*(e_i)(e_k*) has component -[e_i, e_l]_k at e_l*; [e_k, a] =
+    phi_k(a); [a, a'] = [a, a']_A + sum_k phi(phi_k a, a') e_k*. A double
+    extension is the case w = 0, and a T*-extension the case A = 0.
     """
-    n = w.base.dim
+    m = w.base.dim
+    star = m + (aq.dim if aq is not None else 0)  # e_k* has label star + k
     brackets: dict[tuple[int, int], list[Fraction]] = {}
 
     def row(i, j):
-        return brackets.setdefault((i, j), [ZERO] * (2 * n))
+        return brackets.setdefault((i, j), [ZERO] * (star + m))
     for (i, j), v in w.base.brackets.items():
-        row(i, j)[:n] = v
+        row(i, j)[:m] = v
         for k, c in enumerate(v, start=1):
             if c:
                 # [e_i, e_j]_k = c and [e_j, e_i]_k = -c
-                row(i, n + k)[n + j - 1] = -c
-                row(j, n + k)[n + i - 1] = c
+                row(i, star + k)[star + j - 1] = -c
+                row(j, star + k)[star + i - 1] = c
     for pair, v in w.values.items():
-        row(*pair)[n:] = v
-    return LieAlgebra(2 * n, brackets)
+        row(*pair)[star:] = v
+    if aq is not None:
+        for (i, j), v in aq.alg.brackets.items():
+            row(m + i, m + j)[m:star] = v
+        form = [[(j, f) for j, f in enumerate(r) if f] for r in aq.form.data]
+        for k, mat in enumerate(phi, start=1):
+            beta: dict[tuple[int, int], Fraction] = {}
+            for r, mrow in enumerate(mat.data):
+                for s, c in enumerate(mrow):
+                    if c:
+                        # phi_k a_s has c at a_r, so phi(phi_k a_s, a_j)
+                        # gains c phi(a_r, a_j)
+                        row(k, m + s + 1)[m + r] = c
+                        for j, f in form[r]:
+                            if s < j:
+                                beta[(s, j)] = beta.get((s, j), ZERO) + c * f
+            for (s, j), x in beta.items():
+                if x:
+                    row(m + s + 1, m + j + 1)[star + k - 1] = x
+    return LieAlgebra(star + m, brackets)
 
 
 def cyclic_defect(w: GeneralCocycle | AltCoeffs

@@ -397,3 +397,35 @@ def test_verify_bad_input_is_one_json_error(tmp_path, obj):
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--lam", "abc"),
+    ("catalog", "--lam", "1/0"),
+    ("random", "--n", "4", "--seed", "1", "--density", "1/0"),
+    ("random", "--n", "4", "--seed", "1", "--density", ""),
+], ids=["lam-word", "lam-zero-denominator", "density-zero-denominator",
+        "density-empty"])
+def test_bad_rational_option_is_one_json_error(argv):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert argv[-2] in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "L3,1"), ("tstar", "123"),
+    ("convert", "--from", "cocycle", "--to", "algebra", "123"),
+    ("rank", "123"),
+])
+def test_unknown_env_format_is_one_json_error(monkeypatch, capsys, argv):
+    monkeypatch.setenv("QUADLIE_FORMAT", "xml")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "QUADLIE_FORMAT" in json.loads(lines[0])["error"]

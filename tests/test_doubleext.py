@@ -12,6 +12,7 @@ from quadlie import (ExtensionChain, LieAlgebra, Mat, QuadraticStructure,
                      heisenberg, hyperbolic_form, inner_preimage, inverse,
                      invariance_defect, parse_coeffs, skew_defect,
                      tstar_extend, two_step_criterion, validate_chain)
+from quadlie.linalg import kernel, solve
 from quadlie.randgen import random_coeffs, random_skew_derivation
 
 
@@ -497,3 +498,295 @@ def test_double_extend_takes_skew_derivations():
     ext = double_extend(aq, abelian(2), [sd, Mat.zero(4, 4)])
     assert ext.alg.jacobi_defect() == []
     assert invariance_defect(ext.alg, ext.form) == []
+
+
+# ---- the sparse law maps against the dense code they replaced ----
+
+def _ref_derivation_defect(alg, d):
+    """The dense pair loop that derivation_defect replaced."""
+    n = alg.dim
+    cols = [d.col(j) for j in range(n)]
+    bad = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            lhs = d.matvec(alg.bracket_basis(i, j))
+            rhs1 = alg.bracket_basis_vec(j, cols[i - 1])  # [e_j, d e_i]
+            rhs2 = alg.bracket_basis_vec(i, cols[j - 1])  # [e_i, d e_j]
+            if any(l + r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
+                bad.append((i, j))
+    return bad
+
+
+def _ref_derivation_space(aq):
+    """The dense n^2-column system that derivation_space replaced."""
+    n = aq.dim
+    nn = n * n
+    rows = []
+    f = aq.form.data
+    for i in range(n):
+        for j in range(n):
+            row = [0] * nn
+            for r in range(n):
+                if f[r][j]:
+                    row[r * n + i] += f[r][j]
+            for c in range(n):
+                if f[i][c]:
+                    row[c * n + j] += f[i][c]
+            rows.append(row)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            br = aq.alg.bracket_basis(i, j)
+            for t in range(n):
+                row = [0] * nn
+                for s in range(n):
+                    if br[s]:
+                        row[t * n + s] += br[s]
+                for s in range(1, n + 1):
+                    c1 = aq.alg.bracket_basis(s, j)[t]
+                    if c1:
+                        row[(s - 1) * n + (i - 1)] -= c1
+                    c2 = aq.alg.bracket_basis(i, s)[t]
+                    if c2:
+                        row[(s - 1) * n + (j - 1)] -= c2
+                rows.append(row)
+    return kernel(Mat.from_rows(rows, cols=nn))
+
+
+def _ref_deriv_mat(aq, d):
+    """The validation of SkewDerivation and _deriv_mat, on the dense
+    products and the dense derivation loop."""
+    if isinstance(d, SkewDerivation):
+        return d.mat
+    if aq is None:
+        if not (d.rows == d.cols == 0):
+            raise ValidationError("derivation of the zero algebra must be "
+                                  "0x0")
+        return d
+    if d.rows != aq.dim or d.cols != aq.dim:
+        raise ValidationError("matrix shape does not match the algebra",
+                              law="shape")
+    m = d.transpose() * aq.form + aq.form * d
+    bad = [(i + 1, j + 1) for i in range(m.rows) for j in range(m.cols)
+           if m.data[i][j]]
+    if bad:
+        raise ValidationError(f"not form-skew at pair {bad[0]}",
+                              law="skew", witness=bad[0])
+    bad = _ref_derivation_defect(aq.alg, d)
+    if bad:
+        raise ValidationError(f"derivation law fails at pair {bad[0]}",
+                              law="derivation", witness=bad[0])
+    return d
+
+
+def _ref_inner_preimage(aq, d):
+    """The dense n^2-row system that inner_preimage replaced."""
+    d = _ref_deriv_mat(aq, d)
+    if aq is None:
+        return ()
+    n = aq.dim
+    rows = []
+    rhs = []
+    for j in range(1, n + 1):
+        cols = [aq.alg.bracket_basis(i, j) for i in range(1, n + 1)]
+        img = d.col(j - 1)
+        for t in range(n):
+            rows.append([cols[i][t] for i in range(n)])
+            rhs.append(img[t])
+    return solve(Mat.from_rows(rows, cols=n), tuple(rhs))
+
+
+def _ref_double_extend(aq, b, phi):
+    """The general double extension with its own coadjoint loop and the
+    dense C(dim A, 2) loop for the A part."""
+    if not b.is_lie():
+        raise ValidationError("extending algebra is not Lie", law="jacobi")
+    m = b.dim
+    if len(phi) != m:
+        raise ValidationError(f"need {m} derivation images, got {len(phi)}")
+    amn = aq.dim if aq is not None else 0
+    mats = [_ref_deriv_mat(aq, d) for d in phi]
+
+    def phi_of(x):
+        out = Mat.zero(amn, amn)
+        for c, mat in zip(x, mats):
+            if c:
+                out = out + mat.scale(c)
+        return out
+
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            lhs = phi_of(b.bracket_basis(i, j))
+            rhs = mats[i - 1] * mats[j - 1] - mats[j - 1] * mats[i - 1]
+            if lhs != rhs:
+                raise ValidationError(
+                    f"phi is not a homomorphism at pair {(i, j)}",
+                    law="homomorphism", witness=(i, j))
+    dim = 2 * m + amn
+    star = m + amn
+    brackets = {}
+
+    def row(i, j):
+        return brackets.setdefault((i, j), [0] * dim)
+    for (i, j), v in b.brackets.items():
+        row(i, j)[:m] = v
+        for k, c in enumerate(v, start=1):
+            if c:
+                row(i, star + k)[star + j - 1] = -c
+                row(j, star + k)[star + i - 1] = c
+    for i, mat in enumerate(mats, start=1):
+        for j in range(amn):
+            img = mat.col(j)
+            if any(img):
+                row(i, m + 1 + j)[m:star] = img
+    if aq is not None:
+        fa = aq.form
+        for i in range(1, amn + 1):
+            fphi = [fa.matvec(mat.col(i - 1)) for mat in mats]
+            for j in range(i + 1, amn + 1):
+                apart = aq.alg.bracket_basis(i, j)
+                beta = [f[j - 1] for f in fphi]
+                if any(apart) or any(beta):
+                    r = row(m + i, m + j)
+                    r[m:star] = apart
+                    r[star:] = beta
+    form = [[0] * dim for _ in range(dim)]
+    for i in range(m):
+        form[i][star + i] = form[star + i][i] = 1
+    if aq is not None:
+        for i in range(amn):
+            for j in range(amn):
+                form[m + i][m + j] = aq.form.data[i][j]
+    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValidationError as e:
+        return ("error", e.law, e.witness, str(e))
+    if isinstance(out, QuadraticStructure):
+        return ("ok", out.alg, out.form)
+    return ("ok", out)
+
+
+def _variants(aq, d, g):
+    """d, d with one entry shifted, d plus F^-1 A for an antisymmetric A
+    (still skew, a derivation only where the base allows it), and a sparse
+    random map."""
+    n = aq.dim
+    rows = [list(r) for r in d.data]
+    rows[g.randint(0, n - 1)][g.randint(0, n - 1)] += g.nonzero_entry()
+    a, b = g.randint(0, n - 2), n - 1
+    anti = [[0] * n for _ in range(n)]
+    anti[a][b], anti[b][a] = 1, -1
+    sparse = Mat([[g.nonzero_entry() if g.randint(0, 3) == 0 else 0
+                   for _ in range(n)] for _ in range(n)])
+    return [d, Mat(rows), d + inverse(aq.form) * Mat(anti), sparse]
+
+
+def _law_cases():
+    """(aq, d): criterion 5's seeds, 60 seeded T*-bases, the two-block
+    extensions and the catalog, each with a skew derivation and its
+    variants."""
+    from quadlie import algebra_from_trivector
+    from quadlie.acceptance import _jordan_extension, _random_extension_case
+    from quadlie.catalog import CATALOG
+    g = SplitMix64(2718)
+    bases = []
+    for seed in range(2000, 2100):
+        aq, d = _random_extension_case(seed)
+        bases.append((aq, d))
+    for seed in range(60):
+        aq = tstar_extend(random_coeffs(3 + seed % 3, seed=500 + seed,
+                                        nonzero=True))
+        bases.append((aq, random_skew_derivation(aq, seed)))
+    extra = [_jordan_extension(n) for n in range(2, 6)]
+    extra += [algebra_from_trivector(e.trivector) for e in CATALOG[:6]]
+    bases += [(aq, random_skew_derivation(aq, 7)) for aq in extra]
+    for aq, d in bases:
+        for v in _variants(aq, d, g):
+            yield aq, v
+
+
+def test_derivation_laws_match_dense_reference():
+    outcomes = {"ok": 0, "skew": 0, "derivation": 0}
+    inner = 0
+    for aq, d in _law_cases():
+        assert derivation_defect(aq.alg, d) == \
+            _ref_derivation_defect(aq.alg, d)
+        want = _outcome(_ref_inner_preimage, aq, d)
+        assert _outcome(inner_preimage, aq, d) == want
+        outcomes[want[1] if want[0] == "error" else "ok"] += 1
+        inner += want[0] == "ok" and want[1] is not None
+    assert min(outcomes.values()) > 20 and inner > 20
+    # the zero algebra
+    zero = QuadraticStructure(abelian(0), Mat.zero(0, 0))
+    assert derivation_defect(zero.alg, Mat.zero(0, 0)) == []
+    assert inner_preimage(zero, Mat.zero(0, 0)) == () == \
+        _ref_inner_preimage(zero, Mat.zero(0, 0))
+    assert inner_preimage(None, Mat.zero(0, 0)) == ()
+
+
+def test_derivation_space_matches_dense_reference():
+    # equal bases keep every random_skew_derivation seed
+    from quadlie import algebra_from_trivector
+    from quadlie.acceptance import _jordan_extension, _random_extension_case
+    from quadlie.catalog import CATALOG
+    bases = [_random_extension_case(seed)[0] for seed in range(2000, 2100)]
+    bases += [_jordan_extension(n) for n in range(2, 6)]
+    bases += [algebra_from_trivector(e.trivector) for e in CATALOG[:4]]
+    bases.append(QuadraticStructure(abelian(0), Mat.zero(0, 0)))
+    bases = {(aq.dim, tuple(sorted(aq.alg.brackets.items())), aq.form): aq
+             for aq in bases}
+    assert len(bases) > 30
+    for aq in bases.values():
+        assert derivation_space(aq) == _ref_derivation_space(aq)
+
+
+def _phi_cases():
+    """(aq, b, phi) over abelian(2) and heisenberg(), valid and not."""
+    g = SplitMix64(1729)
+    h = heisenberg()
+    non_lie = LieAlgebra(3, {(1, 2): (0, 0, 1), (2, 3): (1, 0, 0),
+                             (1, 3): (0, 1, 1)})
+    yield None, abelian(2), [Mat.zero(0, 0)] * 2
+    yield None, h, [Mat.zero(0, 0)] * 3
+    yield None, h, [Mat.zero(0, 0)] * 2
+    yield None, h, [Mat.zero(1, 1)] * 3
+    for seed in range(24):
+        aq = (hyperbolic_abelian(2 + seed % 2) if seed % 3 else
+              tstar_extend(random_coeffs(3 + seed % 2, seed=900 + seed,
+                                         nonzero=True)))
+        n = aq.dim
+        d1 = random_skew_derivation(aq, seed)
+        d2 = random_skew_derivation(aq, seed + 1000)
+        c = Fraction(g.randint(-3, 3))
+        comm = d1 * d2 - d2 * d1
+        zero = Mat.zero(n, n)
+        yield aq, abelian(2), [d1, d1.scale(c)]      # commuting
+        yield aq, abelian(2), [d1, d2]               # rarely commuting
+        shifted, plus = _variants(aq, d1, g)[1:3]
+        yield aq, abelian(2), [plus, shifted]        # not a derivation
+        yield aq, abelian(2), [d1, shifted]          # not skew
+        yield aq, h, [d1, d1.scale(c), zero]
+        yield aq, h, [d1, zero, zero]
+        yield aq, h, [d1, d2, comm]
+        yield aq, h, [zero, zero, d1]                # not a homomorphism
+        yield aq, h, [d1, d2]                        # wrong length
+        yield aq, non_lie, [zero] * 3
+        yield aq, abelian(1), [SkewDerivation(aq, d1)]
+
+
+def test_double_extend_matches_dense_reference():
+    laws = set()
+    for aq, b, phi in _phi_cases():
+        want = _outcome(_ref_double_extend, aq, b, phi)
+        assert _outcome(double_extend, aq, b, phi) == want
+        laws.add(want[1] if want[0] == "error" else "ok")
+    assert laws == {"ok", "", "jacobi", "homomorphism", "skew", "derivation"}
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2), (3, 2), (4, 4)])
+def test_derivation_defect_rejects_shape_mismatch(shape):
+    with pytest.raises(ValueError, match="3.*" + "x".join(map(str, shape))):
+        derivation_defect(heisenberg(), Mat.zero(*shape))
