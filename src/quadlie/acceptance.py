@@ -179,7 +179,7 @@ def criterion_6() -> tuple[bool, str]:
         ok, why = is_isometry(q, rebuilt, iso)
         if not ok:
             return False, f"{entry.label}: {why}"
-        if base.brackets:
+        if base.terms:
             return False, f"{entry.label}: quotient not abelian"
     return True, "22 round trips isometric, maps verified pairwise"
 

@@ -3,16 +3,16 @@
 Brackets are stored sparsely on 1-based basis labels: only keys (i,j) with
 i<j are kept and [e_j,e_i] = -[e_i,e_j] is resolved on lookup, so
 antisymmetry cannot be violated by construction. An absent key is a zero
-bracket. Coefficient vectors are tuples indexed 0-based: the coefficient of
-e_k is v[k-1].
+bracket. A bracket keeps its nonzero coefficients as (r, c) pairs, r
+0-based and ascending; a dense vector v has the coefficient of e_k at v[k-1].
 """
 from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, is_zero_vec, kernel,
-                     scalar, vec, zero_vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, basis_vec, kernel,
+                     scalar, vec)
 
 
 class AlgebraType(NamedTuple):
@@ -23,74 +23,85 @@ class AlgebraType(NamedTuple):
 class LieAlgebra:
     """dim + sparse brackets. Treated as immutable after construction."""
 
-    __slots__ = ("dim", "brackets", "_jacobi")
+    __slots__ = ("dim", "terms", "_jacobi", "_ad")
 
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence]):
         if dim < 0:
             raise ValueError("negative dimension")
-        clean: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), v in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bracket key ({i},{j}) not 1 <= i < j <= {dim}")
             v = vec(v)
             if len(v) != dim:
                 raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            if not is_zero_vec(v):
-                clean[(i, j)] = v
+            nz = tuple((r, c) for r, c in enumerate(v) if c)
+            if nz:
+                terms[(i, j)] = nz
         self.dim = dim
-        self.brackets = clean
+        self.terms = terms
         self._jacobi = None
+        self._ad = None
+
+    def _dense(self, nz) -> tuple[Fraction, ...]:
+        v = [ZERO] * self.dim
+        for r, c in nz:
+            v[r] = c
+        return tuple(v)
+
+    @property
+    def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """The dense view: [e_i, e_j] as a dim-length tuple per stored key."""
+        return {key: self._dense(nz) for key, nz in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.brackets == other.brackets)
+                and self.terms == other.terms)
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, {len(self.brackets)} brackets)"
+        return f"LieAlgebra(dim={self.dim}, {len(self.terms)} brackets)"
+
+    def _ad_index(self) -> list[list[tuple[int, tuple]]]:
+        """ad[r] lists (y, the terms of [e_r, e_y]) for every y with
+        [e_r, e_y] != 0, r and y 0-based; built once per algebra."""
+        if self._ad is None:
+            ad: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dim)]
+            for (i, j), nz in self.terms.items():
+                ad[i - 1].append((j - 1, nz))
+                ad[j - 1].append((i - 1, tuple((r, -c) for r, c in nz)))
+            self._ad = ad
+        return self._ad
 
     # ---- bracket evaluation ----
 
     def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         if not (1 <= i <= self.dim and 1 <= j <= self.dim):
             raise ValueError(f"basis label out of range: ({i},{j})")
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            v = self.brackets.get((i, j))
-            return v if v is not None else zero_vec(self.dim)
-        v = self.brackets.get((j, i))
-        return tuple(-c for c in v) if v is not None else zero_vec(self.dim)
+        if i > j:
+            return tuple(-c for c in self.bracket_basis(j, i))
+        return self._dense(self.terms.get((i, j), ()))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
+        """sum x_a y_b [e_a, e_b] over the support a of x and the stored
+        brackets [e_a, e_b] that meet the support of y."""
         x = vec(x)
         y = vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.dim
-        for (i, j), w in self.brackets.items():
-            c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if c:
-                for r, e in enumerate(w):
-                    if e:
-                        out[r] += c * e
+        ad = self._ad_index()
+        for a, xa in enumerate(x):
+            if xa:
+                for b, nz in ad[a]:
+                    if y[b]:
+                        f = xa * y[b]
+                        for r, c in nz:
+                            out[r] += f * c
         return tuple(out)
 
     def bracket_basis_vec(self, i: int, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """[e_i, y] iterating only the nonzero coordinates of y and the
-        stored brackets they meet."""
-        out = [ZERO] * self.dim
-        for b, c in enumerate(y, start=1):
-            if not c or b == i:
-                continue
-            w = self.brackets.get((i, b) if i < b else (b, i))
-            if w is None:
-                continue
-            if i > b:
-                c = -c
-            for r, e in enumerate(w):
-                if e:
-                    out[r] += c * e
-        return tuple(out)
+        """[e_i, y]."""
+        return self.bracket(basis_vec(self.dim, i), y)
 
     def ad_basis(self, i: int) -> Mat:
         """Matrix of ad(e_i): column j holds [e_i, e_j]."""
@@ -110,18 +121,12 @@ class LieAlgebra:
         algebra; later calls copy the cache.
         """
         if self._jacobi is None:
-            sparse = {key: [(r, c) for r, c in enumerate(v) if c]
-                      for key, v in self.brackets.items()}
-            # ad_into[r]: (a, w, neg) for each a with [e_a, e_r] != 0, where
-            # [e_a, e_r] is the sparse w, negated when neg
-            ad_into: dict[int, list] = {}
-            for (i, j), w in sparse.items():
-                ad_into.setdefault(j, []).append((i, w, False))
-                ad_into.setdefault(i, []).append((j, w, True))
+            ad = self._ad_index()
             acc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-            for (b, c), v in sparse.items():
+            for (b, c), v in self.terms.items():
                 for r, x in v:
-                    for a, w, neg in ad_into.get(r + 1, ()):
+                    for a, w in ad[r]:
+                        a += 1
                         if a == b or a == c:
                             continue
                         # b < c, so the sorted triple is one of three, and
@@ -132,7 +137,8 @@ class LieAlgebra:
                             key, cyclic = (b, a, c), False
                         else:
                             key, cyclic = (b, c, a), True
-                        f = x if cyclic != neg else -x
+                        # [e_a, e_r] = -w, the terms of [e_r, e_a]
+                        f = -x if cyclic else x
                         t = acc.setdefault(key, {})
                         for k, e in w:
                             t[k] = t.get(k, ZERO) + f * e
@@ -169,14 +175,13 @@ class LieAlgebra:
         entry i of row (j, a) or (i, a) comes from the stored (i, j) alone.
         """
         rows: dict[tuple[int, int], list[Fraction]] = {}
-        for (i, j), v in self.brackets.items():
+        for (i, j), v in self.terms.items():
             dots: dict[int, Fraction] = {}  # a -> u_a([e_i, e_j])
-            for r, c in enumerate(v):
-                if c:
-                    for a, u in ann_by_col.get(r, ()):
-                        # the centre's identity rows cost no arithmetic
-                        x = c if u is ONE else u * c
-                        dots[a] = dots[a] + x if a in dots else x
+            for r, c in v:
+                for a, u in ann_by_col.get(r, ()):
+                    # the centre's identity rows cost no arithmetic
+                    x = c if u is ONE else u * c
+                    dots[a] = dots[a] + x if a in dots else x
             for a, x in dots.items():
                 if x:
                     # u_a([e_i, e_j]) = x and u_a([e_j, e_i]) = -x
@@ -200,9 +205,10 @@ class LieAlgebra:
 
         A^2 is spanned by the stored brackets. Each later term is spanned by
         [e_a, v] over every a and every basis vector v of the one before,
-        summed from the stored brackets that meet the support of v.
+        summed from the ad index over the support of v.
         """
         self._require_lie()
+        ad = self._ad_index()
         cur = Subspace.full(self.dim)
         series = [cur]
         nxt = self.derived()
@@ -213,16 +219,15 @@ class LieAlgebra:
             cur = nxt
             rows = []
             for v in cur.basis.data:
-                ad: dict[int, list[Fraction]] = {}  # a -> [e_a, v]
-                for (i, j), w in self.brackets.items():
-                    # [e_i, e_j] = w adds v_j w to [e_i, v], -v_i w to [e_j, v]
-                    for a, c in ((i, v[j - 1]), (j, -v[i - 1])):
-                        if c:
-                            row = ad.setdefault(a, [ZERO] * self.dim)
-                            for r, e in enumerate(w):
-                                if e:
-                                    row[r] += c * e
-                rows += [row for row in ad.values() if any(row)]
+                out: dict[int, list[Fraction]] = {}  # a -> [e_a, v]
+                for b, c in enumerate(v):
+                    if c:
+                        # [e_b, e_a] = w adds -v_b w to [e_a, v]
+                        for a, w in ad[b]:
+                            row = out.setdefault(a, [ZERO] * self.dim)
+                            for r, e in w:
+                                row[r] -= c * e
+                rows += [row for row in out.values() if any(row)]
             nxt = Subspace.from_rows(self.dim, rows)
 
     def nilindex(self) -> int | None:
@@ -267,16 +272,13 @@ class LieAlgebra:
             raise ValueError("not a permutation of 1..dim")
         inv = {old: new for new, old in enumerate(perm, start=1)}
         out: dict[tuple[int, int], list[Fraction]] = {}
-        for r in range(1, self.dim + 1):
-            for s in range(r + 1, self.dim + 1):
-                w = self.bracket_basis(perm[r - 1], perm[s - 1])
-                if is_zero_vec(w):
-                    continue
-                v = [ZERO] * self.dim
-                for u, c in enumerate(w, start=1):
-                    if c:
-                        v[inv[u] - 1] = c
-                out[(r, s)] = v
+        for (i, j), nz in self.terms.items():
+            a, b = inv[i], inv[j]
+            v = [ZERO] * self.dim
+            for r, c in nz:
+                # e_{r+1} = f_{inv[r+1]}, and [f_b, f_a] = -[f_a, f_b]
+                v[inv[r + 1] - 1] = c if a < b else -c
+            out[(a, b) if a < b else (b, a)] = v
         return LieAlgebra(self.dim, out)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":

@@ -141,8 +141,8 @@ class AltCoeffs:
         return kernel(self.pair_rows())
 
 
-_TERM = re.compile(
-    r"^([+-]?)(?:(\d+(?:/\d+)?)\*)?(?:\[(\d+),(\d+),(\d+)\]|([1-9]{3}))$")
+_TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
+                   r"(?:\[(\d+),(\d+),(\d+)\]|([1-9]{3}))$")
 
 
 def parse_coeffs(text: str, n: int | None = None,

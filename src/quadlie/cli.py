@@ -303,7 +303,7 @@ def cmd_decompose(args) -> int:
                                   for row in iso.data]}), end="")
     else:
         print(f"base dim: {base.dim} "
-              f"({'abelian' if not base.brackets else 'non-abelian'})")
+              f"({'abelian' if not base.terms else 'non-abelian'})")
         print(f"cocycle pairs: {len(w.values)}")
         print("isometry verified: yes")
     return 0

@@ -52,13 +52,10 @@ def _derivation_map(alg: LieAlgebra):
     for each y; D(y, s) counts as -D(s, y), and D(s, s) is dropped.
     """
     by_comp: dict[int, list] = {}  # s -> (a, b, v_s) with v_s != 0
-    ad: dict[int, list] = {}  # r -> (y, [e_r, e_y] sparse)
-    for (a, b), v in alg.brackets.items():
-        nz = [(t, x) for t, x in enumerate(v) if x]
-        for s, x in nz:
+    for (a, b), v in alg.terms.items():
+        for s, x in v:
             by_comp.setdefault(s, []).append((a - 1, b - 1, x))
-        ad.setdefault(a - 1, []).append((b - 1, nz))
-        ad.setdefault(b - 1, []).append((a - 1, [(t, -x) for t, x in nz]))
+    ad = alg._ad_index()
 
     def image(entries) -> dict[tuple[int, int, int], Fraction]:
         acc: dict[tuple[int, int, int], Fraction] = {}
@@ -66,7 +63,7 @@ def _derivation_map(alg: LieAlgebra):
             for a, b, x in by_comp.get(s, ()):
                 key = (a, b, r)
                 acc[key] = acc.get(key, ZERO) + c * x
-            for y, nz in ad.get(r, ()):
+            for y, nz in ad[r]:
                 if y != s:
                     # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
                     i, j, f = (s, y, -c) if s < y else (y, s, c)
@@ -384,7 +381,8 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
     kernel of both law maps, whose column (r, s) is the image of E_rs.
 
     The skew rows come first, then the derivation rows, each block sorted;
-    the kernel is canonical, but this order eliminates fastest.
+    the kernel is canonical, but this order eliminates fastest. Rows with
+    i > j go: skew row (j, i) repeats (i, j), and derivation keys have i < j.
     """
     n = aq.dim
     nn = n * n
@@ -394,7 +392,7 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
         for s in range(n):
             for image, rows in zip(maps, blocks):
                 for key, x in image(((r, s, ONE),)).items():
-                    if x:
+                    if x and key[0] <= key[1]:
                         rows.setdefault(key, [ZERO] * nn)[r * n + s] = x
     return kernel(Mat._of([rows[k] for rows in blocks for k in sorted(rows)],
                           nn))

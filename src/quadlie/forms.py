@@ -40,11 +40,10 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
     # sparse rows of the form: phi(e_r, e_k) for the nonzero k
     nz = [[(k, e) for k, e in enumerate(r, start=1) if e] for r in form.data]
     t: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), v in alg.brackets.items():
-        for r, c in enumerate(v):
-            if c:
-                for k, e in nz[r]:
-                    t[(i, j, k)] = t.get((i, j, k), ZERO) + c * e
+    for (i, j), v in alg.terms.items():
+        for r, c in v:
+            for k, e in nz[r]:
+                t[(i, j, k)] = t.get((i, j, k), ZERO) + c * e
     for (i, j, k), c in list(t.items()):
         t[(j, i, k)] = -c
     bad = set()

@@ -39,13 +39,12 @@ def bracket_cells(alg: LieAlgebra, split: int | None = None,
     """One cell per nonzero basis bracket [e_i,e_j], i < j, in key order."""
     eq = " & = " if tex else " = "
     cells = []
-    for (i, j), v in sorted(alg.brackets.items()):
+    for (i, j), v in sorted(alg.terms.items()):
         terms = []
-        for k, c in enumerate(v, start=1):
-            if c:
-                sign = (" - " if c < 0 else " + ") if terms else \
-                    ("-" if c < 0 else "")
-                terms.append(sign + _coef(abs(c), tex) + _label(k, split, tex))
+        for k, c in v:
+            sign = (" - " if c < 0 else " + ") if terms else \
+                ("-" if c < 0 else "")
+            terms.append(sign + _coef(abs(c), tex) + _label(k + 1, split, tex))
         cells.append(f"[{_label(i, split, tex)},{_label(j, split, tex)}]"
                      f"{eq}{''.join(terms)}")
     return cells

@@ -243,7 +243,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
         pr += 1
         if pr == nr:
             break
-    return Mat.from_rows(rows, cols=nc), tuple(pivots)
+    return Mat._of(rows, nc), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -288,7 +288,7 @@ def inverse(m: Mat) -> Mat:
     R, pivots = rref(hstack(m, Mat.identity(n)))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular matrix")
-    return Mat([r[n:] for r in R.data])
+    return Mat._of((r[n:] for r in R.data), n)
 
 
 @dataclass(frozen=True)
@@ -309,8 +309,7 @@ class Subspace:
         if not rows:
             return cls(ambient_dim, Mat.zero(0, ambient_dim))
         R, pivots = rref(Mat(rows))
-        return cls(ambient_dim, Mat.from_rows(R.data[:len(pivots)],
-                                              cols=ambient_dim))
+        return cls(ambient_dim, Mat._of(R.data[:len(pivots)], ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -365,7 +364,7 @@ class Subspace:
         rows += [list(v) + [ZERO] * n for v in other.basis.data]
         if not rows:
             return Subspace.zero(n)
-        R, pivots = rref(Mat(rows))
+        R, pivots = rref(Mat._of(rows, 2 * n))
         out = []
         for r in range(len(pivots)):
             row = R.data[r]

@@ -106,18 +106,20 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
 
     def row(i, j):
         return brackets.setdefault((i, j), [ZERO] * (star + m))
-    for (i, j), v in w.base.brackets.items():
-        row(i, j)[:m] = v
-        for k, c in enumerate(v, start=1):
-            if c:
-                # [e_i, e_j]_k = c and [e_j, e_i]_k = -c
-                row(i, star + k)[star + j - 1] = -c
-                row(j, star + k)[star + i - 1] = c
+    for (i, j), v in w.base.terms.items():
+        base = row(i, j)
+        for k, c in v:
+            base[k] = c
+            # [e_i, e_j] has c at e_{k+1}, and [e_j, e_i] has -c
+            row(i, star + k + 1)[star + j - 1] = -c
+            row(j, star + k + 1)[star + i - 1] = c
     for pair, v in w.values.items():
         row(*pair)[star:] = v
     if aq is not None:
-        for (i, j), v in aq.alg.brackets.items():
-            row(m + i, m + j)[m:star] = v
+        for (i, j), v in aq.alg.terms.items():
+            a = row(m + i, m + j)
+            for r, c in v:
+                a[m + r] = c
         form = [[(j, f) for j, f in enumerate(r) if f] for r in aq.form.data]
         for k, mat in enumerate(phi, start=1):
             beta: dict[tuple[int, int], Fraction] = {}
@@ -242,7 +244,7 @@ def find_lagrangian_ideal(q: QuadraticStructure) -> Subspace | None:
     alg = q.alg
     if not alg.is_lie():
         return None
-    if alg.brackets:
+    if alg.terms:
         if alg.nilindex() == 2 and alg.is_reduced():
             d = alg.derived()
             if is_lagrangian(q, d):

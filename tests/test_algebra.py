@@ -237,6 +237,49 @@ def _dense_upper_central_series(alg):
     return series
 
 
+def _dense_bracket(alg, x, y):
+    """(x_i y_j - x_j y_i) [e_i, e_j] summed over every stored pair."""
+    out = [Fraction(0)] * alg.dim
+    for (i, j), w in alg.brackets.items():
+        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if c:
+            for r, e in enumerate(w):
+                if e:
+                    out[r] += c * e
+    return tuple(out)
+
+
+def _dense_permute_basis(alg, perm):
+    """f_r = e_{perm[r-1]}, with [f_r, f_s] read from dense basis brackets
+    over every pair r < s."""
+    inv = {old: new for new, old in enumerate(perm, start=1)}
+    out = {}
+    for r in range(1, alg.dim + 1):
+        for s in range(r + 1, alg.dim + 1):
+            w = alg.bracket_basis(perm[r - 1], perm[s - 1])
+            if any(w):
+                v = [Fraction(0)] * alg.dim
+                for u, c in enumerate(w, start=1):
+                    if c:
+                        v[inv[u] - 1] = c
+                out[(r, s)] = v
+    return LieAlgebra(alg.dim, out)
+
+
+def _seeded_vec(dim, g):
+    """About a third of the entries zero, the rest nonzero in -3..3."""
+    return tuple(g.nonzero_entry() if g.randint(0, 2) else Fraction(0)
+                 for _ in range(dim))
+
+
+def _seeded_perm(dim, g):
+    perm = list(range(1, dim + 1))
+    for k in range(dim - 1, 0, -1):
+        t = g.randint(0, k)
+        perm[k], perm[t] = perm[t], perm[k]
+    return perm
+
+
 def _perturbed(alg, g):
     """The same algebra with one stored bracket coefficient shifted."""
     brackets = {key: list(v) for key, v in alg.brackets.items()}
@@ -306,6 +349,7 @@ def _series_inputs():
 def test_jacobi_centre_and_series_match_dense_definitions():
     cases = lie = 0
     steps = set()
+    g = SplitMix64(1414)
     for alg in _series_inputs():
         want = _dense_jacobi_defect(alg)
         assert alg.jacobi_defect() == want
@@ -313,6 +357,12 @@ def test_jacobi_centre_and_series_match_dense_definitions():
         y = tuple(Fraction(k % 3 - 1, 1 + k % 2) for k in range(alg.dim))
         for i in range(1, alg.dim + 1):
             assert alg.bracket_basis_vec(i, y) == _dense_ad_vec(alg, i, y)
+        # the sparse storage against the dense brackets it was built from
+        x, z = _seeded_vec(alg.dim, g), _seeded_vec(alg.dim, g)
+        assert alg.bracket(x, z) == _dense_bracket(alg, x, z)
+        perm = _seeded_perm(alg.dim, g)
+        assert alg.permute_basis(perm) == _dense_permute_basis(alg, perm)
+        assert LieAlgebra(alg.dim, alg.brackets) == alg
         cases += 1
         if want:
             with pytest.raises(ValidationError) as e:

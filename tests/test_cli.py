@@ -417,6 +417,20 @@ def test_bad_rational_option_is_one_json_error(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("tstar", "2/0*[1,2,3]"),
+    ("rank", "2/0*[1,2,3]"),
+], ids=["tstar", "rank"])
+def test_zero_denominator_term_is_one_json_error(argv):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert "2/0*[1,2,3]" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("argv", [
     ("catalog", "L3,1"), ("tstar", "123"),
     ("convert", "--from", "cocycle", "--to", "algebra", "123"),
     ("rank", "123"),
