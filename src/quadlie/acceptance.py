@@ -242,9 +242,11 @@ ALL_CRITERIA = (
 )
 
 
-def run_all() -> list[tuple[str, bool, str]]:
+def run_all() -> list[tuple[str, bool, str, float]]:
+    """(name, ok, detail, wall seconds) of each criterion, in order."""
     out = []
     for name, fn in ALL_CRITERIA:
+        start = time.perf_counter()
         ok, detail = fn()
-        out.append((name, ok, detail))
+        out.append((name, ok, detail, time.perf_counter() - start))
     return out

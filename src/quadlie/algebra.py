@@ -23,7 +23,7 @@ class AlgebraType(NamedTuple):
 class LieAlgebra:
     """dim + sparse brackets. Treated as immutable after construction."""
 
-    __slots__ = ("dim", "terms", "_jacobi", "_ad")
+    __slots__ = ("dim", "terms", "_jacobi", "_ad", "_derived")
 
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence]):
         if dim < 0:
@@ -42,6 +42,7 @@ class LieAlgebra:
         self.terms = terms
         self._jacobi = None
         self._ad = None
+        self._derived = None
 
     def _dense(self, nz) -> tuple[Fraction, ...]:
         v = [ZERO] * self.dim
@@ -163,7 +164,11 @@ class LieAlgebra:
     # ---- subspace invariants ----
 
     def derived(self) -> Subspace:
-        return Subspace.from_rows(self.dim, list(self.brackets.values()))
+        """The span of the stored brackets; eliminated once per algebra."""
+        if self._derived is None:
+            self._derived = Subspace._of(
+                self.dim, [self._dense(nz) for nz in self.terms.values()])
+        return self._derived
 
     def _centraliser_rows(self, ann_by_col: Mapping[int, Sequence]
                           ) -> dict[tuple[int, int], list[Fraction]]:
@@ -228,7 +233,7 @@ class LieAlgebra:
                             for r, e in w:
                                 row[r] -= c * e
                 rows += [row for row in out.values() if any(row)]
-            nxt = Subspace.from_rows(self.dim, rows)
+            nxt = Subspace._of(self.dim, rows)
 
     def nilindex(self) -> int | None:
         """Smallest t with A^{t+1} = 0, or None when not nilpotent."""

@@ -311,14 +311,20 @@ def cmd_decompose(args) -> int:
 
 def cmd_selftest(args) -> int:
     results = run_all()
-    failed = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        if not ok:
-            failed += 1
+    failed = sum(not ok for _, ok, _, _ in results)
+    if args.format == "json":
+        print(dumps({"checks": [
+            {"name": name, "pass": ok, "detail": detail,
+             "seconds": round(seconds, 3)}
+            for name, ok, detail, seconds in results],
+            "pass": not failed}), end="")
+    else:
+        for name, ok, detail, _ in results:
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if failed:
         return _fail(f"{failed} of {len(results)} checks failed")
-    print(f"all {len(results)} checks passed")
+    if args.format != "json":
+        print(f"all {len(results)} checks passed")
     return 0
 
 
@@ -399,6 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")
+    sp.add_argument("--format", choices=("text", "json"), default="text",
+                    help="json: one object with each check's verdict, "
+                         "detail and seconds")
     sp.set_defaults(fn=cmd_selftest)
     return p
 

@@ -222,7 +222,7 @@ def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     if aq is None:
         return False
     n = aq.dim
-    image = Subspace.from_rows(n, [dmat.col(j) for j in range(n)])
+    image = Subspace._of(n, [dmat.col(j) for j in range(n)])
     s = image.sum(aq.alg.derived())
     if s.dim == 0:
         return False

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream runs on this: dense matrices of `fractions.Fraction`,
-deterministic RREF (first nonzero entry in column order picks the pivot),
+the unique RREF by a sparse elimination (rows as {column: entry} dicts),
 kernels, solving, and row-space subspaces in canonical RREF form.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
@@ -82,7 +82,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of((basis_vec(n, k) for k in range(1, n + 1)), n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
@@ -205,45 +205,47 @@ def vstack(a: Mat, b: Mat) -> Mat:
     return Mat.from_rows(list(a.data) + list(b.data), cols=a.cols)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with pivot columns.
+def _axpy(row: dict, f: Fraction, prow: dict) -> None:
+    """row -= f * prow on sparse rows; entries that cancel are dropped."""
+    for j, e in prow.items():
+        x = row.get(j, ZERO) - f * e
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
-    Pivot choice: scanning columns left to right, take the first row (in
-    current order) with a nonzero entry. Output is the unique RREF.
-    """
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots: list[int] = []
-    pr = 0
-    for col in range(nc):
-        sel = None
-        for r in range(pr, nr):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """The unique reduced row echelon form, zero rows last, and its pivot
+    columns. Each row, as a {column: entry} dict, is reduced by the pivot
+    rows found so far (one pass: they are fully reduced); if it stays
+    nonzero it is normalised on its first column, which is then cleared
+    from the earlier pivot rows."""
+    nc = m.cols
+    piv: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    for r in m.data:
+        row = {j: e for j, e in enumerate(r) if e}
+        for p, f in [(p, f) for p, f in row.items() if p in piv]:
+            _axpy(row, f, piv[p])
+        if not row:
             continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        prow = rows[pr]
-        inv = ONE / prow[col]
+        col = min(row)
+        inv = ONE / row[col]
         if inv != 1:
-            for j in range(col, nc):
-                if prow[j]:
-                    prow[j] *= inv
-        for r in range(nr):
-            if r == pr:
-                continue
-            f = rows[r][col]
-            if f:
-                rr = rows[r]
-                for j in range(col, nc):
-                    if prow[j]:
-                        rr[j] -= f * prow[j]
-        pivots.append(col)
-        pr += 1
-        if pr == nr:
-            break
-    return Mat._of(rows, nc), tuple(pivots)
+            row = {j: e * inv for j, e in row.items()}
+        for prow in piv.values():
+            if col in prow:
+                _axpy(prow, prow[col], row)
+        piv[col] = row
+    pivots = tuple(sorted(piv))
+    out = []
+    for p in pivots:
+        v = [ZERO] * nc
+        for j, e in piv[p].items():
+            v[j] = e
+        out.append(v)
+    out += [(ZERO,) * nc] * (m.rows - len(pivots))
+    return Mat._of(out, nc), pivots
 
 
 def rank(m: Mat) -> int:
@@ -254,25 +256,23 @@ def kernel(m: Mat) -> "Subspace":
     """{x : m x = 0} as a Subspace of dim cols - rank."""
     R, pivots = rref(m)
     nc = m.cols
-    pivset = set(pivots)
-    free = [j for j in range(nc) if j not in pivset]
     gens = []
-    for f in free:
+    for f in sorted(set(range(nc)).difference(pivots)):
         v = [ZERO] * nc
         v[f] = ONE
         for r, p in enumerate(pivots):
-            v[p] = -R.data[r][f]
+            if R.data[r][f]:
+                v[p] = -R.data[r][f]
         gens.append(v)
-    return Subspace.from_rows(nc, gens)
+    return Subspace._of(nc, gens)
 
 
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of m x = rhs, or None. Free variables set to 0."""
     if m.rows != len(rhs):
         raise ValueError("length mismatch")
-    aug = Mat([list(r) + [b] for r, b in zip(m.data, rhs)]) if m.rows else \
-        Mat.zero(0, m.cols + 1)
-    R, pivots = rref(aug)
+    R, pivots = rref(Mat._of(((*r, scalar(b)) for r, b in zip(m.data, rhs)),
+                             m.cols + 1))
     if m.cols in pivots:
         return None  # inconsistent
     x = [ZERO] * m.cols
@@ -302,13 +302,16 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [list(r) for r in rows]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise ValueError("row length != ambient dim")
-        if not rows:
-            return cls(ambient_dim, Mat.zero(0, ambient_dim))
-        R, pivots = rref(Mat(rows))
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != ambient_dim for r in rows):
+            raise ValueError("row length != ambient dim")
+        return cls._of(ambient_dim, [vec(r) for r in rows])
+
+    @classmethod
+    def _of(cls, ambient_dim: int, rows: Sequence) -> "Subspace":
+        """Trusted constructor: the span of rows that already hold
+        Fractions, each of length ambient_dim."""
+        R, pivots = rref(Mat._of(rows, ambient_dim))
         return cls(ambient_dim, Mat._of(R.data[:len(pivots)], ambient_dim))
 
     @classmethod
@@ -352,8 +355,8 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        return Subspace.from_rows(self.ambient_dim,
-                                  list(self.basis.data) + list(other.basis.data))
+        return Subspace._of(self.ambient_dim,
+                            self.basis.data + other.basis.data)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: rows [u|u] for u in U, [v|0] for v in V."""
@@ -362,15 +365,13 @@ class Subspace:
         n = self.ambient_dim
         rows = [list(u) + list(u) for u in self.basis.data]
         rows += [list(v) + [ZERO] * n for v in other.basis.data]
-        if not rows:
-            return Subspace.zero(n)
         R, pivots = rref(Mat._of(rows, 2 * n))
         out = []
         for r in range(len(pivots)):
             row = R.data[r]
             if not any(row[:n]):
                 out.append(row[n:])
-        return Subspace.from_rows(n, out)
+        return Subspace._of(n, out)
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]

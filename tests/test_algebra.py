@@ -394,3 +394,26 @@ def test_chain_cocycle_at_dim_120():
     assert alg.is_reduced()
     assert alg.upper_central_series() == [alg.centre(),
                                           Subspace.full(120)]
+
+
+def test_derived_is_eliminated_once_per_algebra(monkeypatch):
+    # count the eliminations of the stored brackets' span across the
+    # readers of derived() on one algebra
+    from quadlie import algebra_from_trivector, catalog, linalg
+    from quadlie.tstar import find_lagrangian_ideal
+    q = algebra_from_trivector(catalog("L6,1").trivector)
+    alg = q.alg
+    rows = Mat._of(alg.brackets.values(), alg.dim)
+    real = linalg.rref
+    runs = []
+
+    def counting(m):
+        runs.append(m == rows)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    assert alg.is_reduced()
+    assert alg.algebra_type() == (6, 6)
+    assert [s.dim for s in alg.lower_central_series()] == [12, 6, 0]
+    assert find_lagrangian_ideal(q) == alg.derived()
+    assert runs.count(True) == 1 and len(runs) > 1

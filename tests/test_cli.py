@@ -443,3 +443,39 @@ def test_unknown_env_format_is_one_json_error(monkeypatch, capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert "QUADLIE_FORMAT" in json.loads(lines[0])["error"]
+
+
+def _fake_criteria(monkeypatch, *verdicts):
+    from quadlie import acceptance
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", tuple(
+        (f"check {k}", lambda ok=ok, k=k: (ok, f"detail {k}"))
+        for k, ok in enumerate(verdicts, start=1)))
+
+
+def test_selftest_text_output_is_unchanged(capsys, monkeypatch):
+    _fake_criteria(monkeypatch, True, True)
+    assert run(capsys, "selftest") == (
+        0, "PASS check 1: detail 1\nPASS check 2: detail 2\n"
+           "all 2 checks passed\n", "")
+    _fake_criteria(monkeypatch, True, False)
+    code, out, err = run(capsys, "selftest", "--format", "text")
+    assert (code, out) == (1, "PASS check 1: detail 1\n"
+                              "FAIL check 2: detail 2\n")
+    assert json.loads(err) == {"error": "1 of 2 checks failed"}
+
+
+def test_selftest_json_lists_each_check_with_seconds(capsys, monkeypatch):
+    _fake_criteria(monkeypatch, True, False)
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    rep = json.loads(out)
+    assert code == 1 and json.loads(err) == {"error": "1 of 2 checks failed"}
+    assert rep["pass"] is False
+    assert [{k: v for k, v in c.items() if k != "seconds"}
+            for c in rep["checks"]] == [
+        {"name": "check 1", "pass": True, "detail": "detail 1"},
+        {"name": "check 2", "pass": False, "detail": "detail 2"}]
+    assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0
+               for c in rep["checks"])
+    _fake_criteria(monkeypatch, True)
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True

@@ -208,3 +208,110 @@ def test_contains_matches_rank_reference():
         t = Subspace.from_rows(n, combos + randoms[:1])
         assert s.contains(t) == (s.sum(t).dim == s.dim)
     assert inside > 100 and outside > 50
+
+
+# ---- the sparse rref against the dense Gauss-Jordan it replaced ----
+
+def _dense_rref(m):
+    """The dense elimination that rref replaced, as it was: for each column,
+    the first remaining row with a nonzero entry is swapped up as the pivot
+    row, and the column is cleared from every other row."""
+    rows = [list(r) for r in m.data]
+    nr, nc = m.rows, m.cols
+    pivots = []
+    pr = 0
+    for col in range(nc):
+        sel = None
+        for r in range(pr, nr):
+            if rows[r][col]:
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        prow = rows[pr]
+        inv = Fraction(1) / prow[col]
+        if inv != 1:
+            for j in range(col, nc):
+                if prow[j]:
+                    prow[j] *= inv
+        for r in range(nr):
+            if r == pr:
+                continue
+            f = rows[r][col]
+            if f:
+                rr = rows[r]
+                for j in range(col, nc):
+                    if prow[j]:
+                        rr[j] -= f * prow[j]
+        pivots.append(col)
+        pr += 1
+        if pr == nr:
+            break
+    return Mat._of(rows, nc), tuple(pivots)
+
+
+def _recorded_systems(monkeypatch):
+    """Every distinct matrix that centre, derived, derivation_space and
+    Subspace.intersect hand to rref on the catalog and on the seeded
+    corpora of criteria 4 and 5."""
+    from quadlie import (CATALOG, algebra_from_trivector, derivation_space,
+                         double_extend_1d, random_coeffs, tstar_extend)
+    from quadlie import linalg
+    from quadlie.acceptance import _random_extension_case
+    seen = {}
+    real = linalg.rref
+
+    def record(m):
+        seen.setdefault((m.cols, m.data), m)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rref", record)
+    cases = [(algebra_from_trivector(e.trivector), e.n <= 5)
+             for e in CATALOG]
+    cases += [(tstar_extend(random_coeffs(3 + s % 5, seed=s)), s % 25 == 0)
+              for s in range(1000, 1500, 5)]
+    for s in range(2000, 2100):
+        aq, d = _random_extension_case(s)
+        cases += [(aq, s % 5 == 0), (double_extend_1d(aq, d), False)]
+    for q, with_derivations in cases:
+        alg = q.alg
+        alg.centre().intersect(alg.derived())
+        if with_derivations:
+            derivation_space(q)
+    monkeypatch.undo()
+    return list(seen.values())
+
+
+def _random_systems():
+    """Seeded rank-deficient matrices with fractional entries, mostly
+    zeros, and some rows repeated or scaled."""
+    from quadlie import SplitMix64
+    g = SplitMix64(777)
+    out = []
+    for _ in range(150):
+        nr, nc = g.randint(1, 9), g.randint(1, 9)
+        rows = [[Fraction(g.randint(-4, 4), g.randint(1, 5))
+                 if g.randint(0, 2) == 0 else Fraction(0)
+                 for _ in range(nc)] for _ in range(g.randint(1, nr))]
+        while len(rows) < nr:
+            c = Fraction(g.randint(-3, 3), g.randint(1, 3))
+            rows.insert(g.randint(0, len(rows)),
+                        [c * e for e in rows[g.randint(0, len(rows) - 1)]])
+        out.append(Mat(rows))
+    return out
+
+
+def test_rref_matches_dense_reference(monkeypatch):
+    systems = _recorded_systems(monkeypatch)
+    shapes = {(m.rows, m.cols) for m in systems}
+    assert len(systems) > 300 and max(r for r, _ in shapes) > 200
+    systems += _random_systems()
+    systems += [Mat.zero(0, 3), Mat.zero(3, 0), Mat.zero(0, 0)]
+    deficient = 0
+    for m in systems:
+        got, want = rref(m), _dense_rref(m)
+        assert got == want, m
+        assert (got[0].rows, got[0].cols) == (m.rows, m.cols)
+        deficient += len(got[1]) < min(m.rows, m.cols)
+    assert deficient > 100
