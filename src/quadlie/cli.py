@@ -310,9 +310,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    fmt = _fmt(args)
     results = run_all()
     failed = sum(not ok for _, ok, _, _ in results)
-    if args.format == "json":
+    if fmt == "json":
         print(dumps({"checks": [
             {"name": name, "pass": ok, "detail": detail,
              "seconds": round(seconds, 3)}
@@ -323,7 +324,7 @@ def cmd_selftest(args) -> int:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     if failed:
         return _fail(f"{failed} of {len(results)} checks failed")
-    if args.format != "json":
+    if fmt != "json":
         print(f"all {len(results)} checks passed")
     return 0
 
@@ -405,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_decompose)
 
     sp = sub.add_parser("selftest", help="run the acceptance checks")
-    sp.add_argument("--format", choices=("text", "json"), default="text",
-                    help="json: one object with each check's verdict, "
-                         "detail and seconds")
+    add_format(sp)
     sp.set_defaults(fn=cmd_selftest)
     return p
 

@@ -238,12 +238,10 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 _axpy(prow, prow[col], row)
         piv[col] = row
     pivots = tuple(sorted(piv))
-    out = []
-    for p in pivots:
-        v = [ZERO] * nc
+    out = [[ZERO] * nc for _ in pivots]
+    for v, p in zip(out, pivots):
         for j, e in piv[p].items():
             v[j] = e
-        out.append(v)
     out += [(ZERO,) * nc] * (m.rows - len(pivots))
     return Mat._of(out, nc), pivots
 
@@ -256,8 +254,10 @@ def kernel(m: Mat) -> "Subspace":
     """{x : m x = 0} as a Subspace of dim cols - rank."""
     R, pivots = rref(m)
     nc = m.cols
+    pivset = set(pivots)
+    free = [j for j in range(nc) if j not in pivset]
     gens = []
-    for f in sorted(set(range(nc)).difference(pivots)):
+    for f in free:
         v = [ZERO] * nc
         v[f] = ONE
         for r, p in enumerate(pivots):
@@ -302,10 +302,10 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, ambient_dim: int, rows: Iterable[Sequence]) -> "Subspace":
-        rows = [tuple(r) for r in rows]
+        rows = [vec(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length != ambient dim")
-        return cls._of(ambient_dim, [vec(r) for r in rows])
+        return cls._of(ambient_dim, rows)
 
     @classmethod
     def _of(cls, ambient_dim: int, rows: Sequence) -> "Subspace":

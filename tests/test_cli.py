@@ -458,7 +458,7 @@ def test_selftest_text_output_is_unchanged(capsys, monkeypatch):
         0, "PASS check 1: detail 1\nPASS check 2: detail 2\n"
            "all 2 checks passed\n", "")
     _fake_criteria(monkeypatch, True, False)
-    code, out, err = run(capsys, "selftest", "--format", "text")
+    code, out, err = run(capsys, "selftest", "--format", "summary")
     assert (code, out) == (1, "PASS check 1: detail 1\n"
                               "FAIL check 2: detail 2\n")
     assert json.loads(err) == {"error": "1 of 2 checks failed"}
@@ -477,5 +477,6 @@ def test_selftest_json_lists_each_check_with_seconds(capsys, monkeypatch):
     assert all(isinstance(c["seconds"], float) and c["seconds"] >= 0
                for c in rep["checks"])
     _fake_criteria(monkeypatch, True)
-    code, out, err = run(capsys, "selftest", "--format", "json")
+    monkeypatch.setenv("QUADLIE_FORMAT", "json")
+    code, out, err = run(capsys, "selftest")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True

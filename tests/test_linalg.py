@@ -253,8 +253,8 @@ def _dense_rref(m):
 
 def _recorded_systems(monkeypatch):
     """Every distinct matrix that centre, derived, derivation_space and
-    Subspace.intersect hand to rref on the catalog and on the seeded
-    corpora of criteria 4 and 5."""
+    Subspace.intersect hand to rref on the catalog and on every 25th seed
+    of the corpora of criteria 4 and 5."""
     from quadlie import (CATALOG, algebra_from_trivector, derivation_space,
                          double_extend_1d, random_coeffs, tstar_extend)
     from quadlie import linalg
@@ -269,11 +269,11 @@ def _recorded_systems(monkeypatch):
     monkeypatch.setattr(linalg, "rref", record)
     cases = [(algebra_from_trivector(e.trivector), e.n <= 5)
              for e in CATALOG]
-    cases += [(tstar_extend(random_coeffs(3 + s % 5, seed=s)), s % 25 == 0)
-              for s in range(1000, 1500, 5)]
-    for s in range(2000, 2100):
+    cases += [(tstar_extend(random_coeffs(3 + s % 5, seed=s)), True)
+              for s in range(1000, 1500, 25)]
+    for s in range(2000, 2100, 25):
         aq, d = _random_extension_case(s)
-        cases += [(aq, s % 5 == 0), (double_extend_1d(aq, d), False)]
+        cases += [(aq, True), (double_extend_1d(aq, d), False)]
     for q, with_derivations in cases:
         alg = q.alg
         alg.centre().intersect(alg.derived())
@@ -305,7 +305,7 @@ def _random_systems():
 def test_rref_matches_dense_reference(monkeypatch):
     systems = _recorded_systems(monkeypatch)
     shapes = {(m.rows, m.cols) for m in systems}
-    assert len(systems) > 300 and max(r for r, _ in shapes) > 200
+    assert len(systems) > 100 and max(r for r, _ in shapes) > 200
     systems += _random_systems()
     systems += [Mat.zero(0, 3), Mat.zero(3, 0), Mat.zero(0, 0)]
     deficient = 0
