@@ -23,7 +23,7 @@ class AlgebraType(NamedTuple):
 class LieAlgebra:
     """dim + sparse brackets. Treated as immutable after construction."""
 
-    __slots__ = ("dim", "terms", "_jacobi", "_ad", "_derived")
+    __slots__ = ("dim", "terms", "_jacobi", "_ad", "_derived", "_centre")
 
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence]):
         if dim < 0:
@@ -43,6 +43,7 @@ class LieAlgebra:
         self._jacobi = None
         self._ad = None
         self._derived = None
+        self._centre = None
 
     def _dense(self, nz) -> tuple[Fraction, ...]:
         v = [ZERO] * self.dim
@@ -103,12 +104,6 @@ class LieAlgebra:
     def bracket_basis_vec(self, i: int, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """[e_i, y]."""
         return self.bracket(basis_vec(self.dim, i), y)
-
-    def ad_basis(self, i: int) -> Mat:
-        """Matrix of ad(e_i): column j holds [e_i, e_j]."""
-        cols = [self.bracket_basis(i, j) for j in range(1, self.dim + 1)]
-        return Mat([[cols[j][r] for j in range(self.dim)]
-                    for r in range(self.dim)]) if self.dim else Mat.zero(0, 0)
 
     # ---- Lie-ness ----
 
@@ -202,8 +197,11 @@ class LieAlgebra:
         return kernel(Mat._of(rows.values(), self.dim))
 
     def centre(self) -> Subspace:
-        """{x : [x, e_s] = 0 for all s} by one kernel computation."""
-        return self._centraliser({r: ((r, ONE),) for r in range(self.dim)})
+        """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra."""
+        if self._centre is None:
+            self._centre = self._centraliser(
+                {r: ((r, ONE),) for r in range(self.dim)})
+        return self._centre
 
     def lower_central_series(self) -> list[Subspace]:
         """[A^1, A^2, ...] until the first repeat (which is kept once).
@@ -223,15 +221,14 @@ class LieAlgebra:
                 return series
             cur = nxt
             rows = []
-            for v in cur.basis.data:
+            for v in cur.basis.sparse_rows:
                 out: dict[int, list[Fraction]] = {}  # a -> [e_a, v]
-                for b, c in enumerate(v):
-                    if c:
-                        # [e_b, e_a] = w adds -v_b w to [e_a, v]
-                        for a, w in ad[b]:
-                            row = out.setdefault(a, [ZERO] * self.dim)
-                            for r, e in w:
-                                row[r] -= c * e
+                for b, c in v.items():
+                    # [e_b, e_a] = w adds -v_b w to [e_a, v]
+                    for a, w in ad[b]:
+                        row = out.setdefault(a, [ZERO] * self.dim)
+                        for r, e in w:
+                            row[r] -= c * e
                 rows += [row for row in out.values() if any(row)]
             nxt = Subspace._of(self.dim, rows)
 
@@ -252,10 +249,9 @@ class LieAlgebra:
         while series[-1].dim < self.dim:
             zt = series[-1]
             ann_by_col: dict[int, list] = {}
-            for a, u in enumerate(kernel(zt.basis).basis.data):
-                for r, e in enumerate(u):
-                    if e:
-                        ann_by_col.setdefault(r, []).append((a, e))
+            for a, u in enumerate(kernel(zt.basis).basis.sparse_rows):
+                for r, e in u.items():
+                    ann_by_col.setdefault(r, []).append((a, e))
             nxt = self._centraliser(ann_by_col)
             if nxt.dim == zt.dim:
                 break

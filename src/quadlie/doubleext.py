@@ -21,23 +21,23 @@ from .tstar import GeneralCocycle, _tstar_algebra
 
 def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
     """The nonzero entries (r, s, d[r][s]) of d, 0-based."""
-    return [(r, s, c) for r, row in enumerate(d.data)
-            for s, c in enumerate(row) if c]
+    return [(r, s, c) for r, row in enumerate(d.sparse_rows)
+            for s, c in row.items()]
 
 
 def _skew_map(form: Mat):
     """The map d -> d^T F + F d as image(nonzero entries of d) ->
     {(i, j): value}, 0-based: an entry d[r][s] = c meets row r of F in
     d^T F and column r of F in F d."""
-    rows = [[(j, f) for j, f in enumerate(r) if f] for r in form.data]
-    cols = [[(i, f) for i, f in enumerate(c) if f] for c in zip(*form.data)]
+    rows = form.sparse_rows
+    cols = form.transpose().sparse_rows
 
     def image(entries) -> dict[tuple[int, int], Fraction]:
         acc: dict[tuple[int, int], Fraction] = {}
         for r, s, c in entries:
-            for j, f in rows[r]:
+            for j, f in rows[r].items():
                 acc[(s, j)] = acc.get((s, j), ZERO) + c * f
-            for i, f in cols[r]:
+            for i, f in cols[r].items():
                 acc[(i, s)] = acc.get((i, s), ZERO) + f * c
         return acc
     return image

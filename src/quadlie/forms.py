@@ -37,13 +37,13 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
                               law="shape")
     if not form.is_symmetric():
         raise ValidationError("form is not symmetric", law="symmetric")
-    # sparse rows of the form: phi(e_r, e_k) for the nonzero k
-    nz = [[(k, e) for k, e in enumerate(r, start=1) if e] for r in form.data]
+    nz = form.sparse_rows  # phi(e_r, e_k) for the nonzero k, 0-based
     t: dict[tuple[int, int, int], Fraction] = {}
     for (i, j), v in alg.terms.items():
         for r, c in v:
-            for k, e in nz[r]:
-                t[(i, j, k)] = t.get((i, j, k), ZERO) + c * e
+            for k, e in nz[r].items():
+                key = (i, j, k + 1)
+                t[key] = t.get(key, ZERO) + c * e
     for (i, j, k), c in list(t.items()):
         t[(j, i, k)] = -c
     bad = set()
@@ -74,9 +74,6 @@ class QuadraticStructure:
     def phi(self, x: Sequence, y: Sequence) -> Fraction:
         return sum((c * e for c, e in zip(self.form.matvec(vec(y)), vec(x))
                     if c and e), start=ZERO)
-
-    def phi_basis(self, i: int, j: int) -> Fraction:
-        return self.form.data[i - 1][j - 1]
 
 
 def orthogonal_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
@@ -122,11 +119,7 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
     P = T * q.form * S.transpose()     # P[a][k] = phi(t_a, s_k), invertible
     G = T * q.form * T.transpose()     # symmetric Gram of the transversal
     X = (G * inverse(P).transpose()).scale(Fraction(-1, 2))
-    corrected = [tuple(t + sum((X.data[a][k] * S.data[k][c] for k in range(n)
-                                if X.data[a][k]), start=ZERO)
-                       for c, t in enumerate(T.data[a]))
-                 for a in range(n)]
-    return Subspace.from_rows(q.dim, corrected)
+    return Subspace.from_rows(q.dim, (T + X * S).data)
 
 
 def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,

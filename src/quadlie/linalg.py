@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream runs on this: dense matrices of `fractions.Fraction`,
-the unique RREF by a sparse elimination (rows as {column: entry} dicts),
-kernels, solving, and row-space subspaces in canonical RREF form.
+Everything downstream runs on this: matrices of `fractions.Fraction` stored
+as dense rows, with one cached sparse view of them (each row's nonzero
+entries as a {column: entry} dict), the unique RREF by a sparse elimination
+of those dicts, kernels, solving, and row-space subspaces in canonical RREF
+form.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
 are 1-based; coordinates here are 0-based Python indices.
@@ -10,7 +12,6 @@ are 1-based; coordinates here are 0-based Python indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -52,28 +53,32 @@ def is_zero_vec(x: Sequence[Fraction]) -> bool:
 
 
 class Mat:
-    """Immutable dense matrix over Fraction."""
+    """Immutable matrix over Fraction: dense rows in `data`, and their
+    nonzero entries in `sparse_rows`."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_sparse")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(tuple(scalar(e) for e in r) for r in data)
         self.data = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
+        self._sparse = None
         for r in rows:
             if len(r) != self.cols:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def _of(cls, data: Iterable[Sequence[Fraction]], cols: int) -> "Mat":
+    def _of(cls, data: Iterable[Sequence[Fraction]], cols: int,
+            sparse: tuple[dict[int, Fraction], ...] | None = None) -> "Mat":
         """Trusted constructor: rows already hold Fractions, each of length
         cols. The column count is explicit so a result with no rows keeps
-        its shape."""
+        its shape. sparse, when given, must be the sparse_rows of data."""
         m = object.__new__(cls)
         m.data = tuple(tuple(r) for r in data)
         m.rows = len(m.data)
         m.cols = cols
+        m._sparse = sparse
         return m
 
     @classmethod
@@ -93,6 +98,15 @@ class Mat:
             return cls.zero(0, cols)
         return cls(rows)
 
+    @property
+    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Each row's nonzero entries as {column: entry}, columns ascending;
+        built once, on first read. The dicts are shared: never mutate them."""
+        if self._sparse is None:
+            self._sparse = tuple([{j: e for j, e in enumerate(r) if e}
+                                  for r in self.data])
+        return self._sparse
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
@@ -107,7 +121,7 @@ class Mat:
                        ((),) * self.cols, self.rows)
 
     def is_zero(self) -> bool:
-        return all(not e for r in self.data for e in r)
+        return not any(self.sparse_rows)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -157,34 +171,26 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
-        ot = other.transpose().data
+        orows = other.sparse_rows
         out = []
-        for r in self.data:
-            nz = [(j, c) for j, c in enumerate(r) if c]
-            out.append([sum((c * oc[j] for j, c in nz), start=ZERO) for oc in ot])
+        for r in self.sparse_rows:
+            v = [ZERO] * other.cols
+            for j, c in r.items():
+                for k, e in orows[j].items():
+                    v[k] += c * e
+            out.append(v)
         return Mat._of(out, other.cols)
 
     def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(x):
             raise ValueError("length mismatch")
         out = []
-        for r in self.data:
+        for r in self.sparse_rows:
             tot = ZERO
-            for a, b in zip(r, x):
-                if a and b:
-                    tot += a * b
+            for j, a in r.items():
+                if x[j]:
+                    tot += a * x[j]
             out.append(tot)
-        return tuple(out)
-
-    def vecmat(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.rows != len(x):
-            raise ValueError("length mismatch")
-        out = [ZERO] * self.cols
-        for a, r in zip(x, self.data):
-            if a:
-                for j, b in enumerate(r):
-                    if b:
-                        out[j] += a * b
         return tuple(out)
 
     def __repr__(self):
@@ -220,11 +226,11 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     columns. Each row, as a {column: entry} dict, is reduced by the pivot
     rows found so far (one pass: they are fully reduced); if it stays
     nonzero it is normalised on its first column, which is then cleared
-    from the earlier pivot rows."""
+    from the earlier pivot rows. The result comes with its sparse view."""
     nc = m.cols
     piv: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
-    for r in m.data:
-        row = {j: e for j, e in enumerate(r) if e}
+    for r in m.sparse_rows:
+        row = dict(r)
         for p, f in [(p, f) for p, f in row.items() if p in piv]:
             _axpy(row, f, piv[p])
         if not row:
@@ -238,12 +244,16 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 _axpy(prow, prow[col], row)
         piv[col] = row
     pivots = tuple(sorted(piv))
-    out = [[ZERO] * nc for _ in pivots]
-    for v, p in zip(out, pivots):
-        for j, e in piv[p].items():
+    sparse = [{j: piv[p][j] for j in sorted(piv[p])} for p in pivots]
+    out = []
+    for row in sparse:
+        v = [ZERO] * nc
+        for j, e in row.items():
             v[j] = e
-    out += [(ZERO,) * nc] * (m.rows - len(pivots))
-    return Mat._of(out, nc), pivots
+        out.append(v)
+    zeros = m.rows - len(pivots)
+    out += [(ZERO,) * nc] * zeros
+    return Mat._of(out, nc, tuple(sparse + [{}] * zeros)), pivots
 
 
 def rank(m: Mat) -> int:
@@ -255,16 +265,15 @@ def kernel(m: Mat) -> "Subspace":
     R, pivots = rref(m)
     nc = m.cols
     pivset = set(pivots)
-    free = [j for j in range(nc) if j not in pivset]
-    gens = []
-    for f in free:
-        v = [ZERO] * nc
+    gens = {f: [ZERO] * nc for f in range(nc) if f not in pivset}
+    for f, v in gens.items():
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            if R.data[r][f]:
-                v[p] = -R.data[r][f]
-        gens.append(v)
-    return Subspace._of(nc, gens)
+    # pivot row p is x_p + sum R[p][f] x_f over the free columns f
+    for p, row in zip(pivots, R.sparse_rows):
+        for f, e in row.items():
+            if f != p:
+                gens[f][p] = -e
+    return Subspace._of(nc, list(gens.values()))
 
 
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -312,7 +321,9 @@ class Subspace:
         """Trusted constructor: the span of rows that already hold
         Fractions, each of length ambient_dim."""
         R, pivots = rref(Mat._of(rows, ambient_dim))
-        return cls(ambient_dim, Mat._of(R.data[:len(pivots)], ambient_dim))
+        k = len(pivots)
+        return cls(ambient_dim,
+                   Mat._of(R.data[:k], ambient_dim, R.sparse_rows[:k]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -326,26 +337,15 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @cached_property
-    def _lead_rows(self) -> tuple[tuple[int, tuple], ...]:
-        """(leading column, nonzero (column, entry) pairs) of each basis
-        row; computed once, and not part of equality."""
-        out = []
-        for r in self.basis.data:
-            nz = tuple((j, e) for j, e in enumerate(r) if e)
-            if nz:
-                out.append((nz[0][0], nz))
-        return tuple(out)
-
     def contains_vec(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("length mismatch")
-        # reduce v against the RREF basis
+        # reduce v against the RREF basis; a row's first key is its pivot
         v = [scalar(e) for e in v]
-        for lead, row in self._lead_rows:
-            f = v[lead]
+        for row in self.basis.sparse_rows:
+            f = v[next(iter(row))]
             if f:
-                for j, e in row:
+                for j, e in row.items():
                     v[j] -= f * e
         return not any(v)
 
@@ -366,12 +366,8 @@ class Subspace:
         rows = [list(u) + list(u) for u in self.basis.data]
         rows += [list(v) + [ZERO] * n for v in other.basis.data]
         R, pivots = rref(Mat._of(rows, 2 * n))
-        out = []
-        for r in range(len(pivots)):
-            row = R.data[r]
-            if not any(row[:n]):
-                out.append(row[n:])
-        return Subspace._of(n, out)
+        return Subspace._of(n, [R.data[r][n:]
+                                for r, p in enumerate(pivots) if p >= n])
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]

@@ -94,11 +94,10 @@ def random_skew_derivation(aq: QuadraticStructure, seed: int,
     rng = SplitMix64(seed)
     n = aq.dim
     out = [[Fraction(0)] * n for _ in range(n)]
-    for row in space.basis.data:
+    for row in space.basis.sparse_rows:
         c = Fraction(rng.randint(-bound, bound))
         if c:
-            for r in range(n):
-                for s in range(n):
-                    if row[r * n + s]:
-                        out[r][s] += c * row[r * n + s]
+            for rs, e in row.items():
+                r, s = divmod(rs, n)
+                out[r][s] += c * e
     return Mat(out)

@@ -120,18 +120,17 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
             a = row(m + i, m + j)
             for r, c in v:
                 a[m + r] = c
-        form = [[(j, f) for j, f in enumerate(r) if f] for r in aq.form.data]
+        form = aq.form.sparse_rows
         for k, mat in enumerate(phi, start=1):
             beta: dict[tuple[int, int], Fraction] = {}
-            for r, mrow in enumerate(mat.data):
-                for s, c in enumerate(mrow):
-                    if c:
-                        # phi_k a_s has c at a_r, so phi(phi_k a_s, a_j)
-                        # gains c phi(a_r, a_j)
-                        row(k, m + s + 1)[m + r] = c
-                        for j, f in form[r]:
-                            if s < j:
-                                beta[(s, j)] = beta.get((s, j), ZERO) + c * f
+            for r, mrow in enumerate(mat.sparse_rows):
+                for s, c in mrow.items():
+                    # phi_k a_s has c at a_r, so phi(phi_k a_s, a_j)
+                    # gains c phi(a_r, a_j)
+                    row(k, m + s + 1)[m + r] = c
+                    for j, f in form[r].items():
+                        if s < j:
+                            beta[(s, j)] = beta.get((s, j), ZERO) + c * f
             for (s, j), x in beta.items():
                 if x:
                     row(m + s + 1, m + j + 1)[star + k - 1] = x
@@ -301,22 +300,20 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
     L = lagrangian_complement(q, ideal)
     lrows = L.basis.data
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
+    # rows: the coordinates along L, then the pairings phi(l_c, .)
+    iso = Mat._of(coords.data[:n] + (L.basis * q.form).data, dim)
     brackets = {}
     wvals = {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            br = q.alg.bracket(lrows[a - 1], lrows[b - 1])
-            lam = coords.matvec(br)[:n]
+            v = iso.matvec(q.alg.bracket(lrows[a - 1], lrows[b - 1]))
+            lam, wv = v[:n], v[n:]
             if any(lam):
                 brackets[(a, b)] = lam
-            wv = tuple(q.phi(br, lc) for lc in lrows)
             if any(wv):
                 wvals[(a, b)] = wv
     B = LieAlgebra(n, brackets)
     w = GeneralCocycle(B, wvals)
-    lam_rows = coords.data[:n]
-    mu_rows = (L.basis * q.form).data
-    iso = Mat.from_rows(list(lam_rows) + list(mu_rows), cols=dim)
     ok, why = is_isometry(q, tstar_extend(w), iso)
     if not ok:
         raise ValidationError(f"recovered map failed verification: {why}")

@@ -46,13 +46,6 @@ def test_bracket_bilinearity():
     assert h.bracket_basis_vec(1, y) == h.bracket((1, 0, 0), y)
 
 
-def test_ad_matrix():
-    h = heisenberg()
-    ad1 = h.ad_basis(1)
-    assert ad1.matvec((0, 1, 0)) == (0, 0, 1)
-    assert ad1.matvec((1, 0, 0)) == (0, 0, 0)
-
-
 def test_jacobi_defect_empty_on_lie():
     assert heisenberg().jacobi_defect() == []
     assert abelian(4).jacobi_defect() == []
@@ -398,17 +391,22 @@ def test_chain_cocycle_at_dim_120():
 
 def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     # count the eliminations of the stored brackets' span across the
-    # readers of derived() on one algebra
+    # readers of derived() on one algebra, and those of the centre's
+    # kernel system across the readers of centre()
     from quadlie import algebra_from_trivector, catalog, linalg
     from quadlie.tstar import find_lagrangian_ideal
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
     rows = Mat._of(alg.brackets.values(), alg.dim)
+    centre_rows = Mat._of(alg._centraliser_rows(
+        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values(), alg.dim)
     real = linalg.rref
     runs = []
+    centre_runs = []
 
     def counting(m):
         runs.append(m == rows)
+        centre_runs.append(m == centre_rows)
         return real(m)
 
     monkeypatch.setattr(linalg, "rref", counting)
@@ -417,3 +415,4 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     assert [s.dim for s in alg.lower_central_series()] == [12, 6, 0]
     assert find_lagrangian_ideal(q) == alg.derived()
     assert runs.count(True) == 1 and len(runs) > 1
+    assert centre_runs.count(True) == 1

