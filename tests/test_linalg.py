@@ -329,8 +329,8 @@ def test_sparse_rows_match_dense_rows(monkeypatch):
     systems = _recorded_systems(monkeypatch) + _random_systems()
     systems += [Mat.zero(0, 3), Mat.zero(3, 0), Mat.zero(2, 2)]
     systems += [Mat([[0, "1/2", 0], [3, 0, -1]]), Mat.identity(3)]
-    systems.append(Mat._of([(Fraction(0), Fraction(5)), (Fraction(-2),
-                                                        Fraction(0))], 2))
+    systems.append(Mat._of([(Fraction(0), Fraction(5)),
+                            (Fraction(-2), Fraction(0))], 2))
     for m in systems:
         _assert_view(m)
         t = m.transpose()
@@ -339,9 +339,10 @@ def test_sparse_rows_match_dense_rows(monkeypatch):
         R, pivots = rref(m)
         _assert_view(R)
         assert not any(R.sparse_rows[len(pivots):])
-        for s in (Subspace.from_rows(m.cols, m.data), kernel(m),
-                  kernel(t), kernel(m).sum(kernel(t * m)),
-                  kernel(m).intersect(Subspace.from_rows(m.cols, m.data))):
+        span = Subspace.from_rows(m.cols, m.data)
+        for s in (span, kernel(m), kernel(t), kernel(m).sum(kernel(t * m)),
+                  kernel(m).intersect(span)):
             _assert_view(s.basis)
+            # contains_vec takes a basis row's first key as its pivot
             assert [next(iter(r)) for r in s.basis.sparse_rows] == \
-                sorted(rref(s.basis)[1])
+                list(rref(s.basis)[1])
