@@ -166,15 +166,17 @@ class LieAlgebra:
         return self._derived
 
     def _centraliser_rows(self, ann_by_col: Mapping[int, Sequence]
-                          ) -> dict[tuple[int, int], list[Fraction]]:
+                          ) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The nonzero rows of {x : u([x, e_s]) = 0 for every s and every
         annihilator row u}.
 
         ann_by_col[r] lists (a, u_r) for each row a with u_r != 0. Row (s, a)
         holds u_a([e_i, e_s]) over i; only the stored brackets fill it, and
         entry i of row (j, a) or (i, a) comes from the stored (i, j) alone.
+        Each row holds its nonzero entries as {column: entry}, columns
+        ascending.
         """
-        rows: dict[tuple[int, int], list[Fraction]] = {}
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), v in self.terms.items():
             dots: dict[int, Fraction] = {}  # a -> u_a([e_i, e_j])
             for r, c in v:
@@ -185,16 +187,16 @@ class LieAlgebra:
             for a, x in dots.items():
                 if x:
                     # u_a([e_i, e_j]) = x and u_a([e_j, e_i]) = -x
-                    rows.setdefault((j, a), [ZERO] * self.dim)[i - 1] = x
-                    rows.setdefault((i, a), [ZERO] * self.dim)[j - 1] = -x
-        return rows
+                    rows.setdefault((j, a), {})[i - 1] = x
+                    rows.setdefault((i, a), {})[j - 1] = -x
+        return {key: dict(sorted(row.items())) for key, row in rows.items()}
 
     def _centraliser(self, ann_by_col: Mapping[int, Sequence]) -> Subspace:
         """The kernel of _centraliser_rows; row order cannot change it."""
         rows = self._centraliser_rows(ann_by_col)
         if not rows:
             return Subspace.full(self.dim)
-        return kernel(Mat._of(rows.values(), self.dim))
+        return kernel(Mat._of(None, self.dim, rows.values()))
 
     def centre(self) -> Subspace:
         """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra."""

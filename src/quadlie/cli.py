@@ -8,6 +8,7 @@ passed; failures print one JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -329,7 +330,10 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use; parse_args keeps
+    no state between calls."""
     p = argparse.ArgumentParser(
         prog="quadlie",
         description="Exact construction and verification of quadratic "

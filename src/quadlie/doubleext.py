@@ -189,7 +189,7 @@ def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
     rows = aq.alg._centraliser_rows({r: ((r, ONE),) for r in range(aq.dim)})
     if any((s + 1, r) not in rows for r, s, _ in _entries(d)):
         return None
-    return solve(Mat._of(rows.values(), aq.dim),
+    return solve(Mat._of(None, aq.dim, rows.values()),
                  tuple(d.data[r][s - 1] for s, r in rows))
 
 
@@ -217,7 +217,8 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
 
 
 def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
-    """0 != im(d) + A^2 contained in Z(A) intersect ker(d)."""
+    """0 != im(d) + A^2 contained in Z(A) intersect ker(d): s lies in
+    Z(A) and d(s) = 0, so neither ker(d) nor the intersection is solved."""
     dmat = _deriv_mat(aq, d)
     if aq is None:
         return False
@@ -226,8 +227,8 @@ def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     s = image.sum(aq.alg.derived())
     if s.dim == 0:
         return False
-    t = aq.alg.centre().intersect(kernel(dmat))
-    return t.contains(s)
+    return (aq.alg.centre().contains(s)
+            and not any(any(dmat.matvec(v)) for v in s.basis.data))
 
 
 @dataclass(frozen=True)
@@ -383,6 +384,7 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
     The skew rows come first, then the derivation rows, each block sorted;
     the kernel is canonical, but this order eliminates fastest. Rows with
     i > j go: skew row (j, i) repeats (i, j), and derivation keys have i < j.
+    Each row is a {column: entry} dict, filled in ascending column order.
     """
     n = aq.dim
     nn = n * n
@@ -393,6 +395,6 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
             for image, rows in zip(maps, blocks):
                 for key, x in image(((r, s, ONE),)).items():
                     if x and key[0] <= key[1]:
-                        rows.setdefault(key, [ZERO] * nn)[r * n + s] = x
-    return kernel(Mat._of([rows[k] for rows in blocks for k in sorted(rows)],
-                          nn))
+                        rows.setdefault(key, {})[r * n + s] = x
+    return kernel(Mat._of(None, nn, [rows[k] for rows in blocks
+                                     for k in sorted(rows)]))

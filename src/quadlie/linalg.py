@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream runs on this: matrices of `fractions.Fraction` stored
-as dense rows, with one cached sparse view of them (each row's nonzero
-entries as a {column: entry} dict), the unique RREF by a sparse elimination
-of those dicts, kernels, solving, and row-space subspaces in canonical RREF
-form.
+Everything downstream runs on this: matrices of `fractions.Fraction` as
+dense rows and as each row's nonzero entries in a {column: entry} dict, each
+view made from the other on first read; the unique RREF by a fraction-free
+elimination of those dicts scaled to integers; kernels, solving, and
+row-space subspaces in canonical RREF form.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
 are 1-based; coordinates here are 0-based Python indices.
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -56,11 +57,11 @@ class Mat:
     """Immutable matrix over Fraction: dense rows in `data`, and their
     nonzero entries in `sparse_rows`."""
 
-    __slots__ = ("rows", "cols", "data", "_sparse")
+    __slots__ = ("rows", "cols", "_data", "_sparse")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(tuple(scalar(e) for e in r) for r in data)
-        self.data = rows
+        self._data = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         self._sparse = None
@@ -69,16 +70,16 @@ class Mat:
                 raise ValueError("ragged rows")
 
     @classmethod
-    def _of(cls, data: Iterable[Sequence[Fraction]], cols: int,
-            sparse: tuple[dict[int, Fraction], ...] | None = None) -> "Mat":
+    def _of(cls, data: Iterable[Sequence[Fraction]] | None, cols: int,
+            sparse: Sequence[dict[int, Fraction]] | None = None) -> "Mat":
         """Trusted constructor: rows already hold Fractions, each of length
-        cols. The column count is explicit so a result with no rows keeps
-        its shape. sparse, when given, must be the sparse_rows of data."""
+        cols, explicit so that a result with no rows keeps its shape. sparse,
+        when given, is their sparse_rows, and data may then be None."""
         m = object.__new__(cls)
-        m.data = tuple(tuple(r) for r in data)
-        m.rows = len(m.data)
+        m._data = None if data is None else tuple(tuple(r) for r in data)
+        m._sparse = None if sparse is None else tuple(sparse)
+        m.rows = len(m._sparse if data is None else m._data)
         m.cols = cols
-        m._sparse = sparse
         return m
 
     @classmethod
@@ -99,12 +100,21 @@ class Mat:
         return cls(rows)
 
     @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows; built once, on first read, for a sparse matrix."""
+        if self._data is None:
+            z = (ZERO,) * self.cols
+            self._data = tuple(tuple(map(r.get, range(self.cols), z))
+                               for r in self._sparse)
+        return self._data
+
+    @property
     def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
         """Each row's nonzero entries as {column: entry}, columns ascending;
         built once, on first read. The dicts are shared: never mutate them."""
         if self._sparse is None:
             self._sparse = tuple([{j: e for j, e in enumerate(r) if e}
-                                  for r in self.data])
+                                  for r in self._data])
         return self._sparse
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -211,49 +221,56 @@ def vstack(a: Mat, b: Mat) -> Mat:
     return Mat.from_rows(list(a.data) + list(b.data), cols=a.cols)
 
 
-def _axpy(row: dict, f: Fraction, prow: dict) -> None:
-    """row -= f * prow on sparse rows; entries that cancel are dropped."""
+def _clear(row: dict, col: int, prow: dict) -> None:
+    """In place, row = (a/g) row - (f/g) prow on integer rows, with a the
+    pivot of prow at col, f = row[col] and g = gcd(a, f): col is cleared."""
+    a, f = prow[col], row[col]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, e in prow.items():
-        x = row.get(j, ZERO) - f * e
+        x = row.get(j, 0) - f * e
         if x:
             row[j] = x
         else:
             del row[j]
 
 
+def _primitive(row: dict) -> dict:
+    """row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {j: e // g for j, e in row.items()}
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """The unique reduced row echelon form, zero rows last, and its pivot
-    columns. Each row, as a {column: entry} dict, is reduced by the pivot
-    rows found so far (one pass: they are fully reduced); if it stays
-    nonzero it is normalised on its first column, which is then cleared
-    from the earlier pivot rows. The result comes with its sparse view."""
-    nc = m.cols
-    piv: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    columns. Fraction-free: each row's {column: entry} dict is scaled to
+    integers by the lcm of its denominators and reduced by the pivot rows
+    found so far, which are primitive and zero in every other pivot column;
+    a row that stays nonzero clears its first column from them. Only the
+    result divides, by each row's pivot; it comes as a sparse view alone."""
+    piv: dict[int, dict[int, int]] = {}  # pivot column -> its row
     for r in m.sparse_rows:
-        row = dict(r)
-        for p, f in [(p, f) for p, f in row.items() if p in piv]:
-            _axpy(row, f, piv[p])
+        den = lcm(*[e.denominator for e in r.values()])
+        row = {j: e.numerator * (den // e.denominator) for j, e in r.items()}
+        for p in [p for p in row if p in piv]:
+            _clear(row, p, piv[p])
         if not row:
             continue
+        row = _primitive(row)
         col = min(row)
-        inv = ONE / row[col]
-        if inv != 1:
-            row = {j: e * inv for j, e in row.items()}
-        for prow in piv.values():
+        for p, prow in piv.items():
             if col in prow:
-                _axpy(prow, prow[col], row)
+                _clear(prow, col, row)
+                piv[p] = _primitive(prow)
         piv[col] = row
     pivots = tuple(sorted(piv))
-    sparse = [{j: piv[p][j] for j in sorted(piv[p])} for p in pivots]
-    out = []
-    for row in sparse:
-        v = [ZERO] * nc
-        for j, e in row.items():
-            v[j] = e
-        out.append(v)
-    zeros = m.rows - len(pivots)
-    out += [(ZERO,) * nc] * zeros
-    return Mat._of(out, nc, tuple(sparse + [{}] * zeros)), pivots
+    sparse = [{j: ONE if j == p else Fraction(e, piv[p][p])
+               for j, e in sorted(piv[p].items())} for p in pivots]
+    sparse += [{}] * (m.rows - len(pivots))
+    return Mat._of(None, m.cols, sparse), pivots
 
 
 def rank(m: Mat) -> int:
@@ -265,28 +282,28 @@ def kernel(m: Mat) -> "Subspace":
     R, pivots = rref(m)
     nc = m.cols
     pivset = set(pivots)
-    gens = {f: [ZERO] * nc for f in range(nc) if f not in pivset}
-    for f, v in gens.items():
-        v[f] = ONE
+    gens = {f: {f: ONE} for f in range(nc) if f not in pivset}
     # pivot row p is x_p + sum R[p][f] x_f over the free columns f
     for p, row in zip(pivots, R.sparse_rows):
         for f, e in row.items():
             if f != p:
                 gens[f][p] = -e
-    return Subspace._of(nc, list(gens.values()))
+    return Subspace._of(nc, None,
+                        [dict(sorted(v.items())) for v in gens.values()])
 
 
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of m x = rhs, or None. Free variables set to 0."""
     if m.rows != len(rhs):
         raise ValueError("length mismatch")
-    R, pivots = rref(Mat._of(((*r, scalar(b)) for r, b in zip(m.data, rhs)),
-                             m.cols + 1))
+    aug = [{**r, m.cols: b} if b else r
+           for r, b in zip(m.sparse_rows, map(scalar, rhs))]
+    R, pivots = rref(Mat._of(None, m.cols + 1, aug))
     if m.cols in pivots:
         return None  # inconsistent
     x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = R.data[r][m.cols]
+    for p, row in zip(pivots, R.sparse_rows):
+        x[p] = row.get(m.cols, ZERO)
     return tuple(x)
 
 
@@ -317,13 +334,14 @@ class Subspace:
         return cls._of(ambient_dim, rows)
 
     @classmethod
-    def _of(cls, ambient_dim: int, rows: Sequence) -> "Subspace":
+    def _of(cls, ambient_dim: int, rows: Sequence | None,
+            sparse: Sequence[dict] | None = None) -> "Subspace":
         """Trusted constructor: the span of rows that already hold
-        Fractions, each of length ambient_dim."""
-        R, pivots = rref(Mat._of(rows, ambient_dim))
-        k = len(pivots)
-        return cls(ambient_dim,
-                   Mat._of(R.data[:k], ambient_dim, R.sparse_rows[:k]))
+        Fractions, each of length ambient_dim; with rows None, of the
+        {column: entry} rows in sparse, columns ascending."""
+        R, pivots = rref(Mat._of(rows, ambient_dim, sparse))
+        return cls(ambient_dim, Mat._of(None, ambient_dim,
+                                        R.sparse_rows[:len(pivots)]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -355,19 +373,21 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        return Subspace._of(self.ambient_dim,
-                            self.basis.data + other.basis.data)
+        return Subspace._of(self.ambient_dim, None, self.basis.sparse_rows
+                            + other.basis.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: rows [u|u] for u in U, [v|0] for v in V."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
         n = self.ambient_dim
-        rows = [list(u) + list(u) for u in self.basis.data]
-        rows += [list(v) + [ZERO] * n for v in other.basis.data]
-        R, pivots = rref(Mat._of(rows, 2 * n))
-        return Subspace._of(n, [R.data[r][n:]
-                                for r, p in enumerate(pivots) if p >= n])
+        rows = [{**u, **{j + n: e for j, e in u.items()}}
+                for u in self.basis.sparse_rows]
+        R, pivots = rref(Mat._of(None, 2 * n,
+                                 rows + list(other.basis.sparse_rows)))
+        return Subspace._of(n, None, [{j - n: e for j, e in row.items()}
+                                      for row, p in zip(R.sparse_rows, pivots)
+                                      if p >= n])
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]

@@ -398,8 +398,8 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
     rows = Mat._of(alg.brackets.values(), alg.dim)
-    centre_rows = Mat._of(alg._centraliser_rows(
-        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values(), alg.dim)
+    centre_rows = Mat._of(None, alg.dim, alg._centraliser_rows(
+        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values())
     real = linalg.rref
     runs = []
     centre_runs = []

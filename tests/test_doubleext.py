@@ -12,7 +12,7 @@ from quadlie import (ExtensionChain, LieAlgebra, Mat, QuadraticStructure,
                      heisenberg, hyperbolic_form, inner_preimage, inverse,
                      invariance_defect, parse_coeffs, skew_defect,
                      tstar_extend, two_step_criterion, validate_chain)
-from quadlie.linalg import kernel, solve
+from quadlie.linalg import basis_vec, kernel, solve
 from quadlie.randgen import random_coeffs, random_skew_derivation
 
 
@@ -237,6 +237,51 @@ def test_two_step_criterion_matches_nilindex():
         ext = double_extend_1d(aq, d)
         assert two_step_criterion(aq, d) == (ext.alg.nilindex() == 2)
         assert centre_formula_1d(aq, d) == ext.alg.centre()
+
+
+def _two_step_by_intersection(aq, d):
+    """The criterion as it was: s = im(d) + A^2 against the solved
+    intersection Z(A) intersect ker(d)."""
+    if aq is None:
+        return False
+    dmat = d.mat if isinstance(d, SkewDerivation) else d
+    n = aq.dim
+    s = Subspace.from_rows(n, [dmat.col(j) for j in range(n)]).sum(
+        aq.alg.derived())
+    return s.dim > 0 and aq.alg.centre().intersect(kernel(dmat)).contains(s)
+
+
+def test_two_step_criterion_matches_intersection_form():
+    # s in Z(A) with d(s) = 0 decides exactly what s in Z(A) cap ker d did
+    from quadlie import CATALOG, algebra_from_trivector
+    from quadlie.acceptance import _random_extension_case
+    cases = [_random_extension_case(s) for s in range(2000, 2100)]
+    cases += [(hyperbolic_abelian(2), Mat.zero(4, 4)),
+              (hyperbolic_abelian(2),
+               Mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1],
+                    [0, 0, 0, 0]])),
+              (tstar_extend(parse_coeffs("123")), Mat.zero(6, 6)),
+              (None, Mat.zero(0, 0))]
+    cases += [(hyperbolic_abelian(2 + s % 2),
+               random_skew_derivation(hyperbolic_abelian(2 + s % 2), s))
+              for s in range(40)]
+    # 2-step bases with the zero map and an inner map ad(x), which satisfy
+    # the criterion, and with a random skew derivation; extensions, whose
+    # derived algebra may leave the centre, with the same three maps
+    bases = [algebra_from_trivector(e.trivector) for e in CATALOG if e.n <= 6]
+    bases += [tstar_extend(random_coeffs(3 + s % 4, seed=s))
+              for s in range(1000, 1010)]
+    bases += [double_extend_1d(aq, d) for aq, d in cases[:30]]
+    for aq in bases:
+        n = aq.dim
+        x = tuple(Fraction(1 + j % 3) for j in range(n))
+        ad_x = Mat([aq.alg.bracket(x, basis_vec(n, j))
+                    for j in range(1, n + 1)]).transpose()
+        cases += [(aq, Mat.zero(n, n)), (aq, ad_x),
+                  (aq, random_skew_derivation(aq, n))]
+    verdicts = [two_step_criterion(aq, d) for aq, d in cases]
+    assert verdicts == [_two_step_by_intersection(aq, d) for aq, d in cases]
+    assert 20 < sum(verdicts) < len(cases) - 20
 
 
 def test_nilindex_never_drops_under_extension():

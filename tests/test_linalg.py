@@ -283,21 +283,42 @@ def _recorded_systems(monkeypatch):
 
 
 def _random_systems():
-    """Seeded rank-deficient matrices with fractional entries, mostly
-    zeros, and some rows repeated or scaled."""
+    """Seeded matrices with fractional entries: rank-deficient ones, mostly
+    zeros, with some rows repeated or scaled; fully dense ones up to 30x30;
+    and ones whose numerators and denominators pass 2**64, with rows that
+    are other rows times large scales."""
     from quadlie import SplitMix64
     g = SplitMix64(777)
-    out = []
-    for _ in range(150):
-        nr, nc = g.randint(1, 9), g.randint(1, 9)
-        rows = [[Fraction(g.randint(-4, 4), g.randint(1, 5))
-                 if g.randint(0, 2) == 0 else Fraction(0)
+    big = 2 ** 64
+
+    def system(nr, nc, entry, density, scale):
+        rows = [[entry() if g.randint(0, density) == 0 else Fraction(0)
                  for _ in range(nc)] for _ in range(g.randint(1, nr))]
         while len(rows) < nr:
-            c = Fraction(g.randint(-3, 3), g.randint(1, 3))
+            c = scale()
             rows.insert(g.randint(0, len(rows)),
                         [c * e for e in rows[g.randint(0, len(rows) - 1)]])
-        out.append(Mat(rows))
+        return Mat(rows)
+
+    def small():
+        return Fraction(g.randint(-4, 4), g.randint(1, 5))
+
+    def huge():
+        # randint spans at most 2**64 values
+        sign = 1 - 2 * g.randint(0, 1)
+        return Fraction(sign * (g.randint(1, 9) * big + g.next_u64()),
+                        g.randint(1, 9) * big + g.next_u64() + 1)
+
+    out = [system(g.randint(1, 9), g.randint(1, 9), small, 2,
+                  lambda: Fraction(g.randint(-3, 3), g.randint(1, 3)))
+           for _ in range(150)]
+    for k in range(12):
+        n = 6 + 2 * k
+        out.append(system(n, g.randint(n - 3, n), small, 0,
+                          lambda: Fraction(g.randint(-3, 3), g.randint(1, 3))))
+    for k in range(30):
+        out.append(system(g.randint(1, 9), g.randint(1, 9),
+                          huge if k % 2 else small, 1, huge))
     return out
 
 
@@ -333,6 +354,12 @@ def test_sparse_rows_match_dense_rows(monkeypatch):
                             (Fraction(-2), Fraction(0))], 2))
     for m in systems:
         _assert_view(m)
+        # a matrix given its sparse rows alone makes the same dense rows
+        dense = Mat._of(m.data, m.cols)
+        alone = Mat._of(None, m.cols, dense.sparse_rows)
+        assert (alone.rows, alone.cols) == (m.rows, m.cols)
+        assert alone.data == dense.data
+        assert alone == dense and hash(alone) == hash(dense)
         t = m.transpose()
         _assert_view(t)
         _assert_view(m * t)
