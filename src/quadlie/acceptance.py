@@ -19,7 +19,7 @@ from .doubleext import centre_formula_1d, double_extend_1d, \
     two_step_criterion
 from .forms import QuadraticStructure, hyperbolic_form, invariance_defect, \
     is_isometry
-from .linalg import Mat, ZERO, kernel, rank
+from .linalg import Mat, kernel, rank
 from .quadfam import is_nondegenerate_family
 from .randgen import random_coeffs, random_skew_derivation
 from .trivector import algebra_from_trivector, delta, trivector_rank
@@ -188,13 +188,13 @@ def _jordan_extension(n: int) -> QuadraticStructure:
     """Extend the 2n-dim abelian algebra by the nilpotent two-block map
     d(a_l) = a_{l+1}, d(a_{n+m}) = -a_{n+m-1}."""
     dim = 2 * n
-    d = [[ZERO] * dim for _ in range(dim)]
+    d: list[dict[int, Fraction]] = [{} for _ in range(dim)]
     for l in range(1, n):
-        d[l][l - 1] = Fraction(1)
+        d[l] = {l - 1: Fraction(1)}
     for m in range(n + 2, dim + 1):
-        d[m - 2][m - 1] = Fraction(-1)
+        d[m - 2] = {m - 1: Fraction(-1)}
     aq = QuadraticStructure(abelian(dim), hyperbolic_form(n))
-    return double_extend_1d(aq, Mat(d))
+    return double_extend_1d(aq, Mat._of(d, dim))
 
 
 def criterion_7() -> tuple[bool, str]:

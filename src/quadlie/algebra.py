@@ -162,7 +162,7 @@ class LieAlgebra:
         """The span of the stored brackets; eliminated once per algebra."""
         if self._derived is None:
             self._derived = Subspace._of(
-                self.dim, [self._dense(nz) for nz in self.terms.values()])
+                self.dim, [dict(nz) for nz in self.terms.values()])
         return self._derived
 
     def _centraliser_rows(self, ann_by_col: Mapping[int, Sequence]
@@ -196,7 +196,7 @@ class LieAlgebra:
         rows = self._centraliser_rows(ann_by_col)
         if not rows:
             return Subspace.full(self.dim)
-        return kernel(Mat._of(None, self.dim, rows.values()))
+        return kernel(Mat._of(rows.values(), self.dim))
 
     def centre(self) -> Subspace:
         """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra."""
@@ -224,14 +224,15 @@ class LieAlgebra:
             cur = nxt
             rows = []
             for v in cur.basis.sparse_rows:
-                out: dict[int, list[Fraction]] = {}  # a -> [e_a, v]
+                out: dict[int, dict[int, Fraction]] = {}  # a -> [e_a, v]
                 for b, c in v.items():
                     # [e_b, e_a] = w adds -v_b w to [e_a, v]
                     for a, w in ad[b]:
-                        row = out.setdefault(a, [ZERO] * self.dim)
+                        row = out.setdefault(a, {})
                         for r, e in w:
-                            row[r] -= c * e
-                rows += [row for row in out.values() if any(row)]
+                            row[r] = row.get(r, ZERO) - c * e
+                rows += [{r: e for r, e in sorted(row.items()) if e}
+                         for row in out.values()]
             nxt = Subspace._of(self.dim, rows)
 
     def nilindex(self) -> int | None:

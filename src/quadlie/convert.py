@@ -15,7 +15,7 @@ from .doubleext import ExtensionChain, build_chain, chain_dcoeffs
 from .doubleext import chain_to_algebra
 from .errors import ValidationError
 from .forms import QuadraticStructure
-from .linalg import Mat, ZERO
+from .linalg import Mat
 from .quadfam import QuadraticFamily, algebra_from_family, validate_family
 from .tstar import CocycleCoeffs, tstar_extend
 
@@ -51,13 +51,13 @@ def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
     n = c.n
     mats = []
     for i in range(1, n + 1):
-        m = [[ZERO] * n for _ in range(n)]
+        m: list[dict] = [{} for _ in range(n)]
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 v = c.value(i, j, k)
                 if v:
                     m[k - 1][j - 1] = v
-        mats.append(Mat(m))
+        mats.append(Mat._of(m, n))
     return QuadraticFamily(n, tuple(mats))
 
 

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, kernel, solve,
                      zero_vec)
-from .tstar import GeneralCocycle, _tstar_algebra
+from .tstar import GeneralCocycle, _tstar_algebra, value_span
 
 
 def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
@@ -115,8 +115,12 @@ class SkewDerivation:
 
 
 def _deriv_mat(aq: QuadraticStructure | None, d) -> Mat:
+    """d's matrix, validated against aq unless d is a SkewDerivation that
+    was checked against an equal structure."""
     if isinstance(d, SkewDerivation):
-        return d.mat
+        if d.aq == aq:
+            return d.mat
+        d = d.mat
     if aq is not None:
         SkewDerivation(aq, d)  # validate
     elif not (d.rows == d.cols == 0):
@@ -157,15 +161,14 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
                     f"phi is not a homomorphism at pair {(i, j)}",
                     law="homomorphism", witness=(i, j))
 
-    dim = 2 * m + amn
-    form = [[ZERO] * dim for _ in range(dim)]
-    for i in range(m):
-        form[i][m + amn + i] = form[m + amn + i][i] = ONE
+    # b pairs with its duals, and A keeps its form
+    form = [{m + amn + i: ONE} for i in range(m)]
     if aq is not None:
-        for i, r in enumerate(aq.form.data):
-            form[m + i][m:m + amn] = r
+        form += [{m + j: e for j, e in r.items()}
+                 for r in aq.form.sparse_rows]
+    form += [{i: ONE} for i in range(m)]
     alg = _tstar_algebra(GeneralCocycle(b, {}), aq, mats)
-    return QuadraticStructure(alg, Mat._of(form, dim))
+    return QuadraticStructure(alg, Mat._of(form, 2 * m + amn))
 
 
 def double_extend_1d(aq: QuadraticStructure | None,
@@ -189,8 +192,8 @@ def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
     rows = aq.alg._centraliser_rows({r: ((r, ONE),) for r in range(aq.dim)})
     if any((s + 1, r) not in rows for r, s, _ in _entries(d)):
         return None
-    return solve(Mat._of(None, aq.dim, rows.values()),
-                 tuple(d.data[r][s - 1] for s, r in rows))
+    return solve(Mat._of(rows.values(), aq.dim),
+                 tuple(d.sparse_rows[r].get(s - 1, ZERO) for s, r in rows))
 
 
 def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
@@ -202,18 +205,17 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     if aq is not None and isinstance(d, Mat):
         d = SkewDerivation(aq, d)  # validated once, here
     dmat = _deriv_mat(aq, d)
-    amn = aq.dim if aq is not None else 0
-    dim = amn + 2
+    dim = (aq.dim if aq is not None else 0) + 2
     rows = []
     if aq is not None:
         core = aq.alg.centre().intersect(kernel(dmat))
-        for r in core.basis.data:
-            rows.append((ZERO,) + tuple(r) + (ZERO,))
-    rows.append(zero_vec(dim - 1) + (Fraction(1),))
+        rows = [{j + 1: e for j, e in r.items()}
+                for r in core.basis.sparse_rows]
+    rows.append({dim - 1: ONE})
     x = inner_preimage(aq, d)
     if x is not None:
-        rows.append((Fraction(1),) + tuple(-c for c in x) + (ZERO,))
-    return Subspace.from_rows(dim, rows)
+        rows.append({0: ONE, **{j + 1: -c for j, c in enumerate(x) if c}})
+    return Subspace._of(dim, rows)
 
 
 def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
@@ -223,7 +225,7 @@ def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     if aq is None:
         return False
     n = aq.dim
-    image = Subspace._of(n, [dmat.col(j) for j in range(n)])
+    image = Subspace._of(n, dmat.transpose().sparse_rows)
     s = image.sum(aq.alg.derived())
     if s.dim == 0:
         return False
@@ -252,16 +254,9 @@ class ExtensionChain:
     @property
     def two_sp(self) -> bool:
         """im d_k inside the dual half and the dual half inside ker d_k."""
-        for k, m in enumerate(self.derivs):
-            if k == 0:
-                continue
-            for r in range(k):
-                if any(m.data[r]):
-                    return False
-            for r in range(2 * k):
-                if any(m.data[r][k:]):
-                    return False
-        return True
+        return not any(any(m.sparse_rows[:k])
+                       or any(j >= k for r in m.sparse_rows for j in r)
+                       for k, m in enumerate(self.derivs))
 
 
 def build_chain(c: AltCoeffs) -> ExtensionChain:
@@ -271,13 +266,13 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
         raise ValidationError("need dimension at least 3", law="dimension")
     derivs = []
     for k in range(n):
-        m = [[ZERO] * (2 * k) for _ in range(2 * k)]
+        m: list[dict[int, Fraction]] = [{} for _ in range(2 * k)]
         for j in range(1, k + 1):
             for ell in range(1, k + 1):
                 v = c.value(k + 1, j, ell)
                 if v:
                     m[k + ell - 1][j - 1] = v
-        mat = Mat.from_rows(m, cols=2 * k)
+        mat = Mat._of(m, 2 * k)
         bad = skew_defect(hyperbolic_form(k), mat)
         if bad:
             raise ValidationError(f"link {k} not skew at {bad[0]}",
@@ -294,7 +289,7 @@ def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
         d = ch.derivs[k - 1]
         for i in range(1, k):
             for j in range(i + 1, k):
-                v = d.data[(k - 1) + j - 1][i - 1]
+                v = d.sparse_rows[(k - 1) + j - 1].get(i - 1)
                 if v:
                     vals[(i, j, k)] = v
     return AltCoeffs(ch.n, vals)
@@ -370,11 +365,7 @@ def chain_to_algebra(ch: ExtensionChain) -> QuadraticStructure:
 
 def chain_reduced_check(ch: ExtensionChain) -> bool:
     """True iff the bracket values span the whole dual half."""
-    n = ch.n
-    dco = chain_dcoeffs(ch)
-    rows = [[dco.value(i, j, k) for k in range(1, n + 1)]
-            for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return Subspace.from_rows(n, rows).dim == n
+    return value_span(chain_dcoeffs(ch)).dim == ch.n
 
 
 def derivation_space(aq: QuadraticStructure) -> Subspace:
@@ -396,5 +387,5 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
                 for key, x in image(((r, s, ONE),)).items():
                     if x and key[0] <= key[1]:
                         rows.setdefault(key, {})[r * n + s] = x
-    return kernel(Mat._of(None, nn, [rows[k] for rows in blocks
-                                     for k in sorted(rows)]))
+    return kernel(Mat._of([rows[k] for rows in blocks for k in sorted(rows)],
+                          nn))

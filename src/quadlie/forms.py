@@ -11,18 +11,13 @@ from typing import Sequence
 
 from .algebra import LieAlgebra
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, Subspace, ZERO, inverse, kernel, rank,
-                     vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
+                     rank, vec)
 
 
 def hyperbolic_form(n: int) -> Mat:
     """The 2n x 2n pairing with phi(e_i, e_{n+i}) = 1, zero elsewhere."""
-    rows = []
-    for i in range(2 * n):
-        r = [ZERO] * (2 * n)
-        r[(i + n) % (2 * n)] = Fraction(1)
-        rows.append(r)
-    return Mat(rows)
+    return Mat._of([{(i + n) % (2 * n): ONE} for i in range(2 * n)], 2 * n)
 
 
 def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
@@ -95,7 +90,7 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
     Greedy transversal from the standard basis (lowest index first), then the
     symmetric correction t_a -> t_a + sum_k X[a][k] s_k with X chosen so the
     corrected rows are isotropic. Exists in characteristic 0 whenever s is
-    lagrangian.
+    lagrangian, and raises law "lagrangian" when s is not.
     """
     if not is_lagrangian(q, s):
         raise ValidationError("subspace is not lagrangian", law="lagrangian")
@@ -104,22 +99,21 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
         return Subspace.zero(q.dim)
     # transversal: extend s by standard basis vectors, lowest index preferred
     cur = s
-    picks: list[tuple[Fraction, ...]] = []
-    for t in range(1, q.dim + 1):
+    picks: list[dict[int, Fraction]] = []
+    for t in range(q.dim):
         if cur.dim == 2 * n:
             break
-        e = [ZERO] * q.dim
-        e[t - 1] = Fraction(1)
-        grown = cur.sum(Subspace.from_rows(q.dim, [e]))
+        e = {t: ONE}
+        grown = cur.sum(Subspace._of(q.dim, [e]))
         if grown.dim > cur.dim:
-            picks.append(tuple(e))
+            picks.append(e)
             cur = grown
-    T = Mat(picks)
+    T = Mat._of(picks, q.dim)
     S = s.basis
     P = T * q.form * S.transpose()     # P[a][k] = phi(t_a, s_k), invertible
     G = T * q.form * T.transpose()     # symmetric Gram of the transversal
     X = (G * inverse(P).transpose()).scale(Fraction(-1, 2))
-    return Subspace.from_rows(q.dim, (T + X * S).data)
+    return Subspace._of(q.dim, (T + X * S).sparse_rows)
 
 
 def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
@@ -153,7 +147,8 @@ def permute_quadratic(q: QuadraticStructure, perm: Sequence[int]
                       ) -> QuadraticStructure:
     """Relabel the basis: new basis f_r = e_{perm[r-1]} (1-based labels)."""
     alg = q.alg.permute_basis(perm)
-    n = q.dim
-    form = Mat([[q.form.data[perm[r] - 1][perm[c] - 1] for c in range(n)]
-                for r in range(n)])
-    return QuadraticStructure(alg, form)
+    inv = {old - 1: new for new, old in enumerate(perm)}
+    rows = q.form.sparse_rows
+    form = [dict(sorted((inv[j], e) for j, e in rows[p - 1].items()))
+            for p in perm]
+    return QuadraticStructure(alg, Mat._of(form, q.dim))

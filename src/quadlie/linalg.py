@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream runs on this: matrices of `fractions.Fraction` as
-dense rows and as each row's nonzero entries in a {column: entry} dict, each
-view made from the other on first read; the unique RREF by a fraction-free
+Everything downstream runs on this: matrices of `fractions.Fraction` stored
+once, as each row's nonzero entries in a {column: entry} dict, with the
+dense rows a view built on first read; the unique RREF by a fraction-free
 elimination of those dicts scaled to integers; kernels, solving, and
 row-space subspaces in canonical RREF form.
 
@@ -54,41 +54,42 @@ def is_zero_vec(x: Sequence[Fraction]) -> bool:
 
 
 class Mat:
-    """Immutable matrix over Fraction: dense rows in `data`, and their
-    nonzero entries in `sparse_rows`."""
+    """Immutable matrix over Fraction, stored once as `sparse_rows`: each
+    row's nonzero entries as a {column: entry} dict, columns ascending. The
+    dicts are shared: never mutate them. `data` is the dense view."""
 
-    __slots__ = ("rows", "cols", "_data", "_sparse")
+    __slots__ = ("rows", "cols", "sparse_rows", "_data")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(tuple(scalar(e) for e in r) for r in data)
-        self._data = rows
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
-        self._sparse = None
         for r in rows:
             if len(r) != self.cols:
                 raise ValueError("ragged rows")
+        self.sparse_rows = tuple([{j: e for j, e in enumerate(r) if e}
+                                  for r in rows])
+        self._data = None
 
     @classmethod
-    def _of(cls, data: Iterable[Sequence[Fraction]] | None, cols: int,
-            sparse: Sequence[dict[int, Fraction]] | None = None) -> "Mat":
-        """Trusted constructor: rows already hold Fractions, each of length
-        cols, explicit so that a result with no rows keeps its shape. sparse,
-        when given, is their sparse_rows, and data may then be None."""
+    def _of(cls, sparse: Iterable[dict[int, Fraction]], cols: int) -> "Mat":
+        """Trusted constructor: rows of nonzero Fractions as {column: entry},
+        columns ascending and below cols, explicit so that a result with no
+        rows keeps its shape."""
         m = object.__new__(cls)
-        m._data = None if data is None else tuple(tuple(r) for r in data)
-        m._sparse = None if sparse is None else tuple(sparse)
-        m.rows = len(m._sparse if data is None else m._data)
+        m.sparse_rows = tuple(sparse)
+        m.rows = len(m.sparse_rows)
         m.cols = cols
+        m._data = None
         return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls._of(((ZERO,) * cols,) * rows, cols)
+        return cls._of(({},) * rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._of((basis_vec(n, k) for k in range(1, n + 1)), n)
+        return cls._of([{k: ONE} for k in range(n)], n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
@@ -101,21 +102,12 @@ class Mat:
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense rows; built once, on first read, for a sparse matrix."""
+        """The dense rows, a view of sparse_rows built once, on first read."""
         if self._data is None:
             z = (ZERO,) * self.cols
             self._data = tuple(tuple(map(r.get, range(self.cols), z))
-                               for r in self._sparse)
+                               for r in self.sparse_rows)
         return self._data
-
-    @property
-    def sparse_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Each row's nonzero entries as {column: entry}, columns ascending;
-        built once, on first read. The dicts are shared: never mutate them."""
-        if self._sparse is None:
-            self._sparse = tuple([{j: e for j, e in enumerate(r) if e}
-                                  for r in self._data])
-        return self._sparse
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
@@ -127,27 +119,20 @@ class Mat:
         return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Mat":
-        return Mat._of(zip(*self.data) if self.rows else
-                       ((),) * self.cols, self.rows)
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, e in r.items():
+                out[j][i] = e
+        return Mat._of(out, self.rows)
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self.data
-        return all(d[i][j] == d[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and self == self.transpose()
 
     def is_skew(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        d = self.data
-        if any(d[i][i] for i in range(self.rows)):
-            return False
-        return all(d[i][j] == -d[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and self == -self.transpose()
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -155,27 +140,37 @@ class Mat:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash(self.data)
+        return hash((self.cols, tuple(tuple(r.items())
+                                      for r in self.sparse_rows)))
+
+    def _combine(self, other: "Mat", c: Fraction) -> "Mat":
+        """self + c other, row by row."""
+        self._same_shape(other)
+        out = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            v = dict(r1)
+            for j, e in r2.items():
+                v[j] = v.get(j, ZERO) + c * e
+            out.append({j: x for j, x in sorted(v.items()) if x})
+        return Mat._of(out, self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._of(([a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.data, other.data)), self.cols)
+        return self._combine(other, ONE)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat._of(([a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.data, other.data)), self.cols)
+        return self._combine(other, -ONE)
 
     def __neg__(self) -> "Mat":
-        return Mat._of(([-a for a in r] for r in self.data), self.cols)
+        return self.scale(-ONE)
 
     def scale(self, c) -> "Mat":
         c = scalar(c)
-        return Mat._of(([c * a for a in r] for r in self.data), self.cols)
+        return Mat._of([{j: c * e for j, e in r.items()} if c else {}
+                        for r in self.sparse_rows], self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -184,11 +179,11 @@ class Mat:
         orows = other.sparse_rows
         out = []
         for r in self.sparse_rows:
-            v = [ZERO] * other.cols
+            v: dict[int, Fraction] = {}
             for j, c in r.items():
                 for k, e in orows[j].items():
-                    v[k] += c * e
-            out.append(v)
+                    v[k] = v.get(k, ZERO) + c * e
+            out.append({k: x for k, x in sorted(v.items()) if x})
         return Mat._of(out, other.cols)
 
     def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -211,14 +206,15 @@ class Mat:
 def hstack(a: Mat, b: Mat) -> Mat:
     if a.rows != b.rows:
         raise ValueError("row mismatch")
-    return Mat._of((ra + rb for ra, rb in zip(a.data, b.data)),
+    return Mat._of(({**ra, **{a.cols + j: e for j, e in rb.items()}}
+                    for ra, rb in zip(a.sparse_rows, b.sparse_rows)),
                    a.cols + b.cols)
 
 
 def vstack(a: Mat, b: Mat) -> Mat:
     if a.cols != b.cols:
         raise ValueError("col mismatch")
-    return Mat.from_rows(list(a.data) + list(b.data), cols=a.cols)
+    return Mat._of(a.sparse_rows + b.sparse_rows, a.cols)
 
 
 def _clear(row: dict, col: int, prow: dict) -> None:
@@ -270,7 +266,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     sparse = [{j: ONE if j == p else Fraction(e, piv[p][p])
                for j, e in sorted(piv[p].items())} for p in pivots]
     sparse += [{}] * (m.rows - len(pivots))
-    return Mat._of(None, m.cols, sparse), pivots
+    return Mat._of(sparse, m.cols), pivots
 
 
 def rank(m: Mat) -> int:
@@ -288,8 +284,7 @@ def kernel(m: Mat) -> "Subspace":
         for f, e in row.items():
             if f != p:
                 gens[f][p] = -e
-    return Subspace._of(nc, None,
-                        [dict(sorted(v.items())) for v in gens.values()])
+    return Subspace._of(nc, [dict(sorted(v.items())) for v in gens.values()])
 
 
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -298,7 +293,7 @@ def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
         raise ValueError("length mismatch")
     aug = [{**r, m.cols: b} if b else r
            for r, b in zip(m.sparse_rows, map(scalar, rhs))]
-    R, pivots = rref(Mat._of(None, m.cols + 1, aug))
+    R, pivots = rref(Mat._of(aug, m.cols + 1))
     if m.cols in pivots:
         return None  # inconsistent
     x = [ZERO] * m.cols
@@ -314,7 +309,8 @@ def inverse(m: Mat) -> Mat:
     R, pivots = rref(hstack(m, Mat.identity(n)))
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("singular matrix")
-    return Mat._of((r[n:] for r in R.data), n)
+    return Mat._of(({j - n: e for j, e in r.items() if j >= n}
+                    for r in R.sparse_rows), n)
 
 
 @dataclass(frozen=True)
@@ -331,17 +327,15 @@ class Subspace:
         rows = [vec(r) for r in rows]
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("row length != ambient dim")
-        return cls._of(ambient_dim, rows)
+        return cls._of(ambient_dim, Mat(rows).sparse_rows)
 
     @classmethod
-    def _of(cls, ambient_dim: int, rows: Sequence | None,
-            sparse: Sequence[dict] | None = None) -> "Subspace":
-        """Trusted constructor: the span of rows that already hold
-        Fractions, each of length ambient_dim; with rows None, of the
-        {column: entry} rows in sparse, columns ascending."""
-        R, pivots = rref(Mat._of(rows, ambient_dim, sparse))
-        return cls(ambient_dim, Mat._of(None, ambient_dim,
-                                        R.sparse_rows[:len(pivots)]))
+    def _of(cls, ambient_dim: int, sparse: Sequence[dict]) -> "Subspace":
+        """Trusted constructor: the span of {column: entry} rows of nonzero
+        Fractions, columns ascending and below ambient_dim."""
+        R, pivots = rref(Mat._of(sparse, ambient_dim))
+        return cls(ambient_dim, Mat._of(R.sparse_rows[:len(pivots)],
+                                        ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -373,7 +367,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient mismatch")
-        return Subspace._of(self.ambient_dim, None, self.basis.sparse_rows
+        return Subspace._of(self.ambient_dim, self.basis.sparse_rows
                             + other.basis.sparse_rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -383,11 +377,10 @@ class Subspace:
         n = self.ambient_dim
         rows = [{**u, **{j + n: e for j, e in u.items()}}
                 for u in self.basis.sparse_rows]
-        R, pivots = rref(Mat._of(None, 2 * n,
-                                 rows + list(other.basis.sparse_rows)))
-        return Subspace._of(n, None, [{j - n: e for j, e in row.items()}
-                                      for row, p in zip(R.sparse_rows, pivots)
-                                      if p >= n])
+        R, pivots = rref(Mat._of(rows + list(other.basis.sparse_rows), 2 * n))
+        return Subspace._of(n, [{j - n: e for j, e in row.items()}
+                                for row, p in zip(R.sparse_rows, pivots)
+                                if p >= n])
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return [tuple(r) for r in self.basis.data]

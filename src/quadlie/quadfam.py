@@ -76,9 +76,10 @@ def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
 
 
 def family_bracket_span(fam: QuadraticFamily) -> Subspace:
-    cols = [fam.mats[i - 1].col(j - 1) for i in range(1, fam.n + 1)
-            for j in range(i + 1, fam.n + 1)]
-    return Subspace.from_rows(fam.n, cols)
+    # column j of M_i is row j of its transpose
+    ts = [m.transpose().sparse_rows for m in fam.mats]
+    return Subspace._of(fam.n, [ts[i][j] for i in range(fam.n)
+                                for j in range(i + 1, fam.n)])
 
 
 def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:

@@ -11,7 +11,7 @@ from .alternating import AltCoeffs
 from .doubleext import derivation_space
 from .errors import QuadlieError
 from .forms import QuadraticStructure
-from .linalg import Mat, rank
+from .linalg import Mat, ZERO, rank
 from .tstar import CocycleCoeffs
 
 _MASK = (1 << 64) - 1
@@ -34,10 +34,14 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform on [lo, hi] by rejection sampling."""
+        """Uniform on [lo, hi] by rejection sampling; the range may hold at
+        most 2**64 values, the outputs of one draw."""
         if hi < lo:
             raise QuadlieError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
+        if span > 1 << 64:
+            raise QuadlieError(f"range [{lo}, {hi}] holds more than 2**64 "
+                               f"values")
         limit = ((1 << 64) // span) * span
         while True:
             u = self.next_u64()
@@ -93,11 +97,12 @@ def random_skew_derivation(aq: QuadraticStructure, seed: int,
     space = derivation_space(aq)
     rng = SplitMix64(seed)
     n = aq.dim
-    out = [[Fraction(0)] * n for _ in range(n)]
+    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for row in space.basis.sparse_rows:
         c = Fraction(rng.randint(-bound, bound))
         if c:
             for rs, e in row.items():
                 r, s = divmod(rs, n)
-                out[r][s] += c * e
-    return Mat(out)
+                out[r][s] = out[r].get(s, ZERO) + c * e
+    return Mat._of([{s: e for s, e in sorted(r.items()) if e} for r in out],
+                   n)

@@ -13,7 +13,7 @@ from typing import Sequence
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
-from .linalg import Fraction, Mat, Subspace, inverse
+from .linalg import Fraction, Mat, Subspace, hstack, inverse, vstack
 from .tstar import CocycleCoeffs, tstar_extend
 
 
@@ -102,11 +102,8 @@ def isometry_from_gl(sigma: Mat, t1: Trivector, t2: Trivector) -> Mat:
                     raise ValidationError(
                         f"trivectors disagree under the action at "
                         f"{(i, j, k)}", law="compatible", witness=(i, j, k))
-    invt = inv.transpose()
-    zeros = [Fraction(0)] * n
-    rows = [tuple(sigma.data[r]) + tuple(zeros) for r in range(n)]
-    rows += [tuple(zeros) + tuple(invt.data[r]) for r in range(n)]
-    out = Mat(rows)
+    zero = Mat.zero(n, n)
+    out = vstack(hstack(sigma, zero), hstack(zero, inv.transpose()))
     if n >= 3 and not t1.is_zero() and not t2.is_zero():
         q1 = algebra_from_trivector(t1)
         q2 = algebra_from_trivector(t2)

@@ -15,8 +15,8 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     is_lagrangian, lagrangian_complement)
-from .linalg import (Fraction, Mat, Subspace, ZERO, inverse, is_zero_vec,
-                     vec, vstack, zero_vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse,
+                     is_zero_vec, vec, vstack, zero_vec)
 
 
 class CocycleCoeffs(AltCoeffs):
@@ -218,7 +218,8 @@ def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:
     """span{w(b, b')} inside B* coordinates."""
     g = _general(w)
-    return Subspace.from_rows(g.base.dim, list(g.values.values()))
+    return Subspace._of(g.base.dim, [{k: e for k, e in enumerate(v) if e}
+                                     for v in g.values.values()])
 
 
 def reduced_criteria(w: AltCoeffs) -> tuple[bool, bool, bool]:
@@ -249,24 +250,19 @@ def find_lagrangian_ideal(q: QuadraticStructure) -> Subspace | None:
             if is_lagrangian(q, d):
                 return d
         return None
-    cands = [tuple(Fraction(1) if t == s else ZERO for t in range(dim))
-             for s in range(dim)]
-    for s in range(dim):
-        for t in range(s + 1, dim):
-            for sg in (1, -1):
-                cands.append(tuple(
-                    Fraction(1) if u == s else (Fraction(sg) if u == t else ZERO)
-                    for u in range(dim)))
+    # e_s, then e_s + e_t and e_s - e_t for s < t
+    cands = [{s: ONE} for s in range(dim)]
+    cands += [{s: ONE, t: Fraction(sg)} for s in range(dim)
+              for t in range(s + 1, dim) for sg in (1, -1)]
     cur = Subspace.zero(dim)
     picked: list[tuple[Fraction, ...]] = []
-    for v in cands:
+    for c in cands:
         if cur.dim == n:
             break
-        if q.phi(v, v):
+        v = tuple(c.get(u, ZERO) for u in range(dim))
+        if q.phi(v, v) or any(q.phi(v, u) for u in picked):
             continue
-        if any(q.phi(v, u) for u in picked):
-            continue
-        grown = cur.sum(Subspace.from_rows(dim, [v]))
+        grown = cur.sum(Subspace._of(dim, [c]))
         if grown.dim > cur.dim:
             picked.append(v)
             cur = grown
@@ -286,8 +282,7 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
     if dim % 2:
         raise ValidationError("dimension is odd", law="even-dim")
     n = dim // 2
-    if not is_lagrangian(q, ideal):
-        raise ValidationError("subspace is not lagrangian", law="lagrangian")
+    L = lagrangian_complement(q, ideal)  # checks that ideal is lagrangian
     ibasis = ideal.basis.data
     for a, u in enumerate(ibasis):
         for v in ibasis[a + 1:]:
@@ -297,11 +292,11 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
         for u in ibasis:
             if not ideal.contains_vec(q.alg.bracket_basis_vec(s, u)):
                 raise ValidationError("subspace is not an ideal", law="ideal")
-    L = lagrangian_complement(q, ideal)
     lrows = L.basis.data
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
     # rows: the coordinates along L, then the pairings phi(l_c, .)
-    iso = Mat._of(coords.data[:n] + (L.basis * q.form).data, dim)
+    iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
+                  dim)
     brackets = {}
     wvals = {}
     for a in range(1, n + 1):

@@ -397,9 +397,9 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     from quadlie.tstar import find_lagrangian_ideal
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
-    rows = Mat._of(alg.brackets.values(), alg.dim)
-    centre_rows = Mat._of(None, alg.dim, alg._centraliser_rows(
-        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values())
+    rows = Mat._of([dict(nz) for nz in alg.terms.values()], alg.dim)
+    centre_rows = Mat._of(alg._centraliser_rows(
+        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values(), alg.dim)
     real = linalg.rref
     runs = []
     centre_runs = []

@@ -120,6 +120,30 @@ def test_skew_derivation_wrapper_validates():
         assert e.value.law == "derivation"
 
 
+def test_skew_derivation_of_another_base_is_validated():
+    aq1 = QuadraticStructure(abelian(6), hyperbolic_form(3))
+    aq2 = tstar_extend(parse_coeffs("123"))
+    d = random_skew_derivation(aq1, 1)
+    with pytest.raises(ValidationError) as plain:
+        SkewDerivation(aq2, d)
+    assert plain.value.law == "derivation"
+    want = (plain.value.law, plain.value.witness, str(plain.value))
+    foreign = SkewDerivation(aq1, d)
+    for f in (double_extend_1d, two_step_criterion, centre_formula_1d,
+              inner_preimage, lambda aq, d: double_extend(aq, abelian(1),
+                                                          [d])):
+        with pytest.raises(ValidationError) as e:
+            f(aq2, foreign)
+        assert (e.value.law, e.value.witness, str(e.value)) == want
+    with pytest.raises(ValidationError, match="must be 0x0"):
+        double_extend_1d(None, foreign)
+    # checked against an equal structure, the map is trusted as it is
+    same = QuadraticStructure(abelian(6), hyperbolic_form(3))
+    ext = double_extend_1d(same, foreign)
+    assert ext == double_extend_1d(aq1, d)
+    assert not ext.alg.jacobi_defect()
+
+
 def test_double_extend_1d_bracket_layout():
     # b = label 1, core 2..5, beta = 6
     aq = hyperbolic_abelian(2)

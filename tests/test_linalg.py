@@ -247,7 +247,7 @@ def _dense_rref(m):
         pr += 1
         if pr == nr:
             break
-    return Mat._of(rows, nc), tuple(pivots)
+    return Mat.from_rows(rows, nc), tuple(pivots)
 
 
 def _recorded_systems(monkeypatch):
@@ -346,20 +346,36 @@ def _assert_view(m):
         assert list(row.items()) == [(j, e) for j, e in enumerate(r) if e]
 
 
+def _built_forms():
+    """The forms the constructions write as sparse rows: hyperbolic forms,
+    and double-extension forms over the zero algebra, over hyperbolic and
+    T* bases, and by a two-dimensional algebra."""
+    from quadlie import (abelian, double_extend, double_extend_1d,
+                         hyperbolic_form)
+    from quadlie.acceptance import _random_extension_case
+    forms = [hyperbolic_form(n) for n in range(5)]
+    forms.append(double_extend_1d(None, Mat.zero(0, 0)).form)
+    for seed in range(2000, 2008):
+        aq, d = _random_extension_case(seed)
+        forms.append(double_extend_1d(aq, d).form)
+        forms.append(double_extend(aq, abelian(2), [d, d]).form)
+    return forms
+
+
 def test_sparse_rows_match_dense_rows(monkeypatch):
     systems = _recorded_systems(monkeypatch) + _random_systems()
     systems += [Mat.zero(0, 3), Mat.zero(3, 0), Mat.zero(2, 2)]
     systems += [Mat([[0, "1/2", 0], [3, 0, -1]]), Mat.identity(3)]
-    systems.append(Mat._of([(Fraction(0), Fraction(5)),
-                            (Fraction(-2), Fraction(0))], 2))
+    systems.append(Mat._of([{1: Fraction(5)}, {0: Fraction(-2)}], 2))
+    systems += _built_forms()
     for m in systems:
         _assert_view(m)
-        # a matrix given its sparse rows alone makes the same dense rows
-        dense = Mat._of(m.data, m.cols)
-        alone = Mat._of(None, m.cols, dense.sparse_rows)
+        # its dense view, validated back, is the same matrix
+        dense = Mat.from_rows(m.data, m.cols)
+        alone = Mat._of(dense.sparse_rows, m.cols)
         assert (alone.rows, alone.cols) == (m.rows, m.cols)
-        assert alone.data == dense.data
-        assert alone == dense and hash(alone) == hash(dense)
+        assert alone.data == dense.data == m.data
+        assert alone == dense == m and hash(alone) == hash(dense) == hash(m)
         t = m.transpose()
         _assert_view(t)
         _assert_view(m * t)
@@ -373,3 +389,184 @@ def test_sparse_rows_match_dense_rows(monkeypatch):
             # contains_vec takes a basis row's first key as its pivot
             assert [next(iter(r)) for r in s.basis.sparse_rows] == \
                 list(rref(s.basis)[1])
+
+
+# ---- the sparse Mat operations against the dense ones they replaced ----
+
+def _dense(rows, cols):
+    return Mat.from_rows([list(r) for r in rows], cols)
+
+
+def _old_transpose(m):
+    return _dense(zip(*m.data) if m.rows else ((),) * m.cols, m.rows)
+
+
+def _old_same_shape(a, b):
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ValueError("shape mismatch")
+
+
+def _old_add(a, b):
+    _old_same_shape(a, b)
+    return _dense(([x + y for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(a.data, b.data)), a.cols)
+
+
+def _old_sub(a, b):
+    _old_same_shape(a, b)
+    return _dense(([x - y for x, y in zip(r1, r2)]
+                   for r1, r2 in zip(a.data, b.data)), a.cols)
+
+
+def _old_neg(a):
+    return _dense(([-x for x in r] for r in a.data), a.cols)
+
+
+def _old_scale(a, c):
+    c = scalar(c)
+    return _dense(([c * x for x in r] for r in a.data), a.cols)
+
+
+def _old_mul(a, b):
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * "
+                         f"{b.rows}x{b.cols}")
+    return _dense(([sum((r[j] * b.data[j][k] for j in range(a.cols)),
+                        start=Fraction(0)) for k in range(b.cols)]
+                   for r in a.data), b.cols)
+
+
+def _old_is_symmetric(m):
+    if m.rows != m.cols:
+        return False
+    d = m.data
+    return all(d[i][j] == d[j][i]
+               for i in range(m.rows) for j in range(i + 1, m.cols))
+
+
+def _old_is_skew(m):
+    if m.rows != m.cols:
+        return False
+    d = m.data
+    if any(d[i][i] for i in range(m.rows)):
+        return False
+    return all(d[i][j] == -d[j][i]
+               for i in range(m.rows) for j in range(i + 1, m.cols))
+
+
+def _old_hstack(a, b):
+    if a.rows != b.rows:
+        raise ValueError("row mismatch")
+    return _dense((ra + rb for ra, rb in zip(a.data, b.data)),
+                  a.cols + b.cols)
+
+
+def _old_vstack(a, b):
+    if a.cols != b.cols:
+        raise ValueError("col mismatch")
+    return Mat.from_rows(list(a.data) + list(b.data), cols=a.cols)
+
+
+def _old_inverse(m):
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    n = m.rows
+    R, pivots = rref(_old_hstack(m, Mat.identity(n)))
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("singular matrix")
+    return _dense((r[n:] for r in R.data), n)
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the error it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def _same(got, want):
+    if isinstance(want, Mat):
+        assert isinstance(got, Mat)
+        _assert_view(got)
+        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.data == want.data and got == want
+        assert hash(got) == hash(want)
+    else:
+        assert got == want
+
+
+def _operand_pairs():
+    """Seeded (a, b) pairs: same shapes, including 0xk and kx0, with
+    fractional entries, b sometimes cancelling rows of a or symmetric or
+    skew; and pairs of other shapes."""
+    from quadlie import SplitMix64
+    g = SplitMix64(4242)
+
+    def mat(nr, nc, density):
+        return Mat([[Fraction(g.randint(-3, 3), g.randint(1, 4))
+                     if g.randint(0, density) == 0 else 0
+                     for _ in range(nc)] for _ in range(nr)]) \
+            if nr else Mat.zero(0, nc)
+
+    pairs = []
+    for _ in range(160):
+        kind = g.randint(0, 3)
+        nr = g.randint(0, 5)
+        nc = nr if kind == 1 else g.randint(0, 5)
+        a = mat(nr, nc, g.randint(0, 3))
+        if kind == 0:
+            # b cancels some rows of a, and a + b has zero rows
+            b = Mat.from_rows([[-x for x in r] if g.randint(0, 1) else r
+                               for r in a.data], nc)
+        elif kind == 1:
+            b = a + a.transpose() if g.randint(0, 1) else a - a.transpose()
+        else:
+            b = mat(nr, nc, g.randint(0, 3))
+        pairs.append((a, b))
+        pairs.append((a, mat(nc, g.randint(0, 5), g.randint(0, 3))))
+        pairs.append((a, mat(g.randint(0, 5), g.randint(0, 5), 1)))
+    return pairs
+
+
+def test_sparse_mat_operations_match_dense_reference():
+    from quadlie import hyperbolic_form
+    pairs = _operand_pairs()
+    singular = invertible = cancelled = 0
+    for a, b in pairs:
+        for new, old in ((Mat.__add__, _old_add), (Mat.__sub__, _old_sub),
+                         (Mat.__mul__, _old_mul), (hstack, _old_hstack),
+                         (vstack, _old_vstack)):
+            _same(_outcome(new, a, b), _outcome(old, a, b))
+        total = _outcome(Mat.__add__, a, b)
+        cancelled += isinstance(total, Mat) and any(
+            r and not t for r, t in zip(a.sparse_rows, total.sparse_rows))
+        for m in (a, b):
+            _same(m.transpose(), _old_transpose(m))
+            _same(-m, _old_neg(m))
+            for c in (0, "-2/3", Fraction(5)):
+                _same(m.scale(c), _old_scale(m, c))
+            assert m.is_symmetric() == _old_is_symmetric(m)
+            assert m.is_skew() == _old_is_skew(m)
+            got, want = _outcome(inverse, m), _outcome(_old_inverse, m)
+            _same(got, want)
+            singular += want == ("ValueError", "singular matrix")
+            invertible += isinstance(want, Mat)
+    assert singular > 20 and invertible > 20
+    assert sum(a.is_symmetric() for a, _ in pairs) > 20
+    assert sum(b.is_skew() and not b.is_zero() for _, b in pairs) > 5
+    assert cancelled > 10
+    h = hyperbolic_form(3)
+    assert h.is_symmetric() and _old_is_symmetric(h)
+    _same(h * h, _old_mul(h, h))
+
+
+def test_entry_and_col_raise_index_error():
+    m = Mat([[1, "1/2", 0], [0, 0, 3]])
+    assert m.entry(0, 1) == Fraction(1, 2) and m.entry(1, 0) == 0
+    assert m.col(2) == (0, 3)
+    for i, j in ((2, 0), (0, 3), (5, 5)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+    with pytest.raises(IndexError):
+        m.col(3)

@@ -39,6 +39,18 @@ def test_randint_bounds_and_determinism():
         SplitMix64(1).randint(3, 2)
 
 
+def test_randint_range_holds_at_most_one_draw():
+    # one draw has 2**64 outcomes; a wider range is refused, not looped on
+    with pytest.raises(QuadlieError):
+        SplitMix64(1).randint(0, 2 ** 64)
+    with pytest.raises(QuadlieError):
+        SplitMix64(1).randint(-2 ** 64, 2 ** 64)
+    # the widest range takes each draw as it comes
+    assert SplitMix64(1).randint(0, 2 ** 64 - 1) == SplitMix64(1).next_u64()
+    assert SplitMix64(5).randint(-1, 2 ** 64 - 2) == \
+        SplitMix64(5).next_u64() - 1
+
+
 def test_nonzero_entry_range():
     g = SplitMix64(7)
     vals = [g.nonzero_entry() for _ in range(100)]

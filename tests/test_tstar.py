@@ -181,6 +181,28 @@ def test_decompose_rejects_bad_subspace():
     assert e.value.law == "lagrangian"
 
 
+def test_decompose_checks_lagrangian_once(monkeypatch):
+    from quadlie import forms
+    q = tstar_extend(parse_coeffs("123+145"))
+    ideal = q.alg.derived()
+    seen = []
+    real = forms.orthogonal_complement
+
+    def counting(q, s):
+        seen.append(s)
+        return real(q, s)
+
+    monkeypatch.setattr(forms, "orthogonal_complement", counting)
+    decompose_as_tstar(q, ideal)
+    assert seen == [ideal]
+    # the dimension is checked before the subspace
+    odd = QuadraticStructure(abelian(1), Mat.identity(1))
+    with pytest.raises(ValidationError) as e:
+        decompose_as_tstar(odd, Subspace.full(1))
+    assert e.value.law == "even-dim"
+    assert seen == [ideal]
+
+
 def test_decompose_rejects_non_ideal():
     # for lagrangian S, abelian and ideal are equivalent (invariance gives
     # [x,v] perp S), so a bad input trips the abelian check first
