@@ -33,7 +33,7 @@ from .trivector import (Trivector, algebra_from_trivector, contract, delta,
                         trivector_kernel, trivector_rank)
 from .tstar import (CocycleCoeffs, GeneralCocycle, cocycle_defect,
                     cyclic_defect, decompose_as_tstar, find_lagrangian_ideal,
-                    inflation, is_cyclic, is_two_cocycle, radical,
-                    reduced_criteria, tstar_extend, value_span)
+                    is_cyclic, is_two_cocycle, radical, reduced_criteria,
+                    tstar_extend, value_span)
 
 __version__ = "0.1.0"

@@ -38,12 +38,17 @@ class LieAlgebra:
             nz = tuple((r, c) for r, c in enumerate(v) if c)
             if nz:
                 terms[(i, j)] = nz
-        self.dim = dim
-        self.terms = terms
-        self._jacobi = None
-        self._ad = None
-        self._derived = None
-        self._centre = None
+        self.dim, self.terms = dim, terms
+        self._jacobi = self._ad = self._derived = self._centre = None
+
+    @classmethod
+    def _of(cls, dim: int, terms: dict) -> "LieAlgebra":
+        """Trusted constructor: terms as stored, keys 1 <= i < j <= dim, each
+        value nonempty, its Fractions nonzero and its r ascending."""
+        alg = object.__new__(cls)
+        alg.dim, alg.terms = dim, terms
+        alg._jacobi = alg._ad = alg._derived = alg._centre = None
+        return alg
 
     def _dense(self, nz) -> tuple[Fraction, ...]:
         v = [ZERO] * self.dim
@@ -84,22 +89,27 @@ class LieAlgebra:
         return self._dense(self.terms.get((i, j), ()))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """sum x_a y_b [e_a, e_b] over the support a of x and the stored
-        brackets [e_a, e_b] that meet the support of y."""
-        x = vec(x)
-        y = vec(y)
+        x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length mismatch")
-        out = [ZERO] * self.dim
+        x, y = ({a: c for a, c in enumerate(v) if c} for v in (x, y))
+        return self._dense(self._bracket(x, y).items())
+
+    def _bracket(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
+                 ) -> dict[int, Fraction]:
+        """[x, y] for sparse x and y, {a: x_a} over nonzero Fractions: sum
+        x_a y_b [e_a, e_b] over the support a of x and the stored [e_a, e_b]
+        that meet the support of y; nonzero entries, columns ascending."""
         ad = self._ad_index()
-        for a, xa in enumerate(x):
-            if xa:
-                for b, nz in ad[a]:
-                    if y[b]:
-                        f = xa * y[b]
-                        for r, c in nz:
-                            out[r] += f * c
-        return tuple(out)
+        out: dict[int, Fraction] = {}
+        for a, xa in x.items():
+            for b, nz in ad[a]:
+                yb = y.get(b)
+                if yb:
+                    f = xa * yb
+                    for r, c in nz:
+                        out[r] = out.get(r, ZERO) + f * c
+        return {r: c for r, c in sorted(out.items()) if c}
 
     def bracket_basis_vec(self, i: int, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """[e_i, y]."""
@@ -275,24 +285,20 @@ class LieAlgebra:
         if sorted(perm) != list(range(1, self.dim + 1)):
             raise ValueError("not a permutation of 1..dim")
         inv = {old: new for new, old in enumerate(perm, start=1)}
-        out: dict[tuple[int, int], list[Fraction]] = {}
+        out = {}
         for (i, j), nz in self.terms.items():
             a, b = inv[i], inv[j]
-            v = [ZERO] * self.dim
-            for r, c in nz:
-                # e_{r+1} = f_{inv[r+1]}, and [f_b, f_a] = -[f_a, f_b]
-                v[inv[r + 1] - 1] = c if a < b else -c
-            out[(a, b) if a < b else (b, a)] = v
-        return LieAlgebra(self.dim, out)
+            # e_{r+1} = f_{inv[r+1]}, and [f_b, f_a] = -[f_a, f_b]
+            out[(a, b) if a < b else (b, a)] = tuple(sorted(
+                (inv[r + 1] - 1, c if a < b else -c) for r, c in nz))
+        return LieAlgebra._of(self.dim, out)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        n, m = self.dim, other.dim
-        out: dict[tuple[int, int], list[Fraction]] = {}
-        for (i, j), v in self.brackets.items():
-            out[(i, j)] = list(v) + [ZERO] * m
-        for (i, j), v in other.brackets.items():
-            out[(i + n, j + n)] = [ZERO] * n + list(v)
-        return LieAlgebra(n + m, out)
+        n = self.dim
+        out = dict(self.terms)
+        for (i, j), nz in other.terms.items():
+            out[(i + n, j + n)] = tuple((r + n, c) for r, c in nz)
+        return LieAlgebra._of(n + other.dim, out)
 
 
 def abelian(dim: int) -> LieAlgebra:

@@ -14,8 +14,7 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, kernel, solve,
-                     zero_vec)
+from .linalg import Fraction, Mat, ONE, Subspace, ZERO, kernel, solve
 from .tstar import GeneralCocycle, _tstar_algebra, value_span
 
 
@@ -145,16 +144,15 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
     amn = aq.dim if aq is not None else 0
     mats = [_deriv_mat(aq, d) for d in phi]
 
-    def phi_of(x: Sequence[Fraction]) -> Mat:
+    def phi_of(nz) -> Mat:  # phi of the bracket with nonzero terms nz
         out = Mat.zero(amn, amn)
-        for c, mat in zip(x, mats):
-            if c:
-                out = out + mat.scale(c)
+        for r, c in nz:
+            out = out + mats[r].scale(c)
         return out
 
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            lhs = phi_of(b.bracket_basis(i, j))
+            lhs = phi_of(b.terms.get((i, j), ()))
             rhs = mats[i - 1] * mats[j - 1] - mats[j - 1] * mats[i - 1]
             if lhs != rhs:
                 raise ValidationError(
@@ -353,14 +351,14 @@ def chain_to_algebra(ch: ExtensionChain) -> QuadraticStructure:
             raise ValidationError(f"link {k} not skew at {bad[0]}",
                                   law="skew", witness=bad[0])
     n = ch.n
-    dco = chain_dcoeffs(ch)
-    brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            star = [dco.value(i, j, k) for k in range(1, n + 1)]
-            if any(star):
-                brackets[(i, j)] = zero_vec(n) + tuple(star)
-    return QuadraticStructure(LieAlgebra(2 * n, brackets), hyperbolic_form(n))
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j, k), c in chain_dcoeffs(ch).terms:
+        # D_ijk is alternating: it puts c, -c and c at e_k*, e_j* and e_i*
+        rows.setdefault((i, j), {})[n + k - 1] = c
+        rows.setdefault((i, k), {})[n + j - 1] = -c
+        rows.setdefault((j, k), {})[n + i - 1] = c
+    terms = {key: tuple(sorted(rows[key].items())) for key in sorted(rows)}
+    return QuadraticStructure(LieAlgebra._of(2 * n, terms), hyperbolic_form(n))
 
 
 def chain_reduced_check(ch: ExtensionChain) -> bool:

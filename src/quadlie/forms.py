@@ -126,12 +126,13 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
         return False, "shape mismatch"
     if rank(m) != q1.dim:
         return False, "not invertible"
-    if m.transpose() * q2.form * m != q1.form:
+    mt = m.transpose()  # row j holds the image of e_{j+1}
+    if mt * q2.form * m != q1.form:
         return False, "form not preserved"
-    cols = [m.col(j) for j in range(m.cols)]
+    cols = mt.sparse_rows
     for (i, j) in _all_pairs(q1.dim):
-        lhs = m.matvec(q1.alg.bracket_basis(i, j))
-        rhs = q2.alg.bracket(cols[i - 1], cols[j - 1])
+        lhs = mt._vecmat(q1.alg.terms.get((i, j), ()))
+        rhs = q2.alg._bracket(cols[i - 1], cols[j - 1])
         if lhs != rhs:
             return False, f"bracket not preserved at ({i},{j})"
     return True, "ok"

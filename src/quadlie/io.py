@@ -13,7 +13,7 @@ from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
 from .errors import QuadlieError
 from .forms import QuadraticStructure
-from .linalg import Mat, scalar, scalar_str
+from .linalg import Fraction, Mat, scalar, scalar_str
 from .quadfam import QuadraticFamily
 from .tstar import CocycleCoeffs, GeneralCocycle
 
@@ -39,14 +39,20 @@ def _expect(obj: Any, key: str, kind: str):
     return obj[key]
 
 
-def _scalar_in(x, where: str):
+def _scalar_in(x, where: str, memo: dict | None = None):
+    """memo keeps each string parsed so far: str keys alone, so the float
+    1.0 never meets "1", and no bad string, which fails where first read."""
+    if memo is not None and isinstance(x, str):
+        if x not in memo:
+            memo[x] = _scalar_in(x, where)
+        return memo[x]
     try:
         return scalar(x)
     except (ValueError, TypeError, ZeroDivisionError):
         raise QuadlieError(f"bad scalar {x!r} in {where}")
 
 
-def _mat_in(rows, where: str) -> Mat:
+def _mat_in(rows, where: str, memo: dict | None = None) -> Mat:
     if not isinstance(rows, list) or any(not isinstance(r, list)
                                          for r in rows):
         raise QuadlieError(f"{where}: matrix must be a list of rows")
@@ -54,7 +60,7 @@ def _mat_in(rows, where: str) -> Mat:
         return Mat.zero(0, 0)
     if any(len(r) != len(rows[0]) for r in rows):
         raise QuadlieError(f"{where}: rows differ in length")
-    return Mat([[_scalar_in(e, where) for e in r] for r in rows])
+    return Mat([[_scalar_in(e, where, memo) for e in r] for r in rows])
 
 
 def _mat_out(m: Mat) -> list[list[str]]:
@@ -87,6 +93,7 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
     entries = _expect(obj, "brackets", "algebra")
     if not isinstance(entries, list):
         raise QuadlieError("algebra brackets must be a list")
+    memo: dict[str, Fraction] = {}  # one parse per distinct string
     brackets = {}
     for ent in entries:
         i = _expect(ent, "i", "bracket")
@@ -98,15 +105,15 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
             raise QuadlieError(f"bracket ({i},{j}): value must be a list")
         if (i, j) in brackets:
             raise QuadlieError(f"duplicate bracket ({i},{j})")
-        brackets[(i, j)] = tuple(_scalar_in(c, f"bracket ({i},{j})")
-                                 for c in v)
+        where = f"bracket ({i},{j})"
+        brackets[(i, j)] = tuple(_scalar_in(c, where, memo) for c in v)
     try:
         alg = LieAlgebra(dim, brackets)
     except ValueError as e:
         raise QuadlieError(str(e))
     form = None
     if isinstance(obj, dict) and obj.get("form") is not None:
-        form = _mat_in(obj["form"], "form")
+        form = _mat_in(obj["form"], "form", memo)
     return alg, form
 
 

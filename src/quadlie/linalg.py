@@ -176,15 +176,19 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * "
                              f"{other.rows}x{other.cols}")
-        orows = other.sparse_rows
-        out = []
-        for r in self.sparse_rows:
-            v: dict[int, Fraction] = {}
-            for j, c in r.items():
-                for k, e in orows[j].items():
-                    v[k] = v.get(k, ZERO) + c * e
-            out.append({k: x for k, x in sorted(v.items()) if x})
-        return Mat._of(out, other.cols)
+        return Mat._of([other._vecmat(r.items()) for r in self.sparse_rows],
+                       other.cols)
+
+    def _vecmat(self, x: Iterable[tuple[int, Fraction]]
+                ) -> dict[int, Fraction]:
+        """x self for x given as (row, entry) pairs: the sum of entry times
+        that row, as its nonzero entries, columns ascending."""
+        rows = self.sparse_rows
+        v: dict[int, Fraction] = {}
+        for j, c in x:
+            for k, e in rows[j].items():
+                v[k] = v.get(k, ZERO) + c * e
+        return {k: e for k, e in sorted(v.items()) if e}
 
     def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if self.cols != len(x):
@@ -352,17 +356,20 @@ class Subspace:
     def contains_vec(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("length mismatch")
-        # reduce v against the RREF basis; a row's first key is its pivot
-        v = [scalar(e) for e in v]
-        for row in self.basis.sparse_rows:
-            f = v[next(iter(row))]
-            if f:
-                for j, e in row.items():
-                    v[j] -= f * e
-        return not any(v)
+        return self._holds([{j: e for j, e in enumerate(vec(v)) if e}])
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vec(r) for r in other.basis.data)
+        if other.dim and other.ambient_dim != self.ambient_dim:
+            raise ValueError("length mismatch")
+        return self._holds(other.basis.sparse_rows)
+
+    def _holds(self, rows: Iterable[dict[int, Fraction]]) -> bool:
+        """Whether every sparse row of nonzero Fractions lies in the span.
+        The basis is in RREF, each row's first key its pivot, so v does
+        exactly when v = sum v_p b_p over the pivots p in v's support."""
+        lead = {next(iter(b)): k for k, b in enumerate(self.basis.sparse_rows)}
+        return all(v == self.basis._vecmat((lead[p], f) for p, f in v.items()
+                                           if p in lead) for v in rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, Subspace, rank, zero_vec
+from .linalg import Mat, Subspace, rank
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,16 @@ def validate_family(fam: QuadraticFamily) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
+def _columns(fam: QuadraticFamily) -> dict[tuple[int, int], dict]:
+    """Column j of M_i for i < j, keyed (i, j) and read off row j of the
+    transpose: the dual part of [e_i, e_j], as a sparse row."""
+    return {(i, j): col for i, m in enumerate(fam.mats, start=1)
+            for j, col in enumerate(m.transpose().sparse_rows[i:], i + 1)}
+
+
 def f_matrix(fam: QuadraticFamily) -> Mat:
     """n x n(n-1)/2 matrix whose block i holds columns i+1..n of M_i."""
-    cols: list[tuple] = []
-    for i in range(1, fam.n):
-        m = fam.mats[i - 1]
-        for j in range(i + 1, fam.n + 1):
-            cols.append(m.col(j - 1))
-    if not cols:
-        return Mat.zero(fam.n, 0)
-    return Mat.from_rows(list(zip(*cols)), cols=len(cols))
+    return Mat._of(list(_columns(fam).values()), fam.n).transpose()
 
 
 def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
@@ -76,10 +76,7 @@ def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
 
 
 def family_bracket_span(fam: QuadraticFamily) -> Subspace:
-    # column j of M_i is row j of its transpose
-    ts = [m.transpose().sparse_rows for m in fam.mats]
-    return Subspace._of(fam.n, [ts[i][j] for i in range(fam.n)
-                                for j in range(i + 1, fam.n)])
+    return Subspace._of(fam.n, list(_columns(fam).values()))
 
 
 def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:
@@ -88,15 +85,9 @@ def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:
     if not ok:
         raise ValidationError("; ".join(problems), law="family")
     n = fam.n
-    brackets = {}
-    nonzero = False
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            star = fam.mats[i - 1].col(j - 1)
-            if any(star):
-                brackets[(i, j)] = zero_vec(n) + tuple(star)
-                nonzero = True
-    if not nonzero:
+    terms = {key: tuple((n + k, c) for k, c in col.items())
+             for key, col in _columns(fam).items() if col}
+    if not terms:
         raise ValidationError("every matrix in the family is zero",
                               law="nonzero")
-    return QuadraticStructure(LieAlgebra(2 * n, brackets), hyperbolic_form(n))
+    return QuadraticStructure(LieAlgebra._of(2 * n, terms), hyperbolic_form(n))

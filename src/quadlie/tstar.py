@@ -14,7 +14,7 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
-                    is_lagrangian, lagrangian_complement)
+                    lagrangian_complement)
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse,
                      is_zero_vec, vec, vstack, zero_vec)
 
@@ -102,10 +102,10 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
     """
     m = w.base.dim
     star = m + (aq.dim if aq is not None else 0)  # e_k* has label star + k
-    brackets: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def row(i, j):
-        return brackets.setdefault((i, j), [ZERO] * (star + m))
+        return rows.setdefault((i, j), {})
     for (i, j), v in w.base.terms.items():
         base = row(i, j)
         for k, c in v:
@@ -114,7 +114,7 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
             row(i, star + k + 1)[star + j - 1] = -c
             row(j, star + k + 1)[star + i - 1] = c
     for pair, v in w.values.items():
-        row(*pair)[star:] = v
+        row(*pair).update((star + k, c) for k, c in enumerate(v) if c)
     if aq is not None:
         for (i, j), v in aq.alg.terms.items():
             a = row(m + i, m + j)
@@ -134,7 +134,9 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
             for (s, j), x in beta.items():
                 if x:
                     row(m + s + 1, m + j + 1)[star + k - 1] = x
-    return LieAlgebra(star + m, brackets)
+    # every entry written is nonzero, and no entry is written twice
+    return LieAlgebra._of(star + m, {key: tuple(sorted(r.items()))
+                                     for key, r in rows.items()})
 
 
 def cyclic_defect(w: GeneralCocycle | AltCoeffs
@@ -212,7 +214,9 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
     """{b in B : w(b, -) = 0}: the centre of the bracket w on B."""
     g = _general(w)
-    return LieAlgebra(g.base.dim, g.values).centre()
+    return LieAlgebra._of(g.base.dim, {
+        pair: tuple((k, e) for k, e in enumerate(v) if e)
+        for pair, v in g.values.items()}).centre()
 
 
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:
@@ -245,10 +249,10 @@ def find_lagrangian_ideal(q: QuadraticStructure) -> Subspace | None:
     if not alg.is_lie():
         return None
     if alg.terms:
+        # D^perp = Z in every quadratic Lie algebra; two-step gives D <= Z
+        # and reduced Z <= D, so D = Z = D^perp is lagrangian
         if alg.nilindex() == 2 and alg.is_reduced():
-            d = alg.derived()
-            if is_lagrangian(q, d):
-                return d
+            return alg.derived()
         return None
     # e_s, then e_s + e_t and e_s - e_t for s < t
     cands = [{s: ONE} for s in range(dim)]
@@ -283,48 +287,33 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
         raise ValidationError("dimension is odd", law="even-dim")
     n = dim // 2
     L = lagrangian_complement(q, ideal)  # checks that ideal is lagrangian
-    ibasis = ideal.basis.data
+    ibasis = ideal.basis.sparse_rows
     for a, u in enumerate(ibasis):
         for v in ibasis[a + 1:]:
-            if not is_zero_vec(q.alg.bracket(u, v)):
+            if q.alg._bracket(u, v):
                 raise ValidationError("ideal is not abelian", law="abelian")
-    for s in range(1, dim + 1):
-        for u in ibasis:
-            if not ideal.contains_vec(q.alg.bracket_basis_vec(s, u)):
-                raise ValidationError("subspace is not an ideal", law="ideal")
-    lrows = L.basis.data
+    if not ideal._holds(q.alg._bracket({s: ONE}, u)
+                        for s in range(dim) for u in ibasis):
+        raise ValidationError("subspace is not an ideal", law="ideal")
+    lrows = L.basis.sparse_rows
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
     # rows: the coordinates along L, then the pairings phi(l_c, .)
     iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
                   dim)
+    iso_t = iso.transpose()
     brackets = {}
     wvals = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            v = iso.matvec(q.alg.bracket(lrows[a - 1], lrows[b - 1]))
-            lam, wv = v[:n], v[n:]
-            if any(lam):
-                brackets[(a, b)] = lam
-            if any(wv):
-                wvals[(a, b)] = wv
-    B = LieAlgebra(n, brackets)
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = iso_t._vecmat(q.alg._bracket(lrows[a], lrows[b]).items())
+            lam = tuple((k, c) for k, c in v.items() if k < n)
+            if lam:
+                brackets[(a + 1, b + 1)] = lam
+            if len(lam) < len(v):
+                wvals[(a + 1, b + 1)] = [v.get(k, ZERO) for k in range(n, dim)]
+    B = LieAlgebra._of(n, brackets)
     w = GeneralCocycle(B, wvals)
     ok, why = is_isometry(q, tstar_extend(w), iso)
     if not ok:
         raise ValidationError(f"recovered map failed verification: {why}")
     return B, w, iso
-
-
-def inflation(base: LieAlgebra, base_form: Mat) -> QuadraticStructure:
-    """T*_0(base) carrying the hyperbolic form enlarged by a form on base.
-
-    base_form must be symmetric and invariant for base; the result's form is
-    beta(b') + beta'(b) + base_form(b, b').
-    """
-    n = base.dim
-    split = tstar_extend(GeneralCocycle(base, {}))
-    f = [list(r) for r in hyperbolic_form(n).data]
-    for i in range(n):
-        for j in range(n):
-            f[i][j] += base_form.data[i][j]
-    return QuadraticStructure(split.alg, Mat(f))

@@ -7,9 +7,9 @@ from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      QuadraticStructure, Subspace, ValidationError, abelian,
                      cocycle_defect, cyclic_defect, decompose_as_tstar,
                      find_lagrangian_ideal, heisenberg, hyperbolic_form,
-                     inflation, is_cyclic, is_isometry, is_two_cocycle,
-                     kernel, parse_coeffs, radical, reduced_criteria,
-                     tstar_extend, value_span)
+                     is_cyclic, is_isometry, is_two_cocycle, kernel,
+                     parse_coeffs, radical, reduced_criteria, tstar_extend,
+                     value_span)
 from quadlie.randgen import SplitMix64, random_coeffs
 
 
@@ -213,14 +213,6 @@ def test_decompose_rejects_non_ideal():
     with pytest.raises(ValidationError) as e:
         decompose_as_tstar(q, base_half)
     assert e.value.law == "abelian"
-
-
-def test_inflation_carries_base_form():
-    # abelian base with identity form: still invariant, form has mixed block
-    q = inflation(abelian(2), Mat.identity(2))
-    assert q.form == Mat([[1, 0, 1, 0], [0, 1, 0, 1],
-                          [1, 0, 0, 0], [0, 1, 0, 0]])
-    assert q.alg == tstar_extend(CocycleCoeffs(2)).alg
 
 
 def test_random_cocycles_always_extend_quadratically():
