@@ -61,3 +61,27 @@ def test_criterion_7_worked_examples():
 def test_criterion_8_parameter_count():
     # C(n,3) equals 2n(2n-2)(2n-4)/48 for n=3..7
     _check(8, criterion_8)
+
+
+def test_criterion_6_verifies_each_map_once(monkeypatch):
+    from quadlie import acceptance, forms, tstar
+    from quadlie.errors import ValidationError
+    calls = []
+    real = forms.is_isometry
+
+    def counting(q1, q2, m):
+        calls.append(m)
+        return real(q1, q2, m)
+
+    monkeypatch.setattr(tstar, "is_isometry", counting)
+    assert criterion_6()[0]
+    assert len(calls) == 22
+
+    def failing(q, ideal):
+        raise ValidationError("recovered map failed verification: bracket "
+                              "not preserved at (1,2)")
+
+    monkeypatch.setattr(acceptance, "decompose_as_tstar", failing)
+    assert criterion_6() == (False, "L3,1: recovered map failed "
+                                    "verification: bracket not preserved "
+                                    "at (1,2)")

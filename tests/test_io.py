@@ -115,3 +115,51 @@ def test_load_json_round_trip(tmp_path):
     c = parse_coeffs("123+145", cls=CocycleCoeffs)
     p.write_text(dumps(coeffs_to_obj(c)))
     assert coeffs_from_obj(load_json(str(p))) == c
+
+
+def test_algebra_from_obj_parses_each_string_once(monkeypatch):
+    from quadlie import io
+    q = tstar_extend(parse_coeffs("123+145-2/3*[2,4,5]"))
+    obj = quadratic_to_obj(q)
+    strings = {e for b in obj["brackets"] for e in b["v"]}
+    strings |= {e for row in obj["form"] for e in row}
+    parsed = []
+    real = io.scalar
+
+    def counting(x):
+        parsed.append(x)
+        return real(x)
+
+    monkeypatch.setattr(io, "scalar", counting)
+    alg, form = algebra_from_obj(obj)
+    assert (alg, form) == (q.alg, q.form)
+    # one parse per distinct string, shared by the brackets and the form
+    assert sorted(parsed) == sorted(strings) == ["-1", "-2/3", "0", "1",
+                                                 "2/3"]
+    # the memo lives for one call: a second load parses again
+    algebra_from_obj(obj)
+    assert len(parsed) == 2 * len(strings)
+
+
+def test_algebra_from_obj_memo_keeps_errors():
+    # the float 1.0 never meets the parsed "1" or the integer 1
+    obj = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", 1, "1"]},
+                                  {"i": 1, "j": 3, "v": ["0", 1.0, "0"]}]}
+    with pytest.raises(QuadlieError, match=r"^bad scalar 1\.0 in "
+                                           r"bracket \(1,3\)$"):
+        algebra_from_obj(obj)
+    # a bad string fails where it is first read, in the brackets ...
+    obj = {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": ["x", "0"]}],
+           "form": [["0", "x"], ["x", "0"]]}
+    with pytest.raises(QuadlieError, match=r"^bad scalar 'x' in "
+                                           r"bracket \(1,2\)$"):
+        algebra_from_obj(obj)
+    # ... or in the form, and again after a good first use of "1"
+    obj = {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": ["1", "0"]}],
+           "form": [["1", "1/0"], ["1/0", "1"]]}
+    with pytest.raises(QuadlieError, match=r"^bad scalar '1/0' in form$"):
+        algebra_from_obj(obj)
+    obj = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "y"]},
+                                  {"i": 1, "j": 3, "v": ["0", "y", "0"]}]}
+    with pytest.raises(QuadlieError, match=r"bracket \(1,2\)$"):
+        algebra_from_obj(obj)

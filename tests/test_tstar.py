@@ -158,6 +158,43 @@ def test_find_lagrangian_ideal_on_reduced_extension():
     assert ideal == q.alg.derived()
 
 
+def _two_step_corpus():
+    from quadlie import (CATALOG, algebra_from_trivector, chain_to_algebra,
+                         coeffs_to_chain, lambda_trivector)
+    for e in CATALOG:
+        yield algebra_from_trivector(e.trivector)
+    for lam in (1, "-2/3"):
+        yield algebra_from_trivector(lambda_trivector(lam))
+    for seed in range(60):
+        c = random_coeffs(3 + seed % 6, seed=seed,
+                          density=Fraction(1 + seed % 3, 4), nonzero=True)
+        yield tstar_extend(c)
+        if seed % 4 == 0:
+            yield chain_to_algebra(coeffs_to_chain(c))
+    yield tstar_extend(det_cocycle())
+
+
+def test_found_derived_ideal_is_lagrangian(monkeypatch):
+    from quadlie import forms, is_lagrangian
+    found = 0
+    for q in _two_step_corpus():
+        ideal = find_lagrangian_ideal(q)
+        if ideal is not None:
+            found += 1
+            assert ideal == q.alg.derived()
+            assert is_lagrangian(q, ideal)
+        else:
+            assert not (q.alg.nilindex() == 2 and q.alg.is_reduced())
+    assert found >= 40
+    # D^perp = Z: the derived algebra is returned without solving for it
+    seen = []
+    monkeypatch.setattr(forms, "orthogonal_complement",
+                        lambda q, s: seen.append(s))
+    q = tstar_extend(parse_coeffs("123+145"))
+    assert find_lagrangian_ideal(q) == q.alg.derived()
+    assert seen == []
+
+
 def test_find_lagrangian_ideal_none_for_odd_like_cases():
     # dim 2 abelian with form having no isotropic half of the right size:
     # the identity form on 2 dims has no lagrangian over the rationals
