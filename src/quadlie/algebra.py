@@ -89,6 +89,7 @@ class LieAlgebra:
         return self._dense(self.terms.get((i, j), ()))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
+        """[x, y] for dense vectors of ints, Fractions or 'p/q' strings."""
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length mismatch")

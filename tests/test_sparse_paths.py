@@ -235,7 +235,7 @@ def test_tstar_builder_matches_dense_reference():
 
 
 def test_closed_form_builders_match_dense_reference():
-    inputs = [c for c in _seeded_coeffs()]
+    inputs = list(_seeded_coeffs())
     inputs += [_chain_cocycle(n) for n in (3, 8, 25)]
     inputs += [CocycleCoeffs(e.n, e.trivector.terms) for e in CATALOG]
     for c in inputs:
