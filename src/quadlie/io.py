@@ -40,8 +40,8 @@ def _expect(obj: Any, key: str, kind: str):
 
 
 def _scalar_in(x, where: str, memo: dict | None = None):
-    """memo keeps each string parsed so far: str keys alone, so the float
-    1.0 never meets "1", and no bad string, which fails where first read."""
+    """memo keeps the value of each good str parsed so far; only str keys,
+    since the float 1.0 would find a kept int 1. Bad strings fail each time."""
     if memo is not None and isinstance(x, str):
         if x not in memo:
             memo[x] = _scalar_in(x, where)
