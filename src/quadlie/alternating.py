@@ -103,10 +103,6 @@ class AltCoeffs:
             raise ValueError("dimension mismatch")
         return type(self)(self.n, list(self.terms) + list(other.terms))
 
-    def relabel(self, n: int) -> "AltCoeffs":
-        """Same coefficients in a new ambient dimension n (must fit)."""
-        return type(self)(n, self.terms)
-
     def contraction_with(self, x: Sequence[Fraction]) -> Mat:
         """The skew 2-form c(x, -, -) as an n x n matrix."""
         if len(x) != self.n:

@@ -14,7 +14,7 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import Fraction, Mat, ONE, Subspace, ZERO, kernel, solve
+from .linalg import Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel, solve
 from .tstar import GeneralCocycle, _tstar_algebra, value_span
 
 
@@ -22,24 +22,6 @@ def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
     """The nonzero entries (r, s, d[r][s]) of d, 0-based."""
     return [(r, s, c) for r, row in enumerate(d.sparse_rows)
             for s, c in row.items()]
-
-
-def _skew_map(form: Mat):
-    """The map d -> d^T F + F d as image(nonzero entries of d) ->
-    {(i, j): value}, 0-based: an entry d[r][s] = c meets row r of F in
-    d^T F and column r of F in F d."""
-    rows = form.sparse_rows
-    cols = form.transpose().sparse_rows
-
-    def image(entries) -> dict[tuple[int, int], Fraction]:
-        acc: dict[tuple[int, int], Fraction] = {}
-        for r, s, c in entries:
-            for j, f in rows[r].items():
-                acc[(s, j)] = acc.get((s, j), ZERO) + c * f
-            for i, f in cols[r].items():
-                acc[(i, s)] = acc.get((i, s), ZERO) + f * c
-        return acc
-    return image
 
 
 def _derivation_map(alg: LieAlgebra):
@@ -75,11 +57,19 @@ def _derivation_map(alg: LieAlgebra):
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
     """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0: the nonzero
-    entries of d^T F + F d."""
+    entries of d^T F + F d. An entry d[r][s] = c meets row r of F in d^T F
+    and column r of F in F d."""
     if not form.rows == form.cols == d.rows == d.cols:
         raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
                          f"d {d.rows}x{d.cols}")
-    acc = _skew_map(form)(_entries(d))
+    rows = form.sparse_rows
+    cols = form.transpose().sparse_rows
+    acc: dict[tuple[int, int], Fraction] = {}
+    for r, s, c in _entries(d):
+        for j, f in rows[r].items():
+            acc[(s, j)] = acc.get((s, j), ZERO) + c * f
+        for i, f in cols[r].items():
+            acc[(i, s)] = acc.get((i, s), ZERO) + f * c
     return [(i + 1, j + 1) for (i, j) in sorted(acc) if acc[(i, j)]]
 
 
@@ -115,15 +105,24 @@ class SkewDerivation:
 
 def _deriv_mat(aq: QuadraticStructure | None, d) -> Mat:
     """d's matrix, validated against aq unless d is a SkewDerivation that
-    was checked against an equal structure."""
+    was checked against an equal structure, or a matrix aq has accepted
+    before. A matrix is remembered only once it passes, so a bad one fails
+    with the same law and witness on every call."""
     if isinstance(d, SkewDerivation):
         if d.aq == aq:
             return d.mat
         d = d.mat
-    if aq is not None:
+    if aq is None:
+        if not (d.rows == d.cols == 0):
+            raise ValidationError("derivation of the zero algebra must be 0x0")
+        return d
+    seen = aq._derivations
+    if seen is None:
+        seen = set()
+        object.__setattr__(aq, "_derivations", seen)
+    if d not in seen:
         SkewDerivation(aq, d)  # validate
-    elif not (d.rows == d.cols == 0):
-        raise ValidationError("derivation of the zero algebra must be 0x0")
+        seen.add(d)
     return d
 
 
@@ -198,19 +197,20 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     """Closed-form centre of the one-dimensional double extension.
 
     (Z(A) intersect ker d) + the dual line, plus the line through b - x
-    exactly when d = ad(x) is inner.
+    exactly when d = ad(x) is inner. Z(A) intersect ker d is solved inside
+    the cached centre: the combinations sum a_k z_k of its basis with
+    sum a_k d(z_k) = 0.
     """
-    if aq is not None and isinstance(d, Mat):
-        d = SkewDerivation(aq, d)  # validated once, here
     dmat = _deriv_mat(aq, d)
     dim = (aq.dim if aq is not None else 0) + 2
     rows = []
     if aq is not None:
-        core = aq.alg.centre().intersect(kernel(dmat))
-        rows = [{j + 1: e for j, e in r.items()}
-                for r in core.basis.sparse_rows]
+        z = aq.alg.centre().basis
+        # column k of d z^T is d(z_k)
+        core = kernel(dmat * z.transpose()).basis * z
+        rows = [{j + 1: e for j, e in r.items()} for r in core.sparse_rows]
     rows.append({dim - 1: ONE})
-    x = inner_preimage(aq, d)
+    x = inner_preimage(aq, dmat)
     if x is not None:
         rows.append({0: ONE, **{j + 1: -c for j, c in enumerate(x) if c}})
     return Subspace._of(dim, rows)
@@ -367,23 +367,29 @@ def chain_reduced_check(ch: ExtensionChain) -> bool:
 
 
 def derivation_space(aq: QuadraticStructure) -> Subspace:
-    """All form-skew derivations, as row-major vectorized matrices: the
-    kernel of both law maps, whose column (r, s) is the image of E_rs.
+    """All form-skew derivations, as row-major vectorized matrices.
 
-    The skew rows come first, then the derivation rows, each block sorted;
-    the kernel is canonical, but this order eliminates fastest. Rows with
-    i > j go: skew row (j, i) repeats (i, j), and derivation keys have i < j.
-    Each row is a {column: entry} dict, filled in ascending column order.
+    With F symmetric, d is form-skew exactly when S = F d is alternating,
+    so d = G S for G = F^-1 and S = sum over a < b of s_ab (E_ab - E_ba):
+    the map D_ab has column b equal to column a of G and column a equal to
+    minus column b of G. Only the derivation law is solved, on the
+    n(n-1)/2 unknowns s_ab, one row per nonzero key of its map, keys
+    sorted; the kernel mapped back to d spans the space, and the RREF
+    basis of the Subspace is canonical.
     """
     n = aq.dim
-    nn = n * n
-    maps = (_skew_map(aq.form), _derivation_map(aq.alg))
-    blocks: tuple[dict, dict] = ({}, {})
-    for r in range(n):
-        for s in range(n):
-            for image, rows in zip(maps, blocks):
-                for key, x in image(((r, s, ONE),)).items():
-                    if x and key[0] <= key[1]:
-                        rows.setdefault(key, {})[r * n + s] = x
-    return kernel(Mat._of([rows[k] for rows in blocks for k in sorted(rows)],
-                          nn))
+    g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
+    law = _derivation_map(aq.alg)
+    gens = []  # row k: the k-th D_ab, vectorized
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            ents = ([(r, b, c) for r, c in g[a].items()]
+                    + [(r, a, -c) for r, c in g[b].items()])
+            for key, x in law(ents).items():
+                if x:
+                    rows.setdefault(key, {})[len(gens)] = x
+            gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
+    sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
+    return Subspace._of(n * n,
+                        (sol.basis * Mat._of(gens, n * n)).sparse_rows)

@@ -6,13 +6,13 @@ left-multiplication skewness phi([x,y],z) + phi(y,[x,z]) = 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
-                     rank, vec)
+                     rank, rref, vec)
 
 
 def hyperbolic_form(n: int) -> Mat:
@@ -52,6 +52,10 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
 class QuadraticStructure:
     alg: LieAlgebra
     form: Mat
+    # the matrices already checked as skew derivations of this structure,
+    # made on first use by doubleext._deriv_mat; outside eq, hash and repr
+    _derivations: set | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         defects = invariance_defect(self.alg, self.form)  # also checks symmetry
@@ -94,20 +98,17 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
     """
     if not is_lagrangian(q, s):
         raise ValidationError("subspace is not lagrangian", law="lagrangian")
-    n = s.dim
-    if n == 0:
+    if s.dim == 0:
         return Subspace.zero(q.dim)
-    # transversal: extend s by standard basis vectors, lowest index preferred
-    cur = s
-    picks: list[dict[int, Fraction]] = []
-    for t in range(q.dim):
-        if cur.dim == 2 * n:
-            break
-        e = {t: ONE}
-        grown = cur.sum(Subspace._of(q.dim, [e]))
-        if grown.dim > cur.dim:
-            picks.append(e)
-            cur = grown
+    # transversal: the standard basis vectors that extending s greedily,
+    # lowest index first, picks. e_t is picked exactly when no vector of s
+    # has its last nonzero entry at t, so the picks are the columns that
+    # are not pivots of s's RREF taken with its columns reversed.
+    top = q.dim - 1
+    rev = [dict(sorted((top - j, e) for j, e in r.items()))
+           for r in s.basis.sparse_rows]
+    last = {top - p for p in rref(Mat._of(rev, q.dim))[1]}
+    picks = [{t: ONE} for t in range(q.dim) if t not in last]
     T = Mat._of(picks, q.dim)
     S = s.basis
     P = T * q.form * S.transpose()     # P[a][k] = phi(t_a, s_k), invertible

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, Subspace, rank
+from .linalg import Mat, rank
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,6 @@ def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
     """True iff the stacked columns span everything: the presented algebra
     is reduced."""
     return rank(f_matrix(fam)) == fam.n
-
-
-def family_bracket_span(fam: QuadraticFamily) -> Subspace:
-    return Subspace._of(fam.n, list(_columns(fam).values()))
 
 
 def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:

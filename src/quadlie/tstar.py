@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     lagrangian_complement)
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse,
-                     is_zero_vec, vec, vstack, zero_vec)
+                     is_zero_vec, kernel, vec, vstack, zero_vec)
 
 
 class CocycleCoeffs(AltCoeffs):
@@ -69,17 +69,6 @@ class GeneralCocycle:
 
     def value(self, i: int, j: int, k: int) -> Fraction:
         return self.value_pair(i, j)[k - 1]
-
-    def apply(self, x: Sequence[Fraction], j: int) -> tuple[Fraction, ...]:
-        """w(x, e_j) by linearity in the first slot."""
-        n = self.base.dim
-        out = [ZERO] * n
-        for i, c in enumerate(x, start=1):
-            if c:
-                for t, e in enumerate(self.value_pair(i, j)):
-                    if e:
-                        out[t] += c * e
-        return tuple(out)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -212,11 +201,24 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
-    """{b in B : w(b, -) = 0}: the centre of the bracket w on B."""
-    g = _general(w)
-    return LieAlgebra._of(g.base.dim, {
+    """{b in B : w(b, -) = 0}: the centre of the bracket w on B.
+
+    For coefficients, x is in it when sum_i x_i c(i, s, r) = 0 for all s, r.
+    c is alternating, so the row of (r, s) is the row of (s, r) negated:
+    each stored c_ijk fills one entry of the rows of (j, k), (i, k) and
+    (i, j), one row per unordered pair.
+    """
+    if isinstance(w, AltCoeffs):
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, j, k), c in w.terms:
+            rows.setdefault((j, k), {})[i - 1] = c
+            rows.setdefault((i, k), {})[j - 1] = -c
+            rows.setdefault((i, j), {})[k - 1] = c
+        return kernel(Mat._of([dict(sorted(rows[key].items()))
+                               for key in sorted(rows)], w.n))
+    return LieAlgebra._of(w.base.dim, {
         pair: tuple((k, e) for k, e in enumerate(v) if e)
-        for pair, v in g.values.items()}).centre()
+        for pair, v in w.values.items()}).centre()
 
 
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:

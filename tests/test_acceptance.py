@@ -85,3 +85,24 @@ def test_criterion_6_verifies_each_map_once(monkeypatch):
     assert criterion_6() == (False, "L3,1: recovered map failed "
                                     "verification: bracket not preserved "
                                     "at (1,2)")
+
+
+def test_catalog_entry_checks_its_form_once(monkeypatch):
+    from quadlie import CATALOG, acceptance, algebra_from_trivector, forms
+    from quadlie.acceptance import _report, verify_report
+    calls = []
+    for mod in (acceptance, forms):
+        for name in ("invariance_defect", "rank"):
+            def counting(*args, _real=getattr(mod, name), _name=name):
+                calls.append((_name, args[-1]))
+                return _real(*args)
+            monkeypatch.setattr(mod, name, counting)
+    for entry in CATALOG:
+        calls.clear()
+        assert acceptance.verify_catalog_entry(entry) == []
+        form = forms.hyperbolic_form(entry.n)
+        assert [name for name, m in calls if m == form] == \
+            ["invariance_defect", "rank"]
+        # the report on a checked form is the full report
+        q = algebra_from_trivector(entry.trivector)
+        assert _report(q.alg, q.form, True) == verify_report(q.alg, q.form)

@@ -51,16 +51,9 @@ def test_call_trilinear():
 def test_add_scale():
     a = parse_coeffs("123")
     b = parse_coeffs("123+145", n=5)
-    s = a.relabel(5).scale(-1) + b
+    s = AltCoeffs(5, a.terms).scale(-1) + b
     assert s == parse_coeffs("145", n=5)
     assert s.support() == {1, 4, 5}
-
-
-def test_relabel_up_only():
-    c = parse_coeffs("123")
-    assert c.relabel(5).n == 5
-    with pytest.raises(QuadlieError):
-        parse_coeffs("145").relabel(3)
 
 
 def test_contraction_matrix():

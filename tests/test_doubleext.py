@@ -859,3 +859,115 @@ def test_double_extend_matches_dense_reference():
 def test_derivation_defect_rejects_shape_mismatch(shape):
     with pytest.raises(ValueError, match="3.*" + "x".join(map(str, shape))):
         derivation_defect(heisenberg(), Mat.zero(*shape))
+
+
+def _counting(monkeypatch, name):
+    """Count the calls that the doubleext module makes to one of its laws."""
+    import quadlie.doubleext as de
+    real = getattr(de, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(de, name, counted)
+    return calls
+
+
+def test_plain_matrix_is_validated_once_per_structure(monkeypatch):
+    from quadlie.acceptance import _random_extension_case
+    skew = _counting(monkeypatch, "skew_defect")
+    deriv = _counting(monkeypatch, "derivation_defect")
+    for seed in range(2000, 2012):
+        aq, d = _random_extension_case(seed)
+        before = repr(aq)
+        ext = double_extend_1d(aq, d)
+        two_step_criterion(aq, d)
+        centre_formula_1d(aq, d)
+        inner_preimage(aq, d)
+        # an equal matrix built apart is the same claim
+        double_extend_1d(aq, Mat(d.data))
+        assert len(skew) == len(deriv) == 1
+        # the memo stays out of repr and equality
+        assert repr(aq) == before
+        fresh = QuadraticStructure(aq.alg, aq.form)
+        assert fresh == aq
+        # another structure object checks the matrix for itself
+        assert double_extend_1d(fresh, d) == ext
+        assert len(skew) == 2
+        skew.clear()
+        deriv.clear()
+    # a structure that never sees a derivation has no memo
+    assert tstar_extend(parse_coeffs("123"))._derivations is None
+
+
+def test_chain_links_are_validated_once(monkeypatch):
+    skew = _counting(monkeypatch, "skew_defect")
+    ch = build_chain(parse_coeffs("123+145+246"))
+    assert len(skew) == ch.n  # build_chain checks each link's skew law
+    skew.clear()
+    assert validate_chain(ch) == []
+    # the first link has no base; every later one is checked once
+    assert len(skew) == ch.n - 1
+
+
+def test_bad_matrix_fails_the_same_way_every_call(monkeypatch):
+    from quadlie.acceptance import _random_extension_case
+    skew = _counting(monkeypatch, "skew_defect")
+    g = SplitMix64(4242)
+    laws = set()
+    for seed in range(2000, 2040):
+        aq, d = _random_extension_case(seed)
+        for v in _variants(aq, d, g)[1:]:
+            first = _outcome(double_extend_1d, aq, v)
+            if first[0] == "ok":
+                continue
+            laws.add(first[1])
+            for f in (two_step_criterion, centre_formula_1d, inner_preimage,
+                      double_extend_1d):
+                skew.clear()
+                assert _outcome(f, aq, v) == first
+                assert len(skew) == 1  # checked again, never remembered
+    assert laws == {"skew", "derivation"}
+
+
+def _centre_formula_by_intersection(aq, d):
+    """The centre formula as it was: Z(A) intersect ker(d) solved as the
+    intersection of the centre with the kernel of d."""
+    dmat = d.mat if isinstance(d, SkewDerivation) else d
+    dim = (aq.dim if aq is not None else 0) + 2
+    rows = []
+    if aq is not None:
+        core = aq.alg.centre().intersect(kernel(dmat))
+        rows = [{j + 1: e for j, e in r.items()}
+                for r in core.basis.sparse_rows]
+    rows.append({dim - 1: Fraction(1)})
+    x = inner_preimage(aq, dmat)
+    if x is not None:
+        rows.append({0: Fraction(1),
+                     **{j + 1: -c for j, c in enumerate(x) if c}})
+    return Subspace._of(dim, rows)
+
+
+def test_centre_formula_matches_intersection_form():
+    # criterion 5's corpus, then inner and zero maps on 2-step bases and
+    # on extensions, where the centre is wider
+    from quadlie import CATALOG, algebra_from_trivector
+    from quadlie.acceptance import _random_extension_case
+    cases = [_random_extension_case(s) for s in range(2000, 2100)]
+    cases.append((None, Mat.zero(0, 0)))
+    bases = [algebra_from_trivector(e.trivector) for e in CATALOG if e.n <= 6]
+    bases += [double_extend_1d(aq, d) for aq, d in cases[:30]]
+    for aq in bases:
+        n = aq.dim
+        x = tuple(Fraction(1 + j % 3) for j in range(n))
+        ad_x = Mat([aq.alg.bracket(x, basis_vec(n, j))
+                    for j in range(1, n + 1)]).transpose()
+        cases += [(aq, Mat.zero(n, n)), (aq, ad_x),
+                  (aq, random_skew_derivation(aq, n))]
+    widths = set()
+    for aq, d in cases:
+        got = centre_formula_1d(aq, d)
+        assert got == _centre_formula_by_intersection(aq, d)
+        widths.add(got.dim)
+    assert len(widths) > 5

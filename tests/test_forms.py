@@ -222,3 +222,94 @@ def test_invariance_defect_matches_dense_definition():
     # both verdicts are well represented
     assert cases == 22 + 3 + 3 * 40 + 2 * 12
     assert 40 < invariant < cases - 40
+
+
+def _greedy_picks(q, s):
+    """The transversal as lagrangian_complement grew it: standard basis
+    vectors, lowest index first, one Subspace.sum per vector tried."""
+    from fractions import Fraction
+    cur = s
+    picks = []
+    for t in range(q.dim):
+        if cur.dim == 2 * s.dim:
+            break
+        grown = cur.sum(Subspace._of(q.dim, [{t: Fraction(1)}]))
+        if grown.dim > cur.dim:
+            picks.append(t)
+            cur = grown
+    return picks
+
+
+def _greedy_lagrangian_complement(q, s):
+    """lagrangian_complement as it was, on the greedy transversal."""
+    from fractions import Fraction
+    from quadlie import inverse
+    if not is_lagrangian(q, s):
+        raise ValidationError("subspace is not lagrangian", law="lagrangian")
+    if s.dim == 0:
+        return Subspace.zero(q.dim)
+    T = Mat._of([{t: Fraction(1)} for t in _greedy_picks(q, s)], q.dim)
+    S = s.basis
+    P = T * q.form * S.transpose()
+    G = T * q.form * T.transpose()
+    X = (G * inverse(P).transpose()).scale(Fraction(-1, 2))
+    return Subspace._of(q.dim, (T + X * S).sparse_rows)
+
+
+def _lagrangian_inputs():
+    """(q, s): the catalog's derived ideals, both halves of seeded
+    T*-extensions, and seeded lagrangians of hyperbolic and of mixed forms
+    (rows e_i + sum_j A[i][j] e_j* for an antisymmetric A, some e_i and e_i*
+    swapped, carried by an invertible M to the form M H M^T)."""
+    from quadlie import CATALOG, algebra_from_trivector, inverse
+    from quadlie.randgen import random_invertible
+    for e in CATALOG:
+        q = algebra_from_trivector(e.trivector)
+        yield q, q.alg.derived()
+    for seed in range(30):
+        n = 3 + seed % 4
+        q = tstar_extend(random_coeffs(n, seed=300 + seed))
+        for half in (range(n), range(n, 2 * n)):
+            yield q, Subspace.from_rows(
+                2 * n, [[int(j == i) for j in range(2 * n)] for i in half])
+    g = SplitMix64(909)
+    for seed in range(240):
+        m = 1 + seed % 6
+        rows = [[0] * (2 * m) for _ in range(m)]
+        for i in range(m):
+            rows[i][i] = 1
+            for j in range(i + 1, m):
+                if g.randint(0, 2):
+                    c = g.nonzero_entry()
+                    rows[i][m + j] += c
+                    rows[j][m + i] -= c
+        for i in range(m):
+            if g.randint(0, 1):
+                for r in rows:
+                    r[i], r[m + i] = r[m + i], r[i]
+        s = Subspace.from_rows(2 * m, rows)
+        if seed % 3 == 1:
+            M = random_invertible(2 * m, seed)
+            form = M * hyperbolic_form(m) * M.transpose()
+            s = Subspace.from_rows(2 * m, (s.basis * inverse(M)).data)
+        else:
+            form = hyperbolic_form(m)
+        yield QuadraticStructure(abelian(2 * m), form), s
+
+
+def test_lagrangian_complement_matches_greedy_transversal():
+    transversals = set()
+    cases = 0
+    for q, s in _lagrangian_inputs():
+        got = lagrangian_complement(q, s)
+        assert got == _greedy_lagrangian_complement(q, s)
+        transversals.add((q.dim, tuple(_greedy_picks(q, s))))
+        cases += 1
+    assert cases > 300 and len(transversals) > 35
+    # a subspace that is not lagrangian fails the same way
+    q = QuadraticStructure(abelian(4), hyperbolic_form(2))
+    s = Subspace.from_rows(4, [[1, 0, 1, 0]])
+    for f in (lagrangian_complement, _greedy_lagrangian_complement):
+        with pytest.raises(ValidationError) as e:
+            f(q, s)
+        assert e.value.law == "lagrangian"

@@ -253,7 +253,8 @@ def _dense_rref(m):
 def _recorded_systems(monkeypatch):
     """Every distinct matrix that centre, derived, derivation_space and
     Subspace.intersect hand to rref on the catalog and on every 25th seed
-    of the corpora of criteria 4 and 5."""
+    of the corpora of criteria 4 and 5. derivation_space runs on the
+    catalog entries with n <= 5 and on the last entry of each larger n."""
     from quadlie import (CATALOG, algebra_from_trivector, derivation_space,
                          double_extend_1d, random_coeffs, tstar_extend)
     from quadlie import linalg
@@ -266,7 +267,8 @@ def _recorded_systems(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(linalg, "rref", record)
-    cases = [(algebra_from_trivector(e.trivector), e.n <= 5)
+    last = {e.n: e for e in CATALOG}
+    cases = [(algebra_from_trivector(e.trivector), e.n <= 5 or last[e.n] is e)
              for e in CATALOG]
     cases += [(tstar_extend(random_coeffs(3 + s % 5, seed=s)), True)
               for s in range(1000, 1500, 25)]

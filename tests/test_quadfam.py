@@ -5,7 +5,6 @@ from quadlie import (Mat, QuadraticFamily, ValidationError, algebra_from_family,
                      coeffs_to_family, f_matrix, family_defects,
                      is_nondegenerate_family, parse_coeffs, tstar_extend,
                      validate_family)
-from quadlie.quadfam import family_bracket_span
 from quadlie.randgen import random_coeffs
 
 
@@ -71,13 +70,6 @@ def test_nondegenerate_family():
     assert is_nondegenerate_family(fam5)
     degenerate = coeffs_to_family(parse_coeffs("123", n=4))
     assert not is_nondegenerate_family(degenerate)
-
-
-def test_family_bracket_span():
-    span = family_bracket_span(fam123())
-    assert span.dim == 3
-    span4 = family_bracket_span(coeffs_to_family(parse_coeffs("123", n=4)))
-    assert span4.dim == 3
 
 
 def test_algebra_from_family_matches_tstar():

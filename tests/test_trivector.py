@@ -49,8 +49,7 @@ def test_algebra_from_trivector():
         algebra_from_trivector(Trivector(5))
     assert e.value.law == "nonzero"
     with pytest.raises(ValidationError) as e:
-        algebra_from_trivector(tv("123").relabel(2) if False else
-                               Trivector(2, {}))
+        algebra_from_trivector(Trivector(2, {}))
     assert e.value.law in ("dimension", "nonzero")
 
 
