@@ -20,45 +20,46 @@ from .quadfam import QuadraticFamily, algebra_from_family, validate_family
 from .tstar import CocycleCoeffs, tstar_extend
 
 
+def _signed_places(c: CocycleCoeffs):
+    """(i, j, k, c_ijk) at the six orderings of each term of c."""
+    for (i, j, k), v in c.terms:
+        yield from ((i, j, k, v), (j, k, i, v), (k, i, j, v),
+                    (i, k, j, -v), (k, j, i, -v), (j, i, k, -v))
+
+
 def family_to_coeffs(fam: QuadraticFamily) -> CocycleCoeffs:
     """Read c_ijk off entry (k,j) of M_i, checking every redundant
     position against the alternating symmetry."""
     ok, problems = validate_family(fam)
     if not ok:
         raise ValidationError("; ".join(problems), law="family")
-    n = fam.n
-    vals = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                v = fam.value(i, j, k)
-                if v:
-                    vals[(i, j, k)] = v
-    c = CocycleCoeffs(n, vals)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if fam.value(i, j, k) != c.value(i, j, k):
-                    raise ValidationError(
-                        f"entry ({k},{j}) of matrix {i} breaks the "
-                        f"alternating symmetry", law="alternating",
-                        witness=(i, j, k))
+    entries = {(i, j + 1, k + 1): v
+               for i, m in enumerate(fam.mats, start=1)
+               for k, row in enumerate(m.sparse_rows) for j, v in row.items()}
+    c = CocycleCoeffs(fam.n, {t: v for t, v in entries.items()
+                              if t[0] < t[1] < t[2]})
+    # a mismatch needs a nonzero on one side: an entry of the family, or
+    # one of the six signed places of a term of c
+    want = {(i, j, k): v for i, j, k, v in _signed_places(c)}
+    bad = [t for t, v in entries.items() if want.get(t) != v]
+    bad += [t for t, v in want.items() if entries.get(t) != v]
+    if bad:
+        i, j, k = min(bad)
+        raise ValidationError(
+            f"entry ({k},{j}) of matrix {i} breaks the "
+            f"alternating symmetry", law="alternating", witness=(i, j, k))
     return c
 
 
 def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
     """The matrix family with entry (k,j) of M_i equal to c_ijk."""
     n = c.n
-    mats = []
-    for i in range(1, n + 1):
-        m: list[dict] = [{} for _ in range(n)]
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                v = c.value(i, j, k)
-                if v:
-                    m[k - 1][j - 1] = v
-        mats.append(Mat._of(m, n))
-    return QuadraticFamily(n, tuple(mats))
+    # c.terms is sorted, so the terms holding both i and k come in
+    # ascending order of their third index: row k of M_i fills ascending
+    mats: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in _signed_places(c):
+        mats[i - 1][k - 1][j - 1] = v
+    return QuadraticFamily(n, tuple(Mat._of(m, n) for m in mats))
 
 
 def coeffs_to_chain(c: CocycleCoeffs) -> ExtensionChain:

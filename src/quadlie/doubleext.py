@@ -67,9 +67,11 @@ def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
     acc: dict[tuple[int, int], Fraction] = {}
     for r, s, c in _entries(d):
         for j, f in rows[r].items():
-            acc[(s, j)] = acc.get((s, j), ZERO) + c * f
+            x = c if f == 1 else c * f  # hyperbolic forms are all ones
+            acc[s, j] = acc[s, j] + x if (s, j) in acc else x
         for i, f in cols[r].items():
-            acc[(i, s)] = acc.get((i, s), ZERO) + f * c
+            x = c if f == 1 else f * c
+            acc[i, s] = acc[i, s] + x if (i, s) in acc else x
     return [(i + 1, j + 1) for (i, j) in sorted(acc) if acc[(i, j)]]
 
 
@@ -262,14 +264,18 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
     n = c.n
     if n < 3:
         raise ValidationError("need dimension at least 3", law="dimension")
+    # a term c(a,b,k+1) = v, a < b, lands only in link k, as c(k+1,a,b) = v
+    # at d_k(e_a)'s dual-b entry and -v at d_k(e_b)'s dual-a entry. c.terms
+    # is sorted, so a row's terms (a,l,k+1), a < l, then (l,b,k+1) fill it
+    # in ascending columns a, then b
+    links: list[list[dict[int, Fraction]]] = [[{} for _ in range(2 * k)]
+                                              for k in range(n)]
+    for (a, b, top), v in c.terms:
+        k = top - 1
+        links[k][k + b - 1][a - 1] = v
+        links[k][k + a - 1][b - 1] = -v
     derivs = []
-    for k in range(n):
-        m: list[dict[int, Fraction]] = [{} for _ in range(2 * k)]
-        for j in range(1, k + 1):
-            for ell in range(1, k + 1):
-                v = c.value(k + 1, j, ell)
-                if v:
-                    m[k + ell - 1][j - 1] = v
+    for k, m in enumerate(links):
         mat = Mat._of(m, 2 * k)
         bad = skew_defect(hyperbolic_form(k), mat)
         if bad:

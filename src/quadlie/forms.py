@@ -25,7 +25,9 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
 
     With phi symmetric the sum is T(i,j,k) + T(i,k,j) for
     T(i,j,k) = phi([ei,ej],ek), so only the stored brackets are visited:
-    invariance holds exactly when T is alternating.
+    invariance holds exactly when T is alternating. T(j,i,k) = -T(i,j,k)
+    is stored for every key, so the sum is nonzero exactly when
+    T(i,k,j) != T(j,i,k), and no sum is formed.
     """
     if form.rows != alg.dim or form.cols != alg.dim:
         raise ValidationError("form shape does not match algebra dimension",
@@ -38,12 +40,13 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
         for r, c in v:
             for k, e in nz[r].items():
                 key = (i, j, k + 1)
-                t[key] = t.get(key, ZERO) + c * e
+                x = c if e == 1 else c * e  # hyperbolic forms are all ones
+                t[key] = t[key] + x if key in t else x
     for (i, j, k), c in list(t.items()):
         t[(j, i, k)] = -c
     bad = set()
-    for (i, j, k), c in t.items():
-        if c + t.get((i, k, j), ZERO):
+    for i, j, k in t:
+        if t.get((i, k, j), ZERO) != t[(j, i, k)]:
             bad.update(((i, j, k), (i, k, j)))
     return sorted(bad)
 

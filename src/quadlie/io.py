@@ -25,6 +25,10 @@ def load_json(path: str) -> Any:
     except json.JSONDecodeError as e:
         raise QuadlieError(f"{path}: invalid JSON at line {e.lineno} "
                            f"column {e.colno}: {e.msg}")
+    except ValueError as e:  # too many digits for an int, or not UTF-8
+        raise QuadlieError(f"{path}: unreadable JSON: {e}")
+    except RecursionError:
+        raise QuadlieError(f"{path}: JSON nested too deeply")
     except OSError as e:
         raise QuadlieError(f"{path}: {e.strerror or e}")
 

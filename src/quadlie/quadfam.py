@@ -34,19 +34,26 @@ class QuadraticFamily:
         return self.mats[i - 1].entry(k - 1, j - 1)
 
 
+def _negated(a: dict, b: dict) -> bool:
+    """Whether the sparse rows a and b satisfy a = -b."""
+    return len(a) == len(b) and all(a.get(k) == -e for k, e in b.items())
+
+
 def family_defects(fam: QuadraticFamily) -> list[str]:
-    """Violations of the three admissibility laws, as readable strings."""
+    """Violations of the three admissibility laws, as readable strings.
+    Column j of M_i is row j of its transpose, taken once per matrix."""
     out = []
+    cols = []
     for i, m in enumerate(fam.mats, start=1):
-        if not m.is_skew():
+        t = m.transpose().sparse_rows
+        cols.append(t)
+        if not all(map(_negated, m.sparse_rows, t)):
             out.append(f"M_{i} is not skew")
-        if any(m.entry(r, i - 1) for r in range(fam.n)):
+        if t[i - 1]:
             out.append(f"column {i} of M_{i} is nonzero")
     for i in range(1, fam.n + 1):
         for j in range(i + 1, fam.n + 1):
-            ci = fam.mats[i - 1].col(j - 1)
-            cj = fam.mats[j - 1].col(i - 1)
-            if any(a + b for a, b in zip(ci, cj)):
+            if not _negated(cols[i - 1][j - 1], cols[j - 1][i - 1]):
                 out.append(f"column {j} of M_{i} is not minus "
                            f"column {i} of M_{j}")
     return out

@@ -399,6 +399,23 @@ def test_verify_bad_input_is_one_json_error(tmp_path, obj):
         assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
 
 
+@pytest.mark.parametrize("body", [
+    b'{"dim": ' + b"9" * 5000 + b', "brackets": []}',
+    b"[" * 100000 + b"]" * 100000,
+    b'\xff\xfe{"dim": 2}',
+], ids=["5000-digit-dim", "nested-100000-deep", "not-utf8"])
+def test_verify_hostile_json_is_one_json_error(tmp_path, body):
+    path = tmp_path / "hostile.json"
+    path.write_bytes(body)
+    proc = _cli_process("verify", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"error"}
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--lam", "abc"),
     ("catalog", "--lam", "1/0"),

@@ -62,3 +62,160 @@ def test_all_roads_rejects_degenerate_input():
 def test_count_parameters():
     assert count_parameters(5) == comb(5, 3) == 10
     assert [count_parameters(n) for n in range(3, 8)] == [1, 4, 10, 20, 35]
+
+
+# ---- the family path against the dense loops it replaced ----
+
+
+def _loop_coeffs_to_family(c):
+    """coeffs_to_family as it was: c.value at every (i, j, k)."""
+    n = c.n
+    mats = []
+    for i in range(1, n + 1):
+        m = [{} for _ in range(n)]
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                v = c.value(i, j, k)
+                if v:
+                    m[k - 1][j - 1] = v
+        mats.append(Mat._of(m, n))
+    return QuadraticFamily(n, tuple(mats))
+
+
+def _loop_family_defects(fam):
+    """family_defects as it was, on the dense entry and column views."""
+    out = []
+    for i, m in enumerate(fam.mats, start=1):
+        if not m.is_skew():
+            out.append(f"M_{i} is not skew")
+        if any(m.entry(r, i - 1) for r in range(fam.n)):
+            out.append(f"column {i} of M_{i} is nonzero")
+    for i in range(1, fam.n + 1):
+        for j in range(i + 1, fam.n + 1):
+            ci = fam.mats[i - 1].col(j - 1)
+            cj = fam.mats[j - 1].col(i - 1)
+            if any(a + b for a, b in zip(ci, cj)):
+                out.append(f"column {j} of M_{i} is not minus "
+                           f"column {i} of M_{j}")
+    return out
+
+
+def _loop_read_coeffs(fam):
+    """family_to_coeffs as it was after its family check: c_ijk read at
+    every i < j < k, then every (i, j, k) checked, the first mismatch
+    raised."""
+    n = fam.n
+    vals = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                v = fam.value(i, j, k)
+                if v:
+                    vals[(i, j, k)] = v
+    c = CocycleCoeffs(n, vals)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if fam.value(i, j, k) != c.value(i, j, k):
+                    raise ValidationError(
+                        f"entry ({k},{j}) of matrix {i} breaks the "
+                        f"alternating symmetry", law="alternating",
+                        witness=(i, j, k))
+    return c
+
+
+def _family_coeffs():
+    """The catalog's trivectors, a seeded corpus of densities 1/4..3/4,
+    and zero coefficients."""
+    from fractions import Fraction
+    from quadlie import CATALOG
+    for e in CATALOG:
+        yield CocycleCoeffs(e.n, e.trivector.terms)
+    for seed in range(40):
+        yield random_coeffs(3 + seed % 7, seed=seed,
+                            density=Fraction(1 + seed % 3, 4))
+    for n in (0, 3, 4, 6):
+        yield CocycleCoeffs(n)
+
+
+def _families():
+    """Each family of _family_coeffs, then broken copies: one entry
+    shifted; a skew pair shifted, so the matrix stays skew; a symmetric
+    pair added, so it is not skew; and three of these at once."""
+    from quadlie import SplitMix64
+    g = SplitMix64(4242)
+    for c in _family_coeffs():
+        fam = coeffs_to_family(c)
+        yield fam
+        n = fam.n
+        if not n:
+            continue
+        for kind in range(4):
+            mats = [[list(r) for r in m.data] for m in fam.mats]
+            for _ in range(1 if kind < 3 else 3):
+                i, r, s = (g.randint(0, n - 1) for _ in range(3))
+                x = g.nonzero_entry()
+                how = kind if kind < 3 else g.randint(0, 2)
+                mats[i][r][s] += x
+                if how == 1 and r != s:
+                    mats[i][s][r] -= x
+                elif how == 2:
+                    mats[i][s][r] += x
+            yield QuadraticFamily(n, tuple(Mat(m) for m in mats))
+
+
+def _rows(m):
+    return [list(r.items()) for r in m.sparse_rows]
+
+
+def test_coeffs_to_family_matches_value_loop():
+    cases = 0
+    for c in _family_coeffs():
+        got, want = coeffs_to_family(c), _loop_coeffs_to_family(c)
+        assert got == want
+        # same rows, columns in the same order, so equal hashes
+        assert [_rows(m) for m in got.mats] == [_rows(m) for m in want.mats]
+        cases += 1
+    assert cases == 22 + 40 + 4
+
+
+def test_family_defects_match_dense_loop():
+    from quadlie import family_defects
+    kinds = set()  # 0 skew, 1 own column, 2 cross columns
+    several = clean = 0
+    for fam in _families():
+        want = _loop_family_defects(fam)
+        assert family_defects(fam) == want
+        kinds.update(("skew" in p, "nonzero" in p, "minus" in p).index(True)
+                     for p in want)
+        several += len(want) > 1
+        clean += not want
+    assert kinds == {0, 1, 2}
+    assert several > 50 and clean == 22 + 40 + 4
+
+
+def _outcome(read, fam):
+    try:
+        return read(fam)
+    except ValidationError as e:
+        return (e.law, e.witness, str(e))
+
+
+def test_family_to_coeffs_matches_value_loop(monkeypatch):
+    """Equal coefficients, or the same law, witness and message. With the
+    family check bypassed, broken families reach the alternating re-check,
+    whose witness is the least (i, j, k) that breaks it."""
+    import quadlie.convert
+    for fam in _families():
+        problems = _loop_family_defects(fam)
+        want = (("family", None, "; ".join(problems)) if problems
+                else _outcome(_loop_read_coeffs, fam))
+        assert _outcome(family_to_coeffs, fam) == want
+    monkeypatch.setattr(quadlie.convert, "validate_family",
+                        lambda fam: (True, []))
+    laws = set()
+    for fam in _families():
+        got = _outcome(family_to_coeffs, fam)
+        assert got == _outcome(_loop_read_coeffs, fam)
+        laws.add(got[0] if isinstance(got, tuple) else None)
+    assert laws == {None, "alternating"}

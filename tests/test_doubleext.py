@@ -971,3 +971,95 @@ def test_centre_formula_matches_intersection_form():
         assert got == _centre_formula_by_intersection(aq, d)
         widths.add(got.dim)
     assert len(widths) > 5
+
+
+# ---- the construction path against its dense definitions ----
+
+
+def _dense_skew_defect(form, d):
+    """The nonzero entries of d^T F + F d, summed over the dense views."""
+    f, m, n = form.data, d.data, form.rows
+    return [(i + 1, j + 1) for i in range(n) for j in range(n)
+            if sum(m[r][i] * f[r][j] + f[i][r] * m[r][j] for r in range(n))]
+
+
+def _loop_build_chain(c):
+    """build_chain as it was: c.value at every (k+1, j, l), j, l <= k."""
+    derivs = []
+    for k in range(c.n):
+        m = [{} for _ in range(2 * k)]
+        for j in range(1, k + 1):
+            for ell in range(1, k + 1):
+                v = c.value(k + 1, j, ell)
+                if v:
+                    m[k + ell - 1][j - 1] = v
+        derivs.append(Mat._of(m, 2 * k))
+    return ExtensionChain(c.n, tuple(derivs))
+
+
+def _construction_coeffs():
+    """The catalog's trivectors, a seeded corpus of densities 1/4..3/4,
+    and zero coefficients."""
+    from quadlie import CATALOG, CocycleCoeffs
+    for e in CATALOG:
+        yield CocycleCoeffs(e.n, e.trivector.terms)
+    for seed in range(40):
+        yield random_coeffs(3 + seed % 7, seed=seed,
+                            density=Fraction(1 + seed % 3, 4))
+    for n in (3, 4, 6):
+        yield CocycleCoeffs(n)
+
+
+def _skew_defect_cases():
+    """(form, d) pairs: chain links, seeded skew derivations and those
+    with one entry shifted, each under its form and twice it, and sparse
+    random maps under random symmetric forms of entries in -3..3."""
+    g = SplitMix64(1729)
+    for c in _construction_coeffs():
+        for k, d in enumerate(build_chain(c).derivs):
+            yield hyperbolic_form(k), d
+    for seed in range(30):
+        aq = (tstar_extend(random_coeffs(3 + seed % 3, seed=seed,
+                                         nonzero=True))
+              if seed % 2 else hyperbolic_abelian(1 + seed % 3))
+        n = aq.dim
+        d = random_skew_derivation(aq, seed)
+        rows = [list(r) for r in d.data]
+        rows[g.randint(0, n - 1)][g.randint(0, n - 1)] += g.nonzero_entry()
+        for m in (d, Mat(rows)):
+            yield aq.form, m
+            yield aq.form.scale(2), m
+        sym = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for s in range(r, n):
+                if g.randint(0, 1):
+                    sym[r][s] = sym[s][r] = g.nonzero_entry()
+        yield Mat(sym), Mat([[g.nonzero_entry() if g.randint(0, 2) == 0
+                              else 0 for _ in range(n)] for _ in range(n)])
+
+
+def test_skew_defect_matches_dense_definition_on_construction_inputs():
+    cases = skew = 0
+    entries = set()  # whether form entries equal to 1 and others both ran
+    for form, d in _skew_defect_cases():
+        want = _dense_skew_defect(form, d)
+        assert skew_defect(form, d) == want
+        cases += 1
+        skew += not want
+        entries.update(e == 1 for r in form.sparse_rows for e in r.values())
+    assert cases > 400
+    assert 100 < skew < cases - 50
+    assert entries == {True, False}
+
+
+def test_build_chain_matches_value_loop():
+    links = 0
+    for c in _construction_coeffs():
+        got, want = build_chain(c), _loop_build_chain(c)
+        assert got == want
+        for a, b in zip(got.derivs, want.derivs):
+            # same rows, columns in the same order, so equal hashes
+            assert [list(r.items()) for r in a.sparse_rows] == \
+                [list(r.items()) for r in b.sparse_rows]
+            links += not a.is_zero()
+    assert links > 100

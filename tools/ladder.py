@@ -1,15 +1,18 @@
-"""Time the chain cocycle past the catalog, one rung per algebra dimension.
+"""Time cocycles past the catalog, one rung per algebra dimension.
 
     python3 tools/ladder.py [--src DIR] [--dims 200,400,800,1600]
-        [--runs 3] [--out ladder.json]
+        [--dense-dims 40,80,120,160] [--runs 3] [--out ladder.json]
 
-Each rung takes the chain cocycle sum_i [i, i+1, i+2] on n = dim/2 base
-vectors and runs tstar_extend, nilindex and is_reduced on it, in a fresh
-interpreter that imports quadlie from DIR (default: this checkout's src/),
-so that each rung's peak resident memory is its own. A rung is run --runs
-times; the report gives, per rung, the median seconds of each step and of
-the three together (import excluded), the largest peak RSS, and the ratio
-of each rung's median to the one before it. No target is asserted.
+A chain rung takes the chain cocycle sum_i [i, i+1, i+2] on n = dim/2 base
+vectors, which has O(n) terms; a dense rung takes the seeded random
+cocycle of density 1/2 on n base vectors (randgen.random_coeffs, seed
+DENSE_SEED), which has about C(n, 3)/2. Each rung runs tstar_extend,
+nilindex and is_reduced on its cocycle in a fresh interpreter that imports
+quadlie from DIR (default: this checkout's src/), so that each rung's peak
+resident memory is its own. A rung is run --runs times; the report gives,
+per rung, the median seconds of each step and of the three together
+(import excluded), the largest peak RSS, and the ratio of each rung's
+median to the one before it of the same kind. No target is asserted.
 """
 from __future__ import annotations
 
@@ -22,11 +25,18 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+DENSE_SEED = 1
+
 RUNG = """
 import json, resource, sys, time
+from fractions import Fraction
 from quadlie import CocycleCoeffs, tstar_extend
-n = int(sys.argv[1]) // 2
-c = CocycleCoeffs(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
+from quadlie.randgen import random_coeffs
+kind, n = sys.argv[1], int(sys.argv[2]) // 2
+if kind == "chain":
+    c = CocycleCoeffs(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
+else:
+    c = random_coeffs(n, seed=int(sys.argv[3]), density=Fraction(1, 2))
 t0 = time.perf_counter()
 q = tstar_extend(c)
 t1 = time.perf_counter()
@@ -43,42 +53,55 @@ print(json.dumps({"tstar_extend_s": t1 - t0, "nilindex_s": t2 - t1,
 """
 
 
-def rung(src: str, dim: int) -> dict:
+def rung(src: str, kind: str, dim: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", RUNG, str(dim)], env=env,
+    out = subprocess.run([sys.executable, "-c", RUNG, kind, str(dim),
+                          str(DENSE_SEED)], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def dims(text: str) -> list[int]:
+    return [int(d) for d in text.split(",") if d]
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--dims", default="200,400,800,1600")
+    p.add_argument("--dims", type=dims, default=dims("200,400,800,1600"),
+                   help="chain rungs, as algebra dimensions")
+    p.add_argument("--dense-dims", type=dims, default=dims("40,80,120,160"),
+                   help="dense rungs, as algebra dimensions")
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--out", default=None)
     args = p.parse_args()
 
     rungs = []
-    for dim in map(int, args.dims.split(",")):
-        runs = [rung(args.src, dim) for _ in range(args.runs)]
-        row = {"dim": dim}
-        for key in ("tstar_extend_s", "nilindex_s", "is_reduced_s", "wall_s"):
-            row[key] = statistics.median(r[key] for r in runs)
-        row["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
-        row["wall_values"] = [r["wall_s"] for r in runs]
-        if rungs:
-            row["growth"] = row["wall_s"] / rungs[-1]["wall_s"]
-        rungs.append(row)
-        print(f"dim {dim:>5}: {row['wall_s']:.3f} s "
-              f"(tstar_extend {row['tstar_extend_s']:.3f}, nilindex "
-              f"{row['nilindex_s']:.3f}, is_reduced {row['is_reduced_s']:.3f})"
-              f", peak {row['peak_rss_mb']:.1f} MiB"
-              + (f", x{row['growth']:.2f} per doubling" if "growth" in row
-                 else ""))
+    for kind, kind_dims in (("chain", args.dims), ("dense", args.dense_dims)):
+        prev = None
+        for dim in kind_dims:
+            runs = [rung(args.src, kind, dim) for _ in range(args.runs)]
+            row = {"kind": kind, "dim": dim}
+            for key in ("tstar_extend_s", "nilindex_s", "is_reduced_s",
+                        "wall_s"):
+                row[key] = statistics.median(r[key] for r in runs)
+            row["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
+            row["wall_values"] = [r["wall_s"] for r in runs]
+            if prev:
+                row["growth"] = row["wall_s"] / prev["wall_s"]
+            rungs.append(prev := row)
+            print(f"{kind} dim {dim:>5}: {row['wall_s']:.3f} s "
+                  f"(tstar_extend {row['tstar_extend_s']:.3f}, nilindex "
+                  f"{row['nilindex_s']:.3f}, is_reduced "
+                  f"{row['is_reduced_s']:.3f}), peak "
+                  f"{row['peak_rss_mb']:.1f} MiB"
+                  + (f", x{row['growth']:.2f} over the rung before"
+                     if "growth" in row else ""))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump({"python": sys.version.split()[0], "src": args.src,
-                       "runs": args.runs, "rungs": rungs}, fh, indent=1)
+                       "runs": args.runs, "dense_seed": DENSE_SEED,
+                       "rungs": rungs}, fh, indent=1)
             fh.write("\n")
     return 0
 
