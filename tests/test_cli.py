@@ -376,19 +376,29 @@ def _cli_process(*argv):
 _FORM = [["0", "1"], ["1", "0"]]
 
 
-@pytest.mark.parametrize("obj", [
-    {"dim": 2, "brackets": [], "form": [["0", "1"], ["1"]]},
-    {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": 5}], "form": _FORM},
-    {"dim": 2, "brackets": [{"i": 1, "j": 2, "v": "12"}], "form": _FORM},
-    {"dim": 2, "brackets": [{"i": "1", "j": 2, "v": ["0", "0"]}]},
-    {"dim": 2, "brackets": [{"i": 1.0, "j": 2, "v": ["0", "0"]}]},
-    {"dim": 2, "brackets": 7},
-    {"dim": 2, "brackets": [], "form": [["0", "1", "0"], ["1", "0", "0"]]},
+def _body(obj):
+    return json.dumps(obj).encode()
+
+
+@pytest.mark.parametrize("body", [
+    _body({"dim": 2, "brackets": [], "form": [["0", "1"], ["1"]]}),
+    _body({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": 5}], "form": _FORM}),
+    _body({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": "12"}],
+           "form": _FORM}),
+    _body({"dim": 2, "brackets": [{"i": "1", "j": 2, "v": ["0", "0"]}]}),
+    _body({"dim": 2, "brackets": [{"i": 1.0, "j": 2, "v": ["0", "0"]}]}),
+    _body({"dim": 2, "brackets": 7}),
+    _body({"dim": 2, "brackets": [],
+           "form": [["0", "1", "0"], ["1", "0", "0"]]}),
+    b'{"dim": ' + b"9" * 5000 + b', "brackets": []}',
+    b"[" * 100000 + b"]" * 100000,
+    b'\xff\xfe{"dim": 2}',
 ], ids=["ragged-form", "v-int", "v-string", "i-string", "i-float",
-        "brackets-int", "form-not-square"])
-def test_verify_bad_input_is_one_json_error(tmp_path, obj):
+        "brackets-int", "form-not-square", "5000-digit-dim",
+        "nested-100000-deep", "not-utf8"])
+def test_verify_bad_input_is_one_json_error(tmp_path, body):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
+    path.write_bytes(body)
     for fmt in ("summary", "json"):
         proc = _cli_process("verify", str(path), "--format", fmt)
         assert proc.returncode == 1
@@ -397,23 +407,6 @@ def test_verify_bad_input_is_one_json_error(tmp_path, obj):
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
-
-
-@pytest.mark.parametrize("body", [
-    b'{"dim": ' + b"9" * 5000 + b', "brackets": []}',
-    b"[" * 100000 + b"]" * 100000,
-    b'\xff\xfe{"dim": 2}',
-], ids=["5000-digit-dim", "nested-100000-deep", "not-utf8"])
-def test_verify_hostile_json_is_one_json_error(tmp_path, body):
-    path = tmp_path / "hostile.json"
-    path.write_bytes(body)
-    proc = _cli_process("verify", str(path))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) == {"error"}
 
 
 @pytest.mark.parametrize("argv", [

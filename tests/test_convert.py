@@ -124,27 +124,13 @@ def _loop_read_coeffs(fam):
     return c
 
 
-def _family_coeffs():
-    """The catalog's trivectors, a seeded corpus of densities 1/4..3/4,
-    and zero coefficients."""
-    from fractions import Fraction
-    from quadlie import CATALOG
-    for e in CATALOG:
-        yield CocycleCoeffs(e.n, e.trivector.terms)
-    for seed in range(40):
-        yield random_coeffs(3 + seed % 7, seed=seed,
-                            density=Fraction(1 + seed % 3, 4))
-    for n in (0, 3, 4, 6):
-        yield CocycleCoeffs(n)
-
-
-def _families():
-    """Each family of _family_coeffs, then broken copies: one entry
+def _families(coeffs):
+    """Each family of the coefficients, then broken copies: one entry
     shifted; a skew pair shifted, so the matrix stays skew; a symmetric
     pair added, so it is not skew; and three of these at once."""
     from quadlie import SplitMix64
     g = SplitMix64(4242)
-    for c in _family_coeffs():
+    for c in coeffs:
         fam = coeffs_to_family(c)
         yield fam
         n = fam.n
@@ -168,9 +154,9 @@ def _rows(m):
     return [list(r.items()) for r in m.sparse_rows]
 
 
-def test_coeffs_to_family_matches_value_loop():
+def test_coeffs_to_family_matches_value_loop(construction_coeffs):
     cases = 0
-    for c in _family_coeffs():
+    for c in construction_coeffs:
         got, want = coeffs_to_family(c), _loop_coeffs_to_family(c)
         assert got == want
         # same rows, columns in the same order, so equal hashes
@@ -179,11 +165,11 @@ def test_coeffs_to_family_matches_value_loop():
     assert cases == 22 + 40 + 4
 
 
-def test_family_defects_match_dense_loop():
+def test_family_defects_match_dense_loop(construction_coeffs):
     from quadlie import family_defects
     kinds = set()  # 0 skew, 1 own column, 2 cross columns
     several = clean = 0
-    for fam in _families():
+    for fam in _families(construction_coeffs):
         want = _loop_family_defects(fam)
         assert family_defects(fam) == want
         kinds.update(("skew" in p, "nonzero" in p, "minus" in p).index(True)
@@ -201,12 +187,13 @@ def _outcome(read, fam):
         return (e.law, e.witness, str(e))
 
 
-def test_family_to_coeffs_matches_value_loop(monkeypatch):
+def test_family_to_coeffs_matches_value_loop(monkeypatch,
+                                             construction_coeffs):
     """Equal coefficients, or the same law, witness and message. With the
     family check bypassed, broken families reach the alternating re-check,
     whose witness is the least (i, j, k) that breaks it."""
     import quadlie.convert
-    for fam in _families():
+    for fam in _families(construction_coeffs):
         problems = _loop_family_defects(fam)
         want = (("family", None, "; ".join(problems)) if problems
                 else _outcome(_loop_read_coeffs, fam))
@@ -214,7 +201,7 @@ def test_family_to_coeffs_matches_value_loop(monkeypatch):
     monkeypatch.setattr(quadlie.convert, "validate_family",
                         lambda fam: (True, []))
     laws = set()
-    for fam in _families():
+    for fam in _families(construction_coeffs):
         got = _outcome(family_to_coeffs, fam)
         assert got == _outcome(_loop_read_coeffs, fam)
         laws.add(got[0] if isinstance(got, tuple) else None)

@@ -997,25 +997,12 @@ def _loop_build_chain(c):
     return ExtensionChain(c.n, tuple(derivs))
 
 
-def _construction_coeffs():
-    """The catalog's trivectors, a seeded corpus of densities 1/4..3/4,
-    and zero coefficients."""
-    from quadlie import CATALOG, CocycleCoeffs
-    for e in CATALOG:
-        yield CocycleCoeffs(e.n, e.trivector.terms)
-    for seed in range(40):
-        yield random_coeffs(3 + seed % 7, seed=seed,
-                            density=Fraction(1 + seed % 3, 4))
-    for n in (3, 4, 6):
-        yield CocycleCoeffs(n)
-
-
-def _skew_defect_cases():
+def _skew_defect_cases(coeffs):
     """(form, d) pairs: chain links, seeded skew derivations and those
     with one entry shifted, each under its form and twice it, and sparse
     random maps under random symmetric forms of entries in -3..3."""
     g = SplitMix64(1729)
-    for c in _construction_coeffs():
+    for c in coeffs:
         for k, d in enumerate(build_chain(c).derivs):
             yield hyperbolic_form(k), d
     for seed in range(30):
@@ -1038,10 +1025,16 @@ def _skew_defect_cases():
                               else 0 for _ in range(n)] for _ in range(n)])
 
 
-def test_skew_defect_matches_dense_definition_on_construction_inputs():
+def _chain_coeffs(coeffs):
+    """The coefficients build_chain accepts: n >= 3."""
+    return [c for c in coeffs if c.n >= 3]
+
+
+def test_skew_defect_matches_dense_definition_on_construction_inputs(
+        construction_coeffs):
     cases = skew = 0
     entries = set()  # whether form entries equal to 1 and others both ran
-    for form, d in _skew_defect_cases():
+    for form, d in _skew_defect_cases(_chain_coeffs(construction_coeffs)):
         want = _dense_skew_defect(form, d)
         assert skew_defect(form, d) == want
         cases += 1
@@ -1052,9 +1045,9 @@ def test_skew_defect_matches_dense_definition_on_construction_inputs():
     assert entries == {True, False}
 
 
-def test_build_chain_matches_value_loop():
+def test_build_chain_matches_value_loop(construction_coeffs):
     links = 0
-    for c in _construction_coeffs():
+    for c in _chain_coeffs(construction_coeffs):
         got, want = build_chain(c), _loop_build_chain(c)
         assert got == want
         for a, b in zip(got.derivs, want.derivs):

@@ -1,14 +1,15 @@
 """Time cocycles past the catalog, one rung per algebra dimension.
 
     python3 tools/ladder.py [--src DIR] [--dims 200,400,800,1600]
-        [--dense-dims 40,80,120,160] [--runs 3] [--out ladder.json]
+        [--runs 3] [--out ladder.json]
 
-A chain rung takes the chain cocycle sum_i [i, i+1, i+2] on n = dim/2 base
-vectors, which has O(n) terms; a dense rung takes the seeded random
-cocycle of density 1/2 on n base vectors (randgen.random_coeffs, seed
-DENSE_SEED), which has about C(n, 3)/2. Each rung runs tstar_extend,
-nilindex and is_reduced on its cocycle in a fresh interpreter that imports
-quadlie from DIR (default: this checkout's src/), so that each rung's peak
+A chain rung, one per --dims entry, takes the chain cocycle
+sum_i [i, i+1, i+2] on n = dim/2 base vectors, which has O(n) terms; a
+dense rung, one per DENSE_DIMS entry, takes the seeded random cocycle of
+density 1/2 on n base vectors (randgen.random_coeffs, seed DENSE_SEED),
+which has about C(n, 3)/2. Each rung runs tstar_extend, nilindex and
+is_reduced on its cocycle in a fresh interpreter that imports quadlie
+from DIR (default: this checkout's src/), so that each rung's peak
 resident memory is its own. A rung is run --runs times; the report gives,
 per rung, the median seconds of each step and of the three together
 (import excluded), the largest peak RSS, and the ratio of each rung's
@@ -25,9 +26,10 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+DENSE_DIMS = (40, 80, 120, 160)
 DENSE_SEED = 1
 
-RUNG = """
+RUNG = f"DENSE_SEED = {DENSE_SEED}\n" + """
 import json, resource, sys, time
 from fractions import Fraction
 from quadlie import CocycleCoeffs, tstar_extend
@@ -36,7 +38,7 @@ kind, n = sys.argv[1], int(sys.argv[2]) // 2
 if kind == "chain":
     c = CocycleCoeffs(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
 else:
-    c = random_coeffs(n, seed=int(sys.argv[3]), density=Fraction(1, 2))
+    c = random_coeffs(n, seed=DENSE_SEED, density=Fraction(1, 2))
 t0 = time.perf_counter()
 q = tstar_extend(c)
 t1 = time.perf_counter()
@@ -55,29 +57,22 @@ print(json.dumps({"tstar_extend_s": t1 - t0, "nilindex_s": t2 - t1,
 
 def rung(src: str, kind: str, dim: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", RUNG, kind, str(dim),
-                          str(DENSE_SEED)], env=env,
-                         capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", RUNG, kind, str(dim)],
+                         env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def dims(text: str) -> list[int]:
-    return [int(d) for d in text.split(",") if d]
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--src", default=os.path.join(ROOT, "src"))
-    p.add_argument("--dims", type=dims, default=dims("200,400,800,1600"),
-                   help="chain rungs, as algebra dimensions")
-    p.add_argument("--dense-dims", type=dims, default=dims("40,80,120,160"),
-                   help="dense rungs, as algebra dimensions")
+    p.add_argument("--dims", default="200,400,800,1600")
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--out", default=None)
     args = p.parse_args()
 
     rungs = []
-    for kind, kind_dims in (("chain", args.dims), ("dense", args.dense_dims)):
+    chain_dims = tuple(map(int, args.dims.split(",")))
+    for kind, kind_dims in (("chain", chain_dims), ("dense", DENSE_DIMS)):
         prev = None
         for dim in kind_dims:
             runs = [rung(args.src, kind, dim) for _ in range(args.runs)]
