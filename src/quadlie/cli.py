@@ -218,15 +218,12 @@ def cmd_tstar(args) -> int:
         obj = load_json(args.input)
         if isinstance(obj, dict) and "pairs" in obj:
             w = general_cocycle_from_obj(obj)
-            split = w.base.dim
         else:
             w = coeffs_from_obj(obj, cls=CocycleCoeffs)
-            split = w.n
     else:
         w = parse_coeffs(args.input, n=args.n, cls=CocycleCoeffs)
-        split = w.n
-    q = tstar_extend(w)
-    return _print_algebra(_fmt(args), q, split, lambda: (
+    q = tstar_extend(w)  # B + B*, so B is its first half
+    return _print_algebra(_fmt(args), q, q.dim // 2, lambda: (
         f"dual extension: dim {q.dim}, nilindex {q.alg.nilindex()}",))
 
 
@@ -305,7 +302,7 @@ def cmd_decompose(args) -> int:
     else:
         print(f"base dim: {base.dim} "
               f"({'abelian' if not base.terms else 'non-abelian'})")
-        print(f"cocycle pairs: {len(w.values)}")
+        print(f"cocycle pairs: {len(w.terms)}")
         print("isometry verified: yes")
     return 0
 

@@ -259,6 +259,15 @@ class ExtensionChain:
                        for k, m in enumerate(self.derivs))
 
 
+def _check_links(derivs: Sequence[Mat]) -> None:
+    """Link k of a chain must be skew for the hyperbolic form of dim 2k."""
+    for k, d in enumerate(derivs):
+        bad = skew_defect(hyperbolic_form(k), d)
+        if bad:
+            raise ValidationError(f"link {k} not skew at {bad[0]}",
+                                  law="skew", witness=bad[0])
+
+
 def build_chain(c: AltCoeffs) -> ExtensionChain:
     """The chain whose link k extends by d_k(e_j) = sum_l c(k+1,j,l) e_l*."""
     n = c.n
@@ -274,15 +283,9 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
         k = top - 1
         links[k][k + b - 1][a - 1] = v
         links[k][k + a - 1][b - 1] = -v
-    derivs = []
-    for k, m in enumerate(links):
-        mat = Mat._of(m, 2 * k)
-        bad = skew_defect(hyperbolic_form(k), mat)
-        if bad:
-            raise ValidationError(f"link {k} not skew at {bad[0]}",
-                                  law="skew", witness=bad[0])
-        derivs.append(mat)
-    return ExtensionChain(n, tuple(derivs))
+    derivs = tuple(Mat._of(m, 2 * k) for k, m in enumerate(links))
+    _check_links(derivs)
+    return ExtensionChain(n, derivs)
 
 
 def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
@@ -351,11 +354,7 @@ def chain_to_algebra(ch: ExtensionChain) -> QuadraticStructure:
         raise ValidationError("all chain derivations are zero", law="nnp")
     if not ch.two_sp:
         raise ValidationError("two-step property fails", law="2sp")
-    for k, d in enumerate(ch.derivs):
-        bad = skew_defect(hyperbolic_form(k), d)
-        if bad:
-            raise ValidationError(f"link {k} not skew at {bad[0]}",
-                                  law="skew", witness=bad[0])
+    _check_links(ch.derivs)
     n = ch.n
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j, k), c in chain_dcoeffs(ch).terms:

@@ -7,6 +7,7 @@ left-multiplication skewness phi([x,y],z) + phi(y,[x,z]) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Sequence
 
 from .algebra import LieAlgebra
@@ -134,18 +135,12 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
     if mt * q2.form * m != q1.form:
         return False, "form not preserved"
     cols = mt.sparse_rows
-    for (i, j) in _all_pairs(q1.dim):
+    for i, j in combinations(range(1, q1.dim + 1), 2):
         lhs = mt._vecmat(q1.alg.terms.get((i, j), ()))
         rhs = q2.alg._bracket(cols[i - 1], cols[j - 1])
         if lhs != rhs:
             return False, f"bracket not preserved at ({i},{j})"
     return True, "ok"
-
-
-def _all_pairs(n: int):
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            yield i, j
 
 
 def permute_quadratic(q: QuadraticStructure, perm: Sequence[int]

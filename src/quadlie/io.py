@@ -43,6 +43,13 @@ def _expect(obj: Any, key: str, kind: str):
     return obj[key]
 
 
+def _expect_list(obj: Any, key: str, kind: str) -> list:
+    val = _expect(obj, key, kind)
+    if not isinstance(val, list):
+        raise QuadlieError(f"{kind} {key} must be a list")
+    return val
+
+
 def _scalar_in(x, where: str, memo: dict | None = None):
     """memo keeps the value of each good str parsed so far; only str keys,
     since the float 1.0 would find a kept int 1. Bad strings fail each time."""
@@ -94,12 +101,9 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
     dim = _expect(obj, "dim", "algebra")
     if not isinstance(dim, int) or dim < 0:
         raise QuadlieError(f"bad dimension {dim!r}")
-    entries = _expect(obj, "brackets", "algebra")
-    if not isinstance(entries, list):
-        raise QuadlieError("algebra brackets must be a list")
     memo: dict[str, Fraction] = {}  # one parse per distinct string
     brackets = {}
-    for ent in entries:
+    for ent in _expect_list(obj, "brackets", "algebra"):
         i = _expect(ent, "i", "bracket")
         j = _expect(ent, "j", "bracket")
         v = _expect(ent, "v", "bracket")
@@ -136,7 +140,7 @@ def coeffs_from_obj(obj: Any, cls=CocycleCoeffs) -> AltCoeffs:
     if not isinstance(n, int) or n < 0:
         raise QuadlieError(f"bad dimension {n!r}")
     vals = []
-    for ent in _expect(obj, "terms", "coefficients"):
+    for ent in _expect_list(obj, "terms", "coefficients"):
         ijk = _expect(ent, "ijk", "term")
         if (not isinstance(ijk, list) or len(ijk) != 3
                 or any(not isinstance(x, int) for x in ijk)):
@@ -163,13 +167,18 @@ def general_cocycle_to_obj(w: GeneralCocycle) -> dict:
 def general_cocycle_from_obj(obj: Any) -> GeneralCocycle:
     base, _ = algebra_from_obj(_expect(obj, "base", "cocycle"))
     values = {}
-    for ent in _expect(obj, "pairs", "cocycle"):
+    for ent in _expect_list(obj, "pairs", "cocycle"):
         ij = _expect(ent, "ij", "pair")
         if (not isinstance(ij, list) or len(ij) != 2
                 or any(not isinstance(x, int) for x in ij)):
             raise QuadlieError(f"bad index pair {ij!r}")
         v = _expect(ent, "v", "pair")
-        values[tuple(ij)] = tuple(_scalar_in(c, f"pair {ij}") for c in v)
+        i, j = ij
+        if not isinstance(v, list):
+            raise QuadlieError(f"pair ({i},{j}): value must be a list")
+        if (i, j) in values:
+            raise QuadlieError(f"duplicate pair ({i},{j})")
+        values[(i, j)] = tuple(_scalar_in(c, f"pair {ij}") for c in v)
     return GeneralCocycle(base, values)
 
 
@@ -181,9 +190,7 @@ def chain_to_obj(ch: ExtensionChain) -> dict:
 
 def chain_from_obj(obj: Any) -> ExtensionChain:
     n = _expect(obj, "n", "chain")
-    derivs = _expect(obj, "derivs", "chain")
-    if not isinstance(derivs, list):
-        raise QuadlieError("chain derivs must be a list")
+    derivs = _expect_list(obj, "derivs", "chain")
     # [] is the 0x0 link; shape errors surface in the chain constructor
     mats = tuple(_mat_in(rows, f"deriv {k}")
                  for k, rows in enumerate(derivs))
@@ -198,8 +205,6 @@ def family_to_obj(fam: QuadraticFamily) -> dict:
 
 def family_from_obj(obj: Any) -> QuadraticFamily:
     n = _expect(obj, "n", "family")
-    mats = _expect(obj, "mats", "family")
-    if not isinstance(mats, list):
-        raise QuadlieError("family mats must be a list")
+    mats = _expect_list(obj, "mats", "family")
     return QuadraticFamily(n, tuple(_mat_in(m, f"matrix {i + 1}")
                                     for i, m in enumerate(mats)))

@@ -49,10 +49,6 @@ def basis_vec(n: int, k: int) -> tuple[Fraction, ...]:
     return tuple(ONE if t == k - 1 else ZERO for t in range(n))
 
 
-def is_zero_vec(x: Sequence[Fraction]) -> bool:
-    return not any(x)
-
-
 class Mat:
     """Immutable matrix over Fraction, stored once as `sparse_rows`: each
     row's nonzero entries as a {column: entry} dict, columns ascending. The

@@ -31,6 +31,8 @@ class QuadraticFamily:
 
     def value(self, i: int, j: int, k: int):
         """Coefficient of e_k* in [e_i, e_j]: entry (k, j) of M_i."""
+        if not all(1 <= x <= self.n for x in (i, j, k)):
+            raise ValueError(f"basis label out of range: ({i},{j},{k})")
         return self.mats[i - 1].entry(k - 1, j - 1)
 
 

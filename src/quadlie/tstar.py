@@ -2,9 +2,10 @@
 
 Two cocycle containers: CocycleCoeffs (alternating coefficients over an
 abelian base, shared storage with trivectors) and GeneralCocycle (arbitrary
-Lie base, one covector per basis pair). Coefficient input converts once,
-through GeneralCocycle.from_coeffs, and one sparse builder makes the bracket
-of every extension; the cocycle law is checked as its Jacobi law.
+Lie base, the nonzero entries of w(e_i, e_j) per basis pair, stored like
+LieAlgebra.terms). Coefficient input converts once, through
+GeneralCocycle.from_coeffs, and one sparse builder makes the bracket of
+every extension; the cocycle law is checked as its Jacobi law.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse,
-                     is_zero_vec, kernel, vec, vstack, zero_vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
+                     vec, vstack)
 
 
 class CocycleCoeffs(AltCoeffs):
@@ -24,54 +25,68 @@ class CocycleCoeffs(AltCoeffs):
 
 
 class GeneralCocycle:
-    """Skew bilinear w: B x B -> B*, stored as covectors on pairs i<j."""
+    """Skew bilinear w: B x B -> B*, stored like LieAlgebra.terms: keys
+    (i, j) with 1 <= i < j <= n, each value the nonzero (k, c) of
+    w(e_i, e_j) with k 0-based and ascending. An absent key is zero."""
 
-    __slots__ = ("base", "values")
+    __slots__ = ("base", "terms")
 
     def __init__(self, base: LieAlgebra,
                  values: Mapping[tuple[int, int], Sequence]):
         n = base.dim
-        store: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), v in values.items():
             if not (1 <= i < j <= n):
                 raise ValidationError(f"bad pair {(i, j)}; need 1 <= i < j <= {n}")
             v = vec(v)
             if len(v) != n:
                 raise ValidationError(f"covector at {(i, j)} must have length {n}")
-            if not is_zero_vec(v):
-                store[(i, j)] = v
-        self.base = base
-        self.values = store
+            nz = tuple((k, c) for k, c in enumerate(v) if c)
+            if nz:
+                terms[(i, j)] = nz
+        self.base, self.terms = base, terms
+
+    @classmethod
+    def _of(cls, base: LieAlgebra, terms: dict) -> "GeneralCocycle":
+        """Trusted constructor: terms already in the stored format."""
+        w = object.__new__(cls)
+        w.base, w.terms = base, terms
+        return w
 
     @classmethod
     def from_coeffs(cls, c: AltCoeffs) -> "GeneralCocycle":
         """w(e_i,e_j)(e_k) = c_ijk over the abelian base. Each (pair, slot)
-        comes from exactly one stored triple, already range-checked."""
-        vals: dict[tuple[int, int], list[Fraction]] = {}
+        comes from one stored triple, and c.terms is sorted, so a pair
+        (a, b) gets k < a, then a < k < b, then k > b: ascending."""
+        terms: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for (i, j, k), cv in c.terms:
-            for pair, pos, v in (((i, j), k, cv), ((i, k), j, -cv),
-                                 ((j, k), i, cv)):
-                vals.setdefault(pair, [ZERO] * c.n)[pos - 1] = v
-        w = object.__new__(cls)
-        w.base = abelian(c.n)
-        w.values = {pair: tuple(v) for pair, v in vals.items()}
-        return w
+            terms.setdefault((i, j), []).append((k - 1, cv))
+            terms.setdefault((i, k), []).append((j - 1, -cv))
+            terms.setdefault((j, k), []).append((i - 1, cv))
+        return cls._of(abelian(c.n), {pair: tuple(nz)
+                                      for pair, nz in terms.items()})
+
+    @property
+    def values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """The dense view: w(e_i, e_j) as a dim-length tuple per stored key."""
+        return {key: self.base._dense(nz) for key, nz in self.terms.items()}
 
     def value_pair(self, i: int, j: int) -> tuple[Fraction, ...]:
         """w(e_i, e_j) with sign resolution; zero covector on i == j."""
         n = self.base.dim
-        if i == j:
-            return zero_vec(n)
-        if i < j:
-            return self.values.get((i, j), zero_vec(n))
-        v = self.values.get((j, i))
-        return zero_vec(n) if v is None else tuple(-e for e in v)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"basis label out of range: ({i},{j})")
+        if i > j:
+            return tuple(-e for e in self.value_pair(j, i))
+        return self.base._dense(self.terms.get((i, j), ()))
 
     def value(self, i: int, j: int, k: int) -> Fraction:
+        if not 1 <= k <= self.base.dim:
+            raise ValueError(f"basis label out of range: ({i},{j},{k})")
         return self.value_pair(i, j)[k - 1]
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.terms
 
 
 def _general(w: GeneralCocycle | AltCoeffs) -> GeneralCocycle:
@@ -102,8 +117,8 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
             # [e_i, e_j] has c at e_{k+1}, and [e_j, e_i] has -c
             row(i, star + k + 1)[star + j - 1] = -c
             row(j, star + k + 1)[star + i - 1] = c
-    for pair, v in w.values.items():
-        row(*pair).update((star + k, c) for k, c in enumerate(v) if c)
+    for pair, nz in w.terms.items():
+        row(*pair).update((star + k, c) for k, c in nz)
     if aq is not None:
         for (i, j), v in aq.alg.terms.items():
             a = row(m + i, m + j)
@@ -139,11 +154,10 @@ def cyclic_defect(w: GeneralCocycle | AltCoeffs
     if isinstance(w, AltCoeffs):
         return []  # alternating storage is cyclic by construction
     t: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), v in w.values.items():
-        for k, c in enumerate(v, start=1):
-            if c:
-                t[(i, j, k)] = c
-                t[(j, i, k)] = -c
+    for (i, j), nz in w.terms.items():
+        for k, c in nz:
+            t[(i, j, k + 1)] = c
+            t[(j, i, k + 1)] = -c
     cands = set(t) | {(b, c, a) for (a, b, c) in t}
     return sorted(x for x in cands
                   if t.get(x, ZERO) != t.get((x[2], x[0], x[1]), ZERO))
@@ -189,43 +203,32 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
     if bad:
         raise ValidationError(f"cocycle is not cyclic at triple {bad[0]}",
                               law="cyclic", witness=bad[0])
-    g = _general(w)
-    alg = _tstar_algebra(g)
+    alg = _tstar_algebra(_general(w))  # a converted cocycle dies here
     # coefficient storage is alternating over an abelian base: a cocycle
     if not isinstance(w, AltCoeffs):
-        bad = _cocycle_defect(g, alg)
+        bad = _cocycle_defect(w, alg)
         if bad:
             raise ValidationError(f"2-cocycle identity fails at triple "
                                   f"{bad[0]}", law="cocycle", witness=bad[0])
-    return QuadraticStructure(alg, hyperbolic_form(g.base.dim))
+    return QuadraticStructure(alg, hyperbolic_form(alg.dim // 2))
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
     """{b in B : w(b, -) = 0}: the centre of the bracket w on B.
 
-    For coefficients, x is in it when sum_i x_i c(i, s, r) = 0 for all s, r.
-    c is alternating, so the row of (r, s) is the row of (s, r) negated:
-    each stored c_ijk fills one entry of the rows of (j, k), (i, k) and
-    (i, j), one row per unordered pair.
+    For alternating coefficients c, the rows of sum_i x_i c(i, s, r) = 0
+    are the values of from_coeffs(c), one per unordered pair (s, r).
     """
     if isinstance(w, AltCoeffs):
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j, k), c in w.terms:
-            rows.setdefault((j, k), {})[i - 1] = c
-            rows.setdefault((i, k), {})[j - 1] = -c
-            rows.setdefault((i, j), {})[k - 1] = c
-        return kernel(Mat._of([dict(sorted(rows[key].items()))
-                               for key in sorted(rows)], w.n))
-    return LieAlgebra._of(w.base.dim, {
-        pair: tuple((k, e) for k, e in enumerate(v) if e)
-        for pair, v in w.values.items()}).centre()
+        rows = GeneralCocycle.from_coeffs(w).terms.values()
+        return kernel(Mat._of([dict(nz) for nz in rows], w.n))
+    return LieAlgebra._of(w.base.dim, w.terms).centre()
 
 
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:
     """span{w(b, b')} inside B* coordinates."""
     g = _general(w)
-    return Subspace._of(g.base.dim, [{k: e for k, e in enumerate(v) if e}
-                                     for v in g.values.values()])
+    return Subspace._of(g.base.dim, [dict(nz) for nz in g.terms.values()])
 
 
 def reduced_criteria(w: AltCoeffs) -> tuple[bool, bool, bool]:
@@ -304,7 +307,7 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
                   dim)
     iso_t = iso.transpose()
     brackets = {}
-    wvals = {}
+    wterms = {}
     for a in range(n):
         for b in range(a + 1, n):
             v = iso_t._vecmat(q.alg._bracket(lrows[a], lrows[b]).items())
@@ -312,9 +315,10 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
             if lam:
                 brackets[(a + 1, b + 1)] = lam
             if len(lam) < len(v):
-                wvals[(a + 1, b + 1)] = [v.get(k, ZERO) for k in range(n, dim)]
+                wterms[(a + 1, b + 1)] = tuple((k - n, c) for k, c in v.items()
+                                               if k >= n)
     B = LieAlgebra._of(n, brackets)
-    w = GeneralCocycle(B, wvals)
+    w = GeneralCocycle._of(B, wterms)
     ok, why = is_isometry(q, tstar_extend(w), iso)
     if not ok:
         raise ValidationError(f"recovered map failed verification: {why}")

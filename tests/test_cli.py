@@ -409,6 +409,38 @@ def test_verify_bad_input_is_one_json_error(tmp_path, body):
         assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
 
 
+_HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
+
+
+@pytest.mark.parametrize("cmd, body", [
+    (("tstar",), _body({"n": 3, "base": _HEIS, "pairs": 7})),
+    (("tstar",), _body({"n": 3, "base": _HEIS,
+                        "pairs": [{"ij": [1, 2], "v": 5}]})),
+    # read as the zero covector (0, 0, 0) if a string were taken as a list
+    (("tstar",), _body({"n": 3, "base": _HEIS,
+                        "pairs": [{"ij": [1, 2], "v": "000"}]})),
+    (("tstar",), _body({"n": 3, "base": _HEIS,
+                        "pairs": [{"ij": [1, 2], "v": ["0", "0", "1"]},
+                                  {"ij": [1, 2], "v": ["0", "0", "0"]}]})),
+    (("tstar",), _body({"n": 3, "terms": 5})),
+    (("convert", "--from", "cocycle", "--to", "algebra"),
+     _body({"n": 3, "terms": 5})),
+    (("rank",), _body({"n": 3, "terms": 5})),
+], ids=["pairs-int", "pair-v-int", "pair-v-string", "pair-duplicate",
+        "tstar-terms-int", "convert-terms-int", "rank-terms-int"])
+def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    for fmt in ("summary", "json"):
+        proc = _cli_process(*cmd, str(path), "--format", fmt)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--lam", "abc"),
     ("catalog", "--lam", "1/0"),

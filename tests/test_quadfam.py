@@ -23,6 +23,13 @@ def test_family_value_indexing():
     assert fam.value(1, 2, 2) == 0
 
 
+def test_family_value_rejects_out_of_range_labels():
+    fam = fam123()
+    for ijk in ((0, 1, 2), (1, 0, 2), (1, 2, 0), (4, 1, 2), (1, 2, 4)):
+        with pytest.raises(ValueError, match="basis label out of range"):
+            fam.value(*ijk)
+
+
 def test_family_matches_coeffs_route():
     assert coeffs_to_family(parse_coeffs("123")) == fam123()
 

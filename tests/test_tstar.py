@@ -30,6 +30,17 @@ def test_general_cocycle_validation():
     assert w.value(1, 3, 2) == -1
 
 
+def test_cocycle_values_reject_out_of_range_labels():
+    w = GeneralCocycle(heisenberg(), {(1, 2): (0, 0, 1)})
+    for ijk in ((1, 2, 0), (1, 2, 4), (0, 1, 1), (1, 4, 1)):
+        with pytest.raises(ValueError, match="basis label out of range"):
+            w.value(*ijk)
+    for ij in ((0, 9), (0, 1), (1, 0), (4, 1), (3, 4)):
+        with pytest.raises(ValueError, match="basis label out of range"):
+            w.value_pair(*ij)
+    assert w.value_pair(3, 3) == (0, 0, 0)
+
+
 def test_cyclic_and_cocycle_defects():
     w = det_cocycle()
     assert cyclic_defect(w) == []
@@ -387,6 +398,21 @@ _PAIRS = ((cyclic_defect, _ref_cyclic_defect),
           (value_span, _ref_value_span))
 
 
+def _assert_sparse_store(w):
+    """terms: nonempty values, k ascending and in range, c nonzero; values
+    is its dense view; the validated constructor stores the same terms."""
+    n = w.base.dim
+    for (i, j), nz in w.terms.items():
+        assert 1 <= i < j <= n and nz
+        ks = [k for k, _ in nz]
+        assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < n
+        assert all(c != 0 for _, c in nz)
+    assert w.values == {pair: tuple(dict(nz).get(k, Fraction(0))
+                                    for k in range(n))
+                        for pair, nz in w.terms.items()}
+    assert GeneralCocycle(w.base, w.values).terms == w.terms
+
+
 def _assert_paths_agree(w):
     for new, ref in _PAIRS:
         assert _outcome(new, w) == _outcome(ref, w), (new.__name__, w)
@@ -466,6 +492,7 @@ def test_coefficient_paths_match_dense_reference():
         w = GeneralCocycle.from_coeffs(c)
         ref = _ref_from_coeffs(c)
         assert (w.base, w.values) == (ref.base, ref.values)
+        _assert_sparse_store(w)
         # the general path of the old code agrees on the converted cocycle
         assert _outcome(tstar_extend, c) == _outcome(_ref_tstar, ref)
     assert len(inputs) == 22 + 3 + 60 + 2
@@ -475,6 +502,7 @@ def test_general_paths_match_dense_reference():
     kinds = {"cyclic": 0, "jacobi": 0, "cocycle": 0, "ok": 0}
     for w in _general_cocycles():
         _assert_paths_agree(w)
+        _assert_sparse_store(w)
         out = _outcome(tstar_extend, w)
         kinds[out[1] if out[0] == "error" else "ok"] += 1
     assert kinds["cyclic"] >= 50
@@ -489,6 +517,7 @@ def test_decomposed_cocycles_match_dense_reference():
         q = algebra_from_trivector(e.trivector)
         _, w, _ = decompose_as_tstar(q, q.alg.derived())
         _assert_paths_agree(w)
+        _assert_sparse_store(w)
 
 
 def test_radical_of_coefficients_solves_one_row_per_pair(monkeypatch):
