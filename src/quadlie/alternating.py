@@ -103,38 +103,38 @@ class AltCoeffs:
             raise ValueError("dimension mismatch")
         return type(self)(self.n, list(self.terms) + list(other.terms))
 
+    def pair_terms(self) -> dict[tuple[int, int], tuple]:
+        """c as w(e_i, e_j)(e_k) = c_ijk in LieAlgebra.terms' format, a new
+        dict per call: sorted keys (i, j), i < j, each value the nonzero
+        (k - 1, c) with k ascending. A term (i, j, k) puts c, -c and c at
+        the pairs (i, j), (i, k) and (j, k); self.terms is sorted, so a pair
+        (a, b) gets k < a, then a < k < b, then k > b."""
+        acc: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for (i, j, k), c in self.terms:
+            acc.setdefault((i, j), []).append((k - 1, c))
+            acc.setdefault((i, k), []).append((j - 1, -c))
+            acc.setdefault((j, k), []).append((i - 1, c))
+        return {p: tuple(acc[p]) for p in sorted(acc)}
+
     def contraction_with(self, x: Sequence[Fraction]) -> Mat:
-        """The skew 2-form c(x, -, -) as an n x n matrix."""
+        """The skew 2-form c(x, -, -) as an n x n matrix: entry (j, k) sums
+        x_i c_ijk over slot i of pair (j, k), as c_ijk = c_jki. Pairs come
+        sorted, so every row fills in ascending columns."""
         if len(x) != self.n:
             raise ValueError("vector length != n")
-        m = [[ZERO] * self.n for _ in range(self.n)]
-        for (i, j, k), c in self.terms:
-            xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
-            if xi:
-                m[j - 1][k - 1] += xi * c
-                m[k - 1][j - 1] -= xi * c
-            if xj:
-                m[i - 1][k - 1] -= xj * c
-                m[k - 1][i - 1] += xj * c
-            if xk:
-                m[i - 1][j - 1] += xk * c
-                m[j - 1][i - 1] -= xk * c
-        return Mat(m)
-
-    def pair_rows(self) -> Mat:
-        """Rows indexed by pairs j<k, columns by i, entries c_{ijk}.
-
-        Its kernel is {x : c(x,-,-) = 0}; pairs untouched by any term are
-        omitted (their rows are zero).
-        """
-        pairs = sorted({p for (i, j, k), _ in self.terms
-                        for p in ((j, k), (i, k), (i, j))})
-        rows = [[self.value(i, j, k) for i in range(1, self.n + 1)]
-                for (j, k) in pairs]
-        return Mat.from_rows(rows, cols=self.n)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
+        for (j, k), nz in self.pair_terms().items():
+            v = sum((x[i] * c for i, c in nz if x[i]), ZERO)
+            if v:
+                rows[j - 1][k - 1] = v
+                rows[k - 1][j - 1] = -v
+        return Mat._of(rows, self.n)
 
     def kernel_subspace(self) -> Subspace:
-        return kernel(self.pair_rows())
+        """{x : c(x, -, -) = 0}: one sparse row per pair (j, k), holding
+        c_ijk at column i; untouched pairs have zero rows and are left out."""
+        return kernel(Mat._of([dict(nz) for nz in self.pair_terms().values()],
+                              self.n))
 
 
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .doubleext import ExtensionChain, build_chain, chain_dcoeffs
-from .doubleext import chain_to_algebra
+from .doubleext import (ExtensionChain, _check_chain, build_chain,
+                        chain_dcoeffs, chain_to_algebra)
 from .errors import ValidationError
 from .forms import QuadraticStructure
 from .linalg import Mat
@@ -20,45 +20,30 @@ from .quadfam import QuadraticFamily, algebra_from_family, validate_family
 from .tstar import CocycleCoeffs, tstar_extend
 
 
-def _signed_places(c: CocycleCoeffs):
-    """(i, j, k, c_ijk) at the six orderings of each term of c."""
-    for (i, j, k), v in c.terms:
-        yield from ((i, j, k, v), (j, k, i, v), (k, i, j, v),
-                    (i, k, j, -v), (k, j, i, -v), (j, i, k, -v))
-
-
 def family_to_coeffs(fam: QuadraticFamily) -> CocycleCoeffs:
-    """Read c_ijk off entry (k,j) of M_i, checking every redundant
-    position against the alternating symmetry."""
+    """Read c_ijk off entry (k,j) of M_i at i < j < k. The family laws make
+    the other places agree: M_i skew swaps j and k, and column j of M_i =
+    -column i of M_j swaps i and j, which together generate S_3."""
     ok, problems = validate_family(fam)
     if not ok:
         raise ValidationError("; ".join(problems), law="family")
-    entries = {(i, j + 1, k + 1): v
-               for i, m in enumerate(fam.mats, start=1)
-               for k, row in enumerate(m.sparse_rows) for j, v in row.items()}
-    c = CocycleCoeffs(fam.n, {t: v for t, v in entries.items()
-                              if t[0] < t[1] < t[2]})
-    # a mismatch needs a nonzero on one side: an entry of the family, or
-    # one of the six signed places of a term of c
-    want = {(i, j, k): v for i, j, k, v in _signed_places(c)}
-    bad = [t for t, v in entries.items() if want.get(t) != v]
-    bad += [t for t, v in want.items() if entries.get(t) != v]
-    if bad:
-        i, j, k = min(bad)
-        raise ValidationError(
-            f"entry ({k},{j}) of matrix {i} breaks the "
-            f"alternating symmetry", law="alternating", witness=(i, j, k))
-    return c
+    return CocycleCoeffs(fam.n, {(i, j + 1, k + 1): v
+                                 for i, m in enumerate(fam.mats, start=1)
+                                 for k, row in enumerate(m.sparse_rows)
+                                 for j, v in row.items() if i <= j < k})
 
 
 def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
-    """The matrix family with entry (k,j) of M_i equal to c_ijk."""
+    """The matrix family with entry (k,j) of M_i equal to c_ijk: slot k of
+    pair (a, b) holds c_abk, which M_a has at (k, b) and M_b, negated, at
+    (k, a). Pairs come sorted, so every row fills in ascending columns."""
     n = c.n
-    # c.terms is sorted, so the terms holding both i and k come in
-    # ascending order of their third index: row k of M_i fills ascending
     mats: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for i, j, k, v in _signed_places(c):
-        mats[i - 1][k - 1][j - 1] = v
+    for (a, b), nz in c.pair_terms().items():
+        ma, mb = mats[a - 1], mats[b - 1]
+        for k, v in nz:
+            ma[k][b - 1] = v
+            mb[k][a - 1] = -v
     return QuadraticFamily(n, tuple(Mat._of(m, n) for m in mats))
 
 
@@ -67,6 +52,9 @@ def coeffs_to_chain(c: CocycleCoeffs) -> ExtensionChain:
 
 
 def chain_to_coeffs(ch: ExtensionChain) -> CocycleCoeffs:
+    """The coefficients a chain carries, read once its two-step property
+    and skew links are checked, as chain_to_algebra checks them."""
+    _check_chain(ch)
     d = chain_dcoeffs(ch)
     return CocycleCoeffs(d.n, d.terms)
 
@@ -81,8 +69,10 @@ class RoadsReport:
 
 
 def all_roads(c: CocycleCoeffs) -> RoadsReport:
-    """Build via the T*-extension, the folded chain closed formula, and the
-    matrix family, then compare structure constants and forms exactly."""
+    """Build via the T*-extension, the chain and the matrix family, then
+    compare structure constants and forms exactly. The chain route checks
+    the round trip c -> chain -> c' and the chain's laws; fold_chain, the
+    independent chain construction, is compared in the tests."""
     if c.n < 3:
         raise ValidationError("need dimension at least 3", law="dimension")
     if c.is_zero():

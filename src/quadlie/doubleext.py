@@ -7,7 +7,7 @@ driven by an alternating coefficient family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .algebra import LieAlgebra, abelian
@@ -15,7 +15,7 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
 from .linalg import Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel, solve
-from .tstar import GeneralCocycle, _tstar_algebra, value_span
+from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
 def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
@@ -238,6 +238,9 @@ class ExtensionChain:
     """Derivations d_0..d_{n-1}; d_k acts on the 2k-dimensional link k."""
     n: int
     derivs: tuple[Mat, ...]
+    # set by _check_chain once the chain passes; outside eq, hash and repr
+    _checked: bool = field(default=False, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if len(self.derivs) != self.n:
@@ -259,13 +262,19 @@ class ExtensionChain:
                        for k, m in enumerate(self.derivs))
 
 
-def _check_links(derivs: Sequence[Mat]) -> None:
-    """Link k of a chain must be skew for the hyperbolic form of dim 2k."""
-    for k, d in enumerate(derivs):
+def _check_chain(ch: ExtensionChain) -> None:
+    """The two-step property, and link k skew for the hyperbolic form of
+    dim 2k. A chain remembers that it passed, so it is checked once."""
+    if ch._checked:
+        return
+    if not ch.two_sp:
+        raise ValidationError("two-step property fails", law="2sp")
+    for k, d in enumerate(ch.derivs):
         bad = skew_defect(hyperbolic_form(k), d)
         if bad:
             raise ValidationError(f"link {k} not skew at {bad[0]}",
                                   law="skew", witness=bad[0])
+    object.__setattr__(ch, "_checked", True)
 
 
 def build_chain(c: AltCoeffs) -> ExtensionChain:
@@ -283,9 +292,10 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
         k = top - 1
         links[k][k + b - 1][a - 1] = v
         links[k][k + a - 1][b - 1] = -v
-    derivs = tuple(Mat._of(m, 2 * k) for k, m in enumerate(links))
-    _check_links(derivs)
-    return ExtensionChain(n, derivs)
+    ch = ExtensionChain(n, tuple(Mat._of(m, 2 * k)
+                                 for k, m in enumerate(links)))
+    _check_chain(ch)
+    return ch
 
 
 def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
@@ -345,25 +355,16 @@ def fold_chain(ch: ExtensionChain) -> QuadraticStructure:
 
 
 def chain_to_algebra(ch: ExtensionChain) -> QuadraticStructure:
-    """Closed-form result of the whole chain: [e_i, e_j] = sum D_ijk e_k*.
+    """Closed-form result of the whole chain: [e_i, e_j] = sum D_ijk e_k*,
+    the T*-extension of the coefficients the chain carries.
 
     Requires the chain to be nonzero with the two-step property; every link
     must be skew for the hyperbolic pairing.
     """
     if not ch.nnp:
         raise ValidationError("all chain derivations are zero", law="nnp")
-    if not ch.two_sp:
-        raise ValidationError("two-step property fails", law="2sp")
-    _check_links(ch.derivs)
-    n = ch.n
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (i, j, k), c in chain_dcoeffs(ch).terms:
-        # D_ijk is alternating: it puts c, -c and c at e_k*, e_j* and e_i*
-        rows.setdefault((i, j), {})[n + k - 1] = c
-        rows.setdefault((i, k), {})[n + j - 1] = -c
-        rows.setdefault((j, k), {})[n + i - 1] = c
-    terms = {key: tuple(sorted(rows[key].items())) for key in sorted(rows)}
-    return QuadraticStructure(LieAlgebra._of(2 * n, terms), hyperbolic_form(n))
+    _check_chain(ch)
+    return tstar_extend(chain_dcoeffs(ch))
 
 
 def chain_reduced_check(ch: ExtensionChain) -> bool:

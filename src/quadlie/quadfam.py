@@ -41,9 +41,9 @@ def _negated(a: dict, b: dict) -> bool:
     return len(a) == len(b) and all(a.get(k) == -e for k, e in b.items())
 
 
-def family_defects(fam: QuadraticFamily) -> list[str]:
-    """Violations of the three admissibility laws, as readable strings.
-    Column j of M_i is row j of its transpose, taken once per matrix."""
+def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:
+    """family_defects, and the sparse rows of each matrix's transpose read
+    for them: column j of M_i is row j of its transpose, taken once."""
     out = []
     cols = []
     for i, m in enumerate(fam.mats, start=1):
@@ -58,7 +58,12 @@ def family_defects(fam: QuadraticFamily) -> list[str]:
             if not _negated(cols[i - 1][j - 1], cols[j - 1][i - 1]):
                 out.append(f"column {j} of M_{i} is not minus "
                            f"column {i} of M_{j}")
-    return out
+    return out, cols
+
+
+def family_defects(fam: QuadraticFamily) -> list[str]:
+    """Violations of the three admissibility laws, as readable strings."""
+    return _laws(fam)[0]
 
 
 def validate_family(fam: QuadraticFamily) -> tuple[bool, list[str]]:
@@ -66,16 +71,17 @@ def validate_family(fam: QuadraticFamily) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
-def _columns(fam: QuadraticFamily) -> dict[tuple[int, int], dict]:
-    """Column j of M_i for i < j, keyed (i, j) and read off row j of the
-    transpose: the dual part of [e_i, e_j], as a sparse row."""
-    return {(i, j): col for i, m in enumerate(fam.mats, start=1)
-            for j, col in enumerate(m.transpose().sparse_rows[i:], i + 1)}
+def _columns(cols: list) -> dict[tuple[int, int], dict]:
+    """Column j of M_i for i < j, keyed (i, j) and read off row j of its
+    transpose, cols[i - 1]: the dual part of [e_i, e_j], as a sparse row."""
+    return {(i, j): col for i, t in enumerate(cols, start=1)
+            for j, col in enumerate(t[i:], i + 1)}
 
 
 def f_matrix(fam: QuadraticFamily) -> Mat:
     """n x n(n-1)/2 matrix whose block i holds columns i+1..n of M_i."""
-    return Mat._of(list(_columns(fam).values()), fam.n).transpose()
+    cols = [m.transpose().sparse_rows for m in fam.mats]
+    return Mat._of(list(_columns(cols).values()), fam.n).transpose()
 
 
 def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
@@ -85,13 +91,14 @@ def is_nondegenerate_family(fam: QuadraticFamily) -> bool:
 
 
 def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:
-    """The quadratic algebra presented by an admissible nonzero family."""
-    ok, problems = validate_family(fam)
-    if not ok:
+    """The quadratic algebra presented by an admissible nonzero family; the
+    law check and the brackets read one transpose per matrix."""
+    problems, cols = _laws(fam)
+    if problems:
         raise ValidationError("; ".join(problems), law="family")
     n = fam.n
     terms = {key: tuple((n + k, c) for k, c in col.items())
-             for key, col in _columns(fam).items() if col}
+             for key, col in _columns(cols).items() if col}
     if not terms:
         raise ValidationError("every matrix in the family is zero",
                               law="nonzero")

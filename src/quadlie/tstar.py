@@ -16,8 +16,8 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
-                     vec, vstack)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, vec,
+                     vstack)
 
 
 class CocycleCoeffs(AltCoeffs):
@@ -55,16 +55,8 @@ class GeneralCocycle:
 
     @classmethod
     def from_coeffs(cls, c: AltCoeffs) -> "GeneralCocycle":
-        """w(e_i,e_j)(e_k) = c_ijk over the abelian base. Each (pair, slot)
-        comes from one stored triple, and c.terms is sorted, so a pair
-        (a, b) gets k < a, then a < k < b, then k > b: ascending."""
-        terms: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        for (i, j, k), cv in c.terms:
-            terms.setdefault((i, j), []).append((k - 1, cv))
-            terms.setdefault((i, k), []).append((j - 1, -cv))
-            terms.setdefault((j, k), []).append((i - 1, cv))
-        return cls._of(abelian(c.n), {pair: tuple(nz)
-                                      for pair, nz in terms.items()})
+        """w(e_i,e_j)(e_k) = c_ijk over the abelian base: c's pair terms."""
+        return cls._of(abelian(c.n), c.pair_terms())
 
     @property
     def values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -214,14 +206,10 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
-    """{b in B : w(b, -) = 0}: the centre of the bracket w on B.
-
-    For alternating coefficients c, the rows of sum_i x_i c(i, s, r) = 0
-    are the values of from_coeffs(c), one per unordered pair (s, r).
-    """
+    """{b in B : w(b, -) = 0}: the centre of the bracket w on B, which for
+    alternating coefficients is their kernel."""
     if isinstance(w, AltCoeffs):
-        rows = GeneralCocycle.from_coeffs(w).terms.values()
-        return kernel(Mat._of([dict(nz) for nz in rows], w.n))
+        return w.kernel_subspace()
     return LieAlgebra._of(w.base.dim, w.terms).centre()
 
 

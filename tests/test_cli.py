@@ -229,6 +229,28 @@ def test_extend_rejects_non_skew_link(tmp_path, capsys):
     assert "skew" in rep["error"]
 
 
+def test_convert_rejects_chain_that_extend_rejects(tmp_path, capsys):
+    # link 2 reads c_123 = 5 off one triangle, but its other triangle holds
+    # 7 where -5 belongs: the link is not skew
+    obj = {"n": 3, "derivs": [[], [["0", "0"], ["0", "0"]],
+                              [["0", "0", "0", "0"], ["0", "0", "0", "0"],
+                               ["0", "7", "0", "0"], ["5", "0", "0", "0"]]]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "extend", "--chain", str(path))
+    assert code == 1 and json.loads(err)["law"] == "chain"
+    reports = []
+    for to in ("cocycle", "trivector", "family", "chain", "algebra"):
+        code, out, err = run(capsys, "convert", "--from", "chain",
+                             "--to", to, str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        reports.append(json.loads(err))
+    assert reports[0]["law"] == "skew"
+    assert "link 2 not skew" in reports[0]["error"]
+    assert all(r == reports[0] for r in reports)
+
+
 def test_tstar_command(capsys):
     code, out, _ = run(capsys, "tstar", "123", "--n", "3")
     assert code == 0

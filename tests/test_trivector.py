@@ -131,3 +131,54 @@ def test_isometry_from_gl_random_cases():
         ok, why = is_isometry(algebra_from_trivector(t1),
                               algebra_from_trivector(t2), m)
         assert ok, (seed, why)
+
+
+# ---- the pair-terms readers against the dense loops they replaced ----
+
+
+def _dense_kernel(t):
+    """trivector_kernel as it was: the dense AltCoeffs.pair_rows matrix,
+    a row of t_ijk over i per touched pair (j, k)."""
+    from quadlie import kernel
+    pairs = sorted({p for (i, j, k), _ in t.terms
+                    for p in ((j, k), (i, k), (i, j))})
+    rows = [[t.value(i, j, k) for i in range(1, t.n + 1)] for (j, k) in pairs]
+    return kernel(Mat.from_rows(rows, cols=t.n))
+
+
+def _dense_contraction(t, x):
+    """contraction_with as it was: each term adds to six dense entries."""
+    m = [[0] * t.n for _ in range(t.n)]
+    for (i, j, k), c in t.terms:
+        xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
+        m[j - 1][k - 1] += xi * c
+        m[k - 1][j - 1] -= xi * c
+        m[i - 1][k - 1] -= xj * c
+        m[k - 1][i - 1] += xj * c
+        m[i - 1][j - 1] += xk * c
+        m[j - 1][i - 1] -= xk * c
+    return Mat(m)
+
+
+def test_pair_term_readers_match_dense_loops(construction_coeffs):
+    from quadlie.randgen import SplitMix64
+    g = SplitMix64(77)
+    n = 200
+    chain = Trivector(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
+    cases = [delta(c) for c in construction_coeffs] + [chain]
+    for t in cases:
+        k = trivector_kernel(t)
+        assert k == _dense_kernel(t)
+        assert trivector_rank(t) == t.n - k.dim
+        xs = [tuple(g.randint(-2, 2) for _ in range(t.n)),
+              tuple(g.nonzero_entry() for _ in range(t.n))]
+        if t.n <= 9:
+            xs += [tuple(int(a == b) for a in range(t.n))
+                   for b in range(t.n)]
+        for x in xs:
+            got = t.contraction_with(x)
+            assert got == _dense_contraction(t, x)
+            # same rows, columns in the same order
+            assert [list(r.items()) for r in got.sparse_rows] == \
+                [list(r.items()) for r in _dense_contraction(t, x).sparse_rows]
+    assert trivector_rank(chain) == n

@@ -12,8 +12,11 @@ is_reduced on its cocycle in a fresh interpreter that imports quadlie
 from DIR (default: this checkout's src/), so that each rung's peak
 resident memory is its own. A rung is run --runs times; the report gives,
 per rung, the median seconds of each step and of the three together
-(import excluded), the largest peak RSS, and the ratio of each rung's
-median to the one before it of the same kind. No target is asserted.
+(wall_s, import excluded), the largest peak RSS, and the ratio of each
+rung's median to the one before it of the same kind. The peak RSS is
+read after the three steps; then each rung times trivector_rank on a
+fresh trivector copy of its cocycle as rank_s, outside wall_s and the
+peak, and checks that the rank is n. No target is asserted.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ DENSE_SEED = 1
 RUNG = f"DENSE_SEED = {DENSE_SEED}\n" + """
 import json, resource, sys, time
 from fractions import Fraction
-from quadlie import CocycleCoeffs, tstar_extend
+from quadlie import CocycleCoeffs, delta, trivector_rank, tstar_extend
 from quadlie.randgen import random_coeffs
 kind, n = sys.argv[1], int(sys.argv[2]) // 2
 if kind == "chain":
@@ -46,12 +49,17 @@ nilindex = q.alg.nilindex()
 t2 = time.perf_counter()
 reduced = q.alg.is_reduced()
 t3 = time.perf_counter()
-if (nilindex, reduced) != (2, True):
-    sys.exit(f"dim {2 * n}: nilindex {nilindex}, reduced {reduced}")
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+t = delta(c)  # a fresh copy: nothing tstar_extend cached on c is reused
+t4 = time.perf_counter()
+rank = trivector_rank(t)
+t5 = time.perf_counter()
+if (nilindex, reduced, rank) != (2, True, n):
+    sys.exit(f"dim {2 * n}: nilindex {nilindex}, reduced {reduced}, "
+             f"rank {rank}")
 print(json.dumps({"tstar_extend_s": t1 - t0, "nilindex_s": t2 - t1,
                   "is_reduced_s": t3 - t2, "wall_s": t3 - t0,
-                  "peak_rss_mb": resource.getrusage(
-                      resource.RUSAGE_SELF).ru_maxrss / 1024}))
+                  "rank_s": t5 - t4, "peak_rss_mb": peak}))
 """
 
 
@@ -78,7 +86,7 @@ def main() -> int:
             runs = [rung(args.src, kind, dim) for _ in range(args.runs)]
             row = {"kind": kind, "dim": dim}
             for key in ("tstar_extend_s", "nilindex_s", "is_reduced_s",
-                        "wall_s"):
+                        "wall_s", "rank_s"):
                 row[key] = statistics.median(r[key] for r in runs)
             row["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
             row["wall_values"] = [r["wall_s"] for r in runs]
@@ -88,7 +96,8 @@ def main() -> int:
             print(f"{kind} dim {dim:>5}: {row['wall_s']:.3f} s "
                   f"(tstar_extend {row['tstar_extend_s']:.3f}, nilindex "
                   f"{row['nilindex_s']:.3f}, is_reduced "
-                  f"{row['is_reduced_s']:.3f}), peak "
+                  f"{row['is_reduced_s']:.3f}), rank "
+                  f"{row['rank_s']:.3f} s, peak "
                   f"{row['peak_rss_mb']:.1f} MiB"
                   + (f", x{row['growth']:.2f} over the rung before"
                      if "growth" in row else ""))
