@@ -42,12 +42,17 @@ class LieAlgebra:
         self._jacobi = self._ad = self._derived = self._centre = None
 
     @classmethod
-    def _of(cls, dim: int, terms: dict) -> "LieAlgebra":
+    def _of(cls, dim: int, terms: dict, jacobi: list | None = None
+            ) -> "LieAlgebra":
         """Trusted constructor: terms as stored, keys 1 <= i < j <= dim, each
-        value nonempty, its Fractions nonzero and its r ascending."""
+        value nonempty, its Fractions nonzero and its r ascending. jacobi is
+        [] only where a theorem gives the Jacobi identity from hypotheses
+        its caller has just checked; it is kept as the Jacobi pass's result,
+        and None leaves that pass to run on first use."""
         alg = object.__new__(cls)
         alg.dim, alg.terms = dim, terms
-        alg._jacobi = alg._ad = alg._derived = alg._centre = None
+        alg._ad = alg._derived = alg._centre = None
+        alg._jacobi = jacobi
         return alg
 
     def _dense(self, nz) -> tuple[Fraction, ...]:
@@ -292,7 +297,10 @@ class LieAlgebra:
             # e_{r+1} = f_{inv[r+1]}, and [f_b, f_a] = -[f_a, f_b]
             out[(a, b) if a < b else (b, a)] = tuple(sorted(
                 (inv[r + 1] - 1, c if a < b else -c) for r, c in nz))
-        return LieAlgebra._of(self.dim, out)
+        # relabelling keeps the Jacobi identity, so a known-empty defect
+        # stays known
+        return LieAlgebra._of(self.dim, out,
+                              [] if self._jacobi == [] else None)
 
     def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
         n = self.dim

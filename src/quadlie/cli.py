@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .acceptance import run_all, verify_catalog_entry, verify_report
@@ -327,11 +328,24 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every word beginning with a single '-',
+    other than -h, as a value, never as an option: inline coefficients
+    such as -123+234 and rationals such as -2/3, positional or after an
+    option alike. Every other quadlie option is --name, so none is lost.
+    Subcommand parsers are made with the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a word this matches as a negative number, a value
+        self._negative_number_matcher = re.compile(r"-(?!-|h$)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process on first use; parse_args keeps
     no state between calls."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="quadlie",
         description="Exact construction and verification of quadratic "
                     "2-step nilpotent Lie algebras.")
@@ -414,12 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a negative value such as -2/3 as an option, so attach
-    # the word after --lam to it, as --lam=-2/3 does
-    if "--lam" in argv[:-1]:
-        k = argv.index("--lam")
-        if not argv[k + 1].startswith("--"):
-            argv[k:k + 2] = ["--lam=" + argv[k + 1]]
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

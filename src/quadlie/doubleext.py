@@ -166,8 +166,13 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
         form += [{m + j: e for j, e in r.items()}
                  for r in aq.form.sparse_rows]
     form += [{i: ONE} for i in range(m)]
-    alg = _tstar_algebra(GeneralCocycle(b, {}), aq, mats)
-    return QuadraticStructure(alg, Mat._of(form, 2 * m + amn))
+    # Medina-Revoy 1985: with b Lie and phi a homomorphism into the skew
+    # derivations, the form is invariant and nondegenerate, and the
+    # extension is Lie when A is; over a non-Lie A, nilindex still runs
+    # the Jacobi pass and fails
+    lie = aq is None or aq.alg.is_lie()
+    alg = _tstar_algebra(GeneralCocycle(b, {}), aq, mats, [] if lie else None)
+    return QuadraticStructure._of(alg, Mat._of(form, 2 * m + amn))
 
 
 def double_extend_1d(aq: QuadraticStructure | None,

@@ -1,8 +1,10 @@
 """Symmetric invariant bilinear forms on structure-constant algebras.
 
 A QuadraticStructure pairs an algebra with a symmetric non-degenerate
-invariant form and refuses invalid pairs at construction. Invariance is the
-left-multiplication skewness phi([x,y],z) + phi(y,[x,z]) = 0.
+invariant form and refuses invalid pairs at construction; the private
+QuadraticStructure._of skips those checks for the builders whose theorem
+gives them. Invariance is the left-multiplication skewness
+phi([x,y],z) + phi(y,[x,z]) = 0.
 """
 from __future__ import annotations
 
@@ -69,6 +71,17 @@ class QuadraticStructure:
             raise ValidationError(
                 f"form is not invariant; first bad triple {defects[0]}",
                 law="invariance", witness=defects[0])
+
+    @classmethod
+    def _of(cls, alg: LieAlgebra, form: Mat) -> "QuadraticStructure":
+        """Trusted constructor, without __post_init__'s checks: only where a
+        theorem makes form symmetric, invariant and nondegenerate for alg
+        from hypotheses its caller has just checked."""
+        q = object.__new__(cls)
+        object.__setattr__(q, "alg", alg)
+        object.__setattr__(q, "form", form)
+        object.__setattr__(q, "_derivations", None)
+        return q
 
     @property
     def dim(self) -> int:
@@ -151,4 +164,5 @@ def permute_quadratic(q: QuadraticStructure, perm: Sequence[int]
     rows = q.form.sparse_rows
     form = [dict(sorted((inv[j], e) for j, e in rows[p - 1].items()))
             for p in perm]
-    return QuadraticStructure(alg, Mat._of(form, q.dim))
+    # relabelling an invariant nondegenerate form keeps both properties
+    return QuadraticStructure._of(alg, Mat._of(form, q.dim))

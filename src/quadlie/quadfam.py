@@ -102,4 +102,9 @@ def algebra_from_family(fam: QuadraticFamily) -> QuadraticStructure:
     if not terms:
         raise ValidationError("every matrix in the family is zero",
                               law="nonzero")
-    return QuadraticStructure(LieAlgebra._of(2 * n, terms), hyperbolic_form(n))
+    # the family laws make c_ijk alternating (see family_to_coeffs), so
+    # this is the T*-extension of alternating coefficients: B* is central
+    # and Jacobi holds, and the hyperbolic form is invariant (Bordemann
+    # 1997) and nondegenerate
+    return QuadraticStructure._of(LieAlgebra._of(2 * n, terms, []),
+                                  hyperbolic_form(n))

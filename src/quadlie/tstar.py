@@ -86,9 +86,11 @@ def _general(w: GeneralCocycle | AltCoeffs) -> GeneralCocycle:
 
 
 def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
-                   phi: Sequence[Mat] = ()) -> LieAlgebra:
+                   phi: Sequence[Mat] = (), jacobi: list | None = None
+                   ) -> LieAlgebra:
     """The bracket on B + A + B*, read from the stored brackets of B and A,
-    the stored values of w and the nonzero entries of each phi_k in Der(A).
+    the stored values of w and the nonzero entries of each phi_k in Der(A);
+    jacobi goes to LieAlgebra._of.
 
     Labels: 1..m the base, then A's basis, then e_k* (A = 0 when aq is
     None). [e_i, e_j] = [e_i, e_j]_B + w(e_i, e_j); [e_i, e_k*] =
@@ -132,7 +134,7 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
                     row(m + s + 1, m + j + 1)[star + k - 1] = x
     # every entry written is nonzero, and no entry is written twice
     return LieAlgebra._of(star + m, {key: tuple(sorted(r.items()))
-                                     for key, r in rows.items()})
+                                     for key, r in rows.items()}, jacobi)
 
 
 def cyclic_defect(w: GeneralCocycle | AltCoeffs
@@ -195,14 +197,20 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
     if bad:
         raise ValidationError(f"cocycle is not cyclic at triple {bad[0]}",
                               law="cyclic", witness=bad[0])
-    alg = _tstar_algebra(_general(w))  # a converted cocycle dies here
-    # coefficient storage is alternating over an abelian base: a cocycle
-    if not isinstance(w, AltCoeffs):
-        bad = _cocycle_defect(w, alg)
+    if isinstance(w, AltCoeffs):
+        # alternating coefficients over an abelian base are a cocycle, and
+        # [B, B] lies in B*, which is central: every double bracket
+        # vanishes, so Jacobi holds. A converted cocycle dies here
+        alg = _tstar_algebra(GeneralCocycle.from_coeffs(w), jacobi=[])
+    else:
+        alg = _tstar_algebra(w)
+        bad = _cocycle_defect(w, alg)  # leaves alg's Jacobi pass done
         if bad:
             raise ValidationError(f"2-cocycle identity fails at triple "
                                   f"{bad[0]}", law="cocycle", witness=bad[0])
-    return QuadraticStructure(alg, hyperbolic_form(alg.dim // 2))
+    # Bordemann 1997: the T*-extension of a cyclic 2-cocycle is invariant
+    # under the hyperbolic form, which is nondegenerate by construction
+    return QuadraticStructure._of(alg, hyperbolic_form(alg.dim // 2))
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:

@@ -365,8 +365,11 @@ def test_verify_abelian_quadratic(tmp_path, capsys):
 
 def test_verify_runs_the_jacobi_loop_once(tmp_path, capsys, monkeypatch):
     # every Jacobi evaluation ends by filling the _jacobi cache of its
-    # algebra; count those fills through a descriptor around the slot
+    # algebra; count those fills through a descriptor around the slot. The
+    # file is written first: the T* builder that makes it fills the slot
+    # with its known-empty defect, without a Jacobi pass
     from quadlie.algebra import LieAlgebra
+    path = write_catalog_algebra(tmp_path, "L5,1")
     slot = LieAlgebra.__dict__["_jacobi"]
     fills = []
 
@@ -380,7 +383,6 @@ def test_verify_runs_the_jacobi_loop_once(tmp_path, capsys, monkeypatch):
             slot.__set__(obj, value)
 
     monkeypatch.setattr(LieAlgebra, "_jacobi", CountingSlot())
-    path = write_catalog_algebra(tmp_path, "L5,1")
     code, out, _ = run(capsys, "verify", str(path), "--format", "json")
     assert code == 0 and json.loads(out)["nilindex"] == 2
     assert len(fills) == 1
@@ -478,6 +480,54 @@ def test_bad_rational_option_is_one_json_error(argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert argv[-2] in json.loads(lines[0])["error"]
+
+
+_CONVERT = ("convert", "--from", "cocycle", "--to")
+
+
+@pytest.mark.parametrize("argv, twin", [
+    (("tstar", "-123+234", "--n", "4"), ("tstar", "234-123", "--n", "4")),
+    (("tstar", "--n", "4", "-123+234", "--format", "json"),
+     ("tstar", "--n", "4", "234-123", "--format", "json")),
+    (("tstar", "-2*[1,2,3]+145"), ("tstar", "145-2*[1,2,3]")),
+    (("rank", "-123+234", "--n", "4"), ("rank", "234-123", "--n", "4")),
+    (("rank", "-[1,2,3]", "--format", "json"),
+     ("rank", "-1*[1,2,3]", "--format", "json")),
+    (_CONVERT + ("algebra", "-123+234", "--n", "4"),
+     _CONVERT + ("algebra", "234-123", "--n", "4")),
+    (_CONVERT + ("chain", "-1/2*[1,2,3]+345", "--format", "json"),
+     _CONVERT + ("chain", "345-1/2*[1,2,3]", "--format", "json")),
+    (("convert", "--from", "trivector", "--to", "family", "-123+145",
+      "--format", "json"),
+     ("convert", "--from", "trivector", "--to", "family", "145-123",
+      "--format", "json")),
+    (("catalog", "--lam", "-2/3"), ("catalog", "--lam=-2/3")),
+], ids=["tstar", "tstar-option-first", "tstar-bracket-term", "rank",
+        "rank-bare-bracket", "convert-algebra", "convert-chain",
+        "convert-trivector", "catalog-lam"])
+def test_minus_sign_input_matches_its_inline_twin(capsys, argv, twin):
+    # argparse alone reads each leading-minus word as an unknown option
+    # and exits 2 with usage text
+    got = run(capsys, *argv)
+    assert got == run(capsys, *twin)
+    assert got[0] == 0 and got[1] and got[2] == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("tstar", "-1x3", "--n", "4"),
+    ("rank", "-123+2x4"),
+    _CONVERT + ("algebra", "-123", "--n", "2"),
+    ("random", "--n", "4", "--seed", "1", "--density", "-1/2"),
+], ids=["tstar-bad-term", "rank-bad-term", "convert-index-too-big",
+        "density-negative"])
+def test_bad_minus_sign_input_is_one_json_error(argv):
+    proc = _cli_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
 
 
 @pytest.mark.parametrize("argv", [
