@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, basis_vec, kernel,
-                     scalar, vec)
+from .linalg import Fraction, Mat, Subspace, ZERO, kernel, scalar, vec
 
 
 class AlgebraType(NamedTuple):
@@ -117,10 +116,6 @@ class LieAlgebra:
                         out[r] = out.get(r, ZERO) + f * c
         return {r: c for r, c in sorted(out.items()) if c}
 
-    def bracket_basis_vec(self, i: int, y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """[e_i, y]."""
-        return self.bracket(basis_vec(self.dim, i), y)
-
     # ---- Lie-ness ----
 
     def jacobi_defect(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
@@ -181,44 +176,28 @@ class LieAlgebra:
                 self.dim, [dict(nz) for nz in self.terms.values()])
         return self._derived
 
-    def _centraliser_rows(self, ann_by_col: Mapping[int, Sequence]
-                          ) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero rows of {x : u([x, e_s]) = 0 for every s and every
-        annihilator row u}.
+    def _centre_rows(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero rows of the centre's system: row (s, r) holds
+        [e_i, e_s]_r over i, {column: entry} with columns ascending.
 
-        ann_by_col[r] lists (a, u_r) for each row a with u_r != 0. Row (s, a)
-        holds u_a([e_i, e_s]) over i; only the stored brackets fill it, and
-        entry i of row (j, a) or (i, a) comes from the stored (i, j) alone.
-        Each row holds its nonzero entries as {column: entry}, columns
-        ascending.
+        Only the stored brackets fill it: entry i of row (j, r) or (i, r)
+        comes from the stored (i, j) alone.
         """
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), v in self.terms.items():
-            dots: dict[int, Fraction] = {}  # a -> u_a([e_i, e_j])
             for r, c in v:
-                for a, u in ann_by_col.get(r, ()):
-                    # the centre's identity rows cost no arithmetic
-                    x = c if u is ONE else u * c
-                    dots[a] = dots[a] + x if a in dots else x
-            for a, x in dots.items():
-                if x:
-                    # u_a([e_i, e_j]) = x and u_a([e_j, e_i]) = -x
-                    rows.setdefault((j, a), {})[i - 1] = x
-                    rows.setdefault((i, a), {})[j - 1] = -x
+                # [e_i, e_j]_r = c and [e_j, e_i]_r = -c
+                rows.setdefault((j, r), {})[i - 1] = c
+                rows.setdefault((i, r), {})[j - 1] = -c
         return {key: dict(sorted(row.items())) for key, row in rows.items()}
 
-    def _centraliser(self, ann_by_col: Mapping[int, Sequence]) -> Subspace:
-        """The kernel of _centraliser_rows; row order cannot change it."""
-        rows = self._centraliser_rows(ann_by_col)
-        if not rows:
-            return Subspace.full(self.dim)
-        return kernel(Mat._of(rows.values(), self.dim))
-
     def centre(self) -> Subspace:
-        """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra."""
+        """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra,
+        and row order cannot change it."""
         if self._centre is None:
-            self._centre = self._centraliser(
-                {r: ((r, ONE),) for r in range(self.dim)})
+            rows = self._centre_rows()
+            self._centre = (kernel(Mat._of(rows.values(), self.dim)) if rows
+                            else Subspace.full(self.dim))
         return self._centre
 
     def lower_central_series(self) -> list[Subspace]:
@@ -258,25 +237,6 @@ class LieAlgebra:
                 return idx
         return None
 
-    def upper_central_series(self) -> list[Subspace]:
-        """[Z_1, Z_2, ...] until stabilization; Z_{t+1} is the preimage of Z_t.
-
-        v lies in Z_t exactly when u.v = 0 for every row u of a basis of
-        the null space of Z_t's basis (its annihilator under the dot product).
-        """
-        series = [self.centre()]
-        while series[-1].dim < self.dim:
-            zt = series[-1]
-            ann_by_col: dict[int, list] = {}
-            for a, u in enumerate(kernel(zt.basis).basis.sparse_rows):
-                for r, e in u.items():
-                    ann_by_col.setdefault(r, []).append((a, e))
-            nxt = self._centraliser(ann_by_col)
-            if nxt.dim == zt.dim:
-                break
-            series.append(nxt)
-        return series
-
     def algebra_type(self) -> AlgebraType:
         return AlgebraType(self.derived().dim, self.centre().dim)
 
@@ -301,13 +261,6 @@ class LieAlgebra:
         # stays known
         return LieAlgebra._of(self.dim, out,
                               [] if self._jacobi == [] else None)
-
-    def direct_sum(self, other: "LieAlgebra") -> "LieAlgebra":
-        n = self.dim
-        out = dict(self.terms)
-        for (i, j), nz in other.terms.items():
-            out[(i + n, j + n)] = tuple((r + n, c) for r, c in nz)
-        return LieAlgebra._of(n + other.dim, out)
 
 
 def abelian(dim: int) -> LieAlgebra:

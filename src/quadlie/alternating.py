@@ -144,6 +144,8 @@ _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
 def parse_coeffs(text: str, n: int | None = None,
                  cls: type = AltCoeffs) -> AltCoeffs:
     """Parse "123+145", "1*[1,2,3]+1*[1,4,5]", mixes of both, or "0"."""
+    if n is not None and n < 0:
+        raise QuadlieError(f"negative dimension {n}")
     s = "".join(text.split())
     if s in ("", "0"):
         return cls(n or 0)

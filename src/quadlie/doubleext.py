@@ -193,7 +193,7 @@ def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
     d = _deriv_mat(aq, d)
     if aq is None:
         return ()
-    rows = aq.alg._centraliser_rows({r: ((r, ONE),) for r in range(aq.dim)})
+    rows = aq.alg._centre_rows()
     if any((s + 1, r) not in rows for r, s, _ in _entries(d)):
         return None
     return solve(Mat._of(rows.values(), aq.dim),

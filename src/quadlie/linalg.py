@@ -38,17 +38,6 @@ def vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(scalar(e) for e in entries)
 
 
-def zero_vec(n: int) -> tuple[Fraction, ...]:
-    return (ZERO,) * n
-
-
-def basis_vec(n: int, k: int) -> tuple[Fraction, ...]:
-    """k is a 1-based label: basis_vec(3, 2) = (0, 1, 0)."""
-    if not 1 <= k <= n:
-        raise ValueError(f"basis label {k} out of range 1..{n}")
-    return tuple(ONE if t == k - 1 else ZERO for t in range(n))
-
-
 class Mat:
     """Immutable matrix over Fraction, stored once as `sparse_rows`: each
     row's nonzero entries as a {column: entry} dict, columns ascending. The
@@ -126,9 +115,6 @@ class Mat:
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and self == self.transpose()
-
-    def is_skew(self) -> bool:
-        return self.rows == self.cols and self == -self.transpose()
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -348,11 +334,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def contains_vec(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("length mismatch")
-        return self._holds([{j: e for j, e in enumerate(vec(v)) if e}])
 
     def contains(self, other: "Subspace") -> bool:
         if other.dim and other.ambient_dim != self.ambient_dim:

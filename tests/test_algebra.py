@@ -1,11 +1,14 @@
 """Structure-constant Lie algebras: brackets, Jacobi, series, invariants."""
-import itertools
 from fractions import Fraction
 
 import pytest
 
 from quadlie import (LieAlgebra, Mat, SplitMix64, Subspace, ValidationError,
-                     abelian, from_bracket_table, heisenberg, kernel)
+                     abelian, from_bracket_table, heisenberg)
+from reference import (_dense_ad_vec, _dense_bracket, _dense_centre,
+                       _dense_direct_sum, _dense_jacobi_defect,
+                       _dense_lower_central_series, _dense_permute_basis,
+                       basis_vec)
 
 
 def test_constructor_canonicalizes():
@@ -43,7 +46,6 @@ def test_bracket_bilinearity():
     y = (Fraction(2), Fraction(-1), Fraction(5))
     lhs = h.bracket(x, y)
     assert lhs == (0, 0, Fraction(1, 2) * (-1) - 3 * 2)
-    assert h.bracket_basis_vec(1, y) == h.bracket((1, 0, 0), y)
 
 
 def test_jacobi_defect_empty_on_lie():
@@ -73,12 +75,6 @@ def test_lower_central_series_heisenberg():
     assert heisenberg().nilindex() == 2
 
 
-def test_upper_central_series():
-    ucs = heisenberg().upper_central_series()
-    assert [s.dim for s in ucs] == [1, 3]
-    assert ucs[0] == heisenberg().centre()
-
-
 def test_nilindex_edge_cases():
     assert abelian(3).nilindex() == 1
     assert abelian(0).nilindex() == 0
@@ -95,7 +91,7 @@ def test_algebra_type_and_reduced():
 
 
 def test_direct_sum():
-    s = heisenberg().direct_sum(abelian(2))
+    s = _dense_direct_sum(heisenberg(), abelian(2))
     assert s.dim == 5
     assert s.bracket_basis(1, 2) == (0, 0, 1, 0, 0)
     assert s.centre().dim == 3
@@ -156,109 +152,6 @@ def test_jacobi_defect_cache_survives_caller_mutation():
 
 # ---- differential check of the sparse Jacobi, centre and series ----
 
-def _dense_ad_vec(alg, i, y):
-    """[e_i, y] as the sum of y_b [e_i, e_b] over every b with y_b != 0."""
-    out = [Fraction(0)] * alg.dim
-    for b, c in enumerate(y, start=1):
-        if c:
-            for r, e in enumerate(alg.bracket_basis(i, b)):
-                if e:
-                    out[r] += c * e
-    return tuple(out)
-
-
-def _dense_jacobi_defect(alg):
-    """The cyclic sum over every basis triple i<j<k."""
-    bad = []
-    for i, j, k in itertools.combinations(range(1, alg.dim + 1), 3):
-        t1 = _dense_ad_vec(alg, i, alg.bracket_basis(j, k))
-        t2 = _dense_ad_vec(alg, j, alg.bracket_basis(k, i))
-        t3 = _dense_ad_vec(alg, k, alg.bracket_basis(i, j))
-        tot = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
-        if any(tot):
-            bad.append((i, j, k, tot))
-    return bad
-
-
-def _dense_centre(alg):
-    """Kernel of the rows (s, r) -> {i: [e_i, e_s]_r} over every s and r."""
-    n = alg.dim
-    rows = []
-    for s in range(1, n + 1):
-        cols = [alg.bracket_basis(i, s) for i in range(1, n + 1)]
-        for r in range(n):
-            row = [cols[i][r] for i in range(n)]
-            if any(row):
-                rows.append(row)
-    return kernel(Mat(rows)) if rows else Subspace.full(n)
-
-
-def _dense_lower_central_series(alg):
-    """A^1 = the full space, then A^{t+1} = [e_i, A^t] over every i."""
-    cur = Subspace.full(alg.dim)
-    series = [cur]
-    while True:
-        rows = [_dense_ad_vec(alg, i, v) for i in range(1, alg.dim + 1)
-                for v in cur.basis.data]
-        nxt = Subspace.from_rows(alg.dim, rows)
-        series.append(nxt)
-        if nxt.dim == cur.dim or nxt.dim == 0:
-            return series
-        cur = nxt
-
-
-def _dense_upper_central_series(alg):
-    """Z_1 = the centre, then Z_{t+1} = {x : [x, e_s] in Z_t for every s}."""
-    n = alg.dim
-    series = [_dense_centre(alg)]
-    while series[-1].dim < n:
-        zt = series[-1]
-        ann = (kernel(zt.basis).basis.data if zt.dim else
-               Mat.identity(n).data)
-        rows = []
-        for s in range(1, n + 1):
-            cols = [alg.bracket_basis(i, s) for i in range(1, n + 1)]
-            for a in ann:
-                row = [sum((e * c for e, c in zip(a, cols[i]) if e and c),
-                           Fraction(0)) for i in range(n)]
-                if any(row):
-                    rows.append(row)
-        nxt = kernel(Mat(rows)) if rows else Subspace.full(n)
-        if nxt.dim == zt.dim:
-            break
-        series.append(nxt)
-    return series
-
-
-def _dense_bracket(alg, x, y):
-    """(x_i y_j - x_j y_i) [e_i, e_j] summed over every stored pair."""
-    out = [Fraction(0)] * alg.dim
-    for (i, j), w in alg.brackets.items():
-        c = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-        if c:
-            for r, e in enumerate(w):
-                if e:
-                    out[r] += c * e
-    return tuple(out)
-
-
-def _dense_permute_basis(alg, perm):
-    """f_r = e_{perm[r-1]}, with [f_r, f_s] read from dense basis brackets
-    over every pair r < s."""
-    inv = {old: new for new, old in enumerate(perm, start=1)}
-    out = {}
-    for r in range(1, alg.dim + 1):
-        for s in range(r + 1, alg.dim + 1):
-            w = alg.bracket_basis(perm[r - 1], perm[s - 1])
-            if any(w):
-                v = [Fraction(0)] * alg.dim
-                for u, c in enumerate(w, start=1):
-                    if c:
-                        v[inv[u] - 1] = c
-                out[(r, s)] = v
-    return LieAlgebra(alg.dim, out)
-
-
 def _seeded_vec(dim, g):
     """About a third of the entries zero, the rest nonzero in -3..3."""
     return tuple(g.nonzero_entry() if g.randint(0, 2) else Fraction(0)
@@ -294,7 +187,7 @@ def _in_random_basis(alg, seed):
                           for a in range(n) for b in range(a + 1, n)})
 
 
-def _dense_random(dim, g):
+def _random_dense_algebra(dim, g):
     """Every bracket value dense with entries in -3..3: almost never Lie."""
     return LieAlgebra(dim, {(i, j): [g.randint(-3, 3) for _ in range(dim)]
                             for i in range(1, dim + 1)
@@ -333,10 +226,10 @@ def _series_inputs():
               QuadraticStructure(abelian(2 * m), hyperbolic_form(m)))
         yield double_extend_1d(aq, random_skew_derivation(aq, seed)).alg
     for seed in range(12):
-        yield _dense_random(3 + seed % 5, g)
+        yield _random_dense_algebra(3 + seed % 5, g)
     yield abelian(0)
     yield abelian(4)
-    yield heisenberg().direct_sum(abelian(2))
+    yield _dense_direct_sum(heisenberg(), abelian(2))
 
 
 def test_jacobi_centre_and_series_match_dense_definitions():
@@ -349,7 +242,8 @@ def test_jacobi_centre_and_series_match_dense_definitions():
         assert alg.centre() == _dense_centre(alg)
         y = tuple(Fraction(k % 3 - 1, 1 + k % 2) for k in range(alg.dim))
         for i in range(1, alg.dim + 1):
-            assert alg.bracket_basis_vec(i, y) == _dense_ad_vec(alg, i, y)
+            assert alg.bracket(basis_vec(alg.dim, i), y) == \
+                _dense_ad_vec(alg, i, y)
         # the sparse storage against the dense brackets it was built from
         x, z = _seeded_vec(alg.dim, g), _seeded_vec(alg.dim, g)
         assert alg.bracket(x, z) == _dense_bracket(alg, x, z)
@@ -365,7 +259,6 @@ def test_jacobi_centre_and_series_match_dense_definitions():
         lie += 1
         lcs = alg.lower_central_series()
         assert lcs == _dense_lower_central_series(alg)
-        assert alg.upper_central_series() == _dense_upper_central_series(alg)
         steps.add(alg.nilindex())
     # Lie and non-Lie inputs are both well represented, and the series
     # reach past two steps (the determinant cocycle and two-block maps)
@@ -385,8 +278,8 @@ def test_chain_cocycle_at_dim_120():
     assert alg.nilindex() == 2
     assert alg.centre().dim == 60
     assert alg.is_reduced()
-    assert alg.upper_central_series() == [alg.centre(),
-                                          Subspace.full(120)]
+    # two steps: A^2 is central
+    assert alg.centre().contains(alg.derived())
 
 
 def test_derived_is_eliminated_once_per_algebra(monkeypatch):
@@ -398,8 +291,7 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
     rows = Mat._of([dict(nz) for nz in alg.terms.values()], alg.dim)
-    centre_rows = Mat._of(alg._centraliser_rows(
-        {r: ((r, linalg.ONE),) for r in range(alg.dim)}).values(), alg.dim)
+    centre_rows = Mat._of(alg._centre_rows().values(), alg.dim)
     real = linalg.rref
     runs = []
     centre_runs = []

@@ -404,6 +404,29 @@ def _body(obj):
     return json.dumps(obj).encode()
 
 
+def _assert_one_json_error(*argv, in_error=None):
+    """Run the CLI on argv: exit 1, empty stdout, no traceback, and one
+    JSON error object on stderr, whose message holds in_error if given."""
+    proc = _cli_process(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert set(err) <= {"error", "law", "witness"}
+    if in_error is not None:
+        assert in_error in err["error"]
+
+
+def _assert_bad_file_is_one_json_error(tmp_path, cmd, body):
+    """cmd on a file holding body, in both output formats."""
+    path = tmp_path / "bad.json"
+    path.write_bytes(body)
+    for fmt in ("summary", "json"):
+        _assert_one_json_error(*cmd, str(path), "--format", fmt)
+
+
 @pytest.mark.parametrize("body", [
     _body({"dim": 2, "brackets": [], "form": [["0", "1"], ["1"]]}),
     _body({"dim": 2, "brackets": [{"i": 1, "j": 2, "v": 5}], "form": _FORM}),
@@ -421,16 +444,7 @@ def _body(obj):
         "brackets-int", "form-not-square", "5000-digit-dim",
         "nested-100000-deep", "not-utf8"])
 def test_verify_bad_input_is_one_json_error(tmp_path, body):
-    path = tmp_path / "bad.json"
-    path.write_bytes(body)
-    for fmt in ("summary", "json"):
-        proc = _cli_process("verify", str(path), "--format", fmt)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
+    _assert_bad_file_is_one_json_error(tmp_path, ("verify",), body)
 
 
 _HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
@@ -453,16 +467,7 @@ _HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
 ], ids=["pairs-int", "pair-v-int", "pair-v-string", "pair-duplicate",
         "tstar-terms-int", "convert-terms-int", "rank-terms-int"])
 def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
-    path = tmp_path / "bad.json"
-    path.write_bytes(body)
-    for fmt in ("summary", "json"):
-        proc = _cli_process(*cmd, str(path), "--format", fmt)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "Traceback" not in proc.stderr
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1
-        assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
+    _assert_bad_file_is_one_json_error(tmp_path, cmd, body)
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,13 +478,7 @@ def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
 ], ids=["lam-word", "lam-zero-denominator", "density-zero-denominator",
         "density-empty"])
 def test_bad_rational_option_is_one_json_error(argv):
-    proc = _cli_process(*argv)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert argv[-2] in json.loads(lines[0])["error"]
+    _assert_one_json_error(*argv, in_error=argv[-2])
 
 
 _CONVERT = ("convert", "--from", "cocycle", "--to")
@@ -518,16 +517,14 @@ def test_minus_sign_input_matches_its_inline_twin(capsys, argv, twin):
     ("rank", "-123+2x4"),
     _CONVERT + ("algebra", "-123", "--n", "2"),
     ("random", "--n", "4", "--seed", "1", "--density", "-1/2"),
+    ("tstar", "0", "--n", "-5"),
+    ("rank", "0", "--n", "-5"),
+    _CONVERT + ("family", "0", "--n", "-5"),
 ], ids=["tstar-bad-term", "rank-bad-term", "convert-index-too-big",
-        "density-negative"])
+        "density-negative", "tstar-negative-n", "rank-negative-n",
+        "convert-negative-n"])
 def test_bad_minus_sign_input_is_one_json_error(argv):
-    proc = _cli_process(*argv)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert set(json.loads(lines[0])) <= {"error", "law", "witness"}
+    _assert_one_json_error(*argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -535,13 +532,7 @@ def test_bad_minus_sign_input_is_one_json_error(argv):
     ("rank", "2/0*[1,2,3]"),
 ], ids=["tstar", "rank"])
 def test_zero_denominator_term_is_one_json_error(argv):
-    proc = _cli_process(*argv)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert "2/0*[1,2,3]" in json.loads(lines[0])["error"]
+    _assert_one_json_error(*argv, in_error="2/0*[1,2,3]")
 
 
 @pytest.mark.parametrize("argv", [

@@ -108,6 +108,7 @@ def _input_files() -> dict:
                             family_to_obj, general_cocycle_to_obj,
                             quadratic_to_obj)
     from quadlie.tstar import GeneralCocycle
+    from reference import _dense_direct_sum
     c = parse_coeffs("123+145", n=5)
     alg = quadratic_to_obj(algebra_from_trivector(catalog("L3,1").trivector))
     corrupt = json.loads(json.dumps(alg))
@@ -129,7 +130,7 @@ def _input_files() -> dict:
         "split.json": dumps(general_cocycle_to_obj(GeneralCocycle(
             heisenberg(), {}))),
         "general.json": dumps(general_cocycle_to_obj(GeneralCocycle(
-            heisenberg().direct_sum(heisenberg()),
+            _dense_direct_sum(heisenberg(), heisenberg()),
             {(1, 4): (0, 0, 1, 0, 0, 0), (1, 6): (0, 0, 0, -1, 0, 0),
              (3, 4): (1, 0, 0, 0, 0, 0)}))),
     }

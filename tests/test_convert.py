@@ -8,6 +8,8 @@ from quadlie import (CocycleCoeffs, Mat, QuadraticFamily, ValidationError,
                      coeffs_to_family, count_parameters, family_to_coeffs,
                      parse_coeffs, tstar_extend)
 from quadlie.randgen import random_coeffs
+from reference import (_loop_coeffs_to_family, _loop_family_defects,
+                       _loop_read_coeffs)
 
 
 def test_family_round_trip():
@@ -65,63 +67,6 @@ def test_count_parameters():
 
 
 # ---- the family path against the dense loops it replaced ----
-
-
-def _loop_coeffs_to_family(c):
-    """coeffs_to_family as it was: c.value at every (i, j, k)."""
-    n = c.n
-    mats = []
-    for i in range(1, n + 1):
-        m = [{} for _ in range(n)]
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                v = c.value(i, j, k)
-                if v:
-                    m[k - 1][j - 1] = v
-        mats.append(Mat._of(m, n))
-    return QuadraticFamily(n, tuple(mats))
-
-
-def _loop_family_defects(fam):
-    """family_defects as it was, on the dense entry and column views."""
-    out = []
-    for i, m in enumerate(fam.mats, start=1):
-        if not m.is_skew():
-            out.append(f"M_{i} is not skew")
-        if any(m.entry(r, i - 1) for r in range(fam.n)):
-            out.append(f"column {i} of M_{i} is nonzero")
-    for i in range(1, fam.n + 1):
-        for j in range(i + 1, fam.n + 1):
-            ci = fam.mats[i - 1].col(j - 1)
-            cj = fam.mats[j - 1].col(i - 1)
-            if any(a + b for a, b in zip(ci, cj)):
-                out.append(f"column {j} of M_{i} is not minus "
-                           f"column {i} of M_{j}")
-    return out
-
-
-def _loop_read_coeffs(fam):
-    """family_to_coeffs as it was after its family check: c_ijk read at
-    every i < j < k, then every (i, j, k) checked, the first mismatch
-    raised."""
-    n = fam.n
-    vals = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                v = fam.value(i, j, k)
-                if v:
-                    vals[(i, j, k)] = v
-    c = CocycleCoeffs(n, vals)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if fam.value(i, j, k) != c.value(i, j, k):
-                    raise ValidationError(
-                        f"entry ({k},{j}) of matrix {i} breaks the "
-                        f"alternating symmetry", law="alternating",
-                        witness=(i, j, k))
-    return c
 
 
 def _families(coeffs):

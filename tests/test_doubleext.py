@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import (ExtensionChain, LieAlgebra, Mat, QuadraticStructure,
-                     SkewDerivation, SplitMix64, Subspace, ValidationError,
-                     abelian, build_chain, centre_formula_1d, chain_dcoeffs,
+from quadlie import (ExtensionChain, Mat, QuadraticStructure, SkewDerivation,
+                     SplitMix64, Subspace, ValidationError, abelian,
+                     build_chain, centre_formula_1d, chain_dcoeffs,
                      chain_display_permutation, chain_reduced_check,
                      chain_to_algebra, derivation_defect, derivation_space,
                      double_extend, double_extend_1d, fold_chain,
                      heisenberg, hyperbolic_form, inner_preimage, inverse,
                      invariance_defect, parse_coeffs, skew_defect,
                      tstar_extend, two_step_criterion, validate_chain)
-from quadlie.linalg import basis_vec, kernel, solve
+from quadlie.linalg import kernel
 from quadlie.randgen import random_coeffs, random_skew_derivation
+from reference import (_dense_contains_vec, _dense_skew_defect,
+                       _loop_build_chain, _ref_derivation_defect,
+                       _ref_derivation_space, _ref_double_extend,
+                       _ref_double_extend_1d, _ref_inner_preimage, basis_vec)
 
 
 def hyperbolic_abelian(m):
@@ -219,9 +223,8 @@ def test_inner_preimage():
     # ad x itself is recovered on a 2-step core
     q = tstar_extend(parse_coeffs("123"))
     x = (1, 0, 0, 0, 0, 0)
-    adx = Mat([[q.alg.bracket_basis_vec(1, tuple(
-        1 if t == c else 0 for t in range(6)))[r] for c in range(6)]
-        for r in range(6)])
+    adx = Mat([[q.alg.bracket(basis_vec(6, 1), basis_vec(6, c + 1))[r]
+                for c in range(6)] for r in range(6)])
     pre = inner_preimage(q, adx)
     assert pre is not None
     got = Mat([[q.alg.bracket(pre, tuple(
@@ -234,15 +237,14 @@ def test_inner_preimage():
 def test_centre_formula_includes_inner_direction():
     # d = ad x: the formula contributes b - x as an extra central vector
     q = tstar_extend(parse_coeffs("123"))
-    adx = Mat([[q.alg.bracket_basis_vec(1, tuple(
-        1 if t == c else 0 for t in range(6)))[r] for c in range(6)]
-        for r in range(6)])
+    adx = Mat([[q.alg.bracket(basis_vec(6, 1), basis_vec(6, c + 1))[r]
+                for c in range(6)] for r in range(6)])
     assert skew_defect(q.form, adx) == []
     ext = double_extend_1d(q, adx)
     z = ext.alg.centre()
     assert centre_formula_1d(q, adx) == z
     # b - x central: b = label 1, x = e1 = label 2
-    assert z.contains_vec((1, -1, 0, 0, 0, 0, 0, 0))
+    assert _dense_contains_vec(z, (1, -1, 0, 0, 0, 0, 0, 0))
 
 
 def test_two_step_criterion_matches_nilindex():
@@ -488,36 +490,6 @@ def test_derivation_space_dimensions():
 
 # ---- the one-dimensional extension as the m = 1 case ----
 
-def _ref_double_extend_1d(aq, d):
-    """The dedicated one-dimensional construction the general one replaced."""
-    if isinstance(d, SkewDerivation):
-        d = d.mat
-    elif aq is not None:
-        SkewDerivation(aq, d)
-    elif not (d.rows == d.cols == 0):
-        raise ValidationError("derivation of the zero algebra must be 0x0")
-    amn = aq.dim if aq is not None else 0
-    dim = amn + 2
-    brackets = {}
-    for j in range(1, amn + 1):
-        img = d.col(j - 1)
-        if any(img):
-            brackets[(1, 1 + j)] = (0,) + tuple(img) + (0,)
-    form = [[0] * dim for _ in range(dim)]
-    form[0][dim - 1] = form[dim - 1][0] = 1
-    if aq is not None:
-        for i in range(1, amn + 1):
-            fdi = aq.form.matvec(d.col(i - 1))
-            for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
-                if any(apart) or fdi[j - 1]:
-                    brackets[(1 + i, 1 + j)] = ((0,) + tuple(apart)
-                                                + (fdi[j - 1],))
-            for j in range(amn):
-                form[1 + i - 1][1 + j] = aq.form.data[i - 1][j]
-    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
-
-
 def _extension_outcome(fn, aq, d):
     try:
         q = fn(aq, d)
@@ -571,163 +543,6 @@ def test_double_extend_takes_skew_derivations():
 
 # ---- the sparse law maps against the dense code they replaced ----
 
-def _ref_derivation_defect(alg, d):
-    """The dense pair loop that derivation_defect replaced."""
-    n = alg.dim
-    cols = [d.col(j) for j in range(n)]
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs = d.matvec(alg.bracket_basis(i, j))
-            rhs1 = alg.bracket_basis_vec(j, cols[i - 1])  # [e_j, d e_i]
-            rhs2 = alg.bracket_basis_vec(i, cols[j - 1])  # [e_i, d e_j]
-            if any(l + r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
-                bad.append((i, j))
-    return bad
-
-
-def _ref_derivation_space(aq):
-    """The dense n^2-column system that derivation_space replaced."""
-    n = aq.dim
-    nn = n * n
-    rows = []
-    f = aq.form.data
-    for i in range(n):
-        for j in range(n):
-            row = [0] * nn
-            for r in range(n):
-                if f[r][j]:
-                    row[r * n + i] += f[r][j]
-            for c in range(n):
-                if f[i][c]:
-                    row[c * n + j] += f[i][c]
-            rows.append(row)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            br = aq.alg.bracket_basis(i, j)
-            for t in range(n):
-                row = [0] * nn
-                for s in range(n):
-                    if br[s]:
-                        row[t * n + s] += br[s]
-                for s in range(1, n + 1):
-                    c1 = aq.alg.bracket_basis(s, j)[t]
-                    if c1:
-                        row[(s - 1) * n + (i - 1)] -= c1
-                    c2 = aq.alg.bracket_basis(i, s)[t]
-                    if c2:
-                        row[(s - 1) * n + (j - 1)] -= c2
-                rows.append(row)
-    return kernel(Mat.from_rows(rows, cols=nn))
-
-
-def _ref_deriv_mat(aq, d):
-    """The validation of SkewDerivation and _deriv_mat, on the dense
-    products and the dense derivation loop."""
-    if isinstance(d, SkewDerivation):
-        return d.mat
-    if aq is None:
-        if not (d.rows == d.cols == 0):
-            raise ValidationError("derivation of the zero algebra must be "
-                                  "0x0")
-        return d
-    if d.rows != aq.dim or d.cols != aq.dim:
-        raise ValidationError("matrix shape does not match the algebra",
-                              law="shape")
-    m = d.transpose() * aq.form + aq.form * d
-    bad = [(i + 1, j + 1) for i in range(m.rows) for j in range(m.cols)
-           if m.data[i][j]]
-    if bad:
-        raise ValidationError(f"not form-skew at pair {bad[0]}",
-                              law="skew", witness=bad[0])
-    bad = _ref_derivation_defect(aq.alg, d)
-    if bad:
-        raise ValidationError(f"derivation law fails at pair {bad[0]}",
-                              law="derivation", witness=bad[0])
-    return d
-
-
-def _ref_inner_preimage(aq, d):
-    """The dense n^2-row system that inner_preimage replaced."""
-    d = _ref_deriv_mat(aq, d)
-    if aq is None:
-        return ()
-    n = aq.dim
-    rows = []
-    rhs = []
-    for j in range(1, n + 1):
-        cols = [aq.alg.bracket_basis(i, j) for i in range(1, n + 1)]
-        img = d.col(j - 1)
-        for t in range(n):
-            rows.append([cols[i][t] for i in range(n)])
-            rhs.append(img[t])
-    return solve(Mat.from_rows(rows, cols=n), tuple(rhs))
-
-
-def _ref_double_extend(aq, b, phi):
-    """The general double extension with its own coadjoint loop and the
-    dense C(dim A, 2) loop for the A part."""
-    if not b.is_lie():
-        raise ValidationError("extending algebra is not Lie", law="jacobi")
-    m = b.dim
-    if len(phi) != m:
-        raise ValidationError(f"need {m} derivation images, got {len(phi)}")
-    amn = aq.dim if aq is not None else 0
-    mats = [_ref_deriv_mat(aq, d) for d in phi]
-
-    def phi_of(x):
-        out = Mat.zero(amn, amn)
-        for c, mat in zip(x, mats):
-            if c:
-                out = out + mat.scale(c)
-        return out
-
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            lhs = phi_of(b.bracket_basis(i, j))
-            rhs = mats[i - 1] * mats[j - 1] - mats[j - 1] * mats[i - 1]
-            if lhs != rhs:
-                raise ValidationError(
-                    f"phi is not a homomorphism at pair {(i, j)}",
-                    law="homomorphism", witness=(i, j))
-    dim = 2 * m + amn
-    star = m + amn
-    brackets = {}
-
-    def row(i, j):
-        return brackets.setdefault((i, j), [0] * dim)
-    for (i, j), v in b.brackets.items():
-        row(i, j)[:m] = v
-        for k, c in enumerate(v, start=1):
-            if c:
-                row(i, star + k)[star + j - 1] = -c
-                row(j, star + k)[star + i - 1] = c
-    for i, mat in enumerate(mats, start=1):
-        for j in range(amn):
-            img = mat.col(j)
-            if any(img):
-                row(i, m + 1 + j)[m:star] = img
-    if aq is not None:
-        fa = aq.form
-        for i in range(1, amn + 1):
-            fphi = [fa.matvec(mat.col(i - 1)) for mat in mats]
-            for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
-                beta = [f[j - 1] for f in fphi]
-                if any(apart) or any(beta):
-                    r = row(m + i, m + j)
-                    r[m:star] = apart
-                    r[star:] = beta
-    form = [[0] * dim for _ in range(dim)]
-    for i in range(m):
-        form[i][star + i] = form[star + i][i] = 1
-    if aq is not None:
-        for i in range(amn):
-            for j in range(amn):
-                form[m + i][m + j] = aq.form.data[i][j]
-    return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
-
-
 def _outcome(fn, *args):
     try:
         out = fn(*args)
@@ -738,49 +553,10 @@ def _outcome(fn, *args):
     return ("ok", out)
 
 
-def _variants(aq, d, g):
-    """d, d with one entry shifted, d plus F^-1 A for an antisymmetric A
-    (still skew, a derivation only where the base allows it), and a sparse
-    random map."""
-    n = aq.dim
-    rows = [list(r) for r in d.data]
-    rows[g.randint(0, n - 1)][g.randint(0, n - 1)] += g.nonzero_entry()
-    a, b = g.randint(0, n - 2), n - 1
-    anti = [[0] * n for _ in range(n)]
-    anti[a][b], anti[b][a] = 1, -1
-    sparse = Mat([[g.nonzero_entry() if g.randint(0, 3) == 0 else 0
-                   for _ in range(n)] for _ in range(n)])
-    return [d, Mat(rows), d + inverse(aq.form) * Mat(anti), sparse]
-
-
-def _law_cases():
-    """(aq, d): criterion 5's seeds, 60 seeded T*-bases, the two-block
-    extensions and the catalog, each with a skew derivation and its
-    variants."""
-    from quadlie import algebra_from_trivector
-    from quadlie.acceptance import _jordan_extension, _random_extension_case
-    from quadlie.catalog import CATALOG
-    g = SplitMix64(2718)
-    bases = []
-    for seed in range(2000, 2100):
-        aq, d = _random_extension_case(seed)
-        bases.append((aq, d))
-    for seed in range(60):
-        aq = tstar_extend(random_coeffs(3 + seed % 3, seed=500 + seed,
-                                        nonzero=True))
-        bases.append((aq, random_skew_derivation(aq, seed)))
-    extra = [_jordan_extension(n) for n in range(2, 6)]
-    extra += [algebra_from_trivector(e.trivector) for e in CATALOG[:6]]
-    bases += [(aq, random_skew_derivation(aq, 7)) for aq in extra]
-    for aq, d in bases:
-        for v in _variants(aq, d, g):
-            yield aq, v
-
-
-def test_derivation_laws_match_dense_reference():
+def test_derivation_laws_match_dense_reference(law_cases):
     outcomes = {"ok": 0, "skew": 0, "derivation": 0}
     inner = 0
-    for aq, d in _law_cases():
+    for aq, d in law_cases:
         assert derivation_defect(aq.alg, d) == \
             _ref_derivation_defect(aq.alg, d)
         want = _outcome(_ref_inner_preimage, aq, d)
@@ -812,43 +588,9 @@ def test_derivation_space_matches_dense_reference():
         assert derivation_space(aq) == _ref_derivation_space(aq)
 
 
-def _phi_cases():
-    """(aq, b, phi) over abelian(2) and heisenberg(), valid and not."""
-    g = SplitMix64(1729)
-    h = heisenberg()
-    non_lie = LieAlgebra(3, {(1, 2): (0, 0, 1), (2, 3): (1, 0, 0),
-                             (1, 3): (0, 1, 1)})
-    yield None, abelian(2), [Mat.zero(0, 0)] * 2
-    yield None, h, [Mat.zero(0, 0)] * 3
-    yield None, h, [Mat.zero(0, 0)] * 2
-    yield None, h, [Mat.zero(1, 1)] * 3
-    for seed in range(24):
-        aq = (hyperbolic_abelian(2 + seed % 2) if seed % 3 else
-              tstar_extend(random_coeffs(3 + seed % 2, seed=900 + seed,
-                                         nonzero=True)))
-        n = aq.dim
-        d1 = random_skew_derivation(aq, seed)
-        d2 = random_skew_derivation(aq, seed + 1000)
-        c = Fraction(g.randint(-3, 3))
-        comm = d1 * d2 - d2 * d1
-        zero = Mat.zero(n, n)
-        yield aq, abelian(2), [d1, d1.scale(c)]      # commuting
-        yield aq, abelian(2), [d1, d2]               # rarely commuting
-        shifted, plus = _variants(aq, d1, g)[1:3]
-        yield aq, abelian(2), [plus, shifted]        # not a derivation
-        yield aq, abelian(2), [d1, shifted]          # not skew
-        yield aq, h, [d1, d1.scale(c), zero]
-        yield aq, h, [d1, zero, zero]
-        yield aq, h, [d1, d2, comm]
-        yield aq, h, [zero, zero, d1]                # not a homomorphism
-        yield aq, h, [d1, d2]                        # wrong length
-        yield aq, non_lie, [zero] * 3
-        yield aq, abelian(1), [SkewDerivation(aq, d1)]
-
-
-def test_double_extend_matches_dense_reference():
+def test_double_extend_matches_dense_reference(phi_cases):
     laws = set()
-    for aq, b, phi in _phi_cases():
+    for aq, b, phi in phi_cases:
         want = _outcome(_ref_double_extend, aq, b, phi)
         assert _outcome(double_extend, aq, b, phi) == want
         laws.add(want[1] if want[0] == "error" else "ok")
@@ -911,14 +653,15 @@ def test_chain_links_are_validated_once(monkeypatch):
     assert len(skew) == ch.n - 1
 
 
-def test_bad_matrix_fails_the_same_way_every_call(monkeypatch):
+def test_bad_matrix_fails_the_same_way_every_call(monkeypatch,
+                                                  derivation_variants):
     from quadlie.acceptance import _random_extension_case
     skew = _counting(monkeypatch, "skew_defect")
     g = SplitMix64(4242)
     laws = set()
     for seed in range(2000, 2040):
         aq, d = _random_extension_case(seed)
-        for v in _variants(aq, d, g)[1:]:
+        for v in derivation_variants(aq, d, g)[1:]:
             first = _outcome(double_extend_1d, aq, v)
             if first[0] == "ok":
                 continue
@@ -974,27 +717,6 @@ def test_centre_formula_matches_intersection_form():
 
 
 # ---- the construction path against its dense definitions ----
-
-
-def _dense_skew_defect(form, d):
-    """The nonzero entries of d^T F + F d, summed over the dense views."""
-    f, m, n = form.data, d.data, form.rows
-    return [(i + 1, j + 1) for i in range(n) for j in range(n)
-            if sum(m[r][i] * f[r][j] + f[i][r] * m[r][j] for r in range(n))]
-
-
-def _loop_build_chain(c):
-    """build_chain as it was: c.value at every (k+1, j, l), j, l <= k."""
-    derivs = []
-    for k in range(c.n):
-        m = [{} for _ in range(2 * k)]
-        for j in range(1, k + 1):
-            for ell in range(1, k + 1):
-                v = c.value(k + 1, j, ell)
-                if v:
-                    m[k + ell - 1][j - 1] = v
-        derivs.append(Mat._of(m, 2 * k))
-    return ExtensionChain(c.n, tuple(derivs))
 
 
 def _skew_defect_cases(coeffs):

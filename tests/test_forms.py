@@ -7,6 +7,7 @@ from quadlie import (LieAlgebra, Mat, QuadraticStructure, Subspace,
                      is_lagrangian, lagrangian_complement,
                      orthogonal_complement, permute_quadratic, tstar_extend)
 from quadlie.randgen import SplitMix64, random_coeffs
+from reference import _dense_contains_vec, _dense_invariance_defect, basis_vec
 
 
 def test_hyperbolic_form_shape():
@@ -132,7 +133,8 @@ def test_permute_quadratic_is_isometric():
 def test_ideal_iff_perp_ideal():
     # checked on subspaces of a catalog algebra
     def is_ideal(alg, s):
-        return all(s.contains_vec(alg.bracket_basis_vec(i, v))
+        return all(_dense_contains_vec(s, alg.bracket(basis_vec(alg.dim, i),
+                                                      v))
                    for i in range(1, alg.dim + 1) for v in s.vectors())
 
     entry = catalog("L5,1")
@@ -154,20 +156,6 @@ def test_ideal_iff_perp_ideal():
 
 
 # ---- differential check of the sparse invariance defect ----
-
-def _dense_invariance_defect(alg, form):
-    """phi([ei,ej],ek) + phi(ej,[ei,ek]) over every ordered basis triple,
-    straight from the definition."""
-    n = alg.dim
-    br = [[alg.bracket_basis(i, j) for j in range(1, n + 1)]
-          for i in range(1, n + 1)]
-    ft = form.transpose()
-    left = [[ft.matvec(v) for v in row] for row in br]     # phi([ei,ej], .)
-    right = [[form.matvec(v) for v in row] for row in br]  # phi(., [ei,ek])
-    return [(i + 1, j + 1, k + 1)
-            for i in range(n) for j in range(n) for k in range(n)
-            if left[i][j][k] + right[i][k][j]]
-
 
 def _perturbed(alg, g):
     """The same algebra with one stored bracket coefficient shifted."""

@@ -1,0 +1,32 @@
+"""Every dense reference of the suite is defined once, in reference.py."""
+import ast
+import re
+from pathlib import Path
+
+_REFERENCE = re.compile(r"_(dense|ref|loop|old)(_|$)")
+
+
+def _reference_names(source):
+    """The reference-named functions defined anywhere in source, nested
+    ones and methods included."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _REFERENCE.match(node.name)]
+
+
+def test_scanner_finds_nested_definitions():
+    source = ("def f():\n    def _dense_x():\n        pass\n"
+              "class C:\n    def _old_y(self):\n        pass\n"
+              "def _densely():\n    pass\n"
+              "def _ref():\n    pass\n")
+    assert sorted(_reference_names(source)) == ["_dense_x", "_old_y", "_ref"]
+
+
+def test_reference_helpers_are_defined_once_in_reference_module():
+    tests = Path(__file__).resolve().parent
+    found = {path.name: _reference_names(path.read_text(encoding="utf-8"))
+             for path in sorted(tests.glob("*.py"))}
+    assert {name: defs for name, defs in found.items()
+            if defs and name != "reference.py"} == {}
+    names = found["reference.py"]
+    assert len(names) == len(set(names)) > 40

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import CATALOG, CocycleCoeffs, algebra_from_trivector
+from quadlie import CATALOG, algebra_from_trivector
 from quadlie.acceptance import _random_extension_case
 from quadlie.algebra import LieAlgebra, abelian, heisenberg
 from quadlie.convert import all_roads, coeffs_to_family
@@ -39,10 +39,6 @@ def assert_quadratic_lie(q: QuadraticStructure):
 
 def _nonzero(coeffs):
     return [c for c in coeffs if c.n >= 3 and not c.is_zero()]
-
-
-def _catalog_coeffs():
-    return [CocycleCoeffs(e.n, e.trivector.terms) for e in CATALOG]
 
 
 def _extensions():
@@ -139,11 +135,12 @@ def _counter(monkeypatch, module, name):
     return calls
 
 
-def test_all_roads_checks_no_law(monkeypatch, construction_coeffs):
+def test_all_roads_checks_no_law(monkeypatch, catalog_coeffs,
+                                 construction_coeffs):
     from quadlie import forms
     inv = _counter(monkeypatch, forms, "invariance_defect")
     ranks = _counter(monkeypatch, forms, "rank")
-    cases = _catalog_coeffs() + _nonzero(construction_coeffs)
+    cases = list(catalog_coeffs) + _nonzero(construction_coeffs)
     for c in cases:
         assert all_roads(c).equal
     assert (len(inv), len(ranks)) == (0, 0)

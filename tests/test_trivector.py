@@ -6,6 +6,7 @@ from quadlie import (CocycleCoeffs, Mat, Trivector, ValidationError,
                      gl_act, is_isometry, isometry_from_gl, parse_coeffs,
                      trivector_kernel, trivector_rank, tstar_extend)
 from quadlie.randgen import SplitMix64, random_coeffs, random_invertible
+from reference import _dense_contains_vec, _dense_contraction, _dense_kernel
 
 
 def tv(text, n=None):
@@ -34,7 +35,7 @@ def test_contract():
 def test_kernel_and_rank():
     t = tv("123", n=4)
     k = trivector_kernel(t)
-    assert k.dim == 1 and k.contains_vec((0, 0, 0, 1))
+    assert k.dim == 1 and _dense_contains_vec(k, (0, 0, 0, 1))
     assert trivector_rank(t) == 3
     assert trivector_rank(tv("123")) == 3
     assert trivector_rank(tv("123+145")) == 5
@@ -134,30 +135,6 @@ def test_isometry_from_gl_random_cases():
 
 
 # ---- the pair-terms readers against the dense loops they replaced ----
-
-
-def _dense_kernel(t):
-    """trivector_kernel as it was: the dense AltCoeffs.pair_rows matrix,
-    a row of t_ijk over i per touched pair (j, k)."""
-    from quadlie import kernel
-    pairs = sorted({p for (i, j, k), _ in t.terms
-                    for p in ((j, k), (i, k), (i, j))})
-    rows = [[t.value(i, j, k) for i in range(1, t.n + 1)] for (j, k) in pairs]
-    return kernel(Mat.from_rows(rows, cols=t.n))
-
-
-def _dense_contraction(t, x):
-    """contraction_with as it was: each term adds to six dense entries."""
-    m = [[0] * t.n for _ in range(t.n)]
-    for (i, j, k), c in t.terms:
-        xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
-        m[j - 1][k - 1] += xi * c
-        m[k - 1][j - 1] -= xi * c
-        m[i - 1][k - 1] -= xj * c
-        m[k - 1][i - 1] += xj * c
-        m[i - 1][j - 1] += xk * c
-        m[j - 1][i - 1] -= xk * c
-    return Mat(m)
 
 
 def test_pair_term_readers_match_dense_loops(construction_coeffs):

@@ -7,10 +7,12 @@ from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      QuadraticStructure, Subspace, ValidationError, abelian,
                      cocycle_defect, cyclic_defect, decompose_as_tstar,
                      find_lagrangian_ideal, heisenberg, hyperbolic_form,
-                     is_cyclic, is_isometry, is_two_cocycle, kernel,
-                     parse_coeffs, radical, reduced_criteria, tstar_extend,
-                     value_span)
+                     is_cyclic, is_isometry, is_two_cocycle, parse_coeffs,
+                     radical, reduced_criteria, tstar_extend, value_span)
 from quadlie.randgen import SplitMix64, random_coeffs
+from reference import (_dense_direct_sum, _ref_cocycle_defect,
+                       _ref_cyclic_defect, _ref_from_coeffs, _ref_radical,
+                       _ref_tstar, _ref_value_span)
 
 
 def det_cocycle():
@@ -168,26 +170,10 @@ def test_find_lagrangian_ideal_on_reduced_extension():
     assert ideal == q.alg.derived()
 
 
-def _two_step_corpus():
-    from quadlie import (CATALOG, algebra_from_trivector, chain_to_algebra,
-                         coeffs_to_chain, lambda_trivector)
-    for e in CATALOG:
-        yield algebra_from_trivector(e.trivector)
-    for lam in (1, "-2/3"):
-        yield algebra_from_trivector(lambda_trivector(lam))
-    for seed in range(60):
-        c = random_coeffs(3 + seed % 6, seed=seed,
-                          density=Fraction(1 + seed % 3, 4), nonzero=True)
-        yield tstar_extend(c)
-        if seed % 4 == 0:
-            yield chain_to_algebra(coeffs_to_chain(c))
-    yield tstar_extend(det_cocycle())
-
-
-def test_found_derived_ideal_is_lagrangian(monkeypatch):
+def test_found_derived_ideal_is_lagrangian(monkeypatch, two_step_corpus):
     from quadlie import forms, is_lagrangian
     found = 0
-    for q in _two_step_corpus():
+    for q in two_step_corpus:
         ideal = find_lagrangian_ideal(q)
         if ideal is not None:
             found += 1
@@ -273,118 +259,9 @@ def test_random_cocycles_always_extend_quadratically():
 
 # ---- differential tests: the one sparse path against the dense ones ----
 #
-# The _ref_* functions are the two paths each function had before one
+# The _ref_* references are the two paths each function had before one
 # sparse builder served every cocycle: a branch for coefficient input and
 # dense loops over basis pairs and triples for a GeneralCocycle.
-
-def _ref_touched_pairs(c):
-    pairs = set()
-    for (i, j, k), _ in c.terms:
-        pairs.update(((i, j), (i, k), (j, k)))
-    return sorted(pairs)
-
-
-def _ref_from_coeffs(c):
-    vals = {}
-    for (i, j, k), cv in c.terms:
-        for pair, pos, sign in (((i, j), k, 1), ((i, k), j, -1),
-                                ((j, k), i, 1)):
-            row = vals.setdefault(pair, [Fraction(0)] * c.n)
-            row[pos - 1] += cv if sign > 0 else -cv
-    return GeneralCocycle(abelian(c.n), vals)
-
-
-def _ref_cyclic_defect(w):
-    if not isinstance(w, GeneralCocycle):
-        return []
-    n = w.base.dim
-    return [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
-            for k in range(1, n + 1)
-            if w.value_pair(i, j)[k - 1] != w.value_pair(k, i)[j - 1]]
-
-
-def _ref_cocycle_defect(w):
-    if not isinstance(w, GeneralCocycle):
-        return []
-    base = w.base
-    if not base.is_lie():
-        raise ValidationError("base is not a Lie algebra", law="jacobi")
-    n = base.dim
-    bad = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                lhs = [Fraction(0)] * n
-                rhs = [Fraction(0)] * n
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    # w([e_a, e_b], e_c) by linearity in the first slot
-                    wl = [Fraction(0)] * n
-                    for u, x in enumerate(base.bracket_basis(a, b), start=1):
-                        for v, e in enumerate(w.value_pair(u, c)):
-                            wl[v] += x * e
-                    wbc = w.value_pair(b, c)
-                    for t in range(n):
-                        lhs[t] += wl[t]
-                        br = base.bracket_basis(a, t + 1)
-                        rhs[t] -= sum(wbc[s] * br[s] for s in range(n))
-                if lhs != rhs:
-                    bad.append((i, j, k))
-    return bad
-
-
-def _ref_tstar(w):
-    if not isinstance(w, GeneralCocycle):
-        n = w.n
-        brackets = {(i, j): (0,) * n + tuple(w.value(i, j, k)
-                                             for k in range(1, n + 1))
-                    for (i, j) in _ref_touched_pairs(w)}
-        return QuadraticStructure(LieAlgebra(2 * n, brackets),
-                                  hyperbolic_form(n))
-    bad = _ref_cyclic_defect(w)
-    if bad:
-        raise ValidationError(f"cocycle is not cyclic at triple {bad[0]}",
-                              law="cyclic", witness=bad[0])
-    bad = _ref_cocycle_defect(w)
-    if bad:
-        raise ValidationError(f"2-cocycle identity fails at triple {bad[0]}",
-                              law="cocycle", witness=bad[0])
-    base = w.base
-    n = base.dim
-    brackets = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            brackets[(i, j)] = (tuple(base.bracket_basis(i, j))
-                                + w.value_pair(i, j))
-        for k in range(1, n + 1):
-            star = [-base.bracket_basis(i, ell)[k - 1]
-                    for ell in range(1, n + 1)]
-            brackets[(i, n + k)] = (0,) * n + tuple(star)
-    return QuadraticStructure(LieAlgebra(2 * n, brackets), hyperbolic_form(n))
-
-
-def _ref_radical(w):
-    if not isinstance(w, GeneralCocycle):
-        # the dense AltCoeffs.pair_rows loop: a row of c_ijk over i per
-        # touched pair (j, k)
-        pairs = sorted({p for (i, j, k), _ in w.terms
-                        for p in ((j, k), (i, k), (i, j))})
-        rows = [[w.value(i, j, k) for i in range(1, w.n + 1)]
-                for (j, k) in pairs]
-        return kernel(Mat.from_rows(rows, cols=w.n))
-    n = w.base.dim
-    rows = [[w.value_pair(i, j)[k] for i in range(1, n + 1)]
-            for j in range(1, n + 1) for k in range(n)]
-    return kernel(Mat.from_rows([r for r in rows if any(r)], cols=n))
-
-
-def _ref_value_span(w):
-    if not isinstance(w, GeneralCocycle):
-        n = w.n
-        return Subspace.from_rows(n, [[w.value(i, j, k)
-                                       for k in range(1, n + 1)]
-                                      for (i, j) in _ref_touched_pairs(w)])
-    return Subspace.from_rows(w.base.dim, list(w.values.values()))
-
 
 def _outcome(fn, w):
     """The result, or the law, witness and message of the error."""
@@ -453,9 +330,9 @@ def _general_cocycles():
     quad += [algebra_from_trivector(e.trivector) for e in CATALOG[:2]]
     bases = [(q.alg, q.form) for q in quad]
     bases += [(heisenberg(), None), (abelian(3), None), (abelian(4), None),
-              (heisenberg().direct_sum(abelian(1)), None),
-              (heisenberg().direct_sum(abelian(2)), None),
-              (heisenberg().direct_sum(heisenberg()), None)]
+              (_dense_direct_sum(heisenberg(), abelian(1)), None),
+              (_dense_direct_sum(heisenberg(), abelian(2)), None),
+              (_dense_direct_sum(heisenberg(), heisenberg()), None)]
     for dim in (3, 4, 4, 5):
         base = LieAlgebra(dim, {(i, j): [g.randint(-2, 2) if g.randint(0, 2)
                                          == 0 else 0 for _ in range(dim)]
