@@ -28,9 +28,8 @@ from .quadfam import (QuadraticFamily, algebra_from_family, f_matrix,
                       validate_family)
 from .randgen import (SplitMix64, random_coeffs, random_invertible,
                       random_matrix, random_skew_derivation)
-from .trivector import (Trivector, algebra_from_trivector, contract, delta,
-                        delta_inv, gl_act, isometry_from_gl,
-                        trivector_kernel, trivector_rank)
+from .trivector import (Trivector, algebra_from_trivector, contract, gl_act,
+                        isometry_from_gl, trivector_kernel, trivector_rank)
 from .tstar import (CocycleCoeffs, GeneralCocycle, cocycle_defect,
                     cyclic_defect, decompose_as_tstar, find_lagrangian_ideal,
                     is_cyclic, is_two_cocycle, radical, reduced_criteria,

@@ -22,7 +22,7 @@ from .forms import QuadraticStructure, hyperbolic_form, invariance_defect
 from .linalg import Mat, kernel, rank
 from .quadfam import is_nondegenerate_family
 from .randgen import random_coeffs, random_skew_derivation
-from .trivector import algebra_from_trivector, delta, trivector_rank
+from .trivector import algebra_from_trivector, trivector_rank
 from .tstar import CocycleCoeffs, GeneralCocycle, decompose_as_tstar, \
     radical, tstar_extend
 
@@ -127,7 +127,7 @@ def criterion_3() -> tuple[bool, str]:
     route is the round trip c -> chain -> c' (see all_roads)."""
     cases = 0
     for entry in CATALOG:
-        why = _roads_problem(CocycleCoeffs(entry.n, entry.trivector.terms))
+        why = _roads_problem(entry.trivector)
         if why:
             return False, f"{entry.label}: {why}"
         cases += 1
@@ -150,7 +150,7 @@ def criterion_4() -> tuple[bool, str]:
             tstar_extend(c).alg.is_reduced(),
             radical(GeneralCocycle.from_coeffs(c)).dim == 0,
             is_nondegenerate_family(coeffs_to_family(c)),
-            trivector_rank(delta(c)) == n,
+            trivector_rank(c) == n,
         )
         if len(set(flags)) != 1:
             return False, f"seed {seed}: flags {flags} disagree"

@@ -1,9 +1,10 @@
 """Alternating coefficient families c_{ijk} over basis labels 1..n.
 
-One storage type serves two roles downstream: coefficients of a cyclic
-2-cocycle on an abelian base, and coordinates of a trivector. Only triples
-i<j<k are stored; any other index pattern resolves by permutation sign, with
-repeated indices giving 0.
+One class serves two roles downstream: coefficients of a cyclic 2-cocycle
+on an abelian base, and coordinates of a trivector, which are the same
+numbers. tstar.CocycleCoeffs and trivector.Trivector are names bound to
+AltCoeffs, one per role. Only triples i<j<k are stored; any other index
+pattern resolves by permutation sign, with repeated indices giving 0.
 
 Text notations: compact digit monomials "123+145" (indices 1-9 only) and the
 coefficient form "1*[1,2,3]+1*[1,4,5]" with rational coefficients and
@@ -89,19 +90,19 @@ class AltCoeffs:
         return hash((self.n, self.terms))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.n}, {format_coeffs(self)!r})"
+        return f"AltCoeffs({self.n}, {format_coeffs(self)!r})"
 
     def support(self) -> set[int]:
         return {i for t, _ in self.terms for i in t}
 
     def scale(self, c) -> "AltCoeffs":
         c = scalar(c)
-        return type(self)(self.n, [(t, c * v) for t, v in self.terms])
+        return AltCoeffs(self.n, [(t, c * v) for t, v in self.terms])
 
     def __add__(self, other: "AltCoeffs") -> "AltCoeffs":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return type(self)(self.n, list(self.terms) + list(other.terms))
+        return AltCoeffs(self.n, list(self.terms) + list(other.terms))
 
     def pair_terms(self) -> dict[tuple[int, int], tuple]:
         """c as w(e_i, e_j)(e_k) = c_ijk in LieAlgebra.terms' format, a new
@@ -141,14 +142,13 @@ _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
                    r"(?:\[(\d+),(\d+),(\d+)\]|([1-9]{3}))$")
 
 
-def parse_coeffs(text: str, n: int | None = None,
-                 cls: type = AltCoeffs) -> AltCoeffs:
+def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
     """Parse "123+145", "1*[1,2,3]+1*[1,4,5]", mixes of both, or "0"."""
     if n is not None and n < 0:
         raise QuadlieError(f"negative dimension {n}")
     s = "".join(text.split())
     if s in ("", "0"):
-        return cls(n or 0)
+        return AltCoeffs(n or 0)
     chunks: list[str] = []
     cur = ""
     depth = 0
@@ -180,7 +180,7 @@ def parse_coeffs(text: str, n: int | None = None,
         n = top
     elif top > n:
         raise QuadlieError(f"index {top} exceeds dimension {n}")
-    return cls(n, items)
+    return AltCoeffs(n, items)
 
 
 def format_coeffs(c: AltCoeffs) -> str:

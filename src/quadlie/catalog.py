@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .alternating import parse_coeffs
 from .errors import QuadlieError, ValidationError
 from .linalg import Fraction, scalar
 from .trivector import Trivector, trivector_rank
@@ -21,14 +22,6 @@ class CatalogEntry:
     n: int
     trivector: Trivector
     expected_dim: int
-
-
-def _tv(n: int, compact: str) -> Trivector:
-    vals = {}
-    for part in compact.split("+"):
-        i, j, k = (int(ch) for ch in part)
-        vals[(i, j, k)] = Fraction(1)
-    return Trivector(n, vals)
 
 
 _RAW: tuple[tuple[str, int, str], ...] = (
@@ -57,7 +50,7 @@ _RAW: tuple[tuple[str, int, str], ...] = (
 )
 
 CATALOG: tuple[CatalogEntry, ...] = tuple(
-    CatalogEntry(label, n, _tv(n, compact), 2 * n)
+    CatalogEntry(label, n, parse_coeffs(compact, n), 2 * n)
     for label, n, compact in _RAW)
 
 _BY_LABEL = {e.label: e for e in CATALOG}

@@ -15,7 +15,7 @@ import re
 import sys
 
 from .acceptance import run_all, verify_catalog_entry, verify_report
-from .alternating import AltCoeffs, format_coeffs, parse_coeffs
+from .alternating import format_coeffs, parse_coeffs
 from .catalog import CATALOG, catalog, catalog_counts, lambda_trivector
 from .convert import (all_roads, chain_to_coeffs, coeffs_to_chain,
                       coeffs_to_family, family_to_coeffs)
@@ -30,8 +30,7 @@ from .latex import bracket_cells, latex_table
 from .linalg import rank, scalar_str
 from .quadfam import f_matrix, validate_family
 from .randgen import random_coeffs
-from .trivector import (Trivector, algebra_from_trivector, delta,
-                        trivector_rank)
+from .trivector import algebra_from_trivector, trivector_rank
 from .tstar import (CocycleCoeffs, decompose_as_tstar, find_lagrangian_ideal,
                     tstar_extend)
 
@@ -58,11 +57,15 @@ def _fail(message: str, law: str = "", witness=None) -> int:
     return 1
 
 
-def _load_coeffs(text: str, n: int | None, cls) -> AltCoeffs:
-    """File path -> JSON terms; anything else -> inline '123+145' form."""
-    if os.path.exists(text):
-        return coeffs_from_obj(load_json(text), cls=cls)
-    return parse_coeffs(text, n=n, cls=cls)
+def _load_coeffs(text: str, n: int | None, general: bool = False):
+    """File path -> JSON terms, or with general=True a GeneralCocycle when
+    the JSON object has "pairs"; anything else -> inline '123+145' form."""
+    if not os.path.exists(text):
+        return parse_coeffs(text, n=n)
+    obj = load_json(text)
+    if general and isinstance(obj, dict) and "pairs" in obj:
+        return general_cocycle_from_obj(obj)
+    return coeffs_from_obj(obj)
 
 
 def _print_algebra(fmt: str, q: QuadraticStructure, split: int, header,
@@ -164,7 +167,7 @@ _KINDS = ("cocycle", "trivector", "family", "chain")
 
 def _read_as_coeffs(kind: str, text: str, n: int | None) -> CocycleCoeffs:
     if kind in ("cocycle", "trivector"):
-        return _load_coeffs(text, n, CocycleCoeffs)
+        return _load_coeffs(text, n)
     if not os.path.exists(text):
         raise QuadlieError(f"{kind} input must be a JSON file")
     if kind == "family":
@@ -215,15 +218,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_tstar(args) -> int:
-    if os.path.exists(args.input):
-        obj = load_json(args.input)
-        if isinstance(obj, dict) and "pairs" in obj:
-            w = general_cocycle_from_obj(obj)
-        else:
-            w = coeffs_from_obj(obj, cls=CocycleCoeffs)
-    else:
-        w = parse_coeffs(args.input, n=args.n, cls=CocycleCoeffs)
-    q = tstar_extend(w)  # B + B*, so B is its first half
+    # B + B*, so B is its first half
+    q = tstar_extend(_load_coeffs(args.input, args.n, general=True))
     return _print_algebra(_fmt(args), q, q.dim // 2, lambda: (
         f"dual extension: dim {q.dim}, nilindex {q.alg.nilindex()}",))
 
@@ -248,7 +244,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    t = _load_coeffs(args.input, args.n, Trivector)
+    t = _load_coeffs(args.input, args.n)
     r = trivector_rank(t)
     if _fmt(args) == "json":
         print(dumps({"n": t.n, "rank": r}), end="")
@@ -267,7 +263,7 @@ def cmd_random(args) -> int:
         "coefficients": len(c.terms),
         "nilindex": q.alg.nilindex(),
         "reduced": q.alg.is_reduced(),
-        "trivector_rank": trivector_rank(delta(c)),
+        "trivector_rank": trivector_rank(c),
     }
     if args.out:
         cpath = f"{args.out}.cocycle.json"

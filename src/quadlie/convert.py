@@ -55,8 +55,7 @@ def chain_to_coeffs(ch: ExtensionChain) -> CocycleCoeffs:
     """The coefficients a chain carries, read once its two-step property
     and skew links are checked, as chain_to_algebra checks them."""
     _check_chain(ch)
-    d = chain_dcoeffs(ch)
-    return CocycleCoeffs(d.n, d.terms)
+    return chain_dcoeffs(ch)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from .errors import QuadlieError
 from .forms import QuadraticStructure
 from .linalg import Fraction, Mat, scalar, scalar_str
 from .quadfam import QuadraticFamily
-from .tstar import CocycleCoeffs, GeneralCocycle
+from .tstar import GeneralCocycle
 
 
 def load_json(path: str) -> Any:
@@ -48,6 +48,12 @@ def _expect_list(obj: Any, key: str, kind: str) -> list:
     if not isinstance(val, list):
         raise QuadlieError(f"{kind} {key} must be a list")
     return val
+
+
+def _dim_in(n: Any) -> int:
+    if not isinstance(n, int) or n < 0:
+        raise QuadlieError(f"bad dimension {n!r}")
+    return n
 
 
 def _scalar_in(x, where: str, memo: dict | None = None):
@@ -98,9 +104,7 @@ def quadratic_to_obj(q: QuadraticStructure) -> dict:
 
 
 def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
-    dim = _expect(obj, "dim", "algebra")
-    if not isinstance(dim, int) or dim < 0:
-        raise QuadlieError(f"bad dimension {dim!r}")
+    dim = _dim_in(_expect(obj, "dim", "algebra"))
     memo: dict[str, Fraction] = {}  # one parse per distinct string
     brackets = {}
     for ent in _expect_list(obj, "brackets", "algebra"):
@@ -135,10 +139,8 @@ def coeffs_to_obj(c: AltCoeffs) -> dict:
     }
 
 
-def coeffs_from_obj(obj: Any, cls=CocycleCoeffs) -> AltCoeffs:
-    n = _expect(obj, "n", "coefficients")
-    if not isinstance(n, int) or n < 0:
-        raise QuadlieError(f"bad dimension {n!r}")
+def coeffs_from_obj(obj: Any) -> AltCoeffs:
+    n = _dim_in(_expect(obj, "n", "coefficients"))
     vals = []
     for ent in _expect_list(obj, "terms", "coefficients"):
         ijk = _expect(ent, "ijk", "term")
@@ -148,7 +150,7 @@ def coeffs_from_obj(obj: Any, cls=CocycleCoeffs) -> AltCoeffs:
         vals.append((tuple(ijk), _scalar_in(_expect(ent, "c", "term"),
                                             f"term {ijk}")))
     try:
-        return cls(n, vals)
+        return AltCoeffs(n, vals)
     except QuadlieError:
         raise
     except ValueError as e:
@@ -194,7 +196,7 @@ def chain_from_obj(obj: Any) -> ExtensionChain:
     # [] is the 0x0 link; shape errors surface in the chain constructor
     mats = tuple(_mat_in(rows, f"deriv {k}")
                  for k, rows in enumerate(derivs))
-    return ExtensionChain(n, mats)
+    return ExtensionChain(_dim_in(n), mats)
 
 
 # ---- matrix family ----
@@ -206,5 +208,5 @@ def family_to_obj(fam: QuadraticFamily) -> dict:
 def family_from_obj(obj: Any) -> QuadraticFamily:
     n = _expect(obj, "n", "family")
     mats = _expect_list(obj, "mats", "family")
-    return QuadraticFamily(n, tuple(_mat_in(m, f"matrix {i + 1}")
-                                    for i, m in enumerate(mats)))
+    mats = tuple(_mat_in(m, f"matrix {i + 1}") for i, m in enumerate(mats))
+    return QuadraticFamily(_dim_in(n), mats)

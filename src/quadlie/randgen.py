@@ -12,7 +12,6 @@ from .doubleext import derivation_space
 from .errors import QuadlieError
 from .forms import QuadraticStructure
 from .linalg import Mat, ZERO, rank
-from .tstar import CocycleCoeffs
 
 _MASK = (1 << 64) - 1
 
@@ -54,7 +53,7 @@ class SplitMix64:
 
 
 def random_coeffs(n: int, seed: int, density: Fraction = Fraction(1, 2),
-                  nonzero: bool = False, cls=CocycleCoeffs) -> AltCoeffs:
+                  nonzero: bool = False) -> AltCoeffs:
     """Random alternating coefficients with entries in -3..3; each triple
     is filled with probability `density`. With nonzero=True an all-zero
     draw gets one forced entry, still seed-deterministic."""
@@ -72,7 +71,7 @@ def random_coeffs(n: int, seed: int, density: Fraction = Fraction(1, 2),
             vals[t] = rng.nonzero_entry()
     if nonzero and not vals:
         vals[triples[rng.randint(0, len(triples) - 1)]] = rng.nonzero_entry()
-    return cls(n, vals)
+    return AltCoeffs(n, vals)
 
 
 def random_matrix(n: int, seed: int, bound: int = 3) -> Mat:

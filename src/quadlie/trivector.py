@@ -1,10 +1,11 @@
 """Alternating trivectors and their 2-step quadratic algebras.
 
 A trivector with coefficients t_ijk is the same coefficient data as a
-cyclic cocycle on an abelian space; the cast between the two roles is the
-identity on storage. Evaluation follows the determinant convention
-(e_i* ^ e_j* ^ e_k*)(x, y, z) = det of the 3x3 matrix with rows x, y, z
-restricted to components i, j, k.
+cyclic cocycle on an abelian space, so both roles are one class: Trivector
+is the name of AltCoeffs in the trivector role, as tstar.CocycleCoeffs is
+in the cocycle role, and a value passes between the roles as it is.
+Evaluation follows the determinant convention (e_i* ^ e_j* ^ e_k*)(x, y, z)
+= det of the 3x3 matrix with rows x, y, z restricted to components i, j, k.
 """
 from __future__ import annotations
 
@@ -14,21 +15,9 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
 from .linalg import Fraction, Mat, Subspace, hstack, inverse, vstack
-from .tstar import CocycleCoeffs, tstar_extend
+from .tstar import tstar_extend
 
-
-class Trivector(AltCoeffs):
-    """Alternating 3-form role of an alternating coefficient family."""
-
-
-def delta(w: CocycleCoeffs) -> Trivector:
-    """Cocycle coefficients to trivector role, identity on the data."""
-    return Trivector(w.n, w.terms)
-
-
-def delta_inv(t: Trivector) -> CocycleCoeffs:
-    """Trivector to cyclic-cocycle role, identity on the data."""
-    return CocycleCoeffs(t.n, t.terms)
+Trivector = AltCoeffs
 
 
 def contract(t: Trivector, x: Sequence[Fraction]) -> Mat:
@@ -56,7 +45,7 @@ def algebra_from_trivector(t: Trivector) -> QuadraticStructure:
     if t.is_zero():
         raise ValidationError("zero trivector gives an abelian algebra",
                               law="nonzero")
-    return tstar_extend(delta_inv(t))
+    return tstar_extend(t)
 
 
 def gl_act(sigma: Mat, t: Trivector) -> Trivector:

@@ -1,7 +1,7 @@
 """T*-extensions: B + B* with a cocycle-twisted bracket and hyperbolic form.
 
 Two cocycle containers: CocycleCoeffs (alternating coefficients over an
-abelian base, shared storage with trivectors) and GeneralCocycle (arbitrary
+abelian base, the AltCoeffs class itself) and GeneralCocycle (arbitrary
 Lie base, the nonzero entries of w(e_i, e_j) per basis pair, stored like
 LieAlgebra.terms). Coefficient input converts once, through
 GeneralCocycle.from_coeffs, and one sparse builder makes the bracket of
@@ -20,8 +20,9 @@ from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, vec,
                      vstack)
 
 
-class CocycleCoeffs(AltCoeffs):
-    """Cyclic 2-cocycle data on the abelian algebra of dimension n."""
+# Cyclic 2-cocycle data on the abelian algebra of dimension n: the role name
+# of AltCoeffs, not a class of its own.
+CocycleCoeffs = AltCoeffs
 
 
 class GeneralCocycle:

@@ -28,8 +28,9 @@ from fractions import Fraction
 from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      LieAlgebra, Mat, QuadraticFamily, QuadraticStructure,
                      SkewDerivation, Subspace, ValidationError, abelian,
-                     chain_dcoeffs, hyperbolic_form, inverse, kernel,
-                     lagrangian_complement, rank, rref, scalar, solve)
+                     chain_dcoeffs, hyperbolic_form, inner_preimage, inverse,
+                     is_lagrangian, kernel, lagrangian_complement, rank,
+                     rref, scalar, solve)
 from quadlie.linalg import vstack
 
 ZERO = Fraction(0)
@@ -327,6 +328,35 @@ def _dense_is_isometry(q1, q2, m):
             if lhs != rhs:
                 return False, f"bracket not preserved at ({i},{j})"
     return True, "ok"
+
+
+def _ref_greedy_picks(q, s):
+    """The transversal as lagrangian_complement grew it: standard basis
+    vectors, lowest index first, one Subspace.sum per vector tried."""
+    cur = s
+    picks = []
+    for t in range(q.dim):
+        if cur.dim == 2 * s.dim:
+            break
+        grown = cur.sum(Subspace._of(q.dim, [{t: Fraction(1)}]))
+        if grown.dim > cur.dim:
+            picks.append(t)
+            cur = grown
+    return picks
+
+
+def _ref_greedy_lagrangian_complement(q, s):
+    """lagrangian_complement as it was, on the greedy transversal."""
+    if not is_lagrangian(q, s):
+        raise ValidationError("subspace is not lagrangian", law="lagrangian")
+    if s.dim == 0:
+        return Subspace.zero(q.dim)
+    T = Mat._of([{t: Fraction(1)} for t in _ref_greedy_picks(q, s)], q.dim)
+    S = s.basis
+    P = T * q.form * S.transpose()
+    G = T * q.form * T.transpose()
+    X = (G * inverse(P).transpose()).scale(Fraction(-1, 2))
+    return Subspace._of(q.dim, (T + X * S).sparse_rows)
 
 
 # ---- trivectors and alternating coefficients ----
@@ -807,3 +837,33 @@ def _ref_double_extend(aq, b, phi):
             for j in range(amn):
                 form[m + i][m + j] = aq.form.data[i][j]
     return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
+
+
+def _ref_two_step_by_intersection(aq, d):
+    """The criterion as it was: s = im(d) + A^2 against the solved
+    intersection Z(A) intersect ker(d)."""
+    if aq is None:
+        return False
+    dmat = d.mat if isinstance(d, SkewDerivation) else d
+    n = aq.dim
+    s = Subspace.from_rows(n, [dmat.col(j) for j in range(n)]).sum(
+        aq.alg.derived())
+    return s.dim > 0 and aq.alg.centre().intersect(kernel(dmat)).contains(s)
+
+
+def _ref_centre_formula_by_intersection(aq, d):
+    """The centre formula as it was: Z(A) intersect ker(d) solved as the
+    intersection of the centre with the kernel of d."""
+    dmat = d.mat if isinstance(d, SkewDerivation) else d
+    dim = (aq.dim if aq is not None else 0) + 2
+    rows = []
+    if aq is not None:
+        core = aq.alg.centre().intersect(kernel(dmat))
+        rows = [{j + 1: e for j, e in r.items()}
+                for r in core.basis.sparse_rows]
+    rows.append({dim - 1: Fraction(1)})
+    x = inner_preimage(aq, dmat)
+    if x is not None:
+        rows.append({0: Fraction(1),
+                     **{j + 1: -c for j, c in enumerate(x) if c}})
+    return Subspace._of(dim, rows)

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 import quadlie
-from quadlie import algebra_from_trivector, catalog
+from quadlie import (algebra_from_trivector, build_chain, catalog,
+                     coeffs_to_family)
 from quadlie.alternating import parse_coeffs
 from quadlie.cli import main
-from quadlie.io import coeffs_to_obj, dumps, quadratic_to_obj
-from quadlie.tstar import CocycleCoeffs
+from quadlie.io import (chain_to_obj, coeffs_to_obj, dumps, family_to_obj,
+                        quadratic_to_obj)
 
 
 @pytest.fixture(autouse=True)
@@ -163,7 +164,7 @@ def test_convert_family_round_trip(tmp_path, capsys):
     code, out2, _ = run(capsys, "convert", "--from", "family",
                         "--to", "cocycle", str(path), "--format", "json")
     assert code == 0
-    expected = coeffs_to_obj(parse_coeffs(text, n=5, cls=CocycleCoeffs))
+    expected = coeffs_to_obj(parse_coeffs(text, n=5))
     assert json.loads(out2) == expected
 
 
@@ -177,7 +178,7 @@ def test_convert_chain_round_trip(tmp_path, capsys):
     code, out2, _ = run(capsys, "convert", "--from", "chain",
                         "--to", "cocycle", str(path), "--format", "json")
     assert code == 0
-    expected = coeffs_to_obj(parse_coeffs("123+145", n=5, cls=CocycleCoeffs))
+    expected = coeffs_to_obj(parse_coeffs("123+145", n=5))
     assert json.loads(out2) == expected
 
 
@@ -419,12 +420,13 @@ def _assert_one_json_error(*argv, in_error=None):
         assert in_error in err["error"]
 
 
-def _assert_bad_file_is_one_json_error(tmp_path, cmd, body):
+def _assert_bad_file_is_one_json_error(tmp_path, cmd, body, in_error=None):
     """cmd on a file holding body, in both output formats."""
     path = tmp_path / "bad.json"
     path.write_bytes(body)
     for fmt in ("summary", "json"):
-        _assert_one_json_error(*cmd, str(path), "--format", fmt)
+        _assert_one_json_error(*cmd, str(path), "--format", fmt,
+                               in_error=in_error)
 
 
 @pytest.mark.parametrize("body", [
@@ -468,6 +470,34 @@ _HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
         "tstar-terms-int", "convert-terms-int", "rank-terms-int"])
 def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
     _assert_bad_file_is_one_json_error(tmp_path, cmd, body)
+
+
+# valid files for the coefficients 123 but for their "n"
+_CHAIN = chain_to_obj(build_chain(parse_coeffs("123")))
+_FAMILY = family_to_obj(coeffs_to_family(parse_coeffs("123")))
+
+
+@pytest.mark.parametrize("cmd, body", [
+    (("extend", "--chain"), _body(dict(_CHAIN, n=3.0))),
+    (("extend", "--chain"), _body(dict(_CHAIN, n="3"))),
+    (("extend", "--chain"), _body({"n": "1", "derivs": [[]]})),
+    (("extend", "--chain"), _body(dict(_CHAIN, n=-1))),
+    (("convert", "--from", "chain", "--to", "algebra"),
+     _body(dict(_CHAIN, n=3.0))),
+    (("family",), _body(dict(_FAMILY, n=3.0))),
+    (("family",), _body(dict(_FAMILY, n="3"))),
+    (("convert", "--from", "family", "--to", "cocycle"),
+     _body(dict(_FAMILY, n=3.0))),
+], ids=["chain-n-float", "chain-n-string", "chain-n-string-one",
+        "chain-n-negative", "convert-chain-n-float", "family-n-float",
+        "family-n-string", "convert-family-n-float"])
+def test_chain_and_family_bad_dimension_is_one_json_error(tmp_path, cmd,
+                                                           body):
+    # n must be checked as a dimension: a float n reaches range() as a
+    # TypeError, and "1" fails the count check as "need 1 derivations,
+    # got 1"
+    _assert_bad_file_is_one_json_error(tmp_path, cmd, body,
+                                       in_error="bad dimension")
 
 
 @pytest.mark.parametrize("argv", [

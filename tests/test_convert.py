@@ -14,18 +14,18 @@ from reference import (_loop_coeffs_to_family, _loop_family_defects,
 
 def test_family_round_trip():
     for text in ("123", "123+145", "125+136+147+234", "2/3*[1,2,3]-145"):
-        c = parse_coeffs(text, cls=CocycleCoeffs)
+        c = parse_coeffs(text)
         assert family_to_coeffs(coeffs_to_family(c)) == c
 
 
 def test_chain_round_trip():
     for text in ("123", "124+135+236", "123+147+257+367+456"):
-        c = parse_coeffs(text, cls=CocycleCoeffs)
+        c = parse_coeffs(text)
         assert chain_to_coeffs(coeffs_to_chain(c)) == c
 
 
 def test_family_to_coeffs_rejects_inconsistent():
-    good = coeffs_to_family(parse_coeffs("123", cls=CocycleCoeffs))
+    good = coeffs_to_family(parse_coeffs("123"))
     # scaling one matrix breaks cross-matrix compatibility, caught by the
     # family laws before the alternating re-check
     fam = QuadraticFamily(3, (good.mats[0].scale(2), good.mats[1],
@@ -37,12 +37,12 @@ def test_family_to_coeffs_rejects_inconsistent():
 
 def test_all_roads_equal_on_clean_input():
     for text in ("123", "123+145", "124+135+236"):
-        rep = all_roads(parse_coeffs(text, cls=CocycleCoeffs))
+        rep = all_roads(parse_coeffs(text))
         assert rep.equal
         assert rep.mismatches == ()
         assert rep.n == parse_coeffs(text).n
         assert rep.algebra.alg == tstar_extend(
-            parse_coeffs(text, cls=CocycleCoeffs)).alg
+            parse_coeffs(text)).alg
 
 
 def test_all_roads_seeded():

@@ -12,12 +12,13 @@ from quadlie import (ExtensionChain, Mat, QuadraticStructure, SkewDerivation,
                      heisenberg, hyperbolic_form, inner_preimage, inverse,
                      invariance_defect, parse_coeffs, skew_defect,
                      tstar_extend, two_step_criterion, validate_chain)
-from quadlie.linalg import kernel
 from quadlie.randgen import random_coeffs, random_skew_derivation
 from reference import (_dense_contains_vec, _dense_skew_defect,
-                       _loop_build_chain, _ref_derivation_defect,
-                       _ref_derivation_space, _ref_double_extend,
-                       _ref_double_extend_1d, _ref_inner_preimage, basis_vec)
+                       _loop_build_chain, _ref_centre_formula_by_intersection,
+                       _ref_derivation_defect, _ref_derivation_space,
+                       _ref_double_extend, _ref_double_extend_1d,
+                       _ref_inner_preimage, _ref_two_step_by_intersection,
+                       basis_vec)
 
 
 def hyperbolic_abelian(m):
@@ -265,18 +266,6 @@ def test_two_step_criterion_matches_nilindex():
         assert centre_formula_1d(aq, d) == ext.alg.centre()
 
 
-def _two_step_by_intersection(aq, d):
-    """The criterion as it was: s = im(d) + A^2 against the solved
-    intersection Z(A) intersect ker(d)."""
-    if aq is None:
-        return False
-    dmat = d.mat if isinstance(d, SkewDerivation) else d
-    n = aq.dim
-    s = Subspace.from_rows(n, [dmat.col(j) for j in range(n)]).sum(
-        aq.alg.derived())
-    return s.dim > 0 and aq.alg.centre().intersect(kernel(dmat)).contains(s)
-
-
 def test_two_step_criterion_matches_intersection_form():
     # s in Z(A) with d(s) = 0 decides exactly what s in Z(A) cap ker d did
     from quadlie import CATALOG, algebra_from_trivector
@@ -306,7 +295,8 @@ def test_two_step_criterion_matches_intersection_form():
         cases += [(aq, Mat.zero(n, n)), (aq, ad_x),
                   (aq, random_skew_derivation(aq, n))]
     verdicts = [two_step_criterion(aq, d) for aq, d in cases]
-    assert verdicts == [_two_step_by_intersection(aq, d) for aq, d in cases]
+    assert verdicts == [_ref_two_step_by_intersection(aq, d)
+                        for aq, d in cases]
     assert 20 < sum(verdicts) < len(cases) - 20
 
 
@@ -564,6 +554,22 @@ def test_derivation_laws_match_dense_reference(law_cases):
         outcomes[want[1] if want[0] == "error" else "ok"] += 1
         inner += want[0] == "ok" and want[1] is not None
     assert min(outcomes.values()) > 20 and inner > 20
+    # ad(x) for seeded nonzero x on seeded T*-bases: the cases above all
+    # have the zero preimage, so these are the ones whose preimage is not
+    g = SplitMix64(3141)
+    nonzero = 0
+    for seed in range(20):
+        aq = tstar_extend(random_coeffs(3 + seed % 3, seed=500 + seed,
+                                        nonzero=True))
+        n = aq.dim
+        x = (Fraction(g.randint(1, 3)),) + tuple(
+            Fraction(g.randint(-3, 3)) for _ in range(n - 1))
+        ad_x = Mat([aq.alg.bracket(x, basis_vec(n, j))
+                    for j in range(1, n + 1)]).transpose()
+        want = _outcome(_ref_inner_preimage, aq, ad_x)
+        assert _outcome(inner_preimage, aq, ad_x) == want
+        nonzero += want[0] == "ok" and any(want[1])
+    assert nonzero == 20
     # the zero algebra
     zero = QuadraticStructure(abelian(0), Mat.zero(0, 0))
     assert derivation_defect(zero.alg, Mat.zero(0, 0)) == []
@@ -674,24 +680,6 @@ def test_bad_matrix_fails_the_same_way_every_call(monkeypatch,
     assert laws == {"skew", "derivation"}
 
 
-def _centre_formula_by_intersection(aq, d):
-    """The centre formula as it was: Z(A) intersect ker(d) solved as the
-    intersection of the centre with the kernel of d."""
-    dmat = d.mat if isinstance(d, SkewDerivation) else d
-    dim = (aq.dim if aq is not None else 0) + 2
-    rows = []
-    if aq is not None:
-        core = aq.alg.centre().intersect(kernel(dmat))
-        rows = [{j + 1: e for j, e in r.items()}
-                for r in core.basis.sparse_rows]
-    rows.append({dim - 1: Fraction(1)})
-    x = inner_preimage(aq, dmat)
-    if x is not None:
-        rows.append({0: Fraction(1),
-                     **{j + 1: -c for j, c in enumerate(x) if c}})
-    return Subspace._of(dim, rows)
-
-
 def test_centre_formula_matches_intersection_form():
     # criterion 5's corpus, then inner and zero maps on 2-step bases and
     # on extensions, where the centre is wider
@@ -711,7 +699,7 @@ def test_centre_formula_matches_intersection_form():
     widths = set()
     for aq, d in cases:
         got = centre_formula_1d(aq, d)
-        assert got == _centre_formula_by_intersection(aq, d)
+        assert got == _ref_centre_formula_by_intersection(aq, d)
         widths.add(got.dim)
     assert len(widths) > 5
 

@@ -7,7 +7,9 @@ from quadlie import (LieAlgebra, Mat, QuadraticStructure, Subspace,
                      is_lagrangian, lagrangian_complement,
                      orthogonal_complement, permute_quadratic, tstar_extend)
 from quadlie.randgen import SplitMix64, random_coeffs
-from reference import _dense_contains_vec, _dense_invariance_defect, basis_vec
+from reference import (_dense_contains_vec, _dense_invariance_defect,
+                       _ref_greedy_lagrangian_complement, _ref_greedy_picks,
+                       basis_vec)
 
 
 def test_hyperbolic_form_shape():
@@ -212,38 +214,6 @@ def test_invariance_defect_matches_dense_definition():
     assert 40 < invariant < cases - 40
 
 
-def _greedy_picks(q, s):
-    """The transversal as lagrangian_complement grew it: standard basis
-    vectors, lowest index first, one Subspace.sum per vector tried."""
-    from fractions import Fraction
-    cur = s
-    picks = []
-    for t in range(q.dim):
-        if cur.dim == 2 * s.dim:
-            break
-        grown = cur.sum(Subspace._of(q.dim, [{t: Fraction(1)}]))
-        if grown.dim > cur.dim:
-            picks.append(t)
-            cur = grown
-    return picks
-
-
-def _greedy_lagrangian_complement(q, s):
-    """lagrangian_complement as it was, on the greedy transversal."""
-    from fractions import Fraction
-    from quadlie import inverse
-    if not is_lagrangian(q, s):
-        raise ValidationError("subspace is not lagrangian", law="lagrangian")
-    if s.dim == 0:
-        return Subspace.zero(q.dim)
-    T = Mat._of([{t: Fraction(1)} for t in _greedy_picks(q, s)], q.dim)
-    S = s.basis
-    P = T * q.form * S.transpose()
-    G = T * q.form * T.transpose()
-    X = (G * inverse(P).transpose()).scale(Fraction(-1, 2))
-    return Subspace._of(q.dim, (T + X * S).sparse_rows)
-
-
 def _lagrangian_inputs():
     """(q, s): the catalog's derived ideals, both halves of seeded
     T*-extensions, and seeded lagrangians of hyperbolic and of mixed forms
@@ -290,14 +260,14 @@ def test_lagrangian_complement_matches_greedy_transversal():
     cases = 0
     for q, s in _lagrangian_inputs():
         got = lagrangian_complement(q, s)
-        assert got == _greedy_lagrangian_complement(q, s)
-        transversals.add((q.dim, tuple(_greedy_picks(q, s))))
+        assert got == _ref_greedy_lagrangian_complement(q, s)
+        transversals.add((q.dim, tuple(_ref_greedy_picks(q, s))))
         cases += 1
     assert cases > 300 and len(transversals) > 35
     # a subspace that is not lagrangian fails the same way
     q = QuadraticStructure(abelian(4), hyperbolic_form(2))
     s = Subspace.from_rows(4, [[1, 0, 1, 0]])
-    for f in (lagrangian_complement, _greedy_lagrangian_complement):
+    for f in (lagrangian_complement, _ref_greedy_lagrangian_complement):
         with pytest.raises(ValidationError) as e:
             f(q, s)
         assert e.value.law == "lagrangian"

@@ -1,9 +1,8 @@
 """JSON serialization round trips and input validation."""
 import pytest
 
-from quadlie import (CocycleCoeffs, GeneralCocycle, QuadlieError, Trivector,
-                     build_chain, coeffs_to_family, heisenberg, parse_coeffs,
-                     tstar_extend)
+from quadlie import (GeneralCocycle, QuadlieError, build_chain,
+                     coeffs_to_family, heisenberg, parse_coeffs, tstar_extend)
 from quadlie.io import (algebra_from_obj, algebra_to_obj, chain_from_obj,
                         chain_to_obj, coeffs_from_obj, coeffs_to_obj, dumps,
                         family_from_obj, family_to_obj,
@@ -60,11 +59,9 @@ def test_algebra_from_obj_rejects_malformed():
 
 
 def test_coeffs_round_trip():
-    c = parse_coeffs("123-2/3*[1,4,5]", cls=CocycleCoeffs)
+    c = parse_coeffs("123-2/3*[1,4,5]")
     obj = coeffs_to_obj(c)
     assert coeffs_from_obj(obj) == c
-    t = coeffs_from_obj(obj, cls=Trivector)
-    assert isinstance(t, Trivector) and t.terms == c.terms
 
 
 def test_coeffs_obj_shape():
@@ -82,7 +79,7 @@ def test_general_cocycle_round_trip():
 
 
 def test_chain_round_trip():
-    ch = build_chain(parse_coeffs("124+135+236", cls=CocycleCoeffs))
+    ch = build_chain(parse_coeffs("124+135+236"))
     obj = chain_to_obj(ch)
     assert chain_from_obj(obj) == ch
     # the 0x0 link serializes as an empty list
@@ -90,7 +87,7 @@ def test_chain_round_trip():
 
 
 def test_family_round_trip():
-    fam = coeffs_to_family(parse_coeffs("123+145", cls=CocycleCoeffs))
+    fam = coeffs_to_family(parse_coeffs("123+145"))
     assert family_from_obj(family_to_obj(fam)) == fam
 
 
@@ -112,7 +109,7 @@ def test_load_json_errors(tmp_path):
 
 def test_load_json_round_trip(tmp_path):
     p = tmp_path / "c.json"
-    c = parse_coeffs("123+145", cls=CocycleCoeffs)
+    c = parse_coeffs("123+145")
     p.write_text(dumps(coeffs_to_obj(c)))
     assert coeffs_from_obj(load_json(str(p))) == c
 

@@ -1,8 +1,8 @@
 """Trivectors: the duality with cocycles, group action, induced isometries."""
 import pytest
 
-from quadlie import (CocycleCoeffs, Mat, Trivector, ValidationError,
-                     algebra_from_trivector, contract, delta, delta_inv,
+from quadlie import (AltCoeffs, CocycleCoeffs, Mat, Trivector,
+                     ValidationError, algebra_from_trivector, contract,
                      gl_act, is_isometry, isometry_from_gl, parse_coeffs,
                      trivector_kernel, trivector_rank, tstar_extend)
 from quadlie.randgen import SplitMix64, random_coeffs, random_invertible
@@ -10,17 +10,15 @@ from reference import _dense_contains_vec, _dense_contraction, _dense_kernel
 
 
 def tv(text, n=None):
-    return parse_coeffs(text, n=n, cls=Trivector)
+    return parse_coeffs(text, n=n)
 
 
-def test_delta_identity_cast():
-    c = parse_coeffs("123+145", cls=CocycleCoeffs)
-    t = delta(c)
-    assert isinstance(t, Trivector)
-    assert t.terms == c.terms
-    back = delta_inv(t)
-    assert isinstance(back, CocycleCoeffs)
-    assert back == c
+def test_role_names_are_one_class():
+    # a cocycle on an abelian base and a trivector are the same coefficients
+    assert CocycleCoeffs is AltCoeffs is Trivector
+    c = parse_coeffs("123+145")
+    assert repr(c) == "AltCoeffs(5, '123+145')"
+    assert algebra_from_trivector(c) == tstar_extend(c)
 
 
 def test_contract():
@@ -90,7 +88,7 @@ def test_gl_act_preserves_rank():
     g = SplitMix64(77)
     for seed in range(12):
         n = 3 + seed % 4
-        t = delta(random_coeffs(n, seed=seed, nonzero=True))
+        t = random_coeffs(n, seed=seed, nonzero=True)
         sigma = random_invertible(n, 1000 + seed)
         assert trivector_rank(gl_act(sigma, t)) == trivector_rank(t)
         assert g.randint(0, 1) in (0, 1)
@@ -124,8 +122,7 @@ def test_isometry_from_gl_rejects_incompatible():
 def test_isometry_from_gl_random_cases():
     for seed in range(8):
         n = 3 + seed % 3
-        c = random_coeffs(n, seed=500 + seed, nonzero=True)
-        t1 = delta(c)
+        t1 = random_coeffs(n, seed=500 + seed, nonzero=True)
         sigma = random_invertible(n, 600 + seed)
         t2 = gl_act(sigma, t1)
         m = isometry_from_gl(sigma, t1, t2)
@@ -142,7 +139,7 @@ def test_pair_term_readers_match_dense_loops(construction_coeffs):
     g = SplitMix64(77)
     n = 200
     chain = Trivector(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
-    cases = [delta(c) for c in construction_coeffs] + [chain]
+    cases = list(construction_coeffs) + [chain]
     for t in cases:
         k = trivector_kernel(t)
         assert k == _dense_kernel(t)

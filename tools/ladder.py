@@ -35,7 +35,7 @@ DENSE_SEED = 1
 RUNG = f"DENSE_SEED = {DENSE_SEED}\n" + """
 import json, resource, sys, time
 from fractions import Fraction
-from quadlie import CocycleCoeffs, delta, trivector_rank, tstar_extend
+from quadlie import AltCoeffs, CocycleCoeffs, trivector_rank, tstar_extend
 from quadlie.randgen import random_coeffs
 kind, n = sys.argv[1], int(sys.argv[2]) // 2
 if kind == "chain":
@@ -50,7 +50,7 @@ t2 = time.perf_counter()
 reduced = q.alg.is_reduced()
 t3 = time.perf_counter()
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-t = delta(c)  # a fresh copy: nothing tstar_extend cached on c is reused
+t = AltCoeffs(c.n, c.terms)  # a fresh copy: nothing cached on c is reused
 t4 = time.perf_counter()
 rank = trivector_rank(t)
 t5 = time.perf_counter()
