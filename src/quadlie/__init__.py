@@ -7,16 +7,15 @@ from .algebra import (AlgebraType, LieAlgebra, abelian, from_bracket_table,
 from .alternating import AltCoeffs, format_coeffs, parse_coeffs
 from .catalog import (CATALOG, CatalogEntry, catalog, catalog_counts,
                       lambda_trivector)
-from .convert import (RoadsReport, all_roads, chain_to_coeffs,
-                      coeffs_to_chain, coeffs_to_family, count_parameters,
-                      family_to_coeffs)
-from .doubleext import (ExtensionChain, SkewDerivation, build_chain,
-                        centre_formula_1d, chain_dcoeffs,
-                        chain_display_permutation, chain_reduced_check,
-                        chain_to_algebra, derivation_defect,
+from .convert import (RoadsReport, all_roads, coeffs_to_chain,
+                      coeffs_to_family, count_parameters, family_to_coeffs)
+from .doubleext import (ExtensionChain, build_chain, centre_formula_1d,
+                        chain_dcoeffs, chain_display_permutation,
+                        chain_reduced_check, chain_to_algebra,
+                        chain_to_coeffs, derivation_defect,
                         derivation_space, double_extend, double_extend_1d,
                         fold_chain, inner_preimage, skew_defect,
-                        two_step_criterion, validate_chain)
+                        two_step_criterion)
 from .errors import QuadlieError, ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, invariance_defect,
                     is_isometry, is_lagrangian, lagrangian_complement,

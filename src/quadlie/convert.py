@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .doubleext import (ExtensionChain, _check_chain, build_chain,
-                        chain_dcoeffs, chain_to_algebra)
+from .doubleext import ExtensionChain, build_chain, chain_to_algebra
 from .errors import ValidationError
 from .forms import QuadraticStructure
 from .linalg import Mat
@@ -49,13 +48,6 @@ def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
 
 def coeffs_to_chain(c: CocycleCoeffs) -> ExtensionChain:
     return build_chain(c)
-
-
-def chain_to_coeffs(ch: ExtensionChain) -> CocycleCoeffs:
-    """The coefficients a chain carries, read once its two-step property
-    and skew links are checked, as chain_to_algebra checks them."""
-    _check_chain(ch)
-    return chain_dcoeffs(ch)
 
 
 @dataclass(frozen=True)

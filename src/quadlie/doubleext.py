@@ -7,7 +7,7 @@ driven by an alternating coefficient family.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import LieAlgebra, abelian
@@ -84,36 +84,10 @@ def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
     return sorted({(i + 1, j + 1) for (i, j, _), x in acc.items() if x})
 
 
-class SkewDerivation:
-    """A form-skew derivation of a quadratic algebra, validated eagerly."""
-
-    __slots__ = ("aq", "mat")
-
-    def __init__(self, aq: QuadraticStructure, mat: Mat):
-        if mat.rows != aq.dim or mat.cols != aq.dim:
-            raise ValidationError("matrix shape does not match the algebra",
-                                  law="shape")
-        bad = skew_defect(aq.form, mat)
-        if bad:
-            raise ValidationError(f"not form-skew at pair {bad[0]}",
-                                  law="skew", witness=bad[0])
-        bad = derivation_defect(aq.alg, mat)
-        if bad:
-            raise ValidationError(f"derivation law fails at pair {bad[0]}",
-                                  law="derivation", witness=bad[0])
-        self.aq = aq
-        self.mat = mat
-
-
-def _deriv_mat(aq: QuadraticStructure | None, d) -> Mat:
-    """d's matrix, validated against aq unless d is a SkewDerivation that
-    was checked against an equal structure, or a matrix aq has accepted
-    before. A matrix is remembered only once it passes, so a bad one fails
-    with the same law and witness on every call."""
-    if isinstance(d, SkewDerivation):
-        if d.aq == aq:
-            return d.mat
-        d = d.mat
+def _deriv_mat(aq: QuadraticStructure | None, d: Mat) -> Mat:
+    """d, checked for shape, skew and derivation laws against aq unless aq
+    has accepted it before. A matrix is remembered only once it passes, so
+    a bad one fails with the same law and witness on every call."""
     if aq is None:
         if not (d.rows == d.cols == 0):
             raise ValidationError("derivation of the zero algebra must be 0x0")
@@ -122,14 +96,25 @@ def _deriv_mat(aq: QuadraticStructure | None, d) -> Mat:
     if seen is None:
         seen = set()
         object.__setattr__(aq, "_derivations", seen)
-    if d not in seen:
-        SkewDerivation(aq, d)  # validate
-        seen.add(d)
+    if d in seen:
+        return d
+    if d.rows != aq.dim or d.cols != aq.dim:
+        raise ValidationError("matrix shape does not match the algebra",
+                              law="shape")
+    bad = skew_defect(aq.form, d)
+    if bad:
+        raise ValidationError(f"not form-skew at pair {bad[0]}",
+                              law="skew", witness=bad[0])
+    bad = derivation_defect(aq.alg, d)
+    if bad:
+        raise ValidationError(f"derivation law fails at pair {bad[0]}",
+                              law="derivation", witness=bad[0])
+    seen.add(d)
     return d
 
 
 def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
-                  phi: Sequence[Mat | SkewDerivation]) -> QuadraticStructure:
+                  phi: Sequence[Mat]) -> QuadraticStructure:
     """General double extension of aq by (b, phi); aq None means A = 0.
 
     Basis order: b's basis, then A's, then the duals of b's. phi lists the
@@ -176,7 +161,7 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
 
 
 def double_extend_1d(aq: QuadraticStructure | None,
-                     d: Mat | SkewDerivation) -> QuadraticStructure:
+                     d: Mat) -> QuadraticStructure:
     """One-dimensional double extension; aq None extends the zero algebra.
 
     Basis order: the new generator b, then A's basis, then the dual beta.
@@ -243,9 +228,6 @@ class ExtensionChain:
     """Derivations d_0..d_{n-1}; d_k acts on the 2k-dimensional link k."""
     n: int
     derivs: tuple[Mat, ...]
-    # set by _check_chain once the chain passes; outside eq, hash and repr
-    _checked: bool = field(default=False, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         if len(self.derivs) != self.n:
@@ -268,10 +250,10 @@ class ExtensionChain:
 
 
 def _check_chain(ch: ExtensionChain) -> None:
-    """The two-step property, and link k skew for the hyperbolic form of
-    dim 2k. A chain remembers that it passed, so it is checked once."""
-    if ch._checked:
-        return
+    """A nonzero link, the two-step property, and link k skew for the
+    hyperbolic form of dim 2k."""
+    if not ch.nnp:
+        raise ValidationError("all chain derivations are zero", law="nnp")
     if not ch.two_sp:
         raise ValidationError("two-step property fails", law="2sp")
     for k, d in enumerate(ch.derivs):
@@ -279,11 +261,17 @@ def _check_chain(ch: ExtensionChain) -> None:
         if bad:
             raise ValidationError(f"link {k} not skew at {bad[0]}",
                                   law="skew", witness=bad[0])
-    object.__setattr__(ch, "_checked", True)
 
 
 def build_chain(c: AltCoeffs) -> ExtensionChain:
-    """The chain whose link k extends by d_k(e_j) = sum_l c(k+1,j,l) e_l*."""
+    """The chain whose link k extends by d_k(e_j) = sum_l c(k+1,j,l) e_l*.
+
+    A trusted builder: c alternates, so link k maps e_1..e_k into the dual
+    half, kills the dual half and is skew for the hyperbolic form. The dual
+    half is then central and holds the derived algebra of the chain folded
+    so far, so each link is a skew derivation of it (Medina-Revoy 1985),
+    and the links are not checked here.
+    """
     n = c.n
     if n < 3:
         raise ValidationError("need dimension at least 3", law="dimension")
@@ -297,10 +285,8 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
         k = top - 1
         links[k][k + b - 1][a - 1] = v
         links[k][k + a - 1][b - 1] = -v
-    ch = ExtensionChain(n, tuple(Mat._of(m, 2 * k)
-                                 for k, m in enumerate(links)))
-    _check_chain(ch)
-    return ch
+    return ExtensionChain(n, tuple(Mat._of(m, 2 * k)
+                                   for k, m in enumerate(links)))
 
 
 def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
@@ -315,26 +301,6 @@ def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
                 if v:
                     vals[(i, j, k)] = v
     return AltCoeffs(ch.n, vals)
-
-
-def validate_chain(ch: ExtensionChain) -> list[str]:
-    """Structural problems: shape laws hold by construction; checks the
-    two-step property and that every link map is a skew derivation of the
-    algebra folded so far."""
-    problems = []
-    if not ch.two_sp:
-        problems.append("two-step property fails")
-    cur: QuadraticStructure | None = None
-    for k, d in enumerate(ch.derivs):
-        try:
-            _deriv_mat(cur, d)
-        except ValidationError as e:
-            problems.append(f"link {k}: {e}")
-            break
-        if k + 1 < ch.n:
-            cur = permute_quadratic(double_extend_1d(cur, d),
-                                    _canonical_relabel(k + 1))
-    return problems
 
 
 def _canonical_relabel(k: int) -> tuple[int, ...]:
@@ -359,22 +325,21 @@ def fold_chain(ch: ExtensionChain) -> QuadraticStructure:
     return cur
 
 
+def chain_to_coeffs(ch: ExtensionChain) -> AltCoeffs:
+    """The coefficients a chain carries, read once _check_chain passes."""
+    _check_chain(ch)
+    return chain_dcoeffs(ch)
+
+
 def chain_to_algebra(ch: ExtensionChain) -> QuadraticStructure:
     """Closed-form result of the whole chain: [e_i, e_j] = sum D_ijk e_k*,
-    the T*-extension of the coefficients the chain carries.
-
-    Requires the chain to be nonzero with the two-step property; every link
-    must be skew for the hyperbolic pairing.
-    """
-    if not ch.nnp:
-        raise ValidationError("all chain derivations are zero", law="nnp")
-    _check_chain(ch)
-    return tstar_extend(chain_dcoeffs(ch))
+    the T*-extension of the coefficients the chain carries."""
+    return tstar_extend(chain_to_coeffs(ch))
 
 
 def chain_reduced_check(ch: ExtensionChain) -> bool:
     """True iff the bracket values span the whole dual half."""
-    return value_span(chain_dcoeffs(ch)).dim == ch.n
+    return value_span(chain_to_coeffs(ch)).dim == ch.n
 
 
 def derivation_space(aq: QuadraticStructure) -> Subspace:

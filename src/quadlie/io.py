@@ -50,8 +50,14 @@ def _expect_list(obj: Any, key: str, kind: str) -> list:
     return val
 
 
+def _int_in(x: Any) -> bool:
+    """Whether x is a JSON integer: an int, but not the bool true or false,
+    which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _dim_in(n: Any) -> int:
-    if not isinstance(n, int) or n < 0:
+    if not _int_in(n) or n < 0:
         raise QuadlieError(f"bad dimension {n!r}")
     return n
 
@@ -111,7 +117,7 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
         i = _expect(ent, "i", "bracket")
         j = _expect(ent, "j", "bracket")
         v = _expect(ent, "v", "bracket")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _int_in(i) or not _int_in(j):
             raise QuadlieError(f"bad bracket index pair ({i!r},{j!r})")
         if not isinstance(v, list):
             raise QuadlieError(f"bracket ({i},{j}): value must be a list")
@@ -145,7 +151,7 @@ def coeffs_from_obj(obj: Any) -> AltCoeffs:
     for ent in _expect_list(obj, "terms", "coefficients"):
         ijk = _expect(ent, "ijk", "term")
         if (not isinstance(ijk, list) or len(ijk) != 3
-                or any(not isinstance(x, int) for x in ijk)):
+                or any(not _int_in(x) for x in ijk)):
             raise QuadlieError(f"bad index triple {ijk!r}")
         vals.append((tuple(ijk), _scalar_in(_expect(ent, "c", "term"),
                                             f"term {ijk}")))
@@ -172,7 +178,7 @@ def general_cocycle_from_obj(obj: Any) -> GeneralCocycle:
     for ent in _expect_list(obj, "pairs", "cocycle"):
         ij = _expect(ent, "ij", "pair")
         if (not isinstance(ij, list) or len(ij) != 2
-                or any(not isinstance(x, int) for x in ij)):
+                or any(not _int_in(x) for x in ij)):
             raise QuadlieError(f"bad index pair {ij!r}")
         v = _expect(ent, "v", "pair")
         i, j = ij

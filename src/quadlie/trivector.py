@@ -48,16 +48,22 @@ def algebra_from_trivector(t: Trivector) -> QuadraticStructure:
     return tstar_extend(t)
 
 
+def _gl_inverse(sigma: Mat, n: int) -> Mat:
+    """sigma^-1 for an n x n sigma; any other shape, or a singular sigma,
+    is rejected."""
+    if sigma.rows != n or sigma.cols != n:
+        raise ValidationError(f"matrix must be {n}x{n}", law="shape")
+    try:
+        return inverse(sigma)
+    except ValueError:
+        raise ValidationError("matrix is singular", law="invertible")
+
+
 def gl_act(sigma: Mat, t: Trivector) -> Trivector:
     """Pullback action (sigma . t)(x, y, z) = t applied to the inverse
     images; singular sigma is rejected."""
     n = t.n
-    if sigma.rows != n or sigma.cols != n:
-        raise ValidationError(f"matrix must be {n}x{n}", law="shape")
-    try:
-        inv = inverse(sigma)
-    except ValueError:
-        raise ValidationError("matrix is singular", law="invertible")
+    inv = _gl_inverse(sigma, n)
     cols = [inv.col(j) for j in range(n)]
     vals = {}
     for i in range(1, n + 1):
@@ -76,12 +82,7 @@ def isometry_from_gl(sigma: Mat, t1: Trivector, t2: Trivector) -> Mat:
     if t2.n != n:
         raise ValidationError("trivectors live in different dimensions",
                               law="shape")
-    if sigma.rows != n or sigma.cols != n:
-        raise ValidationError(f"matrix must be {n}x{n}", law="shape")
-    try:
-        inv = inverse(sigma)
-    except ValueError:
-        raise ValidationError("matrix is singular", law="invertible")
+    inv = _gl_inverse(sigma, n)
     scols = [sigma.col(j) for j in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from quadlie import (CATALOG, CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
-                     QuadraticStructure, SkewDerivation, SplitMix64, abelian,
+                     QuadraticStructure, SplitMix64, abelian,
                      algebra_from_trivector, chain_to_algebra,
                      coeffs_to_chain, decompose_as_tstar, gl_act, heisenberg,
                      hyperbolic_form, inverse, lambda_trivector,
@@ -254,6 +254,6 @@ def phi_cases():
             (aq, h, [zero, zero, d1]),                # not a homomorphism
             (aq, h, [d1, d2]),                        # wrong length
             (aq, non_lie, [zero] * 3),
-            (aq, abelian(1), [SkewDerivation(aq, d1)]),
+            (aq, abelian(1), [d1]),
         ]
     return tuple(cases)

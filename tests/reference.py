@@ -27,10 +27,10 @@ from fractions import Fraction
 
 from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      LieAlgebra, Mat, QuadraticFamily, QuadraticStructure,
-                     SkewDerivation, Subspace, ValidationError, abelian,
-                     chain_dcoeffs, hyperbolic_form, inner_preimage, inverse,
-                     is_lagrangian, kernel, lagrangian_complement, rank,
-                     rref, scalar, solve)
+                     Subspace, ValidationError, abelian, chain_dcoeffs,
+                     double_extend_1d, hyperbolic_form, inner_preimage,
+                     inverse, is_lagrangian, kernel, lagrangian_complement,
+                     permute_quadratic, rank, rref, scalar, solve)
 from quadlie.linalg import vstack
 
 ZERO = Fraction(0)
@@ -643,6 +643,27 @@ def _loop_build_chain(c):
     return ExtensionChain(c.n, tuple(derivs))
 
 
+def _ref_validate_chain(ch):
+    """validate_chain as it was: the two-step property, then each link in
+    turn checked as a skew derivation of the chain folded so far, up to
+    the first link that fails. The problems come as (link, law, witness),
+    with link None for the two-step property."""
+    problems = []
+    if not ch.two_sp:
+        problems.append((None, "2sp", None))
+    cur = None
+    for k, d in enumerate(ch.derivs):
+        try:
+            _ref_deriv_mat(cur, d)
+        except ValidationError as e:
+            problems.append((k, e.law, e.witness))
+            break
+        # the fresh generator b comes first; move it past the old basis
+        relabel = list(range(2, k + 2)) + [1] + list(range(k + 2, 2 * k + 3))
+        cur = permute_quadratic(double_extend_1d(cur, d), relabel)
+    return problems
+
+
 # ---- double extensions ----
 
 def _dense_skew_defect(form, d):
@@ -703,10 +724,8 @@ def _ref_derivation_space(aq):
 
 
 def _ref_deriv_mat(aq, d):
-    """The validation of SkewDerivation and _deriv_mat, on the dense
-    products and the dense derivation loop."""
-    if isinstance(d, SkewDerivation):
-        return d.mat
+    """The validation of _deriv_mat, on the dense products and the dense
+    derivation loop."""
     if aq is None:
         if not (d.rows == d.cols == 0):
             raise ValidationError("derivation of the zero algebra must be "
@@ -747,12 +766,7 @@ def _ref_inner_preimage(aq, d):
 
 def _ref_double_extend_1d(aq, d):
     """The dedicated one-dimensional construction the general one replaced."""
-    if isinstance(d, SkewDerivation):
-        d = d.mat
-    elif aq is not None:
-        SkewDerivation(aq, d)
-    elif not (d.rows == d.cols == 0):
-        raise ValidationError("derivation of the zero algebra must be 0x0")
+    d = _ref_deriv_mat(aq, d)
     amn = aq.dim if aq is not None else 0
     dim = amn + 2
     brackets = {}
@@ -844,25 +858,23 @@ def _ref_two_step_by_intersection(aq, d):
     intersection Z(A) intersect ker(d)."""
     if aq is None:
         return False
-    dmat = d.mat if isinstance(d, SkewDerivation) else d
     n = aq.dim
-    s = Subspace.from_rows(n, [dmat.col(j) for j in range(n)]).sum(
+    s = Subspace.from_rows(n, [d.col(j) for j in range(n)]).sum(
         aq.alg.derived())
-    return s.dim > 0 and aq.alg.centre().intersect(kernel(dmat)).contains(s)
+    return s.dim > 0 and aq.alg.centre().intersect(kernel(d)).contains(s)
 
 
 def _ref_centre_formula_by_intersection(aq, d):
     """The centre formula as it was: Z(A) intersect ker(d) solved as the
     intersection of the centre with the kernel of d."""
-    dmat = d.mat if isinstance(d, SkewDerivation) else d
     dim = (aq.dim if aq is not None else 0) + 2
     rows = []
     if aq is not None:
-        core = aq.alg.centre().intersect(kernel(dmat))
+        core = aq.alg.centre().intersect(kernel(d))
         rows = [{j + 1: e for j, e in r.items()}
                 for r in core.basis.sparse_rows]
     rows.append({dim - 1: Fraction(1)})
-    x = inner_preimage(aq, dmat)
+    x = inner_preimage(aq, d)
     if x is not None:
         rows.append({0: Fraction(1),
                      **{j + 1: -c for j, c in enumerate(x) if c}})

@@ -224,10 +224,11 @@ def test_extend_rejects_non_skew_link(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     code, out, err = run(capsys, "extend", "--chain", str(path))
-    assert code == 1
-    rep = json.loads(err)
-    assert rep["law"] == "chain"
-    assert "skew" in rep["error"]
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "link 1 not skew at (1, 1)",
+                               "law": "skew", "witness": [1, 1]}
+    assert run(capsys, "convert", "--from", "chain", "--to", "algebra",
+               str(path)) == (code, out, err)
 
 
 def test_convert_rejects_chain_that_extend_rejects(tmp_path, capsys):
@@ -238,16 +239,18 @@ def test_convert_rejects_chain_that_extend_rejects(tmp_path, capsys):
                                ["0", "7", "0", "0"], ["5", "0", "0", "0"]]]}
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
-    code, out, err = run(capsys, "extend", "--chain", str(path))
-    assert code == 1 and json.loads(err)["law"] == "chain"
+    code, out, extend_err = run(capsys, "extend", "--chain", str(path))
+    assert (code, out) == (1, "")
     reports = []
     for to in ("cocycle", "trivector", "family", "chain", "algebra"):
         code, out, err = run(capsys, "convert", "--from", "chain",
                              "--to", to, str(path))
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1
+        assert err == extend_err
         reports.append(json.loads(err))
     assert reports[0]["law"] == "skew"
+    assert reports[0]["witness"] == [1, 2]
     assert "link 2 not skew" in reports[0]["error"]
     assert all(r == reports[0] for r in reports)
 
@@ -442,9 +445,13 @@ def _assert_bad_file_is_one_json_error(tmp_path, cmd, body, in_error=None):
     b'{"dim": ' + b"9" * 5000 + b', "brackets": []}',
     b"[" * 100000 + b"]" * 100000,
     b'\xff\xfe{"dim": 2}',
+    # JSON true is not the integer 1
+    _body({"dim": True, "brackets": []}),
+    _body({"dim": 2, "brackets": [{"i": True, "j": 2, "v": ["0", "0"]}],
+           "form": _FORM}),
 ], ids=["ragged-form", "v-int", "v-string", "i-string", "i-float",
         "brackets-int", "form-not-square", "5000-digit-dim",
-        "nested-100000-deep", "not-utf8"])
+        "nested-100000-deep", "not-utf8", "dim-true", "i-true"])
 def test_verify_bad_input_is_one_json_error(tmp_path, body):
     _assert_bad_file_is_one_json_error(tmp_path, ("verify",), body)
 
@@ -466,8 +473,14 @@ _HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
     (("convert", "--from", "cocycle", "--to", "algebra"),
      _body({"n": 3, "terms": 5})),
     (("rank",), _body({"n": 3, "terms": 5})),
+    # JSON true is not the integer 1
+    (("rank",), _body({"n": True, "terms": []})),
+    (("rank",), _body({"n": 3, "terms": [{"ijk": [True, 2, 3], "c": "1"}]})),
+    (("tstar",), _body({"n": 3, "base": _HEIS,
+                        "pairs": [{"ij": [True, 2], "v": ["0", "0", "0"]}]})),
 ], ids=["pairs-int", "pair-v-int", "pair-v-string", "pair-duplicate",
-        "tstar-terms-int", "convert-terms-int", "rank-terms-int"])
+        "tstar-terms-int", "convert-terms-int", "rank-terms-int",
+        "rank-n-true", "rank-ijk-true", "pair-ij-true"])
 def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
     _assert_bad_file_is_one_json_error(tmp_path, cmd, body)
 
@@ -488,9 +501,12 @@ _FAMILY = family_to_obj(coeffs_to_family(parse_coeffs("123")))
     (("family",), _body(dict(_FAMILY, n="3"))),
     (("convert", "--from", "family", "--to", "cocycle"),
      _body(dict(_FAMILY, n=3.0))),
+    (("extend", "--chain"), _body(dict(_CHAIN, n=True))),
+    (("family",), _body(dict(_FAMILY, n=True))),
 ], ids=["chain-n-float", "chain-n-string", "chain-n-string-one",
         "chain-n-negative", "convert-chain-n-float", "family-n-float",
-        "family-n-string", "convert-family-n-float"])
+        "family-n-string", "convert-family-n-float", "chain-n-true",
+        "family-n-true"])
 def test_chain_and_family_bad_dimension_is_one_json_error(tmp_path, cmd,
                                                            body):
     # n must be checked as a dimension: a float n reaches range() as a

@@ -28,6 +28,10 @@ _COEFFS = (("123",), ("123+145", "--n", "5"), ("124+135+236",),
 _SOURCES = {"cocycle": ("123+145", "--n", "5"),
             "trivector": ("trivector.json",),
             "family": ("fam.json",), "chain": ("chain.json",)}
+# a link that is not skew, a skew link that breaks the two-step property,
+# and a chain whose links are all zero
+_BAD_CHAINS = ("chain-not-skew.json", "chain-not-two-step.json",
+               "chain-zero.json")
 
 
 def _commands():
@@ -62,6 +66,9 @@ def _commands():
         ("random", "--n", "6", "--seed", "42", "--density", "1/3",
          "--out", "case"),
     ]
+    for name in _BAD_CHAINS:
+        out += [("extend", "--chain", name),
+                ("convert", "--from", "chain", "--to", "algebra", name)]
     return out
 
 
@@ -110,6 +117,7 @@ def _input_files() -> dict:
     from quadlie.tstar import GeneralCocycle
     from reference import _dense_direct_sum
     c = parse_coeffs("123+145", n=5)
+    zero2, zero4 = [["0"] * 2] * 2, [["0"] * 4] * 4
     alg = quadratic_to_obj(algebra_from_trivector(catalog("L3,1").trivector))
     corrupt = json.loads(json.dumps(alg))
     v = corrupt["brackets"][0]["v"]
@@ -127,6 +135,12 @@ def _input_files() -> dict:
         "trivector.json": dumps(coeffs_to_obj(parse_coeffs("124+135+236"))),
         "fam.json": dumps(family_to_obj(coeffs_to_family(c))),
         "chain.json": dumps(chain_to_obj(coeffs_to_chain(c))),
+        "chain-not-skew.json": dumps({"n": 3, "derivs": [
+            [], zero2, [["0", "0", "0", "0"], ["0", "0", "0", "0"],
+                        ["0", "7", "0", "0"], ["5", "0", "0", "0"]]]}),
+        "chain-not-two-step.json": dumps({"n": 3, "derivs": [
+            [], [["1", "0"], ["0", "-1"]], zero4]}),
+        "chain-zero.json": dumps({"n": 3, "derivs": [[], zero2, zero4]}),
         "split.json": dumps(general_cocycle_to_obj(GeneralCocycle(
             heisenberg(), {}))),
         "general.json": dumps(general_cocycle_to_obj(GeneralCocycle(

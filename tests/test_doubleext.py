@@ -3,22 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import (ExtensionChain, Mat, QuadraticStructure, SkewDerivation,
-                     SplitMix64, Subspace, ValidationError, abelian,
-                     build_chain, centre_formula_1d, chain_dcoeffs,
+from quadlie import (ExtensionChain, Mat, QuadraticStructure, SplitMix64,
+                     Subspace, ValidationError, abelian, build_chain,
+                     centre_formula_1d, chain_dcoeffs,
                      chain_display_permutation, chain_reduced_check,
-                     chain_to_algebra, derivation_defect, derivation_space,
-                     double_extend, double_extend_1d, fold_chain,
-                     heisenberg, hyperbolic_form, inner_preimage, inverse,
-                     invariance_defect, parse_coeffs, skew_defect,
-                     tstar_extend, two_step_criterion, validate_chain)
+                     chain_to_algebra, chain_to_coeffs, derivation_defect,
+                     derivation_space, double_extend, double_extend_1d,
+                     fold_chain, heisenberg, hyperbolic_form, inner_preimage,
+                     inverse, invariance_defect, parse_coeffs, skew_defect,
+                     tstar_extend, two_step_criterion)
+from quadlie.doubleext import _deriv_mat
 from quadlie.randgen import random_coeffs, random_skew_derivation
 from reference import (_dense_contains_vec, _dense_skew_defect,
                        _loop_build_chain, _ref_centre_formula_by_intersection,
                        _ref_derivation_defect, _ref_derivation_space,
                        _ref_double_extend, _ref_double_extend_1d,
                        _ref_inner_preimage, _ref_two_step_by_intersection,
-                       basis_vec)
+                       _ref_validate_chain, basis_vec)
 
 
 def hyperbolic_abelian(m):
@@ -103,15 +104,14 @@ def test_derivation_defect_catches_non_derivation():
     assert derivation_defect(h, grading) == []
 
 
-def test_skew_derivation_wrapper_validates():
+def test_deriv_mat_validates_shape_skew_and_derivation():
     aq = hyperbolic_abelian(1)
-    sd = SkewDerivation(aq, rot(aq))
-    assert sd.mat == rot(aq)
+    assert _deriv_mat(aq, rot(aq)) == rot(aq)
     with pytest.raises(ValidationError) as e:
-        SkewDerivation(aq, Mat.identity(2))
+        _deriv_mat(aq, Mat.identity(2))
     assert e.value.law == "skew"
     with pytest.raises(ValidationError) as e:
-        SkewDerivation(aq, Mat.zero(3, 3))
+        _deriv_mat(aq, Mat.zero(3, 3))
     assert e.value.law == "shape"
     q = tstar_extend(parse_coeffs("123"))
     d = Mat.zero(6, 6).data
@@ -121,7 +121,7 @@ def test_skew_derivation_wrapper_validates():
     m = Mat(d)
     if skew_defect(q.form, m) == []:
         with pytest.raises(ValidationError) as e:
-            SkewDerivation(q, m)
+            _deriv_mat(q, m)
         assert e.value.law == "derivation"
 
 
@@ -129,23 +129,22 @@ def test_skew_derivation_of_another_base_is_validated():
     aq1 = QuadraticStructure(abelian(6), hyperbolic_form(3))
     aq2 = tstar_extend(parse_coeffs("123"))
     d = random_skew_derivation(aq1, 1)
+    ext = double_extend_1d(aq1, d)  # aq1 accepts d and remembers it
     with pytest.raises(ValidationError) as plain:
-        SkewDerivation(aq2, d)
+        _deriv_mat(aq2, d)
     assert plain.value.law == "derivation"
     want = (plain.value.law, plain.value.witness, str(plain.value))
-    foreign = SkewDerivation(aq1, d)
     for f in (double_extend_1d, two_step_criterion, centre_formula_1d,
               inner_preimage, lambda aq, d: double_extend(aq, abelian(1),
                                                           [d])):
         with pytest.raises(ValidationError) as e:
-            f(aq2, foreign)
+            f(aq2, d)
         assert (e.value.law, e.value.witness, str(e.value)) == want
     with pytest.raises(ValidationError, match="must be 0x0"):
-        double_extend_1d(None, foreign)
-    # checked against an equal structure, the map is trusted as it is
+        double_extend_1d(None, d)
+    # an equal structure checks the map for itself and builds the same
     same = QuadraticStructure(abelian(6), hyperbolic_form(3))
-    ext = double_extend_1d(same, foreign)
-    assert ext == double_extend_1d(aq1, d)
+    assert double_extend_1d(same, d) == ext
     assert not ext.alg.jacobi_defect()
 
 
@@ -362,7 +361,7 @@ def test_build_chain_shapes():
     assert ch.n == 5
     assert [m.rows for m in ch.derivs] == [0, 2, 4, 6, 8]
     assert ch.nnp and ch.two_sp
-    assert validate_chain(ch) == []
+    assert _ref_validate_chain(ch) == []
 
 
 def test_chain_round_trip():
@@ -370,7 +369,7 @@ def test_chain_round_trip():
         c = parse_coeffs(text)
         ch = build_chain(c)
         assert chain_dcoeffs(ch) == c
-        assert validate_chain(ch) == []
+        assert _ref_validate_chain(ch) == []
 
 
 def test_chain_deriv_entries_match_display_pattern():
@@ -424,8 +423,7 @@ def test_chain_two_sp_flag():
     bad[0][0] = 1
     ch2 = ExtensionChain(3, (ch.derivs[0], ch.derivs[1], Mat(bad)))
     assert not ch2.two_sp
-    problems = validate_chain(ch2)
-    assert problems != []
+    assert _ref_validate_chain(ch2) != []
     with pytest.raises(ValidationError):
         chain_to_algebra(ch2)
 
@@ -444,11 +442,10 @@ def test_chain_skew_validation():
     bad = Mat([[0, 0], [1, 0]])
     ch = ExtensionChain(2, (Mat.zero(0, 0), bad))
     assert ch.two_sp and ch.nnp
-    problems = validate_chain(ch)
-    assert any("skew" in p for p in problems)
+    assert _ref_validate_chain(ch) == [(1, "skew", (1, 1))]
     with pytest.raises(ValidationError) as e:
         chain_to_algebra(ch)
-    assert e.value.law == "skew"
+    assert (e.value.law, e.value.witness) == ("skew", (1, 1))
 
 
 def test_chain_display_permutation():
@@ -459,6 +456,24 @@ def test_chain_display_permutation():
 def test_chain_reduced_check():
     assert chain_reduced_check(build_chain(parse_coeffs("123+145")))
     assert not chain_reduced_check(build_chain(parse_coeffs("123", n=4)))
+
+
+def test_chain_reduced_check_rejects_what_chain_to_algebra_rejects():
+    # link 2 of the chain of 123, with -5 where 7 stands: not skew
+    good = build_chain(parse_coeffs("123")).derivs
+    not_skew = Mat([[0, 0, 0, 0], [0, 0, 0, 0], [0, 7, 0, 0], [5, 0, 0, 0]])
+    # link 1 with e_1 -> e_1, e_1* -> -e_1*: skew, but not two-step
+    not_two_step = Mat([[1, 0], [0, -1]])
+    for ch, law in ((ExtensionChain(3, (good[0], good[1], not_skew)),
+                     "skew"),
+                    (ExtensionChain(3, (good[0], not_two_step, good[2])),
+                     "2sp"),
+                    (ExtensionChain(3, (good[0], good[1],
+                                        Mat.zero(4, 4))), "nnp")):
+        want = _outcome(chain_to_algebra, ch)
+        assert want[:2] == ("error", law)
+        assert _outcome(chain_reduced_check, ch) == want
+        assert _outcome(chain_to_coeffs, ch) == want
 
 
 def test_derivation_space_dimensions():
@@ -513,20 +528,19 @@ def test_double_extend_1d_matches_dedicated_construction():
         if want[0] == "error":
             laws.add(want[1])
         else:
-            assert double_extend_1d(aq, SkewDerivation(aq, d)
-                                    if aq is not None else d).alg == want[1]
+            # the second call on aq reads its memo
+            assert double_extend_1d(aq, d).alg == want[1]
     assert laws == {"skew", "derivation", ""}
 
 
 def test_double_extend_takes_skew_derivations():
     aq = hyperbolic_abelian(2)
     d = Mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 0, 0]])
-    sd = SkewDerivation(aq, d)
     via_1d = double_extend_1d(aq, d)
-    for ext in (double_extend(aq, abelian(1), [sd]), double_extend_1d(aq, sd)):
-        assert ext.alg == via_1d.alg
-        assert ext.form == via_1d.form
-    ext = double_extend(aq, abelian(2), [sd, Mat.zero(4, 4)])
+    ext = double_extend(aq, abelian(1), [d])
+    assert ext.alg == via_1d.alg
+    assert ext.form == via_1d.form
+    ext = double_extend(aq, abelian(2), [d, Mat.zero(4, 4)])
     assert ext.alg.jacobi_defect() == []
     assert invariance_defect(ext.alg, ext.form) == []
 
@@ -651,12 +665,12 @@ def test_plain_matrix_is_validated_once_per_structure(monkeypatch):
 
 def test_chain_links_are_validated_once(monkeypatch):
     skew = _counting(monkeypatch, "skew_defect")
+    deriv = _counting(monkeypatch, "derivation_defect")
     ch = build_chain(parse_coeffs("123+145+246"))
-    assert len(skew) == ch.n  # build_chain checks each link's skew law
-    skew.clear()
-    assert validate_chain(ch) == []
-    # the first link has no base; every later one is checked once
-    assert len(skew) == ch.n - 1
+    assert skew == []  # a trusted builder checks no link
+    chain_to_algebra(ch)
+    assert len(skew) == ch.n
+    assert deriv == []
 
 
 def test_bad_matrix_fails_the_same_way_every_call(monkeypatch,
@@ -753,6 +767,65 @@ def test_skew_defect_matches_dense_definition_on_construction_inputs(
     assert cases > 400
     assert 100 < skew < cases - 50
     assert entries == {True, False}
+
+
+def _chains_with_corruptions(coeffs):
+    """Each chain built from coeffs, then three seeded corruptions of one
+    of its links: an entry added inside the two-step block (no longer
+    skew), a skew pair added outside it (two-step broken, still skew),
+    and an entry added anywhere; last the all-zero chains of n = 0..6."""
+    g = SplitMix64(2718)
+    for c in coeffs:
+        ch = build_chain(c)
+        yield ch
+        for kind in ("kept", "broken", "anywhere"):
+            k = g.randint(1, ch.n - 1)
+            rows = [list(r) for r in ch.derivs[k].data]
+            v = g.nonzero_entry()
+            if kind == "kept":
+                rows[g.randint(k, 2 * k - 1)][g.randint(0, k - 1)] += v
+            elif kind == "broken":
+                i, j = g.randint(0, k - 1), g.randint(0, k - 1)
+                rows[i][j] += v
+                rows[k + j][k + i] -= v
+            else:
+                rows[g.randint(0, 2 * k - 1)][g.randint(0, 2 * k - 1)] += v
+            derivs = list(ch.derivs)
+            derivs[k] = Mat(rows)
+            yield ExtensionChain(ch.n, tuple(derivs))
+    for n in range(7):
+        yield ExtensionChain(n, tuple(Mat.zero(2 * k, 2 * k)
+                                      for k in range(n)))
+
+
+def test_chain_validation_matches_reference(construction_coeffs):
+    # the reference folds the chain and checks each link as a skew
+    # derivation of the fold; _check_chain reads the two-step pattern and
+    # the hyperbolic skew law alone, and rejects a zero chain first
+    kinds = {}
+    for ch in _chains_with_corruptions(_chain_coeffs(construction_coeffs)):
+        problems = _ref_validate_chain(ch)
+        got = _outcome(chain_to_algebra, ch)
+        if not ch.nnp:
+            kind = "zero"
+            assert problems == []
+            assert got == ("error", "nnp", None,
+                           "all chain derivations are zero")
+        elif not ch.two_sp:
+            kind = "two-step broken"
+            assert problems[0] == (None, "2sp", None)
+            assert got == ("error", "2sp", None, "two-step property fails")
+        elif problems:
+            kind = "not skew"
+            [(k, law, w)] = problems
+            assert law == "skew"
+            assert got == ("error", "skew", w, f"link {k} not skew at {w}")
+        else:
+            kind = "good"
+            assert got[0] == "ok"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["zero"] >= 10 and kinds["two-step broken"] > 40
+    assert kinds["not skew"] > 60 and kinds["good"] > 50
 
 
 def test_build_chain_matches_value_loop(construction_coeffs):

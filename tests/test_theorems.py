@@ -1,12 +1,13 @@
 """The theorems behind the trusted builders, written as tests.
 
-tstar_extend, algebra_from_family, double_extend, permute_quadratic and
-permute_basis skip the law checks on what they build, because a theorem
-gives the laws from hypotheses they have just checked: Bordemann's
-T*-extension of a cyclic 2-cocycle, and Medina and Revoy's double
-extension by skew derivations that form a homomorphism. Here every law is
-checked in full on their outputs, on a fresh copy of the brackets made
-through the public constructor, so nothing a builder remembers is read.
+tstar_extend, algebra_from_family, double_extend, build_chain,
+permute_quadratic and permute_basis skip the law checks on what they
+build, because a theorem gives the laws from hypotheses they have just
+checked: Bordemann's T*-extension of a cyclic 2-cocycle, and Medina and
+Revoy's double extension by skew derivations that form a homomorphism.
+Here every law is checked in full on their outputs, on a fresh copy of
+the brackets made through the public constructor, so nothing a builder
+remembers is read.
 """
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from quadlie import CATALOG, algebra_from_trivector
 from quadlie.acceptance import _random_extension_case
 from quadlie.algebra import LieAlgebra, abelian, heisenberg
 from quadlie.convert import all_roads, coeffs_to_family
-from quadlie.doubleext import (build_chain, chain_to_algebra, double_extend,
+from quadlie.doubleext import (ExtensionChain, _check_chain, build_chain,
+                               chain_to_algebra, double_extend,
                                double_extend_1d, fold_chain)
 from quadlie.errors import ValidationError
 from quadlie.forms import (QuadraticStructure, invariance_defect,
@@ -93,6 +95,16 @@ def test_chain_builders_are_quadratic_lie(construction_coeffs):
         ch = build_chain(random_coeffs(3 + seed % 4, seed=300 + seed,
                                        nonzero=True))
         assert_quadratic_lie(fold_chain(ch))
+
+
+def test_build_chain_links_are_skew_derivations(construction_coeffs):
+    # a fresh chain remembers nothing of the builder; fold_chain checks
+    # every link as a skew derivation of the chain folded so far
+    for c in _nonzero(construction_coeffs):
+        ch = build_chain(c)
+        fresh = ExtensionChain(ch.n, ch.derivs)
+        _check_chain(fresh)
+        assert fold_chain(fresh) == chain_to_algebra(fresh)
 
 
 def test_double_extend_is_quadratic_lie():
