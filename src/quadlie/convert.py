@@ -47,6 +47,10 @@ def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
 
 
 def coeffs_to_chain(c: CocycleCoeffs) -> ExtensionChain:
+    """build_chain, refusing zero coefficients as _check_chain refuses
+    their all-zero chain, so every chain written here reads back."""
+    if c.n >= 3 and c.is_zero():
+        raise ValidationError("all chain derivations are zero", law="nnp")
     return build_chain(c)
 
 

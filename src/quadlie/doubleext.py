@@ -14,7 +14,8 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel, solve
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
+                     opposite, solve)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -56,23 +57,26 @@ def _derivation_map(alg: LieAlgebra):
 
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
-    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0: the nonzero
-    entries of d^T F + F d. An entry d[r][s] = c meets row r of F in d^T F
-    and column r of F in F d."""
+    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0: the keys
+    where d^T F and F d are not opposite. An entry d[r][s] = c meets row r
+    of F in d^T F and column r of F in F d; the two products are kept
+    apart and compared, so no sum is formed."""
     if not form.rows == form.cols == d.rows == d.cols:
         raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
                          f"d {d.rows}x{d.cols}")
     rows = form.sparse_rows
     cols = form.transpose().sparse_rows
-    acc: dict[tuple[int, int], Fraction] = {}
+    left: dict[tuple[int, int], Fraction] = {}  # d^T F
+    right: dict[tuple[int, int], Fraction] = {}  # F d
     for r, s, c in _entries(d):
         for j, f in rows[r].items():
             x = c if f == 1 else c * f  # hyperbolic forms are all ones
-            acc[s, j] = acc[s, j] + x if (s, j) in acc else x
+            left[s, j] = left[s, j] + x if (s, j) in left else x
         for i, f in cols[r].items():
             x = c if f == 1 else f * c
-            acc[i, s] = acc[i, s] + x if (i, s) in acc else x
-    return [(i + 1, j + 1) for (i, j) in sorted(acc) if acc[(i, j)]]
+            right[i, s] = right[i, s] + x if (i, s) in right else x
+    return [(i + 1, j + 1) for i, j in sorted(left.keys() | right.keys())
+            if not opposite(left.get((i, j), ZERO), right.get((i, j), ZERO))]
 
 
 def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from typing import Sequence
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
-                     rank, rref, vec)
+                     opposite, rank, rref, vec)
 
 
 def hyperbolic_form(n: int) -> Mat:
@@ -28,9 +28,11 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
 
     With phi symmetric the sum is T(i,j,k) + T(i,k,j) for
     T(i,j,k) = phi([ei,ej],ek), so only the stored brackets are visited:
-    invariance holds exactly when T is alternating. T(j,i,k) = -T(i,j,k)
-    is stored for every key, so the sum is nonzero exactly when
-    T(i,k,j) != T(j,i,k), and no sum is formed.
+    invariance holds exactly when T is alternating. T is stored at i < j
+    alone and read with T(j,i,k) = -T(i,j,k) and T(i,i,k) = 0: each stored
+    T(i,j,k) = c enters the sums at (i,j,k), which vanishes when
+    c = -T(i,k,j), and at (j,i,k), which vanishes when c = T(j,k,i). No
+    sum and no negation is formed.
     """
     if form.rows != alg.dim or form.cols != alg.dim:
         raise ValidationError("form shape does not match algebra dimension",
@@ -45,12 +47,16 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
                 key = (i, j, k + 1)
                 x = c if e == 1 else c * e  # hyperbolic forms are all ones
                 t[key] = t[key] + x if key in t else x
-    for (i, j, k), c in list(t.items()):
-        t[(j, i, k)] = -c
     bad = set()
-    for i, j, k in t:
-        if t.get((i, k, j), ZERO) != t[(j, i, k)]:
+    for (i, j, k), c in t.items():
+        # T(i,k,j) is t(i,k,j) for i < k, else -t(k,i,j), absent at k = i
+        if not (opposite(c, t.get((i, k, j), ZERO)) if i < k
+                else c == t.get((k, i, j), ZERO)):
             bad.update(((i, j, k), (i, k, j)))
+        # T(j,k,i) is t(j,k,i) for j < k, else -t(k,j,i), absent at k = j
+        if not (c == t.get((j, k, i), ZERO) if j < k
+                else opposite(c, t.get((k, j, i), ZERO))):
+            bad.update(((j, i, k), (j, k, i)))
     return sorted(bad)
 
 

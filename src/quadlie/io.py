@@ -6,6 +6,7 @@ Emission is deterministic: fixed key order, brackets and terms sorted.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .alternating import AltCoeffs
@@ -34,7 +35,65 @@ def load_json(path: str) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """json.dumps(obj, indent=2) + "\n", byte for byte, without json's
+    pure-Python indent encoder for the dicts (str keys), lists, tuples, strs
+    and ints that the writers here build; any other value is json's."""
+    out: list[str] = []
+    try:
+        _write(obj, out, "\n")
+    except (_Other, RecursionError):
+        return json.dumps(obj, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
+
+
+class _Other(Exception):
+    """A container dumps does not write itself: a dict with a key that is
+    not a str, or a subclass of dict, list or tuple."""
+
+
+def _write(x: Any, out: list[str], nl: str) -> None:
+    """Append x's JSON text to out; nl is the newline and indent of x's
+    own line."""
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif t is int:
+        out.append(repr(x))
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        try:  # a list of strs, such as a bracket value or a form row
+            out.append("[" + inner + ("," + inner).join(map(_quote, x))
+                       + nl + "]")
+            return
+        except TypeError:
+            pass
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if type(k) is not str:
+                raise _Other
+            out.append(sep + _quote(k) + ": ")
+            _write(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (dict, list, tuple)):
+        raise _Other
+    else:  # true, false, null, a float, or json's TypeError
+        out.append(json.dumps(x))
 
 
 def _expect(obj: Any, key: str, kind: str):
@@ -64,7 +123,11 @@ def _dim_in(n: Any) -> int:
 
 def _scalar_in(x, where: str, memo: dict | None = None):
     """memo keeps the value of each good str parsed so far; only str keys,
-    since the float 1.0 would find a kept int 1. Bad strings fail each time."""
+    since the float 1.0 would find a kept int 1. Bad strings fail each time.
+    The JSON true and false are not scalars, though Python counts them as
+    ints."""
+    if isinstance(x, bool):
+        raise QuadlieError(f"bad scalar {json.dumps(x)} in {where}")
     if memo is not None and isinstance(x, str):
         if x not in memo:
             memo[x] = _scalar_in(x, where)
@@ -86,8 +149,17 @@ def _mat_in(rows, where: str, memo: dict | None = None) -> Mat:
     return Mat([[_scalar_in(e, where, memo) for e in r] for r in rows])
 
 
+def _dense_out(nz, n: int) -> list[str]:
+    """The n-length list of strings for the nonzero (index, value) pairs
+    nz: "0" where absent, scalar_str of each stored value."""
+    out = ["0"] * n
+    for r, c in nz:
+        out[r] = scalar_str(c)
+    return out
+
+
 def _mat_out(m: Mat) -> list[list[str]]:
-    return [[scalar_str(e) for e in r] for r in m.data]
+    return [_dense_out(r.items(), m.cols) for r in m.sparse_rows]
 
 
 # ---- algebra ----
@@ -96,8 +168,8 @@ def algebra_to_obj(alg: LieAlgebra, form: Mat | None = None) -> dict:
     out: dict[str, Any] = {
         "dim": alg.dim,
         "brackets": [
-            {"i": i, "j": j, "v": [scalar_str(c) for c in v]}
-            for (i, j), v in sorted(alg.brackets.items())
+            {"i": i, "j": j, "v": _dense_out(nz, alg.dim)}
+            for (i, j), nz in sorted(alg.terms.items())
         ],
     }
     if form is not None:
@@ -167,8 +239,8 @@ def general_cocycle_to_obj(w: GeneralCocycle) -> dict:
     return {
         "n": w.base.dim,
         "base": algebra_to_obj(w.base),
-        "pairs": [{"ij": list(pair), "v": [scalar_str(c) for c in v]}
-                  for pair, v in sorted(w.values.items())],
+        "pairs": [{"ij": list(pair), "v": _dense_out(nz, w.base.dim)}
+                  for pair, nz in sorted(w.terms.items())],
     }
 
 

@@ -29,6 +29,15 @@ def scalar(x) -> Fraction:
     return Fraction(x)
 
 
+def opposite(x: Fraction | None, y: Fraction | None) -> bool:
+    """Whether x = -y, and False where either is None (an absent entry).
+    A Fraction is kept in lowest terms with a positive denominator, so
+    this compares numerators and denominators without building -y."""
+    return (x is not None and y is not None
+            and x.denominator == y.denominator
+            and x.numerator == -y.numerator)
+
+
 def scalar_str(x: Fraction) -> str:
     # Fraction str() is already "p/q" or "p" in lowest terms
     return str(x)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, rank
+from .linalg import Mat, opposite, rank
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,8 @@ class QuadraticFamily:
 
 def _negated(a: dict, b: dict) -> bool:
     """Whether the sparse rows a and b satisfy a = -b."""
-    return len(a) == len(b) and all(a.get(k) == -e for k, e in b.items())
+    return len(a) == len(b) and all(opposite(a.get(k), e)
+                                    for k, e in b.items())
 
 
 def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:

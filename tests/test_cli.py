@@ -516,6 +516,82 @@ def test_chain_and_family_bad_dimension_is_one_json_error(tmp_path, cmd,
                                        in_error="bad dimension")
 
 
+@pytest.mark.parametrize("cmd, body, in_error", [
+    (("rank",), _body({"n": 3, "terms": [{"ijk": [1, 2, 3], "c": True}]}),
+     "bad scalar true in term [1, 2, 3]"),
+    (("verify",), _body({"dim": 3, "brackets": [
+        {"i": 1, "j": 2, "v": [False, False, True]}]}),
+     "bad scalar false in bracket (1,2)"),
+    (("verify",), _body({"dim": 2, "brackets": [],
+                         "form": [["0", True], [True, "0"]]}),
+     "bad scalar true in form"),
+    (("tstar",), _body({"n": 3, "base": _HEIS,
+                        "pairs": [{"ij": [1, 2], "v": ["0", "0", True]}]}),
+     "bad scalar true in pair [1, 2]"),
+    (("extend", "--chain"), _body({"n": 3, "derivs": [
+        [], [["0", "0"], ["0", "0"]],
+        [["0"] * 4, ["0"] * 4, ["0", True, "0", "0"], ["0"] * 4]]}),
+     "bad scalar true in deriv 2"),
+    (("family",), _body({"n": 1, "mats": [[[False]]]}),
+     "bad scalar false in matrix 1"),
+], ids=["coefficient", "bracket-value", "form-entry", "pair-value",
+        "chain-entry", "family-entry"])
+def test_bool_scalar_is_one_json_error(tmp_path, cmd, body, in_error):
+    # JSON true and false are not the scalars 1 and 0, though Python
+    # counts bools as ints
+    _assert_bad_file_is_one_json_error(tmp_path, cmd, body,
+                                       in_error=in_error)
+
+
+def test_zero_coefficients_give_no_chain(capsys, tmp_path):
+    # the all-zero chain fails the nnp law when read back, so converting
+    # zero coefficients to a chain fails with the same error
+    zero = tmp_path / "zero.json"
+    zero.write_text(dumps({"n": 3, "derivs": [
+        [], [["0"] * 2] * 2, [["0"] * 4] * 4]}), encoding="utf-8")
+    read_back = run(capsys, "convert", "--from", "chain", "--to", "cocycle",
+                    str(zero))
+    code, out, err = run(capsys, "convert", "--from", "cocycle", "--to",
+                         "chain", "0", "--n", "3", "--format", "json")
+    assert (code, out, err) == read_back
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "all chain derivations are zero",
+                               "law": "nnp"}
+    # below dimension 3 the dimension error comes first, as before
+    code, _, err = run(capsys, "convert", "--from", "cocycle", "--to",
+                       "chain", "0", "--n", "2")
+    assert code == 1 and json.loads(err)["law"] == "dimension"
+    # the other routes still take zero coefficients
+    for dst in ("cocycle", "family"):
+        assert run(capsys, "convert", "--from", "cocycle", "--to", dst,
+                   "0", "--n", "3")[0] == 0
+
+
+def test_every_written_chain_reads_back(tmp_path, monkeypatch, capsys):
+    """Each chain file that `convert --to chain` writes in the snapshot
+    corpus reads back through `convert --from chain` to the coefficients
+    `convert --to cocycle` gives for the same input."""
+    from test_cli_snapshot import COMMANDS, GOLDEN, _write_files
+    _write_files(json.loads(GOLDEN.read_text(encoding="utf-8"))["files"],
+                 tmp_path)
+    monkeypatch.chdir(tmp_path)
+    written = 0
+    for argv in COMMANDS:
+        if (argv[0] != "convert" or argv[argv.index("--to") + 1] != "chain"
+                or argv[-1] == "summary"):
+            continue
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        (tmp_path / "written.json").write_text(out, encoding="utf-8")
+        back = run(capsys, "convert", "--from", "chain", "--to", "cocycle",
+                   "written.json", "--format", "json")
+        src = list(argv[:argv.index("--format")])
+        src[src.index("--to") + 1] = "cocycle"
+        assert back == run(capsys, *src, "--format", "json"), argv
+        written += 1
+    assert written == 8  # four sources, in the json and latex formats
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--lam", "abc"),
     ("catalog", "--lam", "1/0"),

@@ -43,6 +43,24 @@ def test_skew_defect():
     assert skew_defect(aq.form, Mat.identity(2)) != []
 
 
+def test_skew_defect_on_a_fractional_chain_link():
+    # c_123 = 2/3 lands in link 2 as 2/3 at d(e_2)'s dual-1 entry (3, 0)
+    # and -2/3 at d(e_1)'s dual-2 entry (2, 1)
+    ch = build_chain(parse_coeffs("2/3*[1,2,3]"))
+    link = [list(r) for r in ch.derivs[2].data]
+    assert (link[3][0], link[2][1]) == (Fraction(2, 3), Fraction(-2, 3))
+    assert skew_defect(hyperbolic_form(2), ch.derivs[2]) == []
+    assert chain_to_coeffs(ch) == parse_coeffs("2/3*[1,2,3]")
+    # the same numerator over another denominator is not the negation
+    link[2][1] = Fraction(-2, 5)
+    bad = Mat(link)
+    want = _dense_skew_defect(hyperbolic_form(2), bad)
+    assert want == [(1, 2), (2, 1)]
+    assert skew_defect(hyperbolic_form(2), bad) == want
+    with pytest.raises(ValidationError, match=r"link 2 not skew at \(1, 2\)"):
+        chain_to_coeffs(ExtensionChain(3, ch.derivs[:2] + (bad,)))
+
+
 def _skew_inputs():
     g = SplitMix64(1618)
     for seed in range(24):

@@ -1,11 +1,14 @@
 """Invariant forms, orthogonal complements, lagrangians, isometries."""
+from fractions import Fraction
+
 import pytest
 
 from quadlie import (LieAlgebra, Mat, QuadraticStructure, Subspace,
                      ValidationError, abelian, catalog, heisenberg,
                      hyperbolic_form, invariance_defect, is_isometry,
                      is_lagrangian, lagrangian_complement,
-                     orthogonal_complement, permute_quadratic, tstar_extend)
+                     orthogonal_complement, parse_coeffs, permute_quadratic,
+                     tstar_extend)
 from quadlie.randgen import SplitMix64, random_coeffs
 from reference import (_dense_contains_vec, _dense_invariance_defect,
                        _ref_greedy_lagrangian_complement, _ref_greedy_picks,
@@ -32,6 +35,24 @@ def test_invariance_defect_catches_sign_flip():
     bad = invariance_defect(a, hyperbolic_form(3))
     assert bad != []
     assert all(len(t) == 3 for t in bad)
+
+
+@pytest.mark.parametrize("key, slot", [((1, 3), 4), ((2, 3), 3)],
+                         ids=["[e1,e3]", "[e2,e3]"])
+def test_invariance_defect_on_fractional_brackets(key, slot):
+    # c_123 = 2/3: [e1,e2] = 2/3 e3*, [e1,e3] = -2/3 e2*, [e2,e3] = 2/3 e1*
+    # among others. Putting 5 for 3 in one denominator breaks invariance
+    # without changing any numerator
+    q = tstar_extend(parse_coeffs("2/3*[1,2,3]"))
+    assert invariance_defect(q.alg, q.form) == []
+    brackets = {k: list(v) for k, v in q.alg.brackets.items()}
+    c = brackets[key][slot]
+    assert abs(c) == Fraction(2, 3)
+    brackets[key][slot] = Fraction(c.numerator, 5)
+    alg = LieAlgebra(6, brackets)
+    want = _dense_invariance_defect(alg, q.form)
+    assert want != []
+    assert invariance_defect(alg, q.form) == want
 
 
 def test_invariance_defect_validates_input():

@@ -1,4 +1,7 @@
 """JSON serialization round trips and input validation."""
+import json
+from collections import OrderedDict
+
 import pytest
 
 from quadlie import (GeneralCocycle, QuadlieError, build_chain,
@@ -95,6 +98,85 @@ def test_dumps_ends_with_newline():
     s = dumps({"a": 1})
     assert s.endswith("\n")
     assert '"a": 1' in s
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}, ()]}, [{}, [], [[]]],
+    "plain", "h\u00e9llo \u2713 \U0001f600",
+    "tab\tnew\nline \"quoted\" back\\slash /\x00\x1f\x7f",
+    {"\u043a\u043b\u044e\u0447": ["\u0437\u043d\u0430\u0447", "\x07"],
+     "q\"k\n": "v"},
+    True, False, None, 1.5, -0.0, float("inf"), float("nan"),
+    [True, False, None, 2.5e-300, 10 ** 40, -7, 0],
+    {"t": True, "f": None, "x": 1.25},
+    (1, "2", (3, [4, ()])), {"t": (1, 2), "u": ((), ("a",))},
+    {1: "int key"}, {"a": [{2: "nested int key"}]},
+    {None: 1, True: 2, 1.5: 3},
+    OrderedDict([("b", 1), ("a", [OrderedDict()])]),
+    {"sub": _Str("str subclass"), "n": _Int(3), "l": [_Str("x"), 1]},
+    ["a", "b", 1, "c"], [["0", "1"], ["1", "0"]],
+], ids=lambda obj: repr(obj)[:40])
+def test_dumps_matches_json(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_dumps_keeps_json_errors():
+    loop: list = []
+    loop.append(loop)
+    for bad in (object(), [1, {"a": object()}], {(1, 2): 3}, loop):
+        with pytest.raises((TypeError, ValueError)) as want:
+            json.dumps(bad, indent=2)
+        with pytest.raises(want.type) as got:
+            dumps(bad)
+        assert str(got.value) == str(want.value)
+
+
+def test_dumps_matches_json_on_cli_corpus(tmp_path, monkeypatch):
+    """Every object the CLI writes in the snapshot corpus, and every input
+    file of that corpus, has json's bytes."""
+    import quadlie.cli
+    import quadlie.io
+    from test_cli_snapshot import (COMMANDS, GOLDEN, _input_files, _run,
+                                   _write_files)
+    seen = []
+
+    def record(obj):
+        seen.append(obj)
+        return dumps(obj)
+
+    monkeypatch.setattr(quadlie.cli, "dumps", record)
+    monkeypatch.setattr(quadlie.io, "dumps", record)
+    monkeypatch.delenv("QUADLIE_FORMAT", raising=False)
+    files = json.loads(GOLDEN.read_text(encoding="utf-8"))["files"]
+    assert _input_files() == files
+    _write_files(files, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in COMMANDS:
+        _run(argv)
+    assert len(seen) > 80
+    kinds = {type(v) for obj in seen for v in _leaves(obj)}
+    assert {str, int, bool} <= kinds
+    for obj in seen:
+        assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
 
 
 def test_load_json_errors(tmp_path):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie.linalg import (Mat, Subspace, hstack, inverse, kernel, rank,
-                            rref, scalar, scalar_str, solve, vec, vstack)
+from quadlie.linalg import (Mat, Subspace, hstack, inverse, kernel,
+                            opposite, rank, rref, scalar, scalar_str, solve,
+                            vec, vstack)
 from reference import (_dense_contains_vec, _dense_rref, _old_add,
                        _old_hstack, _old_inverse, _old_is_skew,
                        _old_is_symmetric, _old_mul, _old_neg, _old_scale,
@@ -22,6 +23,32 @@ def test_scalar_coercion():
 def test_scalar_str_lowest_terms():
     assert scalar_str(Fraction(4, 6)) == "2/3"
     assert scalar_str(Fraction(-3)) == "-3"
+
+
+_F = Fraction
+
+
+@pytest.mark.parametrize("x, y, want", [
+    (_F(2, 3), _F(-2, 3), True),
+    (_F(-2, 3), _F(2, 3), True),
+    (_F(0), _F(0), True),
+    (_F(5), _F(-5), True),
+    (_F(2, 3), _F(2, 3), False),
+    (_F(2, 3), _F(-3, 2), False),
+    (_F(-2, 3), _F(-2, 3), False),
+    (_F(2), _F(-2, 3), False),
+    (_F(2, 3), _F(-2, 5), False),
+    (_F(0), _F(1), False),
+    (_F(2, 3), None, False),
+    (None, _F(2, 3), False),
+    (None, None, False),
+], ids=["2/3,-2/3", "-2/3,2/3", "0,0", "5,-5", "2/3,2/3", "2/3,-3/2",
+        "-2/3,-2/3", "2,-2/3", "2/3,-2/5", "0,1", "x,None", "None,x",
+        "None,None"])
+def test_opposite_near_misses(x, y, want):
+    assert opposite(x, y) is want
+    if x is not None and y is not None:
+        assert (x == -y) is want
 
 
 def test_vec_helpers():

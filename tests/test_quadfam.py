@@ -1,10 +1,13 @@
 """Skew matrix families encoding 2-step quadratic algebras."""
+from fractions import Fraction
+
 import pytest
 
 from quadlie import (Mat, QuadraticFamily, ValidationError, algebra_from_family,
                      coeffs_to_family, f_matrix, family_defects,
                      is_nondegenerate_family, parse_coeffs, tstar_extend,
                      validate_family)
+from quadlie.quadfam import _negated
 from quadlie.randgen import random_coeffs
 
 
@@ -53,6 +56,48 @@ def test_family_defects_report_each_law():
     m2 = Mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     fam = QuadraticFamily(3, (fam123().mats[0], m2, fam123().mats[2]))
     assert family_defects(fam) != []
+
+
+_F = Fraction
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ({0: _F(2, 3)}, {0: _F(-2, 3)}, True),
+    ({}, {}, True),
+    ({0: _F(2, 3), 2: _F(-1)}, {0: _F(-2, 3), 2: _F(1)}, True),
+    ({0: _F(2, 3)}, {0: _F(2, 3)}, False),
+    ({0: _F(2, 3)}, {0: _F(-3, 2)}, False),
+    ({0: _F(-2, 3)}, {0: _F(-2, 3)}, False),
+    ({0: _F(2)}, {0: _F(-2, 3)}, False),
+    ({0: _F(2, 3)}, {0: _F(-2, 5)}, False),
+    ({1: _F(2, 3)}, {0: _F(-2, 3)}, False),
+    ({0: _F(2, 3)}, {0: _F(-2, 3), 1: _F(1)}, False),
+    ({0: _F(2, 3), 1: _F(1)}, {0: _F(-2, 3)}, False),
+    ({0: _F(2, 3)}, {}, False),
+], ids=["2/3,-2/3", "empty", "two-entries", "2/3,2/3", "2/3,-3/2",
+        "-2/3,-2/3", "2,-2/3", "2/3,-2/5", "other-column", "a-shorter",
+        "b-shorter", "b-empty"])
+def test_negated_rows_near_misses(a, b, want):
+    assert _negated(a, b) is want
+
+
+def test_family_defects_with_fractional_entries():
+    # c_123 = 2/3 and c_145 = -3/5 sit at entries 2/3, -2/3, -3/5 and 3/5
+    fam = coeffs_to_family(parse_coeffs("2/3*[1,2,3]-3/5*[1,4,5]", n=5))
+    assert family_defects(fam) == []
+    assert algebra_from_family(fam) == \
+        tstar_extend(parse_coeffs("2/3*[1,2,3]-3/5*[1,4,5]", n=5))
+    m1 = [list(r) for r in fam.mats[0].data]
+    assert (m1[2][1], m1[1][2]) == (_F(2, 3), _F(-2, 3))
+    # the same numerator over another denominator is not the negation:
+    # M_1 stops being skew, and column 2 of M_1 stops being minus
+    # column 1 of M_2
+    m1[1][2] = _F(-2, 5)
+    bad = QuadraticFamily(5, (Mat(m1),) + fam.mats[1:])
+    assert family_defects(bad) == [
+        "M_1 is not skew", "column 3 of M_1 is not minus column 1 of M_3"]
+    with pytest.raises(ValidationError, match="M_1 is not skew"):
+        algebra_from_family(bad)
 
 
 def test_family_shape_validation():
