@@ -74,12 +74,15 @@ class LieAlgebra:
 
     def _ad_index(self) -> list[list[tuple[int, tuple]]]:
         """ad[r] lists (y, the terms of [e_r, e_y]) for every y with
-        [e_r, e_y] != 0, r and y 0-based; built once per algebra."""
+        [e_r, e_y] != 0, r and y 0-based, y ascending; built once per
+        algebra."""
         if self._ad is None:
             ad: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dim)]
             for (i, j), nz in self.terms.items():
                 ad[i - 1].append((j - 1, nz))
                 ad[j - 1].append((i - 1, tuple((r, -c) for r, c in nz)))
+            for pairs in ad:
+                pairs.sort()  # y is unique in each list, so nz is not compared
             self._ad = ad
         return self._ad
 
@@ -176,26 +179,22 @@ class LieAlgebra:
                 self.dim, [dict(nz) for nz in self.terms.values()])
         return self._derived
 
-    def _centre_rows(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero rows of the centre's system: row (s, r) holds
-        [e_i, e_s]_r over i, {column: entry} with columns ascending.
-
-        Only the stored brackets fill it: entry i of row (j, r) or (i, r)
-        comes from the stored (i, j) alone.
-        """
+    def _ad_rows(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero rows of the centre's system, read from the ad index:
+        row (s, r) -> {y: [e_s, e_y]_r}, s, r and y 0-based, columns
+        ascending. x is central exactly when every row vanishes on it."""
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (i, j), v in self.terms.items():
-            for r, c in v:
-                # [e_i, e_j]_r = c and [e_j, e_i]_r = -c
-                rows.setdefault((j, r), {})[i - 1] = c
-                rows.setdefault((i, r), {})[j - 1] = -c
-        return {key: dict(sorted(row.items())) for key, row in rows.items()}
+        for s, pairs in enumerate(self._ad_index()):
+            for y, nz in pairs:
+                for r, c in nz:
+                    rows.setdefault((s, r), {})[y] = c
+        return rows
 
     def centre(self) -> Subspace:
-        """{x : [x, e_s] = 0 for all s}; one kernel computation per algebra,
+        """{x : [e_s, x] = 0 for all s}; one kernel computation per algebra,
         and row order cannot change it."""
         if self._centre is None:
-            rows = self._centre_rows()
+            rows = self._ad_rows()
             self._centre = (kernel(Mat._of(rows.values(), self.dim)) if rows
                             else Subspace.full(self.dim))
         return self._centre

@@ -176,17 +176,19 @@ def double_extend_1d(aq: QuadraticStructure | None,
 def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
     """x with d = ad(x), or None when d is outer. Free components are 0.
 
-    x solves the centre's rows (s, r) -> {i: [e_i, e_s]_r} against d[r][s],
-    and none does when an absent row meets a nonzero entry of d.
+    d e_s = [x, e_s], so x solves the centre's rows (s, r) ->
+    {y: [e_s, e_y]_r} against -d[r][s], and none does when an absent row
+    meets a nonzero entry of d.
     """
     d = _deriv_mat(aq, d)
     if aq is None:
         return ()
-    rows = aq.alg._centre_rows()
-    if any((s + 1, r) not in rows for r, s, _ in _entries(d)):
+    rows = aq.alg._ad_rows()
+    if any((s, r) not in rows for r, s, _ in _entries(d)):
         return None
+    dr = d.sparse_rows
     return solve(Mat._of(rows.values(), aq.dim),
-                 tuple(d.sparse_rows[r].get(s - 1, ZERO) for s, r in rows))
+                 tuple(-dr[r].get(s, ZERO) for s, r in rows))
 
 
 def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:

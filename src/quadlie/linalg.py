@@ -3,7 +3,8 @@
 Everything downstream runs on this: matrices of `fractions.Fraction` stored
 once, as each row's nonzero entries in a {column: entry} dict, with the
 dense rows a view built on first read; the unique RREF by a fraction-free
-elimination of those dicts scaled to integers; kernels, solving, and
+elimination of those dicts scaled to integers, which stops once it holds
+a pivot in every column that has an entry; kernels, solving, and
 row-space subspaces in canonical RREF form.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
@@ -241,7 +242,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     integers by the lcm of its denominators and reduced by the pivot rows
     found so far, which are primitive and zero in every other pivot column;
     a row that stays nonzero clears its first column from them. Only the
-    result divides, by each row's pivot; it comes as a sparse view alone."""
+    result divides, by each row's pivot; it comes as a sparse view alone.
+
+    The rank cannot pass the number of columns that hold an entry, so the
+    elimination stops once it has that many pivots: their rows then span
+    every such column, and each later row already lies in the span."""
+    occupied = len(set().union(*m.sparse_rows))
     piv: dict[int, dict[int, int]] = {}  # pivot column -> its row
     for r in m.sparse_rows:
         den = lcm(*[e.denominator for e in r.values()])
@@ -257,6 +263,8 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 _clear(prow, col, row)
                 piv[p] = _primitive(prow)
         piv[col] = row
+        if len(piv) == occupied:
+            break
     pivots = tuple(sorted(piv))
     sparse = [{j: ONE if j == p else Fraction(e, piv[p][p])
                for j, e in sorted(piv[p].items())} for p in pivots]

@@ -31,7 +31,8 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      double_extend_1d, hyperbolic_form, inner_preimage,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
                      permute_quadratic, rank, rref, scalar, solve)
-from quadlie.linalg import vstack
+from quadlie.doubleext import _deriv_mat
+from quadlie.linalg import opposite, vstack
 
 ZERO = Fraction(0)
 
@@ -168,6 +169,40 @@ def _old_inverse(m):
     return _dense((r[n:] for r in R.data), n)
 
 
+def _dense_solve(m, rhs):
+    """One solution of m x = rhs from the dense RREF of [m | rhs], free
+    variables 0, or None when rhs is outside the column space."""
+    aug = Mat.from_rows([list(r) + [scalar(b)] for r, b in zip(m.data, rhs)],
+                        m.cols + 1)
+    R, pivots = _dense_rref(aug)
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for k, p in enumerate(pivots):
+        x[p] = R.data[k][m.cols]
+    return tuple(x)
+
+
+def _dense_intersect(u, v):
+    """U intersect V by Zassenhaus on dense rows, [u|u] and [v|0], reduced
+    by the dense RREF: the right halves of the rows whose pivot is there."""
+    n = u.ambient_dim
+    rows = ([list(r) * 2 for r in u.basis.data]
+            + [list(r) + [ZERO] * n for r in v.basis.data])
+    R, pivots = _dense_rref(Mat.from_rows(rows, 2 * n))
+    return Subspace.from_rows(n, [R.data[k][n:] for k, p in enumerate(pivots)
+                                  if p >= n])
+
+
+def _dense_inverse(m):
+    """m^-1 read off the dense RREF of [m | I]; ValueError when singular."""
+    n = m.rows
+    R, pivots = _dense_rref(_old_hstack(m, Mat.identity(n)))
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("singular matrix")
+    return _dense((r[n:] for r in R.data), n)
+
+
 def _dense_contains_vec(s, v):
     """Whether v lies in s: v reduced by s's RREF basis rows is zero."""
     v = [scalar(e) for e in v]
@@ -230,6 +265,30 @@ def _dense_centre(alg):
             if any(row):
                 rows.append(row)
     return kernel(Mat(rows)) if rows else Subspace.full(n)
+
+
+def _ref_centre_rows(alg):
+    """The nonzero rows of the centre's system as LieAlgebra._centre_rows
+    built them before the centre read the ad index: row (s, r) holds
+    [e_i, e_s]_r over i, {column: entry} with columns ascending.
+
+    Only the stored brackets fill it: entry i of row (j, r) or (i, r)
+    comes from the stored (i, j) alone.
+    """
+    rows = {}
+    for (i, j), v in alg.terms.items():
+        for r, c in v:
+            # [e_i, e_j]_r = c and [e_j, e_i]_r = -c
+            rows.setdefault((j, r), {})[i - 1] = c
+            rows.setdefault((i, r), {})[j - 1] = -c
+    return {key: dict(sorted(row.items())) for key, row in rows.items()}
+
+
+def _ref_centre_by_rows(alg):
+    """centre() as it was: the kernel of _ref_centre_rows."""
+    rows = _ref_centre_rows(alg)
+    return (kernel(Mat._of(rows.values(), alg.dim)) if rows
+            else Subspace.full(alg.dim))
 
 
 def _dense_lower_central_series(alg):
@@ -582,6 +641,30 @@ def _loop_family_defects(fam):
     return out
 
 
+def _ref_family_defects_by_rows(fam):
+    """family_defects as it was before the skew law compared each pair
+    once: every row of M_i against the same row of its transpose, so each
+    off-diagonal pair is compared from both of its rows."""
+    def negated(a, b):
+        return len(a) == len(b) and all(opposite(a.get(k), e)
+                                        for k, e in b.items())
+    out = []
+    cols = []
+    for i, m in enumerate(fam.mats, start=1):
+        t = m.transpose().sparse_rows
+        cols.append(t)
+        if not all(map(negated, m.sparse_rows, t)):
+            out.append(f"M_{i} is not skew")
+        if t[i - 1]:
+            out.append(f"column {i} of M_{i} is nonzero")
+    for i in range(1, fam.n + 1):
+        for j in range(i + 1, fam.n + 1):
+            if not negated(cols[i - 1][j - 1], cols[j - 1][i - 1]):
+                out.append(f"column {j} of M_{i} is not minus "
+                           f"column {i} of M_{j}")
+    return out
+
+
 def _loop_read_coeffs(fam):
     """family_to_coeffs as it was after its family check: c_ijk read at
     every i < j < k, then every (i, j, k) checked, the first mismatch
@@ -762,6 +845,20 @@ def _ref_inner_preimage(aq, d):
             rows.append([cols[i][t] for i in range(n)])
             rhs.append(img[t])
     return solve(Mat.from_rows(rows, cols=n), tuple(rhs))
+
+
+def _ref_inner_preimage_by_rows(aq, d):
+    """inner_preimage as it was, checking d with the package's _deriv_mat:
+    _ref_centre_rows solved against d[r][s]."""
+    d = _deriv_mat(aq, d)
+    if aq is None:
+        return ()
+    rows = _ref_centre_rows(aq.alg)
+    if any((s + 1, r) not in rows for r, row in enumerate(d.sparse_rows)
+           for s in row):
+        return None
+    return solve(Mat._of(rows.values(), aq.dim),
+                 tuple(d.sparse_rows[r].get(s - 1, ZERO) for s, r in rows))
 
 
 def _ref_double_extend_1d(aq, d):

@@ -291,7 +291,7 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
     rows = Mat._of([dict(nz) for nz in alg.terms.values()], alg.dim)
-    centre_rows = Mat._of(alg._centre_rows().values(), alg.dim)
+    centre_rows = Mat._of(alg._ad_rows().values(), alg.dim)
     real = linalg.rref
     runs = []
     centre_runs = []

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import (ExtensionChain, Mat, QuadraticStructure, SplitMix64,
-                     Subspace, ValidationError, abelian, build_chain,
-                     centre_formula_1d, chain_dcoeffs,
+from quadlie import (CocycleCoeffs, ExtensionChain, Mat, QuadraticStructure,
+                     SplitMix64, Subspace, ValidationError, abelian,
+                     build_chain, centre_formula_1d, chain_dcoeffs,
                      chain_display_permutation, chain_reduced_check,
                      chain_to_algebra, chain_to_coeffs, derivation_defect,
                      derivation_space, double_extend, double_extend_1d,
@@ -18,7 +18,9 @@ from reference import (_dense_contains_vec, _dense_skew_defect,
                        _loop_build_chain, _ref_centre_formula_by_intersection,
                        _ref_derivation_defect, _ref_derivation_space,
                        _ref_double_extend, _ref_double_extend_1d,
-                       _ref_inner_preimage, _ref_two_step_by_intersection,
+                       _ref_centre_by_rows, _ref_inner_preimage,
+                       _ref_inner_preimage_by_rows,
+                       _ref_two_step_by_intersection,
                        _ref_validate_chain, basis_vec)
 
 
@@ -608,6 +610,46 @@ def test_derivation_laws_match_dense_reference(law_cases):
     assert inner_preimage(zero, Mat.zero(0, 0)) == () == \
         _ref_inner_preimage(zero, Mat.zero(0, 0))
     assert inner_preimage(None, Mat.zero(0, 0)) == ()
+
+
+def test_centre_and_inner_preimage_match_the_old_centre_rows(
+        seeded_coeffs, two_step_corpus, law_cases):
+    # the ad-index rows are -1 times the old rows (s, r), and inner_preimage
+    # solves them against -d: the centre and every preimage are the same.
+    # The two-step corpus holds the 22 catalog entries.
+    g = SplitMix64(1618)
+    bases = list(two_step_corpus) + [tstar_extend(c) for c in seeded_coeffs]
+    bases += [tstar_extend(CocycleCoeffs(n, {(i, i + 1, i + 2): 1
+                                             for i in range(1, n - 1)}))
+              for n in range(10, 26)]
+    kinds = {"inner": 0, "outer": 0}
+    for k, aq in enumerate(bases):
+        assert aq.alg.centre() == _ref_centre_by_rows(aq.alg)
+        n = aq.dim
+        x = tuple(Fraction(g.randint(-3, 3), g.randint(1, 2))
+                  for _ in range(n))
+        ad_x = Mat([aq.alg.bracket(x, basis_vec(n, j))
+                    for j in range(1, n + 1)]).transpose()
+        # a random skew derivation on every fourth base: the derivation-law
+        # corpus below brings many more
+        ds = [ad_x, random_skew_derivation(aq, k)] if k % 4 == 0 else [ad_x]
+        for d in ds:
+            want = _ref_inner_preimage_by_rows(aq, d)
+            assert inner_preimage(aq, d) == want
+            if want is None:
+                kinds["outer"] += 1
+            else:
+                kinds["inner"] += any(want)
+        # the preimage of ad(x) is x up to the centre
+        pre = inner_preimage(aq, ad_x)
+        assert aq.alg.centre().contains(Subspace.from_rows(
+            n, [[a - b for a, b in zip(pre, x)]]))
+    assert kinds["inner"] > 100 and kinds["outer"] > 20
+    for aq, d in law_cases:
+        assert _outcome(inner_preimage, aq, d) == \
+            _outcome(_ref_inner_preimage_by_rows, aq, d)
+    for alg in (abelian(0), abelian(3), heisenberg()):
+        assert alg.centre() == _ref_centre_by_rows(alg)
 
 
 def test_derivation_space_matches_dense_reference():

@@ -1,4 +1,5 @@
 """Exact linear algebra: RREF, kernel, solve, inverse, subspaces."""
+import functools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from quadlie.linalg import (Mat, Subspace, hstack, inverse, kernel,
                             opposite, rank, rref, scalar, scalar_str, solve,
                             vec, vstack)
-from reference import (_dense_contains_vec, _dense_rref, _old_add,
+from reference import (_dense_contains_vec, _dense_intersect,
+                       _dense_inverse, _dense_rref, _dense_solve, _old_add,
                        _old_hstack, _old_inverse, _old_is_skew,
                        _old_is_symmetric, _old_mul, _old_neg, _old_scale,
                        _old_sub, _old_transpose, _old_vstack)
@@ -324,6 +326,143 @@ def test_rref_matches_dense_reference(monkeypatch):
         assert (got[0].rows, got[0].cols) == (m.rows, m.cols)
         deficient += len(got[1]) < min(m.rows, m.cols)
     assert deficient > 100
+
+
+# ---- the early stop on tall systems ----
+
+@functools.cache
+def _tall_systems():
+    """Seeded tall systems whose rank is known long before their last row:
+    rows spanning every occupied column come first (or one of them comes
+    last), and many rows in their span follow, some of them zero. Every
+    third system leaves some columns empty, so its rank stays below cols."""
+    from quadlie import SplitMix64
+    g = SplitMix64(2121)
+
+    def small():
+        return Fraction(g.randint(-3, 3), g.randint(1, 3))
+
+    out = []
+    for k in range(36):
+        nc = 1 + k % 9
+        empty = ({j for j in range(nc) if g.randint(0, 2) == 0}
+                 if k % 3 == 1 else set())
+        used = [j for j in range(nc) if j not in empty]
+        basis = []
+        while len(basis) < len(used):
+            row = [small() if j in used else Fraction(0) for j in range(nc)]
+            if rank(Mat(basis + [row])) > len(basis):
+                basis.append(row)
+        tail = [[sum((g.randint(-2, 2) * b[j] for b in basis), Fraction(0))
+                 for j in range(nc)] for _ in range(12 + 8 * k)]
+        if k % 4 == 3 and basis:
+            # the rank is reached at the last row only
+            tail.append(basis.pop(g.randint(0, len(basis) - 1)))
+        out.append(Mat(basis + tail) if basis + tail
+                   else Mat.zero(0, nc))
+    return tuple(out)
+
+
+def _edge_systems():
+    """Zero-row and zero-column systems, and all-zero ones."""
+    return [Mat.zero(0, 0), Mat.zero(0, 4), Mat.zero(5, 0), Mat.zero(6, 3)]
+
+
+def test_tall_rref_matches_dense_reference():
+    systems = list(_tall_systems()) + _edge_systems()
+    short = 0
+    for m in systems:
+        got, want = rref(m), _dense_rref(m)
+        assert got == want, m
+        assert (got[0].rows, got[0].cols) == (m.rows, m.cols)
+        k = kernel(m)
+        assert k.dim == m.cols - len(want[1])
+        assert not any(any(m.matvec(v)) for v in k.vectors())
+        short += len(got[1]) < m.cols
+    assert short >= 10 and max(m.rows for m in systems) > 250
+
+
+class _Row(dict):
+    """A sparse row that records when rref reads its entries."""
+    reads: list = []
+
+    def values(self):
+        _Row.reads.append(id(self))
+        return super().values()
+
+
+def test_rref_reads_no_row_past_the_occupied_rank():
+    # columns 1 and 4 are empty, so the rank stops at 4 of 6 columns; the
+    # 55 middle rows lie in the span of the first two. With all of `first`
+    # in front the rank is reached at row 5, and nothing after it is read;
+    # with three of them at the end it is reached at the last row.
+    f = Fraction
+    first = [{0: f(1), 2: f(2)}, {2: f(-1, 2)}, {}, {3: f(3), 5: f(1)},
+             {0: f(1), 5: f(7)}]
+    rest = [{0: f(k), 2: f(k + 1, 3)} for k in range(1, 56)]
+    for split, want_rows in ((5, 5), (2, 60)):
+        rows = [_Row(r) for r in first[:split] + rest + first[split:]]
+        _Row.reads = []
+        got = rref(Mat._of(rows, 6))
+        assert got == _dense_rref(Mat._of(rows, 6))
+        assert got[1] == (0, 2, 3, 5)
+        assert _Row.reads == [id(r) for r in rows[:want_rows]]
+
+
+def test_solve_finds_the_last_inconsistent_row():
+    # every row but the last is consistent, and the system reaches its
+    # full occupied rank long before it
+    checked = inconsistent = 0
+    for m in _tall_systems():
+        if m.rows == 0:
+            continue
+        x = [Fraction(j + 1, 2) for j in range(m.cols)]
+        rhs = list(m.matvec(x))
+        assert solve(m, rhs) == _dense_solve(m, rhs) is not None
+        rhs[-1] += 1
+        got = solve(m, rhs)
+        assert got == _dense_solve(m, rhs)
+        inconsistent += got is None
+        checked += 1
+    assert inconsistent == checked > 30
+    for m in _edge_systems():
+        rhs = (0,) * m.rows
+        assert solve(m, rhs) == _dense_solve(m, rhs) == (0,) * m.cols
+        if m.rows:
+            assert solve(m, (0,) * (m.rows - 1) + (1,)) is None
+
+
+def test_tall_intersect_and_inverse_match_dense_reference():
+    systems = _tall_systems()
+    for a, b in zip(systems, systems[1:] + systems[:1]):
+        if a.cols != b.cols:
+            b = Mat._of([{j: e for j, e in r.items() if j < a.cols}
+                         for r in b.sparse_rows], a.cols)
+        u, v = Subspace._of(a.cols, a.sparse_rows), Subspace._of(
+            a.cols, b.sparse_rows)
+        assert u.intersect(v) == _dense_intersect(u, v)
+        assert u.intersect(u) == u == _dense_intersect(u, u)
+        assert u.intersect(Subspace.zero(a.cols)) == Subspace.zero(a.cols)
+    for n in range(0, 6):
+        assert Subspace.zero(n).intersect(Subspace.full(n)) == \
+            _dense_intersect(Subspace.zero(n), Subspace.full(n))
+    invertible = singular = 0
+    for m in systems:
+        # the square block of the spanning rows, and of the dependent ones
+        for sq in (Mat(m.data[:m.cols]), Mat(m.data[-m.cols:])):
+            if sq.rows != sq.cols:
+                continue
+            try:
+                want = _dense_inverse(sq)
+            except ValueError:
+                with pytest.raises(ValueError, match="singular"):
+                    inverse(sq)
+                singular += 1
+                continue
+            assert inverse(sq) == want
+            invertible += 1
+    assert inverse(Mat.zero(0, 0)) == _dense_inverse(Mat.zero(0, 0))
+    assert invertible > 5 and singular > 5
 
 
 # ---- the sparse view of a matrix ----

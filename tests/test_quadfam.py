@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from quadlie import (Mat, QuadraticFamily, ValidationError, algebra_from_family,
-                     coeffs_to_family, f_matrix, family_defects,
-                     is_nondegenerate_family, parse_coeffs, tstar_extend,
-                     validate_family)
+from quadlie import (Mat, QuadraticFamily, SplitMix64, ValidationError,
+                     algebra_from_family, coeffs_to_family, f_matrix,
+                     family_defects, is_nondegenerate_family, parse_coeffs,
+                     tstar_extend, validate_family)
 from quadlie.quadfam import _negated
 from quadlie.randgen import random_coeffs
+from reference import _loop_family_defects, _ref_family_defects_by_rows
 
 
 def fam123():
@@ -98,6 +99,66 @@ def test_family_defects_with_fractional_entries():
         "M_1 is not skew", "column 3 of M_1 is not minus column 1 of M_3"]
     with pytest.raises(ValidationError, match="M_1 is not skew"):
         algebra_from_family(bad)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 2): 1},
+    {(2, 0): 1},
+    {(0, 2): 1, (2, 0): 1},
+    {(0, 2): 1, (2, 0): _F(-1, 2)},
+    {(0, 2): 1, (2, 0): -1, (1, 3): 2},
+    {(3, 3): 3},
+    {(0, 2): 1, (2, 0): -1, (3, 3): _F(1, 3)},
+], ids=["above-only", "below-only", "symmetric", "mismatched",
+        "skew-pair-and-above-only", "diagonal", "skew-pair-and-diagonal"])
+def test_one_faulty_pair_or_diagonal_entry_is_not_skew(entries):
+    # M_2 of a zero family holds the entries; each pair (r, k), r < k, is
+    # compared once, so a lone entry below the diagonal is found by count
+    n = 4
+    rows = [[_F(0)] * n for _ in range(n)]
+    for (r, k), e in entries.items():
+        rows[r][k] = _F(e)
+    fam = QuadraticFamily(n, (Mat.zero(n, n), Mat(rows), Mat.zero(n, n),
+                              Mat.zero(n, n)))
+    got = family_defects(fam)
+    assert "M_2 is not skew" in got
+    assert got == _ref_family_defects_by_rows(fam) == \
+        _loop_family_defects(fam)
+
+
+def _roads_families():
+    """The families of seeded cocycles at n = 3..9 and densities 1/4, 1/2
+    and 1, five seeds each, as a roads corpus draws them."""
+    return [coeffs_to_family(random_coeffs(n, seed=100 * n + k,
+                                           density=density))
+            for n in range(3, 10)
+            for density in (_F(1, 4), _F(1, 2), _F(1))
+            for k in range(5)]
+
+
+def test_family_defects_match_the_full_row_check():
+    # every off-diagonal pair is compared once now, from its upper entry
+    g = SplitMix64(5150)
+    kinds = {"ok": 0, "not skew": 0, "other": 0}
+    families = _roads_families()
+    for fam in families:
+        assert family_defects(fam) == _ref_family_defects_by_rows(fam) == []
+        n = fam.n
+        for _ in range(4):
+            i, r, k = (g.randint(0, n - 1) for _ in range(3))
+            rows = [list(row) for row in fam.mats[i].data]
+            rows[r][k] += _F(g.randint(1, 3), g.randint(1, 2))
+            if g.randint(0, 1) and r != k:
+                # keep the pair skew: only the column laws can fail
+                rows[k][r] -= rows[r][k] + rows[k][r]
+            bad = QuadraticFamily(n, fam.mats[:i] + (Mat(rows),)
+                                  + fam.mats[i + 1:])
+            got = family_defects(bad)
+            assert got == _ref_family_defects_by_rows(bad)
+            kinds["not skew" if f"M_{i + 1} is not skew" in got
+                  else "other" if got else "ok"] += 1
+    assert len(families) == 105
+    assert kinds["not skew"] > 150 and kinds["other"] > 100
 
 
 def test_family_shape_validation():

@@ -30,3 +30,15 @@ def test_reference_helpers_are_defined_once_in_reference_module():
             if defs and name != "reference.py"} == {}
     names = found["reference.py"]
     assert len(names) == len(set(names)) > 40
+
+
+def test_replaced_paths_are_kept_as_references():
+    # the paths that rref's early stop, the ad-index centre rows and the
+    # once-per-pair skew check replaced, and the dense solvers they are
+    # checked against
+    source = (Path(__file__).resolve().parent / "reference.py").read_text(
+        encoding="utf-8")
+    assert {"_ref_centre_rows", "_ref_centre_by_rows",
+            "_ref_inner_preimage_by_rows", "_ref_family_defects_by_rows",
+            "_dense_solve", "_dense_intersect",
+            "_dense_inverse"} <= set(_reference_names(source))
