@@ -62,7 +62,8 @@ class LieAlgebra:
 
     @property
     def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """The dense view: [e_i, e_j] as a dim-length tuple per stored key."""
+        """The dense view, for callers outside the package: [e_i, e_j] as
+        a dim-length tuple per stored key."""
         return {key: self._dense(nz) for key, nz in self.terms.items()}
 
     def __eq__(self, other) -> bool:
@@ -87,13 +88,6 @@ class LieAlgebra:
         return self._ad
 
     # ---- bracket evaluation ----
-
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        if not (1 <= i <= self.dim and 1 <= j <= self.dim):
-            raise ValueError(f"basis label out of range: ({i},{j})")
-        if i > j:
-            return tuple(-c for c in self.bracket_basis(j, i))
-        return self._dense(self.terms.get((i, j), ()))
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
         """[x, y] for dense vectors of ints, Fractions or 'p/q' strings."""
@@ -279,6 +273,8 @@ def from_bracket_table(dim: int,
     for (i, j), terms in table.items():
         v = [ZERO] * dim
         for k, c in terms.items():
+            if not 1 <= k <= dim:
+                raise ValueError(f"basis label out of range: {k}")
             v[k - 1] = scalar(c)
         br[(i, j)] = v
     return LieAlgebra(dim, br)

@@ -22,10 +22,11 @@ from .convert import (all_roads, coeffs_to_chain, coeffs_to_family,
 from .doubleext import chain_to_algebra, chain_to_coeffs
 from .errors import QuadlieError, ValidationError
 from .forms import QuadraticStructure
-from .io import (_scalar_in, algebra_from_obj, algebra_to_obj, chain_from_obj,
-                 chain_to_obj, coeffs_from_obj, coeffs_to_obj, dumps,
-                 family_from_obj, family_to_obj, general_cocycle_from_obj,
-                 general_cocycle_to_obj, load_json, quadratic_to_obj)
+from .io import (_mat_out, _scalar_in, algebra_from_obj, algebra_to_obj,
+                 chain_from_obj, chain_to_obj, coeffs_from_obj, coeffs_to_obj,
+                 dumps, family_from_obj, family_to_obj,
+                 general_cocycle_from_obj, general_cocycle_to_obj, load_json,
+                 quadratic_to_obj)
 from .latex import bracket_cells, latex_table
 from .linalg import rank, scalar_str
 from .quadfam import f_matrix, validate_family
@@ -291,8 +292,7 @@ def cmd_decompose(args) -> int:
     if fmt == "json":
         print(dumps({"base": algebra_to_obj(base),
                      "cocycle": general_cocycle_to_obj(w),
-                     "isometry": [[scalar_str(e) for e in row]
-                                  for row in iso.data]}), end="")
+                     "isometry": _mat_out(iso)}), end="")
     else:
         print(f"base dim: {base.dim} "
               f"({'abelian' if not base.terms else 'non-abelian'})")

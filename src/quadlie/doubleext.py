@@ -226,7 +226,7 @@ def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     if s.dim == 0:
         return False
     return (aq.alg.centre().contains(s)
-            and not any(any(dmat.matvec(v)) for v in s.basis.data))
+            and (s.basis * dmat.transpose()).is_zero())
 
 
 @dataclass(frozen=True)

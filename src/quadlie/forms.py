@@ -94,8 +94,11 @@ class QuadraticStructure:
         return self.alg.dim
 
     def phi(self, x: Sequence, y: Sequence) -> Fraction:
-        return sum((c * e for c, e in zip(self.form.matvec(vec(y)), vec(x))
-                    if c and e), start=ZERO)
+        x, y = vec(x), vec(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise ValueError("vector length mismatch")
+        return sum((a * e * y[j] for a, r in zip(x, self.form.sparse_rows)
+                    if a for j, e in r.items() if y[j]), start=ZERO)
 
 
 def orthogonal_complement(q: QuadraticStructure, s: Subspace) -> Subspace:

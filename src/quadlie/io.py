@@ -245,7 +245,10 @@ def general_cocycle_to_obj(w: GeneralCocycle) -> dict:
 
 
 def general_cocycle_from_obj(obj: Any) -> GeneralCocycle:
+    n = _dim_in(_expect(obj, "n", "cocycle"))
     base, _ = algebra_from_obj(_expect(obj, "base", "cocycle"))
+    if n != base.dim:
+        raise QuadlieError(f"cocycle n {n} differs from base dim {base.dim}")
     values = {}
     for ent in _expect_list(obj, "pairs", "cocycle"):
         ij = _expect(ent, "ij", "pair")

@@ -2,7 +2,7 @@
 
 Everything downstream runs on this: matrices of `fractions.Fraction` stored
 once, as each row's nonzero entries in a {column: entry} dict, with the
-dense rows a view built on first read; the unique RREF by a fraction-free
+dense rows a view built on each read; the unique RREF by a fraction-free
 elimination of those dicts scaled to integers, which stops once it holds
 a pivot in every column that has an entry; kernels, solving, and
 row-space subspaces in canonical RREF form.
@@ -53,7 +53,7 @@ class Mat:
     row's nonzero entries as a {column: entry} dict, columns ascending. The
     dicts are shared: never mutate them. `data` is the dense view."""
 
-    __slots__ = ("rows", "cols", "sparse_rows", "_data")
+    __slots__ = ("rows", "cols", "sparse_rows")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(tuple(scalar(e) for e in r) for r in data)
@@ -64,7 +64,6 @@ class Mat:
                 raise ValueError("ragged rows")
         self.sparse_rows = tuple([{j: e for j, e in enumerate(r) if e}
                                   for r in rows])
-        self._data = None
 
     @classmethod
     def _of(cls, sparse: Iterable[dict[int, Fraction]], cols: int) -> "Mat":
@@ -75,7 +74,6 @@ class Mat:
         m.sparse_rows = tuple(sparse)
         m.rows = len(m.sparse_rows)
         m.cols = cols
-        m._data = None
         return m
 
     @classmethod
@@ -97,21 +95,10 @@ class Mat:
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The dense rows, a view of sparse_rows built once, on first read."""
-        if self._data is None:
-            z = (ZERO,) * self.cols
-            self._data = tuple(tuple(map(r.get, range(self.cols), z))
-                               for r in self.sparse_rows)
-        return self._data
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.data)
+        """The dense rows, built on each read: the dense API of Mat."""
+        z = (ZERO,) * self.cols
+        return tuple(tuple(map(r.get, range(self.cols), z))
+                     for r in self.sparse_rows)
 
     def transpose(self) -> "Mat":
         out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
@@ -181,18 +168,6 @@ class Mat:
             for k, e in rows[j].items():
                 v[k] = v.get(k, ZERO) + c * e
         return {k: e for k, e in sorted(v.items()) if e}
-
-    def matvec(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(x):
-            raise ValueError("length mismatch")
-        out = []
-        for r in self.sparse_rows:
-            tot = ZERO
-            for j, a in r.items():
-                if x[j]:
-                    tot += a * x[j]
-            out.append(tot)
-        return tuple(out)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)
@@ -384,4 +359,5 @@ class Subspace:
                                 if p >= n])
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(r) for r in self.basis.data]
+        """The dense basis rows, for callers outside the package."""
+        return list(self.basis.data)

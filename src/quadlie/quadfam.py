@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, opposite, rank
+from .linalg import Mat, ZERO, opposite, rank
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class QuadraticFamily:
         """Coefficient of e_k* in [e_i, e_j]: entry (k, j) of M_i."""
         if not all(1 <= x <= self.n for x in (i, j, k)):
             raise ValueError(f"basis label out of range: ({i},{j},{k})")
-        return self.mats[i - 1].entry(k - 1, j - 1)
+        return self.mats[i - 1].sparse_rows[k - 1].get(j - 1, ZERO)
 
 
 def _negated(a: dict, b: dict) -> bool:

@@ -64,7 +64,7 @@ def gl_act(sigma: Mat, t: Trivector) -> Trivector:
     images; singular sigma is rejected."""
     n = t.n
     inv = _gl_inverse(sigma, n)
-    cols = [inv.col(j) for j in range(n)]
+    cols = inv.transpose().data
     vals = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -83,7 +83,7 @@ def isometry_from_gl(sigma: Mat, t1: Trivector, t2: Trivector) -> Mat:
         raise ValidationError("trivectors live in different dimensions",
                               law="shape")
     inv = _gl_inverse(sigma, n)
-    scols = [sigma.col(j) for j in range(n)]
+    scols = sigma.transpose().data
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j + 1, n + 1):

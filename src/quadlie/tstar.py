@@ -59,24 +59,12 @@ class GeneralCocycle:
         """w(e_i,e_j)(e_k) = c_ijk over the abelian base: c's pair terms."""
         return cls._of(abelian(c.n), c.pair_terms())
 
-    @property
-    def values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """The dense view: w(e_i, e_j) as a dim-length tuple per stored key."""
-        return {key: self.base._dense(nz) for key, nz in self.terms.items()}
-
-    def value_pair(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """w(e_i, e_j) with sign resolution; zero covector on i == j."""
-        n = self.base.dim
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise ValueError(f"basis label out of range: ({i},{j})")
-        if i > j:
-            return tuple(-e for e in self.value_pair(j, i))
-        return self.base._dense(self.terms.get((i, j), ()))
-
     def value(self, i: int, j: int, k: int) -> Fraction:
-        if not 1 <= k <= self.base.dim:
+        """w(e_i, e_j)(e_k), read from the stored (min, max) pair."""
+        if not all(1 <= x <= self.base.dim for x in (i, j, k)):
             raise ValueError(f"basis label out of range: ({i},{j},{k})")
-        return self.value_pair(i, j)[k - 1]
+        c = dict(self.terms.get((min(i, j), max(i, j)), ())).get(k - 1, ZERO)
+        return -c if i > j else c
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -261,16 +249,15 @@ def find_lagrangian_ideal(q: QuadraticStructure) -> Subspace | None:
     cands += [{s: ONE, t: Fraction(sg)} for s in range(dim)
               for t in range(s + 1, dim) for sg in (1, -1)]
     cur = Subspace.zero(dim)
-    picked: list[tuple[Fraction, ...]] = []
     for c in cands:
         if cur.dim == n:
             break
-        v = tuple(c.get(u, ZERO) for u in range(dim))
-        if q.phi(v, v) or any(q.phi(v, u) for u in picked):
+        cf = q.form._vecmat(c.items())  # phi(c, .) must vanish on c and cur
+        if any(sum(cf.get(j, ZERO) * e for j, e in u.items())
+               for u in (c, *cur.basis.sparse_rows)):
             continue
         grown = cur.sum(Subspace._of(dim, [c]))
         if grown.dim > cur.dim:
-            picked.append(v)
             cur = grown
     return cur if cur.dim == n else None
 

@@ -14,7 +14,13 @@ shared index. Names say which:
 
 `basis_vec` and `_dense_direct_sum` stand in for `linalg.basis_vec` and
 `LieAlgebra.direct_sum`, which the package no longer has, and
-`_dense_contains_vec` for `Subspace.contains_vec`.
+`_dense_contains_vec` for `Subspace.contains_vec`. The package's dense
+accessors are gone too: `_dense_cols`, `_dense_matvec`,
+`_dense_basis_brackets` and `_dense_values` read what `Mat.col`,
+`Mat.matvec`, `LieAlgebra.bracket_basis` and `GeneralCocycle.values` and
+`value_pair` returned off the two dense views the package keeps,
+`Mat.data` and `LieAlgebra.brackets`, so that no reference shares a
+dense path with the package.
 
 This module is the oracle for the property tests and the mutant table
 that ROADMAP.md plans (open items 4 and 6): a property test compares the
@@ -42,6 +48,44 @@ def basis_vec(n, k):
     if not 1 <= k <= n:
         raise ValueError(f"basis label {k} out of range 1..{n}")
     return tuple(Fraction(int(t == k - 1)) for t in range(n))
+
+
+def _dense_cols(m):
+    """The columns of m as tuples, read off its dense rows."""
+    d = m.data
+    return [tuple(r[j] for r in d) for j in range(m.cols)]
+
+
+def _dense_matvec(rows, x):
+    """The dense rows times the column x."""
+    return tuple(sum((a * b for a, b in zip(r, x) if a and b), ZERO)
+                 for r in rows)
+
+
+def _dense_basis_brackets(alg):
+    """(i, j) -> [e_i, e_j] on 1-based labels, read off one copy of the
+    dense view `brackets`, with [e_j, e_i] = -[e_i, e_j]."""
+    br, n = alg.brackets, alg.dim
+    zero = (ZERO,) * n
+
+    def bb(i, j):
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError(f"basis label out of range: ({i},{j})")
+        if i > j:
+            return tuple(-c for c in bb(j, i))
+        return br.get((i, j), zero)
+    return bb
+
+
+def _dense_values(w):
+    """w(e_i, e_j) as an n-length tuple per stored pair: the dense view of
+    w's terms read as the brackets of an algebra."""
+    return LieAlgebra._of(w.base.dim, w.terms).brackets
+
+
+def _dense_value_pairs(w):
+    """(i, j) -> w(e_i, e_j) on 1-based labels, signed like a bracket."""
+    return _dense_basis_brackets(LieAlgebra._of(w.base.dim, w.terms))
 
 
 # ---- linalg ----
@@ -230,12 +274,14 @@ def _dense_bracket(alg, x, y):
     return tuple(out)
 
 
-def _dense_ad_vec(alg, i, y):
-    """[e_i, y] as the sum of y_b [e_i, e_b] over every b with y_b != 0."""
+def _dense_ad_vec(alg, i, y, bb=None):
+    """[e_i, y] as the sum of y_b [e_i, e_b] over every b with y_b != 0;
+    bb is _dense_basis_brackets(alg), made here when not given."""
+    bb = bb or _dense_basis_brackets(alg)
     out = [ZERO] * alg.dim
     for b, c in enumerate(y, start=1):
         if c:
-            for r, e in enumerate(alg.bracket_basis(i, b)):
+            for r, e in enumerate(bb(i, b)):
                 if e:
                     out[r] += c * e
     return tuple(out)
@@ -243,11 +289,12 @@ def _dense_ad_vec(alg, i, y):
 
 def _dense_jacobi_defect(alg):
     """The cyclic sum over every basis triple i<j<k."""
+    bb = _dense_basis_brackets(alg)
     bad = []
     for i, j, k in itertools.combinations(range(1, alg.dim + 1), 3):
-        t1 = _dense_ad_vec(alg, i, alg.bracket_basis(j, k))
-        t2 = _dense_ad_vec(alg, j, alg.bracket_basis(k, i))
-        t3 = _dense_ad_vec(alg, k, alg.bracket_basis(i, j))
+        t1 = _dense_ad_vec(alg, i, bb(j, k), bb)
+        t2 = _dense_ad_vec(alg, j, bb(k, i), bb)
+        t3 = _dense_ad_vec(alg, k, bb(i, j), bb)
         tot = tuple(a + b + c for a, b, c in zip(t1, t2, t3))
         if any(tot):
             bad.append((i, j, k, tot))
@@ -257,9 +304,10 @@ def _dense_jacobi_defect(alg):
 def _dense_centre(alg):
     """Kernel of the rows (s, r) -> {i: [e_i, e_s]_r} over every s and r."""
     n = alg.dim
+    bb = _dense_basis_brackets(alg)
     rows = []
     for s in range(1, n + 1):
-        cols = [alg.bracket_basis(i, s) for i in range(1, n + 1)]
+        cols = [bb(i, s) for i in range(1, n + 1)]
         for r in range(n):
             row = [cols[i][r] for i in range(n)]
             if any(row):
@@ -293,10 +341,11 @@ def _ref_centre_by_rows(alg):
 
 def _dense_lower_central_series(alg):
     """A^1 = the full space, then A^{t+1} = [e_i, A^t] over every i."""
+    bb = _dense_basis_brackets(alg)
     cur = Subspace.full(alg.dim)
     series = [cur]
     while True:
-        rows = [_dense_ad_vec(alg, i, v) for i in range(1, alg.dim + 1)
+        rows = [_dense_ad_vec(alg, i, v, bb) for i in range(1, alg.dim + 1)
                 for v in cur.basis.data]
         nxt = Subspace.from_rows(alg.dim, rows)
         series.append(nxt)
@@ -308,6 +357,7 @@ def _dense_lower_central_series(alg):
 def _dense_upper_central_series(alg):
     """Z_1 = the centre, then Z_{t+1} = {x : [x, e_s] in Z_t for every s}."""
     n = alg.dim
+    bb = _dense_basis_brackets(alg)
     series = [_dense_centre(alg)]
     while series[-1].dim < n:
         zt = series[-1]
@@ -315,7 +365,7 @@ def _dense_upper_central_series(alg):
                Mat.identity(n).data)
         rows = []
         for s in range(1, n + 1):
-            cols = [alg.bracket_basis(i, s) for i in range(1, n + 1)]
+            cols = [bb(i, s) for i in range(1, n + 1)]
             for a in ann:
                 row = [sum((e * c for e, c in zip(a, cols[i]) if e and c),
                            Fraction(0)) for i in range(n)]
@@ -333,12 +383,12 @@ def _dense_permute_basis(alg, perm):
     [e_{perm[a-1]}, e_{perm[b-1]}], one key per stored bracket, in the
     stored order."""
     inv = {old: new for new, old in enumerate(perm, start=1)}
+    bb = _dense_basis_brackets(alg)
     out = {}
     for i, j in alg.terms:
         a, b = sorted((inv[i], inv[j]))
         v = [ZERO] * alg.dim
-        for u, c in enumerate(alg.bracket_basis(perm[a - 1], perm[b - 1]),
-                              start=1):
+        for u, c in enumerate(bb(perm[a - 1], perm[b - 1]), start=1):
             if c:
                 v[inv[u] - 1] = c
         out[(a, b)] = v
@@ -362,14 +412,45 @@ def _dense_invariance_defect(alg, form):
     """phi([ei,ej],ek) + phi(ej,[ei,ek]) over every ordered basis triple,
     straight from the definition."""
     n = alg.dim
-    br = [[alg.bracket_basis(i, j) for j in range(1, n + 1)]
-          for i in range(1, n + 1)]
-    ft = form.transpose()
-    left = [[ft.matvec(v) for v in row] for row in br]     # phi([ei,ej], .)
-    right = [[form.matvec(v) for v in row] for row in br]  # phi(., [ei,ek])
+    bb = _dense_basis_brackets(alg)
+    br = [[bb(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    f = form.data
+    ft = tuple(zip(*f))
+    # phi([ei,ej], .) and phi(., [ei,ek])
+    left = [[_dense_matvec(ft, v) for v in row] for row in br]
+    right = [[_dense_matvec(f, v) for v in row] for row in br]
     return [(i + 1, j + 1, k + 1)
             for i in range(n) for j in range(n) for k in range(n)
             if left[i][j][k] + right[i][k][j]]
+
+
+def _ref_greedy_isotropic(q):
+    """find_lagrangian_ideal's search on an abelian algebra as it was: each
+    candidate e_s, then e_s + e_t and e_s - e_t for s < t, made dense and
+    kept when phi vanishes on it and on every vector kept so far and it
+    grows the span; the span, or None short of half the dimension."""
+    dim, f = q.dim, q.form.data
+    n = dim // 2
+
+    def phi(x, y):
+        return sum(a * b for a, b in zip(x, _dense_matvec(f, y)))
+    cands = [basis_vec(dim, s) for s in range(1, dim + 1)]
+    cands += [tuple(a + sg * b for a, b in zip(basis_vec(dim, s),
+                                                 basis_vec(dim, t)))
+              for s in range(1, dim + 1) for t in range(s + 1, dim + 1)
+              for sg in (1, -1)]
+    cur = Subspace.zero(dim)
+    picked = []
+    for v in cands:
+        if cur.dim == n:
+            break
+        if phi(v, v) or any(phi(v, u) for u in picked):
+            continue
+        grown = cur.sum(Subspace.from_rows(dim, [v]))
+        if grown.dim > cur.dim:
+            picked.append(v)
+            cur = grown
+    return cur if cur.dim == n else None
 
 
 def _dense_is_isometry(q1, q2, m):
@@ -379,10 +460,12 @@ def _dense_is_isometry(q1, q2, m):
         return False, "not invertible"
     if m.transpose() * q2.form * m != q1.form:
         return False, "form not preserved"
-    cols = [m.col(j) for j in range(m.cols)]
+    cols = _dense_cols(m)
+    d = m.data
+    bb = _dense_basis_brackets(q1.alg)
     for i in range(1, q1.dim + 1):
         for j in range(i + 1, q1.dim + 1):
-            lhs = m.matvec(q1.alg.bracket_basis(i, j))
+            lhs = _dense_matvec(d, bb(i, j))
             rhs = _dense_bracket(q2.alg, cols[i - 1], cols[j - 1])
             if lhs != rhs:
                 return False, f"bracket not preserved at ({i},{j})"
@@ -467,9 +550,10 @@ def _ref_cyclic_defect(w):
     if not isinstance(w, GeneralCocycle):
         return []
     n = w.base.dim
+    wp = _dense_value_pairs(w)
     return [(i, j, k) for i in range(1, n + 1) for j in range(1, n + 1)
             for k in range(1, n + 1)
-            if w.value_pair(i, j)[k - 1] != w.value_pair(k, i)[j - 1]]
+            if wp(i, j)[k - 1] != wp(k, i)[j - 1]]
 
 
 def _ref_cocycle_defect(w):
@@ -479,6 +563,8 @@ def _ref_cocycle_defect(w):
     if not base.is_lie():
         raise ValidationError("base is not a Lie algebra", law="jacobi")
     n = base.dim
+    bb = _dense_basis_brackets(base)
+    wp = _dense_value_pairs(w)
     bad = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -488,13 +574,13 @@ def _ref_cocycle_defect(w):
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
                     # w([e_a, e_b], e_c) by linearity in the first slot
                     wl = [Fraction(0)] * n
-                    for u, x in enumerate(base.bracket_basis(a, b), start=1):
-                        for v, e in enumerate(w.value_pair(u, c)):
+                    for u, x in enumerate(bb(a, b), start=1):
+                        for v, e in enumerate(wp(u, c)):
                             wl[v] += x * e
-                    wbc = w.value_pair(b, c)
+                    wbc = wp(b, c)
                     for t in range(n):
                         lhs[t] += wl[t]
-                        br = base.bracket_basis(a, t + 1)
+                        br = bb(a, t + 1)
                         rhs[t] -= sum(wbc[s] * br[s] for s in range(n))
                 if lhs != rhs:
                     bad.append((i, j, k))
@@ -517,16 +603,15 @@ def _ref_tstar(w):
     if bad:
         raise ValidationError(f"2-cocycle identity fails at triple {bad[0]}",
                               law="cocycle", witness=bad[0])
-    base = w.base
-    n = base.dim
+    n = w.base.dim
+    bb = _dense_basis_brackets(w.base)
+    wp = _dense_value_pairs(w)
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            brackets[(i, j)] = (tuple(base.bracket_basis(i, j))
-                                + w.value_pair(i, j))
+            brackets[(i, j)] = bb(i, j) + wp(i, j)
         for k in range(1, n + 1):
-            star = [-base.bracket_basis(i, ell)[k - 1]
-                    for ell in range(1, n + 1)]
+            star = [-bb(i, ell)[k - 1] for ell in range(1, n + 1)]
             brackets[(i, n + k)] = (0,) * n + tuple(star)
     return QuadraticStructure(LieAlgebra(2 * n, brackets), hyperbolic_form(n))
 
@@ -535,7 +620,8 @@ def _ref_radical(w):
     if not isinstance(w, GeneralCocycle):
         return _dense_kernel(w)
     n = w.base.dim
-    rows = [[w.value_pair(i, j)[k] for i in range(1, n + 1)]
+    wp = _dense_value_pairs(w)
+    rows = [[wp(i, j)[k] for i in range(1, n + 1)]
             for j in range(1, n + 1) for k in range(n)]
     return kernel(Mat.from_rows([r for r in rows if any(r)], cols=n))
 
@@ -546,7 +632,7 @@ def _ref_value_span(w):
         return Subspace.from_rows(n, [[w.value(i, j, k)
                                        for k in range(1, n + 1)]
                                       for (i, j) in _ref_touched_pairs(w)])
-    return Subspace.from_rows(w.base.dim, list(w.values.values()))
+    return Subspace.from_rows(w.base.dim, list(_dense_values(w).values()))
 
 
 def _dense_tstar_algebra(w, aq=None, phi=()):
@@ -564,7 +650,7 @@ def _dense_tstar_algebra(w, aq=None, phi=()):
             base[k] = c
             row(i, star + k + 1)[star + j - 1] = -c
             row(j, star + k + 1)[star + i - 1] = c
-    for pair, v in w.values.items():
+    for pair, v in _dense_values(w).items():
         row(*pair)[star:] = v
     if aq is not None:
         for (i, j), v in aq.alg.terms.items():
@@ -594,10 +680,12 @@ def _dense_decomposed_base(q, ideal):
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
     iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
                   q.dim)
+    d = iso.data
     brackets, wvals = {}, {}
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            v = iso.matvec(_dense_bracket(q.alg, lrows[a - 1], lrows[b - 1]))
+            v = _dense_matvec(d, _dense_bracket(q.alg, lrows[a - 1],
+                                                lrows[b - 1]))
             if any(v[:n]):
                 brackets[(a, b)] = v[:n]
             if any(v[n:]):
@@ -626,15 +714,16 @@ def _loop_coeffs_to_family(c):
 def _loop_family_defects(fam):
     """family_defects as it was, on the dense entry and column views."""
     out = []
+    cols = [_dense_cols(m) for m in fam.mats]
     for i, m in enumerate(fam.mats, start=1):
         if not _old_is_skew(m):
             out.append(f"M_{i} is not skew")
-        if any(m.entry(r, i - 1) for r in range(fam.n)):
+        if any(cols[i - 1][i - 1]):
             out.append(f"column {i} of M_{i} is nonzero")
     for i in range(1, fam.n + 1):
         for j in range(i + 1, fam.n + 1):
-            ci = fam.mats[i - 1].col(j - 1)
-            cj = fam.mats[j - 1].col(i - 1)
+            ci = cols[i - 1][j - 1]
+            cj = cols[j - 1][i - 1]
             if any(a + b for a, b in zip(ci, cj)):
                 out.append(f"column {j} of M_{i} is not minus "
                            f"column {i} of M_{j}")
@@ -691,10 +780,11 @@ def _loop_read_coeffs(fam):
 
 def _dense_family_algebra(fam):
     n = fam.n
+    cols = [_dense_cols(m) for m in fam.mats]
     brackets = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            star = fam.mats[i - 1].col(j - 1)
+            star = cols[i - 1][j - 1]
             if any(star):
                 brackets[(i, j)] = (ZERO,) * n + tuple(star)
     return LieAlgebra(2 * n, brackets)
@@ -759,11 +849,13 @@ def _dense_skew_defect(form, d):
 def _ref_derivation_defect(alg, d):
     """The dense pair loop that derivation_defect replaced."""
     n = alg.dim
-    cols = [d.col(j) for j in range(n)]
+    cols = _dense_cols(d)
+    dd = d.data
+    bb = _dense_basis_brackets(alg)
     bad = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = d.matvec(alg.bracket_basis(i, j))
+            lhs = _dense_matvec(dd, bb(i, j))
             rhs1 = alg.bracket(basis_vec(n, j), cols[i - 1])  # [e_j, d e_i]
             rhs2 = alg.bracket(basis_vec(n, i), cols[j - 1])  # [e_i, d e_j]
             if any(l + r1 - r2 for l, r1, r2 in zip(lhs, rhs1, rhs2)):
@@ -777,6 +869,7 @@ def _ref_derivation_space(aq):
     nn = n * n
     rows = []
     f = aq.form.data
+    bb = _dense_basis_brackets(aq.alg)
     for i in range(n):
         for j in range(n):
             row = [0] * nn
@@ -789,17 +882,17 @@ def _ref_derivation_space(aq):
             rows.append(row)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            br = aq.alg.bracket_basis(i, j)
+            br = bb(i, j)
             for t in range(n):
                 row = [0] * nn
                 for s in range(n):
                     if br[s]:
                         row[t * n + s] += br[s]
                 for s in range(1, n + 1):
-                    c1 = aq.alg.bracket_basis(s, j)[t]
+                    c1 = bb(s, j)[t]
                     if c1:
                         row[(s - 1) * n + (i - 1)] -= c1
-                    c2 = aq.alg.bracket_basis(i, s)[t]
+                    c2 = bb(i, s)[t]
                     if c2:
                         row[(s - 1) * n + (j - 1)] -= c2
                 rows.append(row)
@@ -836,11 +929,13 @@ def _ref_inner_preimage(aq, d):
     if aq is None:
         return ()
     n = aq.dim
+    bb = _dense_basis_brackets(aq.alg)
+    dcols = _dense_cols(d)
     rows = []
     rhs = []
     for j in range(1, n + 1):
-        cols = [aq.alg.bracket_basis(i, j) for i in range(1, n + 1)]
-        img = d.col(j - 1)
+        cols = [bb(i, j) for i in range(1, n + 1)]
+        img = dcols[j - 1]
         for t in range(n):
             rows.append([cols[i][t] for i in range(n)])
             rhs.append(img[t])
@@ -866,23 +961,26 @@ def _ref_double_extend_1d(aq, d):
     d = _ref_deriv_mat(aq, d)
     amn = aq.dim if aq is not None else 0
     dim = amn + 2
+    dcols = _dense_cols(d)
     brackets = {}
     for j in range(1, amn + 1):
-        img = d.col(j - 1)
+        img = dcols[j - 1]
         if any(img):
             brackets[(1, 1 + j)] = (0,) + tuple(img) + (0,)
     form = [[0] * dim for _ in range(dim)]
     form[0][dim - 1] = form[dim - 1][0] = 1
     if aq is not None:
+        f = aq.form.data
+        bb = _dense_basis_brackets(aq.alg)
         for i in range(1, amn + 1):
-            fdi = aq.form.matvec(d.col(i - 1))
+            fdi = _dense_matvec(f, dcols[i - 1])
             for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
+                apart = bb(i, j)
                 if any(apart) or fdi[j - 1]:
                     brackets[(1 + i, 1 + j)] = ((0,) + tuple(apart)
                                                 + (fdi[j - 1],))
             for j in range(amn):
-                form[1 + i - 1][1 + j] = aq.form.data[i - 1][j]
+                form[1 + i - 1][1 + j] = f[i - 1][j]
     return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
 
 
@@ -896,6 +994,8 @@ def _ref_double_extend(aq, b, phi):
         raise ValidationError(f"need {m} derivation images, got {len(phi)}")
     amn = aq.dim if aq is not None else 0
     mats = [_ref_deriv_mat(aq, d) for d in phi]
+    mcols = [_dense_cols(mat) for mat in mats]
+    bb = _dense_basis_brackets(b)
 
     def phi_of(x):
         out = Mat.zero(amn, amn)
@@ -906,7 +1006,7 @@ def _ref_double_extend(aq, b, phi):
 
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            lhs = phi_of(b.bracket_basis(i, j))
+            lhs = phi_of(bb(i, j))
             rhs = mats[i - 1] * mats[j - 1] - mats[j - 1] * mats[i - 1]
             if lhs != rhs:
                 raise ValidationError(
@@ -924,17 +1024,18 @@ def _ref_double_extend(aq, b, phi):
             if c:
                 row(i, star + k)[star + j - 1] = -c
                 row(j, star + k)[star + i - 1] = c
-    for i, mat in enumerate(mats, start=1):
+    for i, mc in enumerate(mcols, start=1):
         for j in range(amn):
-            img = mat.col(j)
+            img = mc[j]
             if any(img):
                 row(i, m + 1 + j)[m:star] = img
     if aq is not None:
-        fa = aq.form
+        fa = aq.form.data
+        bba = _dense_basis_brackets(aq.alg)
         for i in range(1, amn + 1):
-            fphi = [fa.matvec(mat.col(i - 1)) for mat in mats]
+            fphi = [_dense_matvec(fa, mc[i - 1]) for mc in mcols]
             for j in range(i + 1, amn + 1):
-                apart = aq.alg.bracket_basis(i, j)
+                apart = bba(i, j)
                 beta = [f[j - 1] for f in fphi]
                 if any(apart) or any(beta):
                     r = row(m + i, m + j)
@@ -946,7 +1047,7 @@ def _ref_double_extend(aq, b, phi):
     if aq is not None:
         for i in range(amn):
             for j in range(amn):
-                form[m + i][m + j] = aq.form.data[i][j]
+                form[m + i][m + j] = fa[i][j]
     return QuadraticStructure(LieAlgebra(dim, brackets), Mat(form))
 
 
@@ -956,7 +1057,7 @@ def _ref_two_step_by_intersection(aq, d):
     if aq is None:
         return False
     n = aq.dim
-    s = Subspace.from_rows(n, [d.col(j) for j in range(n)]).sum(
+    s = Subspace.from_rows(n, _dense_cols(d)).sum(
         aq.alg.derived())
     return s.dim > 0 and aq.alg.centre().intersect(kernel(d)).contains(s)
 

@@ -6,9 +6,9 @@ import pytest
 from quadlie import (LieAlgebra, Mat, SplitMix64, Subspace, ValidationError,
                      abelian, from_bracket_table, heisenberg)
 from reference import (_dense_ad_vec, _dense_bracket, _dense_centre,
-                       _dense_direct_sum, _dense_jacobi_defect,
-                       _dense_lower_central_series, _dense_permute_basis,
-                       basis_vec)
+                       _dense_cols, _dense_direct_sum, _dense_jacobi_defect,
+                       _dense_lower_central_series, _dense_matvec,
+                       _dense_permute_basis, basis_vec)
 
 
 def test_constructor_canonicalizes():
@@ -33,9 +33,8 @@ def test_constructor_rejects_bad_keys():
 
 def test_bracket_antisymmetry():
     h = heisenberg()
-    assert h.bracket_basis(1, 2) == (0, 0, 1)
-    assert h.bracket_basis(2, 1) == (0, 0, -1)
-    assert h.bracket_basis(1, 1) == (0, 0, 0)
+    assert h.brackets == {(1, 2): (0, 0, 1)}
+    assert h.bracket((1, 0, 0), (1, 0, 0)) == (0, 0, 0)
     assert h.bracket((1, 0, 0), (0, 1, 0)) == (0, 0, 1)
     assert h.bracket((0, 1, 0), (1, 0, 0)) == (0, 0, -1)
 
@@ -93,7 +92,7 @@ def test_algebra_type_and_reduced():
 def test_direct_sum():
     s = _dense_direct_sum(heisenberg(), abelian(2))
     assert s.dim == 5
-    assert s.bracket_basis(1, 2) == (0, 0, 1, 0, 0)
+    assert s.brackets == {(1, 2): (0, 0, 1, 0, 0)}
     assert s.centre().dim == 3
     assert s.derived().dim == 1
     assert not s.is_reduced()
@@ -104,7 +103,7 @@ def test_permute_basis():
     h = heisenberg()
     # swap e1 and e3: [e3,e2] = e1 i.e. [e2,e3] = -e1
     p = h.permute_basis((3, 2, 1))
-    assert p.bracket_basis(2, 3) == (-1, 0, 0)
+    assert p.brackets == {(2, 3): (-1, 0, 0)}
     assert p.permute_basis((3, 2, 1)) == h
 
 
@@ -112,7 +111,15 @@ def test_from_bracket_table():
     a = from_bracket_table(3, {(1, 2): {3: 1}})
     assert a == heisenberg()
     b = from_bracket_table(4, {(1, 2): {3: "1/2", 4: -1}})
-    assert b.bracket_basis(1, 2) == (0, 0, Fraction(1, 2), -1)
+    assert b.brackets == {(1, 2): (0, 0, Fraction(1, 2), -1)}
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_from_bracket_table_rejects_labels_outside_the_basis(k):
+    # label 0 once stored its coefficient at e_3, and label 4 raised
+    # IndexError
+    with pytest.raises(ValueError, match=f"basis label out of range: {k}$"):
+        from_bracket_table(3, {(1, 2): {k: 1}})
 
 
 def test_two_step_brackets_central_implies_lie():
@@ -181,10 +188,11 @@ def _in_random_basis(alg, seed):
     n = alg.dim
     p = random_invertible(n, seed)
     p_inv = inverse(p)
-    cols = [p.col(k) for k in range(n)]
-    return LieAlgebra(n, {(a + 1, b + 1): p_inv.matvec(alg.bracket(cols[a],
-                                                                 cols[b]))
-                          for a in range(n) for b in range(a + 1, n)})
+    cols = _dense_cols(p)
+    inv = p_inv.data
+    return LieAlgebra(n, {(a + 1, b + 1): _dense_matvec(
+        inv, alg.bracket(cols[a], cols[b]))
+        for a in range(n) for b in range(a + 1, n)})
 
 
 def _random_dense_algebra(dim, g):

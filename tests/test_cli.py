@@ -333,6 +333,31 @@ def test_decompose_command(tmp_path, capsys):
     assert "isometry verified: yes" in out
 
 
+@pytest.mark.parametrize("label, perm", [
+    ("L3,1", (4, 1, 6, 2, 5, 3)),
+    ("L5,1", (10, 1, 2, 9, 3, 8, 4, 7, 5, 6)),
+])
+def test_decompose_json_isometry_is_the_verified_matrix(tmp_path, capsys,
+                                                        label, perm):
+    # a relabelled algebra, so that the isometry is not symmetric and its
+    # rows cannot be read as its columns
+    from quadlie import (Mat, decompose_as_tstar, find_lagrangian_ideal,
+                         is_isometry, permute_quadratic, tstar_extend)
+    from quadlie.io import general_cocycle_from_obj
+    q = permute_quadratic(algebra_from_trivector(catalog(label).trivector),
+                          perm)
+    path = tmp_path / "alg.json"
+    path.write_text(dumps(quadratic_to_obj(q)), encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    iso = Mat(rep["isometry"])
+    assert iso != iso.transpose()
+    assert iso == decompose_as_tstar(q, find_lagrangian_ideal(q))[2]
+    w = general_cocycle_from_obj(rep["cocycle"])
+    assert is_isometry(q, tstar_extend(w), iso) == (True, "ok")
+
+
 def test_decompose_needs_form(tmp_path, capsys):
     q = algebra_from_trivector(catalog("L3,1").trivector)
     obj = quadratic_to_obj(q)
@@ -478,9 +503,14 @@ _HEIS = {"dim": 3, "brackets": [{"i": 1, "j": 2, "v": ["0", "0", "1"]}]}
     (("rank",), _body({"n": 3, "terms": [{"ijk": [True, 2, 3], "c": "1"}]})),
     (("tstar",), _body({"n": 3, "base": _HEIS,
                         "pairs": [{"ij": [True, 2], "v": ["0", "0", "0"]}]})),
+    # "n" is written next to the base, and must be its dimension: with the
+    # zero cocycle, both files once extended the base
+    (("tstar",), _body({"n": 7, "base": _HEIS, "pairs": []})),
+    (("tstar",), _body({"base": _HEIS, "pairs": []})),
 ], ids=["pairs-int", "pair-v-int", "pair-v-string", "pair-duplicate",
         "tstar-terms-int", "convert-terms-int", "rank-terms-int",
-        "rank-n-true", "rank-ijk-true", "pair-ij-true"])
+        "rank-n-true", "rank-ijk-true", "pair-ij-true", "pairs-n-not-base-dim",
+        "pairs-no-n"])
 def test_cocycle_bad_input_is_one_json_error(tmp_path, cmd, body):
     _assert_bad_file_is_one_json_error(tmp_path, cmd, body)
 

@@ -64,6 +64,31 @@ def test_invariance_defect_validates_input():
     assert e.value.law == "symmetric"
 
 
+def test_phi_rejects_vectors_of_the_wrong_length():
+    # zip once dropped the extra entries of x and read a short x as padded
+    q = QuadraticStructure(abelian(4), hyperbolic_form(2))
+    assert q.phi((1, 0, 0, 0), (0, 0, 1, 0)) == 1
+    for x, y in (((1,), (0, 0, 1, 0)), ((1, 0, 0, 0, 5, 6), (0, 0, 1, 0)),
+                 ((1, 0, 0, 0), (0, 0, 1)), ((), ())):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            q.phi(x, y)
+
+
+def test_phi_matches_the_dense_form():
+    from quadlie import CATALOG
+    g = SplitMix64(41)
+    for e in CATALOG[:6]:
+        q = tstar_extend(e.trivector)
+        f = q.form.data
+        for _ in range(5):
+            x = [g.randint(-2, 2) for _ in range(q.dim)]
+            y = [Fraction(g.randint(-3, 3), g.randint(1, 3))
+                 for _ in range(q.dim)]
+            assert q.phi(x, y) == sum(x[i] * f[i][j] * y[j]
+                                      for i in range(q.dim)
+                                      for j in range(q.dim))
+
+
 def test_quadratic_structure_validates():
     q = QuadraticStructure(abelian(4), hyperbolic_form(2))
     assert q.dim == 4

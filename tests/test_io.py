@@ -58,7 +58,7 @@ def test_algebra_from_obj_rejects_malformed():
     alg, _ = algebra_from_obj({"dim": 2, "brackets": [
         {"i": 1, "j": 2, "v": ["0", "0.5"]}]})
     from fractions import Fraction
-    assert alg.bracket_basis(1, 2) == (0, Fraction(1, 2))
+    assert alg.brackets == {(1, 2): (0, Fraction(1, 2))}
 
 
 def test_coeffs_round_trip():
@@ -78,7 +78,21 @@ def test_general_cocycle_round_trip():
     obj = general_cocycle_to_obj(w)
     back = general_cocycle_from_obj(obj)
     assert back.base == w.base
-    assert back.values == w.values
+    assert back.terms == w.terms
+
+
+@pytest.mark.parametrize("n", [None, 7, 2, "3", True, -1])
+def test_general_cocycle_obj_needs_n_equal_to_base_dim(n):
+    # the writer puts "n" next to the 3-dim base; a reader that skipped it
+    # once loaded "n": 7 over that base
+    obj = general_cocycle_to_obj(GeneralCocycle(heisenberg(),
+                                                {(1, 2): (0, 0, 1)}))
+    if n is None:
+        del obj["n"]
+    else:
+        obj["n"] = n
+    with pytest.raises(QuadlieError):
+        general_cocycle_from_obj(obj)
 
 
 def test_chain_round_trip():

@@ -10,9 +10,11 @@ from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      is_cyclic, is_isometry, is_two_cocycle, parse_coeffs,
                      radical, reduced_criteria, tstar_extend, value_span)
 from quadlie.randgen import SplitMix64, random_coeffs
-from reference import (_dense_direct_sum, _ref_cocycle_defect,
-                       _ref_cyclic_defect, _ref_from_coeffs, _ref_radical,
-                       _ref_tstar, _ref_value_span)
+from reference import (_dense_basis_brackets, _dense_direct_sum,
+                       _dense_values, _ref_cocycle_defect,
+                       _ref_cyclic_defect, _ref_from_coeffs,
+                       _ref_greedy_isotropic, _ref_radical, _ref_tstar,
+                       _ref_value_span)
 
 
 def det_cocycle():
@@ -28,19 +30,17 @@ def test_general_cocycle_validation():
     with pytest.raises(ValidationError):
         GeneralCocycle(heisenberg(), {(1, 2): (0, 0)})
     w = det_cocycle()
-    assert w.value_pair(2, 1) == (0, 0, -1)
+    assert [w.value(2, 1, k) for k in (1, 2, 3)] == [0, 0, -1]
     assert w.value(1, 3, 2) == -1
 
 
 def test_cocycle_values_reject_out_of_range_labels():
     w = GeneralCocycle(heisenberg(), {(1, 2): (0, 0, 1)})
-    for ijk in ((1, 2, 0), (1, 2, 4), (0, 1, 1), (1, 4, 1)):
+    for ijk in ((1, 2, 0), (1, 2, 4), (0, 1, 1), (1, 4, 1), (1, 0, 1),
+                (4, 1, 1), (0, 9, 1)):
         with pytest.raises(ValueError, match="basis label out of range"):
             w.value(*ijk)
-    for ij in ((0, 9), (0, 1), (1, 0), (4, 1), (3, 4)):
-        with pytest.raises(ValueError, match="basis label out of range"):
-            w.value_pair(*ij)
-    assert w.value_pair(3, 3) == (0, 0, 0)
+    assert [w.value(3, 3, k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
 def test_cyclic_and_cocycle_defects():
@@ -74,13 +74,14 @@ def test_tstar_determinant_cocycle_table():
     # six-dimensional, three-step; the only non-metabelian case in the tests
     q = tstar_extend(det_cocycle())
     a = q.alg
+    bb = _dense_basis_brackets(a)
     assert a.dim == 6
-    assert a.bracket_basis(1, 2) == (0, 0, 1, 0, 0, 1)       # z + z*
-    assert a.bracket_basis(1, 3) == (0, 0, 0, 0, -1, 0)      # -y*
-    assert a.bracket_basis(2, 3) == (0, 0, 0, 1, 0, 0)       # x*
-    assert a.bracket_basis(1, 6) == (0, 0, 0, 0, -1, 0)      # [x, z*] = -y*
-    assert a.bracket_basis(2, 6) == (0, 0, 0, 1, 0, 0)       # [y, z*] = x*
-    assert a.bracket_basis(3, 6) == (0, 0, 0, 0, 0, 0)
+    assert bb(1, 2) == (0, 0, 1, 0, 0, 1)       # z + z*
+    assert bb(1, 3) == (0, 0, 0, 0, -1, 0)      # -y*
+    assert bb(2, 3) == (0, 0, 0, 1, 0, 0)       # x*
+    assert bb(1, 6) == (0, 0, 0, 0, -1, 0)      # [x, z*] = -y*
+    assert bb(2, 6) == (0, 0, 0, 1, 0, 0)       # [y, z*] = x*
+    assert bb(3, 6) == (0, 0, 0, 0, 0, 0)
     assert [s.dim for s in a.lower_central_series()] == [6, 3, 2, 0]
     assert a.nilindex() == 3
     assert q.form == hyperbolic_form(3)
@@ -198,6 +199,50 @@ def test_find_lagrangian_ideal_none_for_odd_like_cases():
     assert find_lagrangian_ideal(q) is None
 
 
+def _abelian_quadratics():
+    """Abelian algebras of even dimension under hyperbolic, diagonal,
+    relabelled and seeded symmetric nondegenerate forms."""
+    from quadlie import permute_quadratic, rank
+    for m in range(1, 5):
+        yield QuadraticStructure(abelian(2 * m), hyperbolic_form(m))
+    for diag in ((1, 1), (1, -1), (1, 2), (1, 1, -1, -1), (1, 2, -1, -3),
+                 (2, 3, -6, 1), (1, -1, 1, -1, 1, -1)):
+        n = len(diag)
+        yield QuadraticStructure(abelian(n), Mat(
+            [[diag[r] if r == k else 0 for k in range(n)] for r in range(n)]))
+    g = SplitMix64(2022)
+    for m in (2, 3, 3, 4, 4):
+        perm = list(range(1, 2 * m + 1))
+        for r in range(2 * m - 1, 0, -1):
+            k = g.randint(0, r)
+            perm[r], perm[k] = perm[k], perm[r]
+        yield permute_quadratic(
+            QuadraticStructure(abelian(2 * m), hyperbolic_form(m)), perm)
+    made = 0
+    while made < 30:
+        n = 2 * g.randint(1, 3)
+        rows = [[0] * n for _ in range(n)]
+        for r in range(n):
+            for k in range(r, n):
+                rows[r][k] = rows[k][r] = g.randint(-2, 2)
+        form = Mat(rows)
+        if rank(form) == n:
+            made += 1
+            yield QuadraticStructure(abelian(n), form)
+
+
+def test_isotropic_search_matches_dense_reference():
+    # the search on abelian algebras reads phi(c, .) off the form's sparse
+    # rows; the old one tested dense candidates with q.phi
+    found = total = 0
+    for q in _abelian_quadratics():
+        got = find_lagrangian_ideal(q)
+        assert got == _ref_greedy_isotropic(q), q.form
+        total += 1
+        found += got is not None
+    assert total == 46 and found >= 12 and total - found >= 30
+
+
 def test_decompose_as_tstar_round_trip():
     q = tstar_extend(parse_coeffs("123+145"))
     b, w, iso = decompose_as_tstar(q, q.alg.derived())
@@ -282,18 +327,21 @@ _PAIRS = ((cyclic_defect, _ref_cyclic_defect),
 
 
 def _assert_sparse_store(w):
-    """terms: nonempty values, k ascending and in range, c nonzero; values
-    is its dense view; the validated constructor stores the same terms."""
+    """terms: nonempty values, k ascending and in range, c nonzero; value
+    reads them with the sign of each order; the validated constructor
+    stores the same terms from their dense vectors."""
     n = w.base.dim
     for (i, j), nz in w.terms.items():
         assert 1 <= i < j <= n and nz
         ks = [k for k, _ in nz]
         assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < n
         assert all(c != 0 for _, c in nz)
-    assert w.values == {pair: tuple(dict(nz).get(k, Fraction(0))
-                                    for k in range(n))
-                        for pair, nz in w.terms.items()}
-    assert GeneralCocycle(w.base, w.values).terms == w.terms
+    dense = {pair: tuple(dict(nz).get(k, Fraction(0)) for k in range(n))
+             for pair, nz in w.terms.items()}
+    for (i, j), v in dense.items():
+        assert [w.value(i, j, k) for k in range(1, n + 1)] == list(v)
+        assert [w.value(j, i, k) for k in range(1, n + 1)] == [-c for c in v]
+    assert GeneralCocycle(w.base, dense).terms == w.terms
 
 
 def _assert_paths_agree(w):
@@ -312,9 +360,11 @@ def _from_trivector(base, t):
 def _canonical(base, form):
     """t(i, j, k) = phi([e_i, e_j], e_k), alternating for an invariant phi
     and a 2-cocycle by the Jacobi identity."""
+    bb = _dense_basis_brackets(base)
+    f = form.data
+
     def t(i, j, k):
-        return sum((c * form.data[r][k - 1]
-                    for r, c in enumerate(base.bracket_basis(i, j))),
+        return sum((c * f[r][k - 1] for r, c in enumerate(bb(i, j))),
                    start=Fraction(0))
     return t
 
@@ -350,7 +400,7 @@ def _general_cocycles():
             w = _from_trivector(base, t.value)
             yield w
             # one stored entry shifted breaks cyclicity
-            vals = {p: list(v) for p, v in w.values.items()}
+            vals = {p: list(v) for p, v in _dense_values(w).items()}
             p = sorted(vals)[g.randint(0, len(vals) - 1)]
             vals[p][g.randint(0, n - 1)] += g.nonzero_entry()
             yield GeneralCocycle(base, vals)
@@ -374,7 +424,7 @@ def test_coefficient_paths_match_dense_reference():
         _assert_paths_agree(c)
         w = GeneralCocycle.from_coeffs(c)
         ref = _ref_from_coeffs(c)
-        assert (w.base, w.values) == (ref.base, ref.values)
+        assert (w.base, _dense_values(w)) == (ref.base, _dense_values(ref))
         _assert_sparse_store(w)
         # the general path of the old code agrees on the converted cocycle
         assert _outcome(tstar_extend, c) == _outcome(_ref_tstar, ref)
@@ -420,9 +470,7 @@ def test_radical_of_coefficients_solves_one_row_per_pair(monkeypatch):
         n = 3 + seed % 5
         c = random_coeffs(n, seed=seed)
         g = GeneralCocycle.from_coeffs(c)
-        want = LieAlgebra._of(n, {
-            pair: tuple((k, e) for k, e in enumerate(v) if e)
-            for pair, v in g.values.items()}).centre()
+        want = LieAlgebra(n, _dense_values(g)).centre()
         sizes.clear()
         got = radical(c)
         assert got == want == radical(g)
