@@ -27,18 +27,28 @@ class LieAlgebra:
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence]):
         if dim < 0:
             raise ValueError("negative dimension")
+        # each value is coerced lazily, between the key and length checks
+        self.dim, self.terms = dim, self._checked_terms(dim, (
+            (key, len(v), ((r, c) for r, c in enumerate(map(scalar, v)) if c))
+            for key, v in brackets.items()))
+        self._jacobi = self._ad = self._derived = self._centre = None
+
+    @staticmethod
+    def _checked_terms(dim: int, items) -> dict:
+        """The stored terms of items, ((i, j), length, nonzero (r, c) pairs
+        with r ascending) per bracket: the one check of bracket keys and
+        lengths. In item order, each key is checked, then its pairs are
+        read, then its length is checked."""
         terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for (i, j), v in brackets.items():
+        for (i, j), n, nz in items:
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bracket key ({i},{j}) not 1 <= i < j <= {dim}")
-            v = vec(v)
-            if len(v) != dim:
+            nz = tuple(nz)
+            if n != dim:
                 raise ValueError(f"bracket value for ({i},{j}) has wrong length")
-            nz = tuple((r, c) for r, c in enumerate(v) if c)
             if nz:
                 terms[(i, j)] = nz
-        self.dim, self.terms = dim, terms
-        self._jacobi = self._ad = self._derived = self._centre = None
+        return terms
 
     @classmethod
     def _of(cls, dim: int, terms: dict, jacobi: list | None = None
@@ -273,7 +283,8 @@ def from_bracket_table(dim: int,
     for (i, j), terms in table.items():
         v = [ZERO] * dim
         for k, c in terms.items():
-            if not 1 <= k <= dim:
+            if (not isinstance(k, int) or isinstance(k, bool)
+                    or not 1 <= k <= dim):
                 raise ValueError(f"basis label out of range: {k}")
             v[k - 1] = scalar(c)
         br[(i, j)] = v

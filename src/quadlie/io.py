@@ -138,7 +138,20 @@ def _scalar_in(x, where: str, memo: dict | None = None):
         raise QuadlieError(f"bad scalar {x!r} in {where}")
 
 
-def _mat_in(rows, where: str, memo: dict | None = None) -> Mat:
+def _sparse_in(v: list, where: str, memo: dict) -> dict[int, Fraction]:
+    """The nonzero entries of the dense JSON list v as {index: Fraction},
+    indices ascending. The string "0" is skipped unread; every other entry
+    is coerced once, through memo, and the first bad one raises."""
+    out = {}
+    for k, x in enumerate(v):
+        if x != "0":
+            c = _scalar_in(x, where, memo)
+            if c:
+                out[k] = c
+    return out
+
+
+def _mat_in(rows, where: str, memo: dict) -> Mat:
     if not isinstance(rows, list) or any(not isinstance(r, list)
                                          for r in rows):
         raise QuadlieError(f"{where}: matrix must be a list of rows")
@@ -146,7 +159,7 @@ def _mat_in(rows, where: str, memo: dict | None = None) -> Mat:
         return Mat.zero(0, 0)
     if any(len(r) != len(rows[0]) for r in rows):
         raise QuadlieError(f"{where}: rows differ in length")
-    return Mat([[_scalar_in(e, where, memo) for e in r] for r in rows])
+    return Mat._of([_sparse_in(r, where, memo) for r in rows], len(rows[0]))
 
 
 def _dense_out(nz, n: int) -> list[str]:
@@ -195,10 +208,10 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
             raise QuadlieError(f"bracket ({i},{j}): value must be a list")
         if (i, j) in brackets:
             raise QuadlieError(f"duplicate bracket ({i},{j})")
-        where = f"bracket ({i},{j})"
-        brackets[(i, j)] = tuple(_scalar_in(c, where, memo) for c in v)
+        brackets[(i, j)] = len(v), _sparse_in(v, f"bracket ({i},{j})", memo)
     try:
-        alg = LieAlgebra(dim, brackets)
+        alg = LieAlgebra._of(dim, LieAlgebra._checked_terms(dim, (
+            (key, n, nz.items()) for key, (n, nz) in brackets.items())))
     except ValueError as e:
         raise QuadlieError(str(e))
     form = None
@@ -249,6 +262,7 @@ def general_cocycle_from_obj(obj: Any) -> GeneralCocycle:
     base, _ = algebra_from_obj(_expect(obj, "base", "cocycle"))
     if n != base.dim:
         raise QuadlieError(f"cocycle n {n} differs from base dim {base.dim}")
+    memo: dict[str, Fraction] = {}
     values = {}
     for ent in _expect_list(obj, "pairs", "cocycle"):
         ij = _expect(ent, "ij", "pair")
@@ -261,8 +275,9 @@ def general_cocycle_from_obj(obj: Any) -> GeneralCocycle:
             raise QuadlieError(f"pair ({i},{j}): value must be a list")
         if (i, j) in values:
             raise QuadlieError(f"duplicate pair ({i},{j})")
-        values[(i, j)] = tuple(_scalar_in(c, f"pair {ij}") for c in v)
-    return GeneralCocycle(base, values)
+        values[(i, j)] = len(v), _sparse_in(v, f"pair {ij}", memo)
+    return GeneralCocycle._of(base, GeneralCocycle._checked_terms(n, (
+        (key, m, nz.items()) for key, (m, nz) in values.items())))
 
 
 # ---- extension chain ----
@@ -275,7 +290,8 @@ def chain_from_obj(obj: Any) -> ExtensionChain:
     n = _expect(obj, "n", "chain")
     derivs = _expect_list(obj, "derivs", "chain")
     # [] is the 0x0 link; shape errors surface in the chain constructor
-    mats = tuple(_mat_in(rows, f"deriv {k}")
+    memo: dict[str, Fraction] = {}
+    mats = tuple(_mat_in(rows, f"deriv {k}", memo)
                  for k, rows in enumerate(derivs))
     return ExtensionChain(_dim_in(n), mats)
 
@@ -289,5 +305,7 @@ def family_to_obj(fam: QuadraticFamily) -> dict:
 def family_from_obj(obj: Any) -> QuadraticFamily:
     n = _expect(obj, "n", "family")
     mats = _expect_list(obj, "mats", "family")
-    mats = tuple(_mat_in(m, f"matrix {i + 1}") for i, m in enumerate(mats))
+    memo: dict[str, Fraction] = {}
+    mats = tuple(_mat_in(m, f"matrix {i + 1}", memo)
+                 for i, m in enumerate(mats))
     return QuadraticFamily(_dim_in(n), mats)

@@ -16,7 +16,7 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
                     lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, vec,
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, scalar,
                      vstack)
 
 
@@ -34,18 +34,27 @@ class GeneralCocycle:
 
     def __init__(self, base: LieAlgebra,
                  values: Mapping[tuple[int, int], Sequence]):
-        n = base.dim
+        # each value is coerced lazily, between the pair and length checks
+        self.base, self.terms = base, self._checked_terms(base.dim, (
+            (key, len(v), ((k, c) for k, c in enumerate(map(scalar, v)) if c))
+            for key, v in values.items()))
+
+    @staticmethod
+    def _checked_terms(n: int, items) -> dict:
+        """The stored terms of items, ((i, j), length, nonzero (k, c) pairs
+        with k ascending) per pair: the one check of pairs and lengths. In
+        item order, each pair is checked, then its entries are read, then
+        its length is checked."""
         terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for (i, j), v in values.items():
+        for (i, j), m, nz in items:
             if not (1 <= i < j <= n):
                 raise ValidationError(f"bad pair {(i, j)}; need 1 <= i < j <= {n}")
-            v = vec(v)
-            if len(v) != n:
+            nz = tuple(nz)
+            if m != n:
                 raise ValidationError(f"covector at {(i, j)} must have length {n}")
-            nz = tuple((k, c) for k, c in enumerate(v) if c)
             if nz:
                 terms[(i, j)] = nz
-        self.base, self.terms = base, terms
+        return terms
 
     @classmethod
     def _of(cls, base: LieAlgebra, terms: dict) -> "GeneralCocycle":

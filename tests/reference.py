@@ -9,8 +9,8 @@ shared index. Names say which:
 - `_dense_*`: straight from the definition, over dense views;
 - `_old_*`: a Mat operation as it was on dense rows;
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple;
-- `_ref_*`: a construction or law check as it was, with its own
-  validation.
+- `_ref_*`: a construction, law check or file reader as it was, with
+  its own validation.
 
 `basis_vec` and `_dense_direct_sum` stand in for `linalg.basis_vec` and
 `LieAlgebra.direct_sum`, which the package no longer has, and
@@ -29,15 +29,18 @@ some comparison with it fail. `tests/test_reference.py` keeps every such
 helper here, and here once.
 """
 import itertools
+import json
 from fractions import Fraction
 
 from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
-                     LieAlgebra, Mat, QuadraticFamily, QuadraticStructure,
-                     Subspace, ValidationError, abelian, chain_dcoeffs,
+                     LieAlgebra, Mat, QuadlieError, QuadraticFamily,
+                     QuadraticStructure, Subspace, ValidationError, abelian,
+                     chain_dcoeffs,
                      double_extend_1d, hyperbolic_form, inner_preimage,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
                      permute_quadratic, rank, rref, scalar, solve)
 from quadlie.doubleext import _deriv_mat
+from quadlie.io import _dim_in, _expect, _expect_list, _int_in
 from quadlie.linalg import opposite, vstack
 
 ZERO = Fraction(0)
@@ -1077,3 +1080,99 @@ def _ref_centre_formula_by_intersection(aq, d):
         rows.append({0: Fraction(1),
                      **{j + 1: -c for j, c in enumerate(x) if c}})
     return Subspace._of(dim, rows)
+
+
+def _ref_scalar_in(x, where, memo=None):
+    """io._scalar_in as the dense readers below called it."""
+    if isinstance(x, bool):
+        raise QuadlieError(f"bad scalar {json.dumps(x)} in {where}")
+    if memo is not None and isinstance(x, str):
+        if x not in memo:
+            memo[x] = _ref_scalar_in(x, where)
+        return memo[x]
+    try:
+        return scalar(x)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise QuadlieError(f"bad scalar {x!r} in {where}")
+
+
+def _ref_mat_in(rows, where, memo=None):
+    """io._mat_in as it was: every entry coerced, "0" included, and the
+    rows handed to the dense Mat constructor."""
+    if not isinstance(rows, list) or any(not isinstance(r, list)
+                                         for r in rows):
+        raise QuadlieError(f"{where}: matrix must be a list of rows")
+    if not rows:
+        return Mat.zero(0, 0)
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise QuadlieError(f"{where}: rows differ in length")
+    return Mat([[_ref_scalar_in(e, where, memo) for e in r] for r in rows])
+
+
+def _ref_algebra_from_obj(obj):
+    """io.algebra_from_obj as it was: dense tuples of coerced entries,
+    checked by LieAlgebra(dim, brackets), then the form by _ref_mat_in."""
+    dim = _dim_in(_expect(obj, "dim", "algebra"))
+    memo = {}
+    brackets = {}
+    for ent in _expect_list(obj, "brackets", "algebra"):
+        i = _expect(ent, "i", "bracket")
+        j = _expect(ent, "j", "bracket")
+        v = _expect(ent, "v", "bracket")
+        if not _int_in(i) or not _int_in(j):
+            raise QuadlieError(f"bad bracket index pair ({i!r},{j!r})")
+        if not isinstance(v, list):
+            raise QuadlieError(f"bracket ({i},{j}): value must be a list")
+        if (i, j) in brackets:
+            raise QuadlieError(f"duplicate bracket ({i},{j})")
+        where = f"bracket ({i},{j})"
+        brackets[(i, j)] = tuple(_ref_scalar_in(c, where, memo) for c in v)
+    try:
+        alg = LieAlgebra(dim, brackets)
+    except ValueError as e:
+        raise QuadlieError(str(e))
+    form = None
+    if isinstance(obj, dict) and obj.get("form") is not None:
+        form = _ref_mat_in(obj["form"], "form", memo)
+    return alg, form
+
+
+def _ref_general_cocycle_from_obj(obj):
+    """io.general_cocycle_from_obj as it was, through
+    GeneralCocycle(base, values)."""
+    n = _dim_in(_expect(obj, "n", "cocycle"))
+    base, _ = _ref_algebra_from_obj(_expect(obj, "base", "cocycle"))
+    if n != base.dim:
+        raise QuadlieError(f"cocycle n {n} differs from base dim {base.dim}")
+    values = {}
+    for ent in _expect_list(obj, "pairs", "cocycle"):
+        ij = _expect(ent, "ij", "pair")
+        if (not isinstance(ij, list) or len(ij) != 2
+                or any(not _int_in(x) for x in ij)):
+            raise QuadlieError(f"bad index pair {ij!r}")
+        v = _expect(ent, "v", "pair")
+        i, j = ij
+        if not isinstance(v, list):
+            raise QuadlieError(f"pair ({i},{j}): value must be a list")
+        if (i, j) in values:
+            raise QuadlieError(f"duplicate pair ({i},{j})")
+        values[(i, j)] = tuple(_ref_scalar_in(c, f"pair {ij}") for c in v)
+    return GeneralCocycle(base, values)
+
+
+def _ref_chain_from_obj(obj):
+    """io.chain_from_obj as it was, each link through _ref_mat_in."""
+    n = _expect(obj, "n", "chain")
+    derivs = _expect_list(obj, "derivs", "chain")
+    mats = tuple(_ref_mat_in(rows, f"deriv {k}")
+                 for k, rows in enumerate(derivs))
+    return ExtensionChain(_dim_in(n), mats)
+
+
+def _ref_family_from_obj(obj):
+    """io.family_from_obj as it was, each matrix through _ref_mat_in."""
+    n = _expect(obj, "n", "family")
+    mats = _expect_list(obj, "mats", "family")
+    mats = tuple(_ref_mat_in(m, f"matrix {i + 1}")
+                 for i, m in enumerate(mats))
+    return QuadraticFamily(_dim_in(n), mats)

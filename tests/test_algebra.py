@@ -114,10 +114,10 @@ def test_from_bracket_table():
     assert b.brackets == {(1, 2): (0, 0, Fraction(1, 2), -1)}
 
 
-@pytest.mark.parametrize("k", [0, -1, 4])
+@pytest.mark.parametrize("k", [0, -1, 4, True, False, 1.5, "2"])
 def test_from_bracket_table_rejects_labels_outside_the_basis(k):
     # label 0 once stored its coefficient at e_3, and label 4 raised
-    # IndexError
+    # IndexError; True stored it at e_1, and 1.5 and "2" raised TypeError
     with pytest.raises(ValueError, match=f"basis label out of range: {k}$"):
         from_bracket_table(3, {(1, 2): {k: 1}})
 

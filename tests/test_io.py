@@ -226,12 +226,14 @@ def test_algebra_from_obj_parses_each_string_once(monkeypatch):
     monkeypatch.setattr(io, "scalar", counting)
     alg, form = algebra_from_obj(obj)
     assert (alg, form) == (q.alg, q.form)
-    # one parse per distinct string, shared by the brackets and the form
-    assert sorted(parsed) == sorted(strings) == ["-1", "-2/3", "0", "1",
-                                                 "2/3"]
+    # one parse per distinct string, shared by the brackets and the form;
+    # "0" is skipped unread
+    assert "0" in strings
+    assert sorted(parsed) == sorted(strings - {"0"}) == ["-1", "-2/3", "1",
+                                                         "2/3"]
     # the memo lives for one call: a second load parses again
     algebra_from_obj(obj)
-    assert len(parsed) == 2 * len(strings)
+    assert len(parsed) == 2 * (len(strings) - 1)
 
 
 def test_algebra_from_obj_memo_keeps_errors():

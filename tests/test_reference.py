@@ -33,12 +33,14 @@ def test_reference_helpers_are_defined_once_in_reference_module():
 
 
 def test_replaced_paths_are_kept_as_references():
-    # the paths that rref's early stop, the ad-index centre rows and the
-    # once-per-pair skew check replaced, and the dense solvers they are
-    # checked against
+    # the paths that rref's early stop, the ad-index centre rows, the
+    # once-per-pair skew check and the sparse file readers replaced, and
+    # the dense solvers they are checked against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
         encoding="utf-8")
     assert {"_ref_centre_rows", "_ref_centre_by_rows",
             "_ref_inner_preimage_by_rows", "_ref_family_defects_by_rows",
-            "_dense_solve", "_dense_intersect",
-            "_dense_inverse"} <= set(_reference_names(source))
+            "_dense_solve", "_dense_intersect", "_dense_inverse",
+            "_ref_algebra_from_obj", "_ref_mat_in",
+            "_ref_general_cocycle_from_obj", "_ref_chain_from_obj",
+            "_ref_family_from_obj"} <= set(_reference_names(source))
