@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .linalg import Fraction, Mat, Subspace, ZERO, kernel, scalar, vec
+from .linalg import Fraction, Mat, Subspace, ZERO, _fsum, kernel, scalar, vec
 
 
 class AlgebraType(NamedTuple):
@@ -113,15 +113,10 @@ class LieAlgebra:
         x_a y_b [e_a, e_b] over the support a of x and the stored [e_a, e_b]
         that meet the support of y; nonzero entries, columns ascending."""
         ad = self._ad_index()
-        out: dict[int, Fraction] = {}
-        for a, xa in x.items():
-            for b, nz in ad[a]:
-                yb = y.get(b)
-                if yb:
-                    f = xa * yb
-                    for r, c in nz:
-                        out[r] = out.get(r, ZERO) + f * c
-        return {r: c for r, c in sorted(out.items()) if c}
+        return _fsum((r, xa.numerator * yb.numerator * c.numerator,
+                      xa.denominator * yb.denominator * c.denominator)
+                     for a, xa in x.items() for b, nz in ad[a]
+                     if (yb := y.get(b)) for r, c in nz)
 
     # ---- Lie-ness ----
 
@@ -136,33 +131,31 @@ class LieAlgebra:
         """
         if self._jacobi is None:
             ad = self._ad_index()
+
+            def terms():  # ((sorted triple, k), numerator, denominator)
+                for (b, c), v in self.terms.items():
+                    for r, x in v:
+                        for a, w in ad[r]:
+                            a += 1
+                            if a == b or a == c:
+                                continue
+                            # b < c, so the sorted triple is one of three, and
+                            # (a,b,c) is a cyclic shift of it unless b < a < c
+                            if a < b:
+                                key, f = (a, b, c), -x.numerator
+                            elif a < c:
+                                key, f = (b, a, c), x.numerator
+                            else:
+                                key, f = (b, c, a), -x.numerator
+                            # [e_a, e_r] = -w, the terms of [e_r, e_a]
+                            for k, e in w:
+                                yield ((key, k), f * e.numerator,
+                                       x.denominator * e.denominator)
             acc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-            for (b, c), v in self.terms.items():
-                for r, x in v:
-                    for a, w in ad[r]:
-                        a += 1
-                        if a == b or a == c:
-                            continue
-                        # b < c, so the sorted triple is one of three, and
-                        # (a,b,c) is a cyclic shift of it unless b < a < c
-                        if a < b:
-                            key, cyclic = (a, b, c), True
-                        elif a < c:
-                            key, cyclic = (b, a, c), False
-                        else:
-                            key, cyclic = (b, c, a), True
-                        # [e_a, e_r] = -w, the terms of [e_r, e_a]
-                        f = -x if cyclic else x
-                        t = acc.setdefault(key, {})
-                        for k, e in w:
-                            t[k] = t.get(k, ZERO) + f * e
-            bad = []
-            for key in sorted(acc):
-                t = acc[key]
-                if any(t.values()):
-                    tot = tuple(t.get(k, ZERO) for k in range(self.dim))
-                    bad.append((*key, tot))
-            self._jacobi = bad
+            for (key, k), e in _fsum(terms()).items():
+                acc.setdefault(key, {})[k] = e
+            self._jacobi = [(*key, self._dense(t.items()))
+                            for key, t in acc.items()]
         return list(self._jacobi)
 
     def is_lie(self) -> bool:
@@ -220,18 +213,16 @@ class LieAlgebra:
             if nxt.dim == cur.dim or nxt.dim == 0:
                 return series
             cur = nxt
-            rows = []
-            for v in cur.basis.sparse_rows:
-                out: dict[int, dict[int, Fraction]] = {}  # a -> [e_a, v]
-                for b, c in v.items():
-                    # [e_b, e_a] = w adds -v_b w to [e_a, v]
-                    for a, w in ad[b]:
-                        row = out.setdefault(a, {})
-                        for r, e in w:
-                            row[r] = row.get(r, ZERO) - c * e
-                rows += [{r: e for r, e in sorted(row.items()) if e}
-                         for row in out.values()]
-            nxt = Subspace._of(self.dim, rows)
+            # [e_b, e_a] = w adds -v_b w to [e_a, v], row (v, a) of the sum
+            sums = _fsum(((i, a, r), -c.numerator * e.numerator,
+                          c.denominator * e.denominator)
+                         for i, v in enumerate(cur.basis.sparse_rows)
+                         for b, c in v.items()
+                         for a, w in ad[b] for r, e in w)
+            rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+            for (i, a, r), e in sums.items():
+                rows.setdefault((i, a), {})[r] = e
+            nxt = Subspace._of(self.dim, rows.values())
 
     def nilindex(self) -> int | None:
         """Smallest t with A^{t+1} = 0, or None when not nilpotent."""

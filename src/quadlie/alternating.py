@@ -55,6 +55,14 @@ class AltCoeffs:
         self.terms = tuple(sorted((t, c) for t, c in acc.items() if c))
         self._map = dict(self.terms)
 
+    @classmethod
+    def _of(cls, n: int, terms: list) -> "AltCoeffs":
+        """Trusted constructor: terms ((i, j, k), c) sorted, with
+        1 <= i < j < k <= n and each c a nonzero Fraction."""
+        c = object.__new__(cls)
+        c.n, c.terms, c._map = n, tuple(terms), dict(terms)
+        return c
+
     def value(self, i: int, j: int, k: int) -> Fraction:
         key, sign = sorted_triple(i, j, k)
         if sign == 0:

@@ -14,8 +14,8 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
-                     opposite, solve)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
+                     kernel, opposite, solve)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -27,7 +27,8 @@ def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
 
 def _derivation_map(alg: LieAlgebra):
     """The map d -> D(i, j) = d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], i < j,
-    as image(nonzero entries of d) -> {(i, j, t): D(i, j)_t}, 0-based.
+    as image(nonzero entries of d) -> {(i, j, t): D(i, j)_t}, 0-based, the
+    nonzero values with keys ascending.
 
     Only stored brackets are read. An entry d[r][s] = c adds c v_s e_r to
     D(a, b) for each stored [e_a, e_b] = v, and -c [e_r, e_y] to D(s, y)
@@ -39,20 +40,20 @@ def _derivation_map(alg: LieAlgebra):
             by_comp.setdefault(s, []).append((a - 1, b - 1, x))
     ad = alg._ad_index()
 
-    def image(entries) -> dict[tuple[int, int, int], Fraction]:
-        acc: dict[tuple[int, int, int], Fraction] = {}
+    def terms(entries):
         for r, s, c in entries:
+            f, g = c.numerator, c.denominator
             for a, b, x in by_comp.get(s, ()):
-                key = (a, b, r)
-                acc[key] = acc.get(key, ZERO) + c * x
+                yield (a, b, r), f * x.numerator, g * x.denominator
             for y, nz in ad[r]:
                 if y != s:
                     # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
-                    i, j, f = (s, y, -c) if s < y else (y, s, c)
+                    i, j, h = (s, y, -f) if s < y else (y, s, f)
                     for t, x in nz:
-                        key = (i, j, t)
-                        acc[key] = acc.get(key, ZERO) + f * x
-        return acc
+                        yield (i, j, t), h * x.numerator, g * x.denominator
+
+    def image(entries) -> dict[tuple[int, int, int], Fraction]:
+        return _fsum(terms(entries))
     return image
 
 
@@ -85,7 +86,7 @@ def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
         raise ValueError(f"shape mismatch: algebra dim {alg.dim}, "
                          f"d {d.rows}x{d.cols}")
     acc = _derivation_map(alg)(_entries(d))
-    return sorted({(i + 1, j + 1) for (i, j, _), x in acc.items() if x})
+    return sorted({(i + 1, j + 1) for i, j, _ in acc})
 
 
 def _deriv_mat(aq: QuadraticStructure | None, d: Mat) -> Mat:
@@ -298,15 +299,11 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
 def chain_dcoeffs(ch: ExtensionChain) -> AltCoeffs:
     """Structure coefficients read off the chain: the dual-j component of
     d_{k-1}(e_i) for i<j<k, extended alternating."""
-    vals = {}
-    for k in range(3, ch.n + 1):
-        d = ch.derivs[k - 1]
-        for i in range(1, k):
-            for j in range(i + 1, k):
-                v = d.sparse_rows[(k - 1) + j - 1].get(i - 1)
-                if v:
-                    vals[(i, j, k)] = v
-    return AltCoeffs(ch.n, vals)
+    return AltCoeffs._of(ch.n, sorted(
+        ((i + 1, j, k), v) for k in range(3, ch.n + 1)
+        for j in range(2, k)
+        for i, v in ch.derivs[k - 1].sparse_rows[(k - 1) + j - 1].items()
+        if i < j - 1))
 
 
 def _canonical_relabel(k: int) -> tuple[int, ...]:
@@ -369,8 +366,7 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
             ents = ([(r, b, c) for r, c in g[a].items()]
                     + [(r, a, -c) for r, c in g[b].items()])
             for key, x in law(ents).items():
-                if x:
-                    rows.setdefault(key, {})[len(gens)] = x
+                rows.setdefault(key, {})[len(gens)] = x
             gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
     sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
     return Subspace._of(n * n,

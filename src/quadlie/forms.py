@@ -151,11 +151,12 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
     """
     if m.rows != q2.dim or m.cols != q1.dim or q1.dim != q2.dim:
         return False, "shape mismatch"
-    if rank(m) != q1.dim:
-        return False, "not invertible"
     mt = m.transpose()  # row j holds the image of e_{j+1}
+    # q1's form is nondegenerate, so m^T F2 m = F1 makes m invertible, and
+    # the rank decides only which check a failing m fails first
     if mt * q2.form * m != q1.form:
-        return False, "form not preserved"
+        return False, ("not invertible" if rank(m) != q1.dim
+                       else "form not preserved")
     cols = mt.sparse_rows
     for i, j in combinations(range(1, q1.dim + 1), 2):
         lhs = mt._vecmat(q1.alg.terms.get((i, j), ()))

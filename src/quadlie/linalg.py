@@ -4,8 +4,10 @@ Everything downstream runs on this: matrices of `fractions.Fraction` stored
 once, as each row's nonzero entries in a {column: entry} dict, with the
 dense rows a view built on each read; the unique RREF by a fraction-free
 elimination of those dicts scaled to integers, which stops once it holds
-a pivot in every column that has an entry; kernels, solving, and
-row-space subspaces in canonical RREF form.
+a pivot in every column that has an entry; fraction-free sums of products
+(`_fsum`: integer numerators over one common denominator, one division per
+sum), which matrix products, brackets and the law checks accumulate in;
+kernels, solving, and row-space subspaces in canonical RREF form.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
 are 1-based; coordinates here are 0-based Python indices.
@@ -37,6 +39,26 @@ def opposite(x: Fraction | None, y: Fraction | None) -> bool:
     return (x is not None and y is not None
             and x.denominator == y.denominator
             and x.numerator == -y.numerator)
+
+
+def _fsum(terms: Iterable[tuple[object, int, int]]) -> dict:
+    """The sum of n/d at each key over (key, n, d) terms, for integers n
+    and d > 0, as its nonzero values, keys ascending. The numerators add
+    over one common denominator, scaled up to the lcm only when a term's
+    d does not divide it, and each sum divides once at the end."""
+    acc: dict = {}
+    den = 1
+    for k, n, d in terms:
+        if d != den:
+            if den % d:
+                g = lcm(den, d)
+                for j in acc:
+                    acc[j] *= g // den
+                den = g
+            n *= den // d
+        acc[k] = acc.get(k, 0) + n
+    return {k: Fraction(v) if den == 1 else Fraction(v, den)
+            for k, v in sorted(acc.items()) if v}
 
 
 def scalar_str(x: Fraction) -> str:
@@ -123,8 +145,10 @@ class Mat:
                 and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.cols, tuple(tuple(r.items())
-                                      for r in self.sparse_rows)))
+        # entries are in lowest terms: no Fraction.__hash__ (a modular inverse)
+        return hash((self.cols, tuple(
+            tuple((j, e.numerator, e.denominator) for j, e in r.items())
+            for r in self.sparse_rows)))
 
     def _combine(self, other: "Mat", c: Fraction) -> "Mat":
         """self + c other, row by row."""
@@ -163,11 +187,9 @@ class Mat:
         """x self for x given as (row, entry) pairs: the sum of entry times
         that row, as its nonzero entries, columns ascending."""
         rows = self.sparse_rows
-        v: dict[int, Fraction] = {}
-        for j, c in x:
-            for k, e in rows[j].items():
-                v[k] = v.get(k, ZERO) + c * e
-        return {k: e for k, e in sorted(v.items()) if e}
+        return _fsum((k, c.numerator * e.numerator,
+                      c.denominator * e.denominator)
+                     for j, c in x for k, e in rows[j].items())
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)

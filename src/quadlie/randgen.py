@@ -11,7 +11,7 @@ from .alternating import AltCoeffs
 from .doubleext import derivation_space
 from .errors import QuadlieError
 from .forms import QuadraticStructure
-from .linalg import Mat, ZERO, rank
+from .linalg import Mat, rank
 
 _MASK = (1 << 64) - 1
 
@@ -96,12 +96,10 @@ def random_skew_derivation(aq: QuadraticStructure, seed: int,
     space = derivation_space(aq)
     rng = SplitMix64(seed)
     n = aq.dim
+    cs = [rng.randint(-bound, bound) for _ in range(space.dim)]
     out: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for row in space.basis.sparse_rows:
-        c = Fraction(rng.randint(-bound, bound))
-        if c:
-            for rs, e in row.items():
-                r, s = divmod(rs, n)
-                out[r][s] = out[r].get(s, ZERO) + c * e
-    return Mat._of([{s: e for s, e in sorted(r.items()) if e} for r in out],
-                   n)
+    # the vectorized sum is keyed r * n + s, so each row fills in order
+    for rs, e in space.basis._vecmat(enumerate(cs)).items():
+        r, s = divmod(rs, n)
+        out[r][s] = e
+    return Mat._of(out, n)

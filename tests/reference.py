@@ -7,7 +7,8 @@ dense vectors and matrices, loops over every basis pair or triple, no
 shared index. Names say which:
 
 - `_dense_*`: straight from the definition, over dense views;
-- `_old_*`: a Mat operation as it was on dense rows;
+- `_old_*`: a Mat operation as it was on dense rows, or a sum of
+  products as it was in Fractions, before `linalg._fsum`;
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple;
 - `_ref_*`: a construction, law check or file reader as it was, with
   its own validation.
@@ -34,7 +35,8 @@ from fractions import Fraction
 
 from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      LieAlgebra, Mat, QuadlieError, QuadraticFamily,
-                     QuadraticStructure, Subspace, ValidationError, abelian,
+                     QuadraticStructure, SplitMix64, Subspace,
+                     ValidationError, abelian,
                      chain_dcoeffs,
                      double_extend_1d, hyperbolic_form, inner_preimage,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
@@ -1176,3 +1178,208 @@ def _ref_family_from_obj(obj):
     mats = tuple(_ref_mat_in(m, f"matrix {i + 1}")
                  for i, m in enumerate(mats))
     return QuadraticFamily(_dim_in(n), mats)
+
+
+# ---- the Fraction multiply-accumulate loops that linalg._fsum replaced,
+# as they were, one Fraction product and one Fraction sum per term; a
+# method takes its object as the first argument ----
+
+def _old_vecmat(m, x):
+    """Mat._vecmat as it was: x m for x given as (row, entry) pairs."""
+    rows = m.sparse_rows
+    v = {}
+    for j, c in x:
+        for k, e in rows[j].items():
+            v[k] = v.get(k, ZERO) + c * e
+    return {k: e for k, e in sorted(v.items()) if e}
+
+
+def _old_sparse_mul(a, b):
+    """Mat.__mul__ as it was, one _old_vecmat per row of a."""
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} * "
+                         f"{b.rows}x{b.cols}")
+    return Mat._of([_old_vecmat(b, r.items()) for r in a.sparse_rows],
+                   b.cols)
+
+
+def _old_bracket(alg, x, y):
+    """LieAlgebra._bracket as it was, for sparse x and y."""
+    ad = alg._ad_index()
+    out = {}
+    for a, xa in x.items():
+        for b, nz in ad[a]:
+            yb = y.get(b)
+            if yb:
+                f = xa * yb
+                for r, c in nz:
+                    out[r] = out.get(r, ZERO) + f * c
+    return {r: c for r, c in sorted(out.items()) if c}
+
+
+def _old_jacobi_defect(alg):
+    """LieAlgebra.jacobi_defect's pass as it was, one dict per triple."""
+    ad = alg._ad_index()
+    acc = {}
+    for (b, c), v in alg.terms.items():
+        for r, x in v:
+            for a, w in ad[r]:
+                a += 1
+                if a == b or a == c:
+                    continue
+                # b < c, so the sorted triple is one of three, and
+                # (a,b,c) is a cyclic shift of it unless b < a < c
+                if a < b:
+                    key, cyclic = (a, b, c), True
+                elif a < c:
+                    key, cyclic = (b, a, c), False
+                else:
+                    key, cyclic = (b, c, a), True
+                # [e_a, e_r] = -w, the terms of [e_r, e_a]
+                f = -x if cyclic else x
+                t = acc.setdefault(key, {})
+                for k, e in w:
+                    t[k] = t.get(k, ZERO) + f * e
+    bad = []
+    for key in sorted(acc):
+        t = acc[key]
+        if any(t.values()):
+            tot = tuple(t.get(k, ZERO) for k in range(alg.dim))
+            bad.append((*key, tot))
+    return bad
+
+
+def _old_lower_central_series(alg):
+    """LieAlgebra.lower_central_series as it was, one dict per [e_a, v]."""
+    alg._require_lie()
+    ad = alg._ad_index()
+    cur = Subspace.full(alg.dim)
+    series = [cur]
+    nxt = alg.derived()
+    while True:
+        series.append(nxt)
+        if nxt.dim == cur.dim or nxt.dim == 0:
+            return series
+        cur = nxt
+        rows = []
+        for v in cur.basis.sparse_rows:
+            out = {}  # a -> [e_a, v]
+            for b, c in v.items():
+                # [e_b, e_a] = w adds -v_b w to [e_a, v]
+                for a, w in ad[b]:
+                    row = out.setdefault(a, {})
+                    for r, e in w:
+                        row[r] = row.get(r, ZERO) - c * e
+            rows += [{r: e for r, e in sorted(row.items()) if e}
+                     for row in out.values()]
+        nxt = Subspace._of(alg.dim, rows)
+
+
+def _old_derivation_map(alg):
+    """doubleext._derivation_map as it was: image keeps zero sums, in the
+    order their keys were first met."""
+    by_comp = {}  # s -> (a, b, v_s) with v_s != 0
+    for (a, b), v in alg.terms.items():
+        for s, x in v:
+            by_comp.setdefault(s, []).append((a - 1, b - 1, x))
+    ad = alg._ad_index()
+
+    def image(entries):
+        acc = {}
+        for r, s, c in entries:
+            for a, b, x in by_comp.get(s, ()):
+                key = (a, b, r)
+                acc[key] = acc.get(key, ZERO) + c * x
+            for y, nz in ad[r]:
+                if y != s:
+                    # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
+                    i, j, f = (s, y, -c) if s < y else (y, s, c)
+                    for t, x in nz:
+                        key = (i, j, t)
+                        acc[key] = acc.get(key, ZERO) + f * x
+        return acc
+    return image
+
+
+def _old_entries(d):
+    return [(r, s, c) for r, row in enumerate(d.sparse_rows)
+            for s, c in row.items()]
+
+
+def _old_derivation_defect(alg, d):
+    """derivation_defect as it was, on _old_derivation_map."""
+    if not d.rows == d.cols == alg.dim:
+        raise ValueError(f"shape mismatch: algebra dim {alg.dim}, "
+                         f"d {d.rows}x{d.cols}")
+    acc = _old_derivation_map(alg)(_old_entries(d))
+    return sorted({(i + 1, j + 1) for (i, j, _), x in acc.items() if x})
+
+
+def _old_derivation_space(aq):
+    """derivation_space as it was, on _old_derivation_map and products
+    through _old_vecmat."""
+    n = aq.dim
+    g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
+    law = _old_derivation_map(aq.alg)
+    gens = []  # row k: the k-th D_ab, vectorized
+    rows = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            ents = ([(r, b, c) for r, c in g[a].items()]
+                    + [(r, a, -c) for r, c in g[b].items()])
+            for key, x in law(ents).items():
+                if x:
+                    rows.setdefault(key, {})[len(gens)] = x
+            gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
+    sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
+    return Subspace._of(n * n, _old_sparse_mul(
+        sol.basis, Mat._of(gens, n * n)).sparse_rows)
+
+
+def _old_random_skew_derivation(aq, seed, bound=3):
+    """random_skew_derivation as it was: one coefficient drawn per basis
+    row of the derivation space, each row added in Fractions."""
+    space = _old_derivation_space(aq)
+    rng = SplitMix64(seed)
+    n = aq.dim
+    out = [{} for _ in range(n)]
+    for row in space.basis.sparse_rows:
+        c = Fraction(rng.randint(-bound, bound))
+        if c:
+            for rs, e in row.items():
+                r, s = divmod(rs, n)
+                out[r][s] = out[r].get(s, ZERO) + c * e
+    return Mat._of([{s: e for s, e in sorted(r.items()) if e} for r in out],
+                   n)
+
+
+def _old_chain_dcoeffs(ch):
+    """chain_dcoeffs as it was, through the validating AltCoeffs."""
+    vals = {}
+    for k in range(3, ch.n + 1):
+        d = ch.derivs[k - 1]
+        for i in range(1, k):
+            for j in range(i + 1, k):
+                v = d.sparse_rows[(k - 1) + j - 1].get(i - 1)
+                if v:
+                    vals[(i, j, k)] = v
+    return CocycleCoeffs(ch.n, vals)
+
+
+def _old_is_isometry(q1, q2, m):
+    """is_isometry as it was: the rank of m before the form, and the
+    brackets read off the sparse store through the old loops."""
+    if m.rows != q2.dim or m.cols != q1.dim or q1.dim != q2.dim:
+        return False, "shape mismatch"
+    if rank(m) != q1.dim:
+        return False, "not invertible"
+    mt = m.transpose()  # row j holds the image of e_{j+1}
+    if _old_sparse_mul(_old_sparse_mul(mt, q2.form), m) != q1.form:
+        return False, "form not preserved"
+    cols = mt.sparse_rows
+    for i, j in itertools.combinations(range(1, q1.dim + 1), 2):
+        lhs = _old_vecmat(mt, q1.alg.terms.get((i, j), ()))
+        rhs = _old_bracket(q2.alg, cols[i - 1], cols[j - 1])
+        if lhs != rhs:
+            return False, f"bracket not preserved at ({i},{j})"
+    return True, "ok"

@@ -34,8 +34,9 @@ def test_reference_helpers_are_defined_once_in_reference_module():
 
 def test_replaced_paths_are_kept_as_references():
     # the paths that rref's early stop, the ad-index centre rows, the
-    # once-per-pair skew check and the sparse file readers replaced, and
-    # the dense solvers they are checked against
+    # once-per-pair skew check, the sparse file readers and the
+    # fraction-free sums replaced, and the dense solvers they are checked
+    # against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
         encoding="utf-8")
     assert {"_ref_centre_rows", "_ref_centre_by_rows",
@@ -43,4 +44,9 @@ def test_replaced_paths_are_kept_as_references():
             "_dense_solve", "_dense_intersect", "_dense_inverse",
             "_ref_algebra_from_obj", "_ref_mat_in",
             "_ref_general_cocycle_from_obj", "_ref_chain_from_obj",
-            "_ref_family_from_obj"} <= set(_reference_names(source))
+            "_ref_family_from_obj", "_old_vecmat", "_old_sparse_mul",
+            "_old_bracket", "_old_jacobi_defect", "_old_lower_central_series",
+            "_old_derivation_map", "_old_derivation_defect",
+            "_old_derivation_space", "_old_random_skew_derivation",
+            "_old_chain_dcoeffs", "_old_is_isometry"} <= set(
+                _reference_names(source))
