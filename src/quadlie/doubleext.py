@@ -58,26 +58,25 @@ def _derivation_map(alg: LieAlgebra):
 
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
-    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0: the keys
-    where d^T F and F d are not opposite. An entry d[r][s] = c meets row r
-    of F in d^T F and column r of F in F d; the two products are kept
-    apart and compared, so no sum is formed."""
+    """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0, for a
+    symmetric form F: the sum is S(j,i) + S(i,j) for S = F d, so these are
+    the keys where S is not opposite its transpose."""
     if not form.rows == form.cols == d.rows == d.cols:
         raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
                          f"d {d.rows}x{d.cols}")
-    rows = form.sparse_rows
-    cols = form.transpose().sparse_rows
-    left: dict[tuple[int, int], Fraction] = {}  # d^T F
-    right: dict[tuple[int, int], Fraction] = {}  # F d
-    for r, s, c in _entries(d):
-        for j, f in rows[r].items():
-            x = c if f == 1 else c * f  # hyperbolic forms are all ones
-            left[s, j] = left[s, j] + x if (s, j) in left else x
-        for i, f in cols[r].items():
-            x = c if f == 1 else f * c
-            right[i, s] = right[i, s] + x if (i, s) in right else x
-    return [(i + 1, j + 1) for i, j in sorted(left.keys() | right.keys())
-            if not opposite(left.get((i, j), ZERO), right.get((i, j), ZERO))]
+    if not form.is_symmetric():
+        raise ValidationError("form is not symmetric", law="symmetric")
+    rows = form.sparse_rows  # also F's columns
+    s: dict[tuple[int, int], Fraction] = {}
+    for r, j, c in _entries(d):
+        for i, f in rows[r].items():
+            x = c if f == 1 else f * c  # hyperbolic forms are all ones
+            s[i, j] = s[i, j] + x if (i, j) in s else x
+    bad = set()
+    for (i, j), x in s.items():
+        if not opposite(x, s.get((j, i), ZERO)):
+            bad.update(((i + 1, j + 1), (j + 1, i + 1)))
+    return sorted(bad)
 
 
 def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
@@ -91,17 +90,18 @@ def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
 
 def _deriv_mat(aq: QuadraticStructure | None, d: Mat) -> Mat:
     """d, checked for shape, skew and derivation laws against aq unless aq
-    has accepted it before. A matrix is remembered only once it passes, so
-    a bad one fails with the same law and witness on every call."""
+    has accepted this object before; an equal copy is checked again. A
+    matrix is remembered only once it passes, so a bad one fails with the
+    same law and witness on every call."""
     if aq is None:
         if not (d.rows == d.cols == 0):
             raise ValidationError("derivation of the zero algebra must be 0x0")
         return d
     seen = aq._derivations
     if seen is None:
-        seen = set()
+        seen = {}
         object.__setattr__(aq, "_derivations", seen)
-    if d in seen:
+    if id(d) in seen:
         return d
     if d.rows != aq.dim or d.cols != aq.dim:
         raise ValidationError("matrix shape does not match the algebra",
@@ -114,7 +114,7 @@ def _deriv_mat(aq: QuadraticStructure | None, d: Mat) -> Mat:
     if bad:
         raise ValidationError(f"derivation law fails at pair {bad[0]}",
                               law="derivation", witness=bad[0])
-    seen.add(d)
+    seen[id(d)] = d
     return d
 
 

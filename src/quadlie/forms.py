@@ -23,16 +23,30 @@ def hyperbolic_form(n: int) -> Mat:
     return Mat._of([{(i + n) % (2 * n): ONE} for i in range(2 * n)], 2 * n)
 
 
+def _cyclic_defect(t: dict) -> list[tuple[int, int, int]]:
+    """The sorted x with T(x) != T(x[2], x[0], x[1]), for T alternating in
+    its first two slots and held in t at i < j alone: T(j,i,k) is read as
+    -t(i,j,k) with opposite, and T(i,i,k) as 0. A defect at (i,j,k) is
+    T(i,j,k) + T(i,k,j) != 0, so it is one at (i,k,j) too."""
+    bad = set()
+    for (i, j, k), c in t.items():
+        # T(i,k,j) is t(i,k,j) for i < k, else -t(k,i,j), absent at k = i
+        if not (opposite(c, t.get((i, k, j), ZERO)) if i < k
+                else c == t.get((k, i, j), ZERO)):
+            bad.update(((i, j, k), (i, k, j)))
+        # T(j,k,i) is t(j,k,i) for j < k, else -t(k,j,i), absent at k = j
+        if not (c == t.get((j, k, i), ZERO) if j < k
+                else opposite(c, t.get((k, j, i), ZERO))):
+            bad.update(((j, i, k), (j, k, i)))
+    return sorted(bad)
+
+
 def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
     """Ordered basis triples (i,j,k) with phi([ei,ej],ek) + phi(ej,[ei,ek]) != 0.
 
     With phi symmetric the sum is T(i,j,k) + T(i,k,j) for
-    T(i,j,k) = phi([ei,ej],ek), so only the stored brackets are visited:
-    invariance holds exactly when T is alternating. T is stored at i < j
-    alone and read with T(j,i,k) = -T(i,j,k) and T(i,i,k) = 0: each stored
-    T(i,j,k) = c enters the sums at (i,j,k), which vanishes when
-    c = -T(i,k,j), and at (j,i,k), which vanishes when c = T(j,k,i). No
-    sum and no negation is formed.
+    T(i,j,k) = phi([ei,ej],ek), so invariance holds exactly when T is
+    cyclic, and only the stored brackets are visited.
     """
     if form.rows != alg.dim or form.cols != alg.dim:
         raise ValidationError("form shape does not match algebra dimension",
@@ -47,27 +61,19 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
                 key = (i, j, k + 1)
                 x = c if e == 1 else c * e  # hyperbolic forms are all ones
                 t[key] = t[key] + x if key in t else x
-    bad = set()
-    for (i, j, k), c in t.items():
-        # T(i,k,j) is t(i,k,j) for i < k, else -t(k,i,j), absent at k = i
-        if not (opposite(c, t.get((i, k, j), ZERO)) if i < k
-                else c == t.get((k, i, j), ZERO)):
-            bad.update(((i, j, k), (i, k, j)))
-        # T(j,k,i) is t(j,k,i) for j < k, else -t(k,j,i), absent at k = j
-        if not (c == t.get((j, k, i), ZERO) if j < k
-                else opposite(c, t.get((k, j, i), ZERO))):
-            bad.update(((j, i, k), (j, k, i)))
-    return sorted(bad)
+    return _cyclic_defect(t)
 
 
 @dataclass(frozen=True)
 class QuadraticStructure:
     alg: LieAlgebra
     form: Mat
-    # the matrices already checked as skew derivations of this structure,
-    # made on first use by doubleext._deriv_mat; outside eq, hash and repr
-    _derivations: set | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    # id -> matrix for the matrix objects already checked as skew
+    # derivations of this structure (holding each keeps its id from
+    # reuse), made on first use by doubleext._deriv_mat; outside eq, hash
+    # and repr
+    _derivations: dict | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         defects = invariance_defect(self.alg, self.form)  # also checks symmetry

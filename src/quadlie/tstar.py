@@ -5,7 +5,8 @@ abelian base, the AltCoeffs class itself) and GeneralCocycle (arbitrary
 Lie base, the nonzero entries of w(e_i, e_j) per basis pair, stored like
 LieAlgebra.terms). Coefficient input converts once, through
 GeneralCocycle.from_coeffs, and one sparse builder makes the bracket of
-every extension; the cocycle law is checked as its Jacobi law.
+every extension. Cyclicity is checked as the invariance of its
+hyperbolic form, and the cocycle law as its Jacobi law (Bordemann 1997).
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from typing import Mapping, Sequence
 from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
-from .forms import (QuadraticStructure, hyperbolic_form, is_isometry,
-                    lagrangian_complement)
+from .forms import (QuadraticStructure, _cyclic_defect, hyperbolic_form,
+                    is_isometry, lagrangian_complement)
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, scalar,
                      vstack)
 
@@ -137,22 +138,13 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
 
 def cyclic_defect(w: GeneralCocycle | AltCoeffs
                   ) -> list[tuple[int, int, int]]:
-    """Ordered triples with w(e_i,e_j)(e_k) != w(e_k,e_i)(e_j).
-
-    With t(i,j,k) = w(e_i,e_j)(e_k), a defect needs t(i,j,k) or t(k,i,j)
-    nonzero, so the candidates are the nonzero entries of t and their
-    cyclic pre-images.
-    """
+    """Ordered triples with w(e_i,e_j)(e_k) != w(e_k,e_i)(e_j): where the
+    hyperbolic form on the T*-extension is not invariant (Bordemann 1997),
+    found by invariance_defect's comparison on w's stored values."""
     if isinstance(w, AltCoeffs):
         return []  # alternating storage is cyclic by construction
-    t: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), nz in w.terms.items():
-        for k, c in nz:
-            t[(i, j, k + 1)] = c
-            t[(j, i, k + 1)] = -c
-    cands = set(t) | {(b, c, a) for (a, b, c) in t}
-    return sorted(x for x in cands
-                  if t.get(x, ZERO) != t.get((x[2], x[0], x[1]), ZERO))
+    return _cyclic_defect({(i, j, k + 1): c for (i, j), nz in w.terms.items()
+                           for k, c in nz})
 
 
 def is_cyclic(w: GeneralCocycle | AltCoeffs) -> bool:

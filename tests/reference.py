@@ -172,7 +172,8 @@ def _old_mul(a, b):
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.rows}x{a.cols} * "
                          f"{b.rows}x{b.cols}")
-    return _dense(([sum((r[j] * b.data[j][k] for j in range(a.cols)),
+    bd = b.data
+    return _dense(([sum((r[j] * bd[j][k] for j in range(a.cols)),
                         start=Fraction(0)) for k in range(b.cols)]
                    for r in a.data), b.cols)
 

@@ -109,6 +109,23 @@ def test_skew_defect_rejects_shape_mismatch(form_shape, d_shape):
         skew_defect(Mat.zero(*form_shape), Mat.zero(*d_shape))
 
 
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 0]], [[1, 0], [Fraction(1, 2), 1]],
+    [[0, 0, 1], [0, 3, 0], [0, 0, 0]]], ids=["off-by-one", "lower", "dim3"])
+def test_non_symmetric_form_is_refused(rows):
+    # skew_defect reads F's rows as its columns, so it refuses the form
+    # as invariance_defect does, before reading d
+    n = len(rows)
+    form = Mat(rows)
+    for check in (lambda: skew_defect(form, Mat.identity(n)),
+                  lambda: invariance_defect(heisenberg() if n == 3
+                                            else abelian(n), form)):
+        with pytest.raises(ValidationError, match="^form is not symmetric$"
+                           ) as e:
+            check()
+        assert e.value.law == "symmetric"
+
+
 def test_derivation_defect_abelian_trivial():
     aq = hyperbolic_abelian(2)
     assert derivation_defect(aq.alg, Mat.identity(4)) == []
@@ -712,16 +729,17 @@ def test_plain_matrix_is_validated_once_per_structure(monkeypatch):
         two_step_criterion(aq, d)
         centre_formula_1d(aq, d)
         inner_preimage(aq, d)
-        # an equal matrix built apart is the same claim
-        double_extend_1d(aq, Mat(d.data))
         assert len(skew) == len(deriv) == 1
+        # an equal matrix built apart is checked again, with the same answer
+        assert double_extend_1d(aq, Mat(d.data)) == ext
+        assert len(skew) == len(deriv) == 2
         # the memo stays out of repr and equality
         assert repr(aq) == before
         fresh = QuadraticStructure(aq.alg, aq.form)
         assert fresh == aq
         # another structure object checks the matrix for itself
         assert double_extend_1d(fresh, d) == ext
-        assert len(skew) == 2
+        assert len(skew) == 3
         skew.clear()
         deriv.clear()
     # a structure that never sees a derivation has no memo

@@ -1,0 +1,160 @@
+"""Property tests of the stored-half form laws against their dense
+definitions: cyclic_defect, invariance_defect and skew_defect on sparse
+rational data drawn by Hypothesis, derandomized so every run draws the
+same examples. Each test also counts what it drew, so a change to the
+strategies cannot quietly stop reaching repeated-index witnesses, forms
+with entries other than 1, or inputs where the law holds."""
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from quadlie import (GeneralCocycle, LieAlgebra, Mat, abelian, cyclic_defect,
+                     hyperbolic_form, invariance_defect, inverse, rank,
+                     skew_defect)
+from quadlie.tstar import _tstar_algebra
+from reference import (_dense_invariance_defect, _dense_skew_defect,
+                       _ref_cyclic_defect)
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None,
+                     max_examples=150)
+# nonzero rationals with numerators and denominators up to 3
+_nonzero = st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)) | \
+    st.builds(Fraction, st.integers(-3, -1), st.integers(1, 3))
+
+
+def _sparse(n: int, k: int, max_size: int):
+    """Dicts from k-tuples of 1-based labels up to n to nonzero rationals."""
+    return st.dictionaries(st.tuples(*[st.integers(1, n)] * k), _nonzero,
+                           max_size=max_size)
+
+
+def _pair_values(n: int, entries) -> dict:
+    """w(e_i, e_j)(e_k) += c for each ((i, j, k), c), i != j, as the
+    dense values of the stored pairs i < j."""
+    vals: dict = {}
+    for (i, j, k), c in entries:
+        if i != j:
+            v = vals.setdefault((min(i, j), max(i, j)), [Fraction(0)] * n)
+            v[k - 1] += c if i < j else -c
+    return vals
+
+
+@st.composite
+def _cocycles(draw, max_n=5):
+    """A GeneralCocycle over abelian(n): an alternating part, cyclic by
+    construction, plus a few arbitrary entries that usually break it."""
+    n = draw(st.integers(1, max_n))
+    alt = draw(_sparse(n, 3, 4))
+    extra = draw(_sparse(n, 3, 2))
+    # c at (i,j,k) and its rotations, the reversed orders read as -c
+    entries = [(p, c) for (i, j, k), c in alt.items() if len({i, j, k}) == 3
+               for p in ((i, j, k), (j, k, i), (k, i, j))]
+    return GeneralCocycle(abelian(n), _pair_values(n, entries + list(
+        extra.items())))
+
+
+def _symmetric(n: int, entries: dict) -> Mat:
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in entries.items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = c
+    return Mat(rows)
+
+
+@st.composite
+def _algebras_with_forms(draw):
+    """Either random sparse brackets with a random sparse symmetric form,
+    or the T*-algebra of a cocycle with lam times the hyperbolic form
+    plus a symmetric part on B x B, invariant exactly when the cocycle is
+    cyclic, and sometimes one more entry that reaches B*."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        brackets = _pair_values(n, draw(_sparse(n, 3, 5)).items())
+        return LieAlgebra(n, brackets), _symmetric(n, draw(_sparse(n, 2, 5)))
+    w = draw(_cocycles(max_n=4))
+    n = w.base.dim
+    lam = draw(_nonzero)
+    part = draw(_sparse(n, 2, 3))
+    part.update(draw(_sparse(2 * n, 2, 1)))
+    form = hyperbolic_form(n).scale(lam) + _symmetric(2 * n, part)
+    return _tstar_algebra(w), form
+
+
+@st.composite
+def _forms_with_maps(draw):
+    """A sparse symmetric form F and a map d: F^-1 A for an antisymmetric
+    A when F is invertible (skew), then a few arbitrary entries added."""
+    n = draw(st.integers(1, 5))
+    form = _symmetric(n, draw(_sparse(n, 2, 2 * n)))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    if rank(form) == n:
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for (i, j), c in draw(_sparse(n, 2, 3)).items():
+            if i != j:
+                a[i - 1][j - 1], a[j - 1][i - 1] = c, -c
+        rows = [list(r) for r in (inverse(form) * Mat(a)).data]
+    for (i, j), c in draw(_sparse(n, 2, 2)).items():
+        rows[i - 1][j - 1] += c
+    return form, Mat(rows)
+
+
+def _shapes(defects):
+    """Which labels of each witness coincide: 'ijk', 'iij', 'iji', ..."""
+    out = set()
+    for x in defects:
+        seen: dict = {}
+        out.add("".join(seen.setdefault(v, "ijk"[len(seen)]) for v in x))
+    return out
+
+
+def test_cyclic_defect_matches_dense_definition():
+    shapes, empty = set(), 0
+
+    @_SETTINGS
+    @given(_cocycles())
+    def check(w):
+        nonlocal empty
+        got = cyclic_defect(w)
+        assert got == _ref_cyclic_defect(w)
+        shapes.update(_shapes(got))
+        empty += not got
+    check()
+    assert {"ijk", "iij", "iji", "ijj"} <= shapes
+    assert 10 <= empty <= 140
+
+
+def test_invariance_defect_matches_dense_definition():
+    shapes, empty, entries = set(), 0, set()
+
+    @_SETTINGS
+    @given(_algebras_with_forms())
+    def check(case):
+        nonlocal empty
+        alg, form = case
+        got = invariance_defect(alg, form)
+        assert got == _dense_invariance_defect(alg, form)
+        shapes.update(_shapes(got))
+        empty += not got
+        entries.update(e == 1 for r in form.sparse_rows for e in r.values())
+    check()
+    assert {"ijk", "iij", "iji", "ijj"} <= shapes
+    assert 10 <= empty <= 140
+    assert entries == {True, False}
+
+
+def test_skew_defect_matches_dense_definition():
+    diagonal, empty, entries = 0, 0, set()
+
+    @_SETTINGS
+    @given(_forms_with_maps())
+    def check(case):
+        nonlocal diagonal, empty
+        form, d = case
+        got = skew_defect(form, d)
+        assert got == _dense_skew_defect(form, d)
+        diagonal += any(i == j for i, j in got)
+        empty += not got
+        entries.update(e == 1 for r in form.sparse_rows for e in r.values())
+    check()
+    assert diagonal >= 10
+    assert 10 <= empty <= 140
+    assert entries == {True, False}

@@ -7,9 +7,11 @@ from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      QuadraticStructure, Subspace, ValidationError, abelian,
                      cocycle_defect, cyclic_defect, decompose_as_tstar,
                      find_lagrangian_ideal, heisenberg, hyperbolic_form,
-                     is_cyclic, is_isometry, is_two_cocycle, parse_coeffs,
-                     radical, reduced_criteria, tstar_extend, value_span)
+                     invariance_defect, is_cyclic, is_isometry,
+                     is_two_cocycle, parse_coeffs, radical, reduced_criteria,
+                     tstar_extend, value_span)
 from quadlie.randgen import SplitMix64, random_coeffs
+from quadlie.tstar import _tstar_algebra
 from reference import (_dense_basis_brackets, _dense_direct_sum,
                        _dense_values, _ref_cocycle_defect,
                        _ref_cyclic_defect, _ref_from_coeffs,
@@ -442,6 +444,20 @@ def test_general_paths_match_dense_reference():
     assert kinds["cocycle"] >= 20
     assert kinds["jacobi"] >= 4
     assert kinds["ok"] >= 20
+
+
+def test_cyclicity_is_invariance_of_the_tstar_form():
+    # Bordemann 1997: the hyperbolic form on B + B* is invariant exactly
+    # when w is cyclic, and its defects are the triples of B where w is not
+    seen = {"cyclic": 0, "not cyclic": 0}
+    for w in _general_cocycles():
+        if w.base.terms:
+            continue
+        want = cyclic_defect(w)
+        alg = _tstar_algebra(w)
+        assert invariance_defect(alg, hyperbolic_form(w.base.dim)) == want
+        seen["not cyclic" if want else "cyclic"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_decomposed_cocycles_match_dense_reference():
