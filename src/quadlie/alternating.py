@@ -50,7 +50,7 @@ class AltCoeffs:
             if key[2] > n or key[0] < 1:
                 raise QuadlieError(f"triple {(i, j, k)} out of range 1..{n}")
             c = scalar(c) if sign > 0 else -scalar(c)
-            acc[key] = acc.get(key, ZERO) + c
+            acc[key] = acc[key] + c if key in acc else c
         self.n = n
         self.terms = tuple(sorted((t, c) for t, c in acc.items() if c))
         self._map = dict(self.terms)
@@ -177,11 +177,14 @@ def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
         if not m:
             raise QuadlieError(f"cannot parse trivector term {chunk!r}")
         sign, coef, bi, bj, bk, compact = m.groups()
-        c = scalar(coef) if coef else Fraction(1)
+        try:
+            c = scalar(coef) if coef else Fraction(1)
+            ijk = (int(bi), int(bj), int(bk)) if compact is None else \
+                tuple(int(d) for d in compact)
+        except ValueError as e:  # more digits than int() converts
+            raise QuadlieError(f"cannot read trivector term: {e}")
         if sign == "-":
             c = -c
-        ijk = (int(bi), int(bj), int(bk)) if compact is None else \
-            tuple(int(d) for d in compact)
         items.append((ijk, c))
     top = max(max(t) for t, _ in items)
     if n is None:

@@ -1,17 +1,18 @@
 """Lossless conversions among the presentations of a 2-step algebra.
 
 Cocycle coefficients c_ijk are the pivot: families and chains convert to
-and from them, and all_roads builds the algebra along every route and
-demands bit-identical structure constants and forms, not mere isomorphism.
-The shared canonical basis e_1..e_n, e_1*..e_n* makes that equality
-achievable.
+and from them, and all_roads demands bit-identical results along every
+route, not mere isomorphism: the family route's structure constants and
+form equal the T*-extension's, and the chain route carries c itself, which
+the T*-extension stores as its brackets. The shared canonical basis
+e_1..e_n, e_1*..e_n* makes that equality achievable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
 
-from .doubleext import ExtensionChain, build_chain, chain_to_algebra
+from .doubleext import ExtensionChain, build_chain, chain_to_coeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure
 from .linalg import Mat
@@ -33,16 +34,18 @@ def family_to_coeffs(fam: QuadraticFamily) -> CocycleCoeffs:
 
 
 def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
-    """The matrix family with entry (k,j) of M_i equal to c_ijk: slot k of
-    pair (a, b) holds c_abk, which M_a has at (k, b) and M_b, negated, at
-    (k, a). Pairs come sorted, so every row fills in ascending columns."""
+    """The matrix family with entry (k,j) of M_i equal to c_ijk: a term
+    (i, j, k) fills the six places where its labels meet, c at the even
+    orders and -c at the odd. c.terms is sorted, so every row fills in
+    ascending columns."""
     n = c.n
     mats: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (a, b), nz in c.pair_terms().items():
-        ma, mb = mats[a - 1], mats[b - 1]
-        for k, v in nz:
-            ma[k][b - 1] = v
-            mb[k][a - 1] = -v
+    for (i, j, k), v in c.terms:
+        w = -v
+        mi, mj, mk = mats[i - 1], mats[j - 1], mats[k - 1]
+        mi[k - 1][j - 1], mj[k - 1][i - 1] = v, w
+        mi[j - 1][k - 1], mk[j - 1][i - 1] = w, v
+        mj[i - 1][k - 1], mk[i - 1][j - 1] = v, w
     return QuadraticFamily(n, tuple(Mat._of(m, n) for m in mats))
 
 
@@ -64,27 +67,27 @@ class RoadsReport:
 
 
 def all_roads(c: CocycleCoeffs) -> RoadsReport:
-    """Build via the T*-extension, the chain and the matrix family, then
-    compare structure constants and forms exactly. The chain route checks
-    the round trip c -> chain -> c' and the chain's laws; fold_chain, the
-    independent chain construction, is compared in the tests."""
+    """Build via the T*-extension and the matrix family, then compare
+    structure constants and forms exactly. The chain route is the round
+    trip c -> chain -> c' under the chain's laws, compared by the carried
+    coefficients: its T*-extension, over the same hyperbolic form, stores
+    them as its brackets. fold_chain, the independent chain construction,
+    is compared in the tests."""
     if c.n < 3:
         raise ValidationError("need dimension at least 3", law="dimension")
     if c.is_zero():
         raise ValidationError("zero coefficients give an abelian algebra",
                               law="nonzero")
-    routes = {
-        "tstar": tstar_extend(c),
-        "chain": chain_to_algebra(coeffs_to_chain(c)),
-        "family": algebra_from_family(coeffs_to_family(c)),
-    }
-    base = routes["tstar"]
+    base = tstar_extend(c)
+    carried = chain_to_coeffs(coeffs_to_chain(c))
+    family = algebra_from_family(coeffs_to_family(c))
     mism = []
-    for name, q in routes.items():
-        if q.alg != base.alg:
-            mism.append(f"{name} structure constants differ from tstar")
-        if q.form != base.form:
-            mism.append(f"{name} form differs from tstar")
+    if carried != c:
+        mism.append("chain structure constants differ from tstar")
+    if family.alg != base.alg:
+        mism.append("family structure constants differ from tstar")
+    if family.form != base.form:
+        mism.append("family form differs from tstar")
     return RoadsReport(c.n, not mism, tuple(mism), base)
 
 

@@ -9,6 +9,7 @@ phi([x,y],z) + phi(y,[x,z]) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
@@ -18,8 +19,10 @@ from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
                      opposite, rank, rref, vec)
 
 
+@cache
 def hyperbolic_form(n: int) -> Mat:
-    """The 2n x 2n pairing with phi(e_i, e_{n+i}) = 1, zero elsewhere."""
+    """The 2n x 2n pairing with phi(e_i, e_{n+i}) = 1, zero elsewhere: one
+    Mat per n, shared by every caller, which must not mutate it."""
     return Mat._of([{(i + n) % (2 * n): ONE} for i in range(2 * n)], 2 * n)
 
 

@@ -133,7 +133,11 @@ class Mat:
         return not any(self.sparse_rows)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and self == self.transpose()
+        # a mirror is often the same object; `is` skips Fraction.__eq__
+        s = self.sparse_rows
+        return self.rows == self.cols and all(
+            (x := s[j].get(i)) is e or x == e
+            for i, r in enumerate(s) for j, e in r.items())
 
     def _same_shape(self, other: "Mat"):
         if self.rows != other.rows or self.cols != other.cols:

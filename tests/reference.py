@@ -35,12 +35,14 @@ from fractions import Fraction
 
 from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      LieAlgebra, Mat, QuadlieError, QuadraticFamily,
-                     QuadraticStructure, SplitMix64, Subspace,
-                     ValidationError, abelian,
-                     chain_dcoeffs,
+                     QuadraticStructure, RoadsReport, SplitMix64, Subspace,
+                     ValidationError, abelian, algebra_from_family,
+                     chain_dcoeffs, chain_to_algebra, coeffs_to_chain,
+                     coeffs_to_family,
                      double_extend_1d, hyperbolic_form, inner_preimage,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
-                     permute_quadratic, rank, rref, scalar, solve)
+                     permute_quadratic, rank, rref, scalar, solve,
+                     tstar_extend)
 from quadlie.doubleext import _deriv_mat
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
 from quadlie.linalg import opposite, vstack
@@ -516,6 +518,19 @@ def _ref_touched_pairs(c):
     return sorted(pairs)
 
 
+def _loop_pair_terms(c):
+    """AltCoeffs.pair_terms from its definition: c.value at every (i, j, k),
+    pairs i < j in order, k ascending, zero values and pairs left out."""
+    out = {}
+    for i in range(1, c.n + 1):
+        for j in range(i + 1, c.n + 1):
+            nz = tuple((k - 1, v) for k in range(1, c.n + 1)
+                       if (v := c.value(i, j, k)))
+            if nz:
+                out[(i, j)] = nz
+    return out
+
+
 def _dense_kernel(t):
     """trivector_kernel as it was: the dense AltCoeffs.pair_rows matrix,
     a row of t_ijk over i per touched pair (j, k)."""
@@ -717,6 +732,20 @@ def _loop_coeffs_to_family(c):
     return QuadraticFamily(n, tuple(mats))
 
 
+def _ref_coeffs_to_family(c):
+    """coeffs_to_family as it was, over the pair terms: slot k of pair
+    (a, b) holds c_abk, which M_a has at (k, b) and M_b, negated, at
+    (k, a), so every pair-term entry is negated once."""
+    n = c.n
+    mats = [[{} for _ in range(n)] for _ in range(n)]
+    for (a, b), nz in c.pair_terms().items():
+        ma, mb = mats[a - 1], mats[b - 1]
+        for k, v in nz:
+            ma[k][b - 1] = v
+            mb[k][a - 1] = -v
+    return QuadraticFamily(n, tuple(Mat._of(m, n) for m in mats))
+
+
 def _loop_family_defects(fam):
     """family_defects as it was, on the dense entry and column views."""
     out = []
@@ -820,6 +849,30 @@ def _loop_build_chain(c):
                     m[k + ell - 1][j - 1] = v
         derivs.append(Mat._of(m, 2 * k))
     return ExtensionChain(c.n, tuple(derivs))
+
+
+def _ref_all_roads(c):
+    """all_roads as it was: the chain route builds its own T*-extension
+    from the coefficients it carries, and both its structure constants
+    and its form are compared with the T*-route's."""
+    if c.n < 3:
+        raise ValidationError("need dimension at least 3", law="dimension")
+    if c.is_zero():
+        raise ValidationError("zero coefficients give an abelian algebra",
+                              law="nonzero")
+    routes = {
+        "tstar": tstar_extend(c),
+        "chain": chain_to_algebra(coeffs_to_chain(c)),
+        "family": algebra_from_family(coeffs_to_family(c)),
+    }
+    base = routes["tstar"]
+    mism = []
+    for name, q in routes.items():
+        if q.alg != base.alg:
+            mism.append(f"{name} structure constants differ from tstar")
+        if q.form != base.form:
+            mism.append(f"{name} form differs from tstar")
+    return RoadsReport(c.n, not mism, tuple(mism), base)
 
 
 def _ref_validate_chain(ch):

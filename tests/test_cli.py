@@ -687,6 +687,21 @@ def test_zero_denominator_term_is_one_json_error(argv):
     _assert_one_json_error(*argv, in_error="2/0*[1,2,3]")
 
 
+_LONG = "9" * 5000  # past the interpreter's 4300-digit int() limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("tstar", f"{_LONG}*[1,2,3]", "--n", "3"),
+    ("rank", f"{_LONG}*[1,2,3]"),
+    ("rank", f"1/{_LONG}*[1,2,3]", "--format", "json"),
+    _CONVERT + ("chain", f"{_LONG}*[1,2,3]"),
+    _CONVERT + ("algebra", f"[1,2,{_LONG}]", "--format", "json"),
+], ids=["tstar", "rank", "rank-denominator", "convert-chain",
+        "convert-index"])
+def test_over_digit_limit_term_is_one_json_error(argv):
+    _assert_one_json_error(*argv, in_error="digits")
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "L3,1"), ("tstar", "123"),
     ("convert", "--from", "cocycle", "--to", "algebra", "123"),

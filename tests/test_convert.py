@@ -1,15 +1,17 @@
 """Conversions between presentations and the three-route equality check."""
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from quadlie import (CocycleCoeffs, Mat, QuadraticFamily, ValidationError,
-                     all_roads, chain_to_coeffs, coeffs_to_chain,
-                     coeffs_to_family, count_parameters, family_to_coeffs,
+from quadlie import (AltCoeffs, CocycleCoeffs, ExtensionChain, Mat,
+                     QuadraticFamily, ValidationError, all_roads,
+                     chain_to_coeffs, coeffs_to_chain, coeffs_to_family,
+                     convert, count_parameters, doubleext, family_to_coeffs,
                      parse_coeffs, tstar_extend)
 from quadlie.randgen import random_coeffs
 from reference import (_loop_coeffs_to_family, _loop_family_defects,
-                       _loop_read_coeffs)
+                       _loop_read_coeffs, _ref_all_roads)
 
 
 def test_family_round_trip():
@@ -147,3 +149,96 @@ def test_family_to_coeffs_matches_value_loop(construction_coeffs):
             assert isinstance(_loop_read_coeffs(fam), CocycleCoeffs)
             clean += 1
     assert clean == 22 + 40 + 4
+
+
+# ---- all_roads against the three-build comparison it replaced ----
+
+def _roads_corpus(catalog_coeffs):
+    """The catalog, seeded cocycles on n = 3..9 with every third set
+    divided term by term by 2, 3 or 5, and zero and too-small input."""
+    seeded = [random_coeffs(3 + seed % 7, seed=900 + seed,
+                            density=Fraction(1 + seed % 3, 4), nonzero=True)
+              for seed in range(21)]
+    seeded = [c if k % 3 else CocycleCoeffs(c.n, [
+        (t, v / (2, 3, 5)[m % 3]) for m, (t, v) in enumerate(c.terms)])
+        for k, c in enumerate(seeded)]
+    return (list(catalog_coeffs) + seeded
+            + [CocycleCoeffs(n) for n in (0, 2, 3, 5)])
+
+
+def test_all_roads_matches_reference(catalog_coeffs):
+    corpus = _roads_corpus(catalog_coeffs)
+    laws = set()
+    fractional = 0
+    for c in corpus:
+        got = _outcome(all_roads, c)
+        assert got == _outcome(_ref_all_roads, c)
+        if isinstance(got, tuple):
+            laws.add(got[0])
+        else:
+            assert got.equal and got.mismatches == ()
+            fractional += any(v.denominator > 1 for _, v in c.terms)
+    assert laws == {"dimension", "nonzero"}
+    assert fractional >= 5
+
+
+def _double_one(chain_dcoeffs, pick):
+    """chain_dcoeffs with the coefficient at position pick doubled."""
+    def perturbed(ch):
+        got = chain_dcoeffs(ch)
+        terms = list(got.terms)
+        t, v = terms[pick % len(terms)]
+        terms[pick % len(terms)] = (t, 2 * v)
+        return AltCoeffs._of(got.n, terms)
+    return perturbed
+
+
+def test_all_roads_matches_reference_on_a_perturbed_chain(monkeypatch,
+                                                          catalog_coeffs):
+    corpus = [c for c in _roads_corpus(catalog_coeffs)
+              if c.n >= 3 and not c.is_zero()]
+    for pick, c in enumerate(corpus):
+        with monkeypatch.context() as m:
+            m.setattr(doubleext, "chain_dcoeffs",
+                      _double_one(doubleext.chain_dcoeffs, pick))
+            got = all_roads(c)
+            assert got == _ref_all_roads(c)
+        assert not got.equal
+        assert got.mismatches == (
+            "chain structure constants differ from tstar",)
+
+
+def _broken_chains(build_chain):
+    """build_chain, then one law of _check_chain broken: every link zero
+    (nnp), an entry off the dual half (2sp), or one entry of the top link
+    changed without its mirror (skew)."""
+    def zero(c):
+        return ExtensionChain(c.n, tuple(Mat.zero(2 * k, 2 * k)
+                                         for k in range(c.n)))
+
+    def off_dual(c):
+        ch = build_chain(c)
+        top = [dict(r) for r in ch.derivs[-1].sparse_rows]
+        top[0][0] = Fraction(1)  # d_k(e_1) gains e_1
+        return ExtensionChain(c.n, ch.derivs[:-1] + (Mat._of(top, len(top)),))
+
+    def unskew(c):
+        ch = build_chain(c)
+        k = c.n - 1
+        top = [dict(r) for r in ch.derivs[-1].sparse_rows]
+        top[k] = {0: Fraction(1), **top[k]}  # d_k(e_1) gains e_1*
+        return ExtensionChain(c.n, ch.derivs[:-1] + (Mat._of(top, 2 * k),))
+    return {"nnp": zero, "2sp": off_dual, "skew": unskew}
+
+
+def test_all_roads_matches_reference_on_a_chain_that_breaks_a_law(
+        monkeypatch, catalog_coeffs):
+    corpus = [c for c in _roads_corpus(catalog_coeffs)
+              if c.n >= 3 and not c.is_zero()]
+    for law, broken in _broken_chains(convert.build_chain).items():
+        for c in corpus:
+            with monkeypatch.context() as m:
+                m.setattr(convert, "build_chain", broken)
+                got = _outcome(all_roads, c)
+                assert got == _outcome(_ref_all_roads, c)
+            assert got[0] == law

@@ -1,18 +1,24 @@
 """Property tests of the stored-half form laws against their dense
 definitions: cyclic_defect, invariance_defect and skew_defect on sparse
 rational data drawn by Hypothesis, derandomized so every run draws the
-same examples. Each test also counts what it drew, so a change to the
-strategies cannot quietly stop reaching repeated-index witnesses, forms
-with entries other than 1, or inputs where the law holds."""
+same examples; and of what a roads case reads (the symmetry test
+without a transpose, the family written from the terms, the pair terms
+and the shared hyperbolic forms) against the code it replaced or the
+definition.
+Each test also counts what it drew, so a change to the strategies cannot
+quietly stop reaching repeated-index witnesses, forms with entries other
+than 1, or inputs where the law holds."""
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from quadlie import (GeneralCocycle, LieAlgebra, Mat, abelian, cyclic_defect,
+from quadlie import (AltCoeffs, GeneralCocycle, LieAlgebra, Mat, abelian,
+                     all_roads, coeffs_to_family, cyclic_defect,
                      hyperbolic_form, invariance_defect, inverse, rank,
                      skew_defect)
 from quadlie.tstar import _tstar_algebra
 from reference import (_dense_invariance_defect, _dense_skew_defect,
+                       _loop_pair_terms, _ref_coeffs_to_family,
                        _ref_cyclic_defect)
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -158,3 +164,115 @@ def test_skew_defect_matches_dense_definition():
     assert diagonal >= 10
     assert 10 <= empty <= 140
     assert entries == {True, False}
+
+
+@st.composite
+def _square_or_not(draw):
+    """A sparse rational matrix, square three times in four: a symmetric
+    part, whose diagonal may be nonzero, then up to two entries anywhere,
+    whose mirror is then absent or differs."""
+    n = draw(st.integers(0, 5))
+    cols = n if draw(st.integers(0, 3)) else draw(st.integers(0, 5))
+    rows = [[Fraction(0)] * cols for _ in range(n)]
+    if n and cols:
+        for (i, j), c in draw(_sparse(min(n, cols), 2, 4)).items():
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = c
+        extra = st.tuples(st.integers(1, n), st.integers(1, cols))
+        for (i, j), c in draw(st.dictionaries(extra, _nonzero,
+                                              max_size=2)).items():
+            rows[i - 1][j - 1] += c
+    return Mat(rows) if n else Mat.zero(0, cols)
+
+
+def test_is_symmetric_matches_equality_with_transpose():
+    seen = set()
+
+    @_SETTINGS
+    @given(_square_or_not())
+    def check(m):
+        got = m.is_symmetric()
+        assert got == (m == m.transpose())
+        r = m.sparse_rows
+        unmirrored = any(j >= m.rows or i not in r[j]
+                         for i, x in enumerate(r) for j in x)
+        seen.add((got, m.rows == m.cols, unmirrored))
+        if any(i in x for i, x in enumerate(r)):
+            seen.add("diagonal")
+        if m.rows == m.cols and all(i in r[j] for i, x in enumerate(r)
+                                    for j in x if j > i) and unmirrored:
+            seen.add("only a lower entry unmirrored")
+        if any(e != 1 for x in r for e in x.values()):
+            seen.add("not one")
+    check()
+    # symmetric, unsymmetric with an entry lacking its mirror, unsymmetric
+    # with every mirror present but unequal, and not square
+    assert {(True, True, False), (False, True, True), (False, True, False),
+            (False, False, True), "diagonal", "not one",
+            "only a lower entry unmirrored"} <= seen
+
+
+@st.composite
+def _alt_coeffs(draw):
+    """Alternating coefficients on n = 0..7 with rational values, some of
+    them made through the trusted AltCoeffs._of."""
+    n = draw(st.integers(0, 7))
+    terms = {} if n < 3 else draw(_sparse(n, 3, 12))
+    c = AltCoeffs(n, {t: v for t, v in terms.items() if len(set(t)) == 3})
+    return AltCoeffs._of(n, list(c.terms)) if draw(st.booleans()) else c
+
+
+def _ordered(fam):
+    return [[list(r.items()) for r in m.sparse_rows] for m in fam.mats]
+
+
+def test_coeffs_to_family_matches_pair_term_body():
+    sizes = set()
+
+    @_SETTINGS
+    @given(_alt_coeffs())
+    def check(c):
+        got, want = coeffs_to_family(c), _ref_coeffs_to_family(c)
+        assert got == want
+        assert _ordered(got) == _ordered(want)  # key order too
+        sizes.add(min(len(c.terms), 3))
+    check()
+    assert sizes == {0, 1, 2, 3}
+
+
+def test_pair_terms_match_value_loop():
+    kinds = set()
+
+    @_SETTINGS
+    @given(_alt_coeffs())
+    def check(c):
+        want = list(_loop_pair_terms(c).items())  # key order too
+        first = c.pair_terms()
+        assert list(first.items()) == want
+        first.clear()  # each call hands out a dict of its own
+        assert list(c.pair_terms().items()) == want
+        copy = AltCoeffs._of(c.n, list(c.terms))
+        assert list(copy.pair_terms().items()) == want
+        kinds.add(bool(want))
+    check()
+    assert kinds == {True, False}
+
+
+def test_shared_hyperbolic_forms_survive_all_roads():
+    ran = 0
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=40)
+    @given(_alt_coeffs())
+    def check(c):
+        nonlocal ran
+        if c.n >= 3 and c.terms:
+            rep = all_roads(c)
+            assert rep.equal
+            ran += 1
+        for n in range(c.n + 1):
+            fresh = Mat([[int(j == (i + n) % (2 * n)) for j in range(2 * n)]
+                         for i in range(2 * n)]) if n else Mat.zero(0, 0)
+            assert hyperbolic_form(n) == fresh
+            assert hyperbolic_form(n) is hyperbolic_form(n)
+    check()
+    assert ran >= 10
