@@ -105,18 +105,45 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length mismatch")
         x, y = ({a: c for a, c in enumerate(v) if c} for v in (x, y))
-        return self._dense(self._bracket(x, y).items())
+        br = self._brackets([x, y])
+        return self._dense((k[2], c) for k, c in br.items())
 
-    def _bracket(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]
-                 ) -> dict[int, Fraction]:
-        """[x, y] for sparse x and y, {a: x_a} over nonzero Fractions: sum
-        x_a y_b [e_a, e_b] over the support a of x and the stored [e_a, e_b]
-        that meet the support of y; nonzero entries, columns ascending."""
+    def _brackets(self, vs: Sequence[Mapping[int, Fraction]]
+                  ) -> dict[tuple[int, int, int], Fraction]:
+        """[v_a, v_b]_r for every a < b over sparse vectors {y: v_y} of
+        nonzero Fractions, as one _fsum keyed (a, b, r): the vectors are read
+        last first, and a stored [e_p, e_y] meets only later ones holding y."""
         ad = self._ad_index()
-        return _fsum((r, xa.numerator * yb.numerator * c.numerator,
-                      xa.denominator * yb.denominator * c.denominator)
-                     for a, xa in x.items() for b, nz in ad[a]
-                     if (yb := y.get(b)) for r, c in nz)
+        holders: dict[int, list[tuple[int, int, int]]] = {}  # y -> (b, v_b[y])
+
+        def terms():
+            for a in range(len(vs) - 1, -1, -1):
+                for p, x in vs[a].items():
+                    for y, nz in ad[p]:
+                        for b, yn, yd in holders.get(y, ()):
+                            f, d = x.numerator * yn, x.denominator * yd
+                            for r, c in nz:
+                                yield ((a, b, r), f * c.numerator,
+                                       d * c.denominator)
+                for y, c in vs[a].items():
+                    holders.setdefault(y, []).append(
+                        (a, c.numerator, c.denominator))
+        return _fsum(terms())
+
+    def _ad_images(self, vs: Sequence[Mapping[int, Fraction]]
+                   ) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero rows [e_s, v_i] over sparse vectors v_i and every s,
+        keyed (i, s) ascending, from one sum over the ad index."""
+        ad = self._ad_index()
+        # [e_b, e_s] = w adds -v_b w to [e_s, v], row (i, s) of the sum
+        sums = _fsum(((i, s, r), -c.numerator * e.numerator,
+                      c.denominator * e.denominator)
+                     for i, v in enumerate(vs) for b, c in v.items()
+                     for s, w in ad[b] for r, e in w)
+        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for (i, s, r), e in sums.items():
+            rows.setdefault((i, s), {})[r] = e
+        return rows
 
     # ---- Lie-ness ----
 
@@ -201,10 +228,9 @@ class LieAlgebra:
 
         A^2 is spanned by the stored brackets. Each later term is spanned by
         [e_a, v] over every a and every basis vector v of the one before,
-        summed from the ad index over the support of v.
+        the rows of _ad_images.
         """
         self._require_lie()
-        ad = self._ad_index()
         cur = Subspace.full(self.dim)
         series = [cur]
         nxt = self.derived()
@@ -213,16 +239,8 @@ class LieAlgebra:
             if nxt.dim == cur.dim or nxt.dim == 0:
                 return series
             cur = nxt
-            # [e_b, e_a] = w adds -v_b w to [e_a, v], row (v, a) of the sum
-            sums = _fsum(((i, a, r), -c.numerator * e.numerator,
-                          c.denominator * e.denominator)
-                         for i, v in enumerate(cur.basis.sparse_rows)
-                         for b, c in v.items()
-                         for a, w in ad[b] for r, e in w)
-            rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-            for (i, a, r), e in sums.items():
-                rows.setdefault((i, a), {})[r] = e
-            nxt = Subspace._of(self.dim, rows.values())
+            nxt = Subspace._of(self.dim, self._ad_images(
+                cur.basis.sparse_rows).values())
 
     def nilindex(self) -> int | None:
         """Smallest t with A^{t+1} = 0, or None when not nilpotent."""

@@ -70,7 +70,7 @@ def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
     s: dict[tuple[int, int], Fraction] = {}
     for r, j, c in _entries(d):
         for i, f in rows[r].items():
-            x = c if f == 1 else f * c  # hyperbolic forms are all ones
+            x = c if f is ONE else f * c  # hyperbolic forms hold ONE
             s[i, j] = s[i, j] + x if (i, j) in s else x
     bad = set()
     for (i, j), x in s.items():

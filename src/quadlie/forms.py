@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 from typing import Sequence
 
 from .algebra import LieAlgebra
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, kernel,
-                     opposite, rank, rref, vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
+                     kernel, opposite, rank, rref, vec)
 
 
 @cache
@@ -62,7 +61,7 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
         for r, c in v:
             for k, e in nz[r].items():
                 key = (i, j, k + 1)
-                x = c if e == 1 else c * e  # hyperbolic forms are all ones
+                x = c if e is ONE else c * e  # hyperbolic forms hold ONE
                 t[key] = t[key] + x if key in t else x
     return _cyclic_defect(t)
 
@@ -157,6 +156,8 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
     """Check m maps q1 to q2 preserving brackets and the form.
 
     Columns of m are the images of q1's basis vectors. Returns (ok, reason).
+    The form is checked first, then m[e_i, e_j] against [m e_i, m e_j]
+    as two sums keyed (i, j, r), the first pair that differs reported.
     """
     if m.rows != q2.dim or m.cols != q1.dim or q1.dim != q2.dim:
         return False, "shape mismatch"
@@ -167,11 +168,15 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
         return False, ("not invertible" if rank(m) != q1.dim
                        else "form not preserved")
     cols = mt.sparse_rows
-    for i, j in combinations(range(1, q1.dim + 1), 2):
-        lhs = mt._vecmat(q1.alg.terms.get((i, j), ()))
-        rhs = q2.alg._bracket(cols[i - 1], cols[j - 1])
-        if lhs != rhs:
-            return False, f"bracket not preserved at ({i},{j})"
+    lhs = _fsum(((i - 1, j - 1, k), c.numerator * e.numerator,
+                 c.denominator * e.denominator)
+                for (i, j), nz in q1.alg.terms.items() for r, c in nz
+                for k, e in cols[r].items())
+    rhs = q2.alg._brackets(cols)
+    if lhs != rhs:
+        i, j = min(key[:2] for key in lhs.keys() | rhs.keys()
+                   if lhs.get(key) != rhs.get(key))
+        return False, f"bracket not preserved at ({i + 1},{j + 1})"
     return True, "ok"
 
 

@@ -14,7 +14,7 @@ from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
 from .errors import QuadlieError
 from .forms import QuadraticStructure
-from .linalg import Fraction, Mat, scalar, scalar_str
+from .linalg import Fraction, Mat, ONE, scalar, scalar_str
 from .quadfam import QuadraticFamily
 from .tstar import GeneralCocycle
 
@@ -125,7 +125,8 @@ def _scalar_in(x, where: str, memo: dict | None = None):
     """memo keeps the value of each good str parsed so far; only str keys,
     since the float 1.0 would find a kept int 1. Bad strings fail each time.
     The JSON true and false are not scalars, though Python counts them as
-    ints."""
+    ints. A value of 1 comes back as the shared ONE, so a form read from a
+    file keeps the `is ONE` shortcut of invariance_defect and skew_defect."""
     if isinstance(x, bool):
         raise QuadlieError(f"bad scalar {json.dumps(x)} in {where}")
     if memo is not None and isinstance(x, str):
@@ -133,9 +134,10 @@ def _scalar_in(x, where: str, memo: dict | None = None):
             memo[x] = _scalar_in(x, where)
         return memo[x]
     try:
-        return scalar(x)
+        c = scalar(x)
     except (ValueError, TypeError, ZeroDivisionError):
         raise QuadlieError(f"bad scalar {x!r} in {where}")
+    return ONE if c == 1 else c
 
 
 def _sparse_in(v: list, where: str, memo: dict) -> dict[int, Fraction]:

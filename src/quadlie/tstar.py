@@ -17,8 +17,8 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, _cyclic_defect, hyperbolic_form,
                     is_isometry, lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, inverse, scalar,
-                     vstack)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
+                     scalar, vstack)
 
 
 # Cyclic 2-cocycle data on the abelian algebra of dimension n: the role name
@@ -269,8 +269,11 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
 
     B is the quotient by the ideal, realized on a deterministic isotropic
     complement L; w reads off the bracket components falling back into the
-    ideal. The returned matrix maps q onto tstar_extend(w) and is verified
-    bracket- and form-preserving before returning.
+    ideal. The ideal is checked lagrangian, abelian (LieAlgebra._brackets
+    on its basis) and an ideal (LieAlgebra._ad_images); B and w are one
+    sum keyed (a, b, k) of the returned matrix applied to _brackets on L's
+    basis, split at k < n. The matrix maps q onto tstar_extend(w) and is
+    verified bracket- and form-preserving before returning.
     """
     dim = q.dim
     if dim % 2:
@@ -278,32 +281,24 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
     n = dim // 2
     L = lagrangian_complement(q, ideal)  # checks that ideal is lagrangian
     ibasis = ideal.basis.sparse_rows
-    for a, u in enumerate(ibasis):
-        for v in ibasis[a + 1:]:
-            if q.alg._bracket(u, v):
-                raise ValidationError("ideal is not abelian", law="abelian")
-    if not ideal._holds(q.alg._bracket({s: ONE}, u)
-                        for s in range(dim) for u in ibasis):
+    if q.alg._brackets(ibasis):
+        raise ValidationError("ideal is not abelian", law="abelian")
+    if not ideal._holds(q.alg._ad_images(ibasis).values()):
         raise ValidationError("subspace is not an ideal", law="ideal")
-    lrows = L.basis.sparse_rows
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
     # rows: the coordinates along L, then the pairings phi(l_c, .)
     iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
                   dim)
-    iso_t = iso.transpose()
-    brackets = {}
-    wterms = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = iso_t._vecmat(q.alg._bracket(lrows[a], lrows[b]).items())
-            lam = tuple((k, c) for k, c in v.items() if k < n)
-            if lam:
-                brackets[(a + 1, b + 1)] = lam
-            if len(lam) < len(v):
-                wterms[(a + 1, b + 1)] = tuple((k - n, c) for k, c in v.items()
-                                               if k >= n)
-    B = LieAlgebra._of(n, brackets)
-    w = GeneralCocycle._of(B, wterms)
+    cols = iso.transpose().sparse_rows  # cols[r] is iso e_r
+    read = _fsum(((a, b, k), c.numerator * e.numerator,
+                  c.denominator * e.denominator) for (a, b, r), c
+                 in q.alg._brackets(L.basis.sparse_rows).items()
+                 for k, e in cols[r].items())
+    halves: tuple[dict, dict] = ({}, {})  # B's brackets, then w's values
+    for (a, b, k), c in read.items():
+        halves[k >= n].setdefault((a + 1, b + 1), []).append((k % n, c))
+    B = LieAlgebra._of(n, {key: tuple(v) for key, v in halves[0].items()})
+    w = GeneralCocycle._of(B, {key: tuple(v) for key, v in halves[1].items()})
     ok, why = is_isometry(q, tstar_extend(w), iso)
     if not ok:
         raise ValidationError(f"recovered map failed verification: {why}")

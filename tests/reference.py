@@ -9,7 +9,8 @@ shared index. Names say which:
 - `_dense_*`: straight from the definition, over dense views;
 - `_old_*`: a Mat operation as it was on dense rows, or a sum of
   products as it was in Fractions, before `linalg._fsum`;
-- `_loop_*`: a conversion as it was, reading c_ijk at every index triple;
+- `_loop_*`: a conversion as it was, reading c_ijk at every index triple,
+  or a law check as it was, one basis pair at a time;
 - `_ref_*`: a construction, law check or file reader as it was, with
   its own validation.
 
@@ -45,7 +46,7 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      tstar_extend)
 from quadlie.doubleext import _deriv_mat
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
-from quadlie.linalg import opposite, vstack
+from quadlie.linalg import ONE, opposite, vstack
 
 ZERO = Fraction(0)
 
@@ -1437,3 +1438,66 @@ def _old_is_isometry(q1, q2, m):
         if lhs != rhs:
             return False, f"bracket not preserved at ({i},{j})"
     return True, "ok"
+
+
+def _loop_is_isometry(q1, q2, m):
+    """is_isometry as it was before the batched brackets: the form first,
+    the rank only when the form fails, then one bracket per basis pair in
+    combinations order, the first pair that differs reported."""
+    if m.rows != q2.dim or m.cols != q1.dim or q1.dim != q2.dim:
+        return False, "shape mismatch"
+    mt = m.transpose()  # row j holds the image of e_{j+1}
+    if mt * q2.form * m != q1.form:
+        return False, ("not invertible" if rank(m) != q1.dim
+                       else "form not preserved")
+    cols = mt.sparse_rows
+    for i, j in itertools.combinations(range(1, q1.dim + 1), 2):
+        lhs = mt._vecmat(q1.alg.terms.get((i, j), ()))
+        rhs = _old_bracket(q2.alg, cols[i - 1], cols[j - 1])
+        if lhs != rhs:
+            return False, f"bracket not preserved at ({i},{j})"
+    return True, "ok"
+
+
+def _old_decompose_as_tstar(q, ideal):
+    """decompose_as_tstar as it was before the batched brackets: one
+    bracket per pair of ideal vectors, per (e_s, ideal vector) and per
+    pair of complement vectors, and the pair loop of _loop_is_isometry."""
+    dim = q.dim
+    if dim % 2:
+        raise ValidationError("dimension is odd", law="even-dim")
+    n = dim // 2
+    L = lagrangian_complement(q, ideal)  # checks that ideal is lagrangian
+    ibasis = ideal.basis.sparse_rows
+    for a, u in enumerate(ibasis):
+        for v in ibasis[a + 1:]:
+            if _old_bracket(q.alg, u, v):
+                raise ValidationError("ideal is not abelian", law="abelian")
+    if not ideal._holds(_old_bracket(q.alg, {s: ONE}, u)
+                        for s in range(dim) for u in ibasis):
+        raise ValidationError("subspace is not an ideal", law="ideal")
+    lrows = L.basis.sparse_rows
+    coords = inverse(vstack(L.basis, ideal.basis).transpose())
+    # rows: the coordinates along L, then the pairings phi(l_c, .)
+    iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
+                  dim)
+    iso_t = iso.transpose()
+    brackets = {}
+    wterms = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = iso_t._vecmat(_old_bracket(q.alg, lrows[a],
+                                           lrows[b]).items())
+            lam = tuple((k, c) for k, c in v.items() if k < n)
+            if lam:
+                brackets[(a + 1, b + 1)] = lam
+            if len(lam) < len(v):
+                wterms[(a + 1, b + 1)] = tuple((k - n, c)
+                                               for k, c in v.items()
+                                               if k >= n)
+    B = LieAlgebra._of(n, brackets)
+    w = GeneralCocycle._of(B, wterms)
+    ok, why = _loop_is_isometry(q, tstar_extend(w), iso)
+    if not ok:
+        raise ValidationError(f"recovered map failed verification: {why}")
+    return B, w, iso

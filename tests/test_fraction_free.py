@@ -159,12 +159,13 @@ def test_brackets_match_references(rational_structures):
         alg, n = q.alg, q.dim
         for _ in range(6):
             x, y = _sparse_vector(g, n), _sparse_vector(g, n)
-            got = alg._bracket(x, y)
-            assert got == _old_bracket(alg, x, y)
+            got = alg._brackets([x, y])
+            assert got == {(0, 1, r): c
+                           for r, c in _old_bracket(alg, x, y).items()}
             assert list(got) == sorted(got) and all(got.values())
             dense = [tuple(v.get(a, F(0)) for a in range(n)) for v in (x, y)]
             assert alg.bracket(*dense) == _dense_bracket(alg, *dense)
-            assert alg._bracket(x, x) == {}
+            assert alg._brackets([x, x]) == {}
             nonzero += bool(got)
     assert nonzero > 40
 

@@ -1,6 +1,7 @@
 """JSON serialization round trips and input validation."""
 import json
 from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
 
@@ -234,6 +235,23 @@ def test_algebra_from_obj_parses_each_string_once(monkeypatch):
     # the memo lives for one call: a second load parses again
     algebra_from_obj(obj)
     assert len(parsed) == 2 * (len(strings) - 1)
+
+
+def test_read_ones_are_the_shared_one():
+    # invariance_defect and skew_defect skip the product for a form entry
+    # that is ONE, so every spelling of 1 in a file reads as that object
+    from quadlie.linalg import ONE
+    obj = {"dim": 4, "brackets": [{"i": 1, "j": 2,
+                                   "v": ["0", "0", "1", "2/2"]}],
+           "form": [["0", "0", "1", "0"], ["0", "0", "0", "3/3"],
+                    [1, "0", "0", "0"], ["0", "01", "0", "0"]]}
+    alg, form = algebra_from_obj(obj)
+    entries = [c for _, c in alg.terms[(1, 2)]]
+    entries += [e for row in form.sparse_rows for e in row.values()]
+    assert len(entries) == 6 and all(e is ONE for e in entries)
+    alg, _ = algebra_from_obj({"dim": 2, "brackets": [
+        {"i": 1, "j": 2, "v": ["-1", "1/2"]}]})
+    assert [c for _, c in alg.terms[(1, 2)]] == [-1, Fraction(1, 2)]
 
 
 def test_algebra_from_obj_memo_keeps_errors():

@@ -9,7 +9,9 @@ directory. Each pair runs `benchmarks/run.py --workload W --seed S
 --seconds T --trace 0` once in that copy (the parent) and once in this
 checkout (the change), each from its own tree, one after the other; the
 parent runs first in odd pairs and the change in even ones. A run that
-exits nonzero stops the tool.
+exits nonzero, fails a case or reports a wrong output stops the tool with
+a nonzero exit, since run.py itself exits 0 then, and a claim must not be
+built from wrong outputs.
 
 The output is the `claim` block of a BENCH_<n>.json for the workload's
 cases_per_s: per pair the seed, which side ran first, both sides'
@@ -58,7 +60,15 @@ def run_once(tree: str, workload: str, seed: int, seconds: str) -> dict:
     if out.returncode != 0:
         sys.stderr.write(out.stderr)
         raise SystemExit(f"run.py failed in {tree} (exit {out.returncode})")
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    return checked(json.loads(out.stdout.strip().splitlines()[-1]), tree)
+
+
+def checked(res: dict, where: str) -> dict:
+    """res, or a stop when its run failed a case or an output was wrong."""
+    if res["failed"] or not res["correct"]:
+        raise SystemExit(f"run.py in {where} failed {res['failed']} cases, "
+                         f"correct: {res['correct']}; no claim is made")
+    return res
 
 
 def spread(values: list[float]) -> dict:
@@ -74,7 +84,11 @@ def value(res: dict, name: str) -> float:
 
 def claim(runs: list[tuple[str, dict, dict]], workload: str, seed: int,
           command: str) -> dict:
-    """The claim block from (first, parent result, change result) pairs."""
+    """The claim block from (first, parent result, change result) pairs;
+    a run that failed a case or gave a wrong output stops it."""
+    for _, p, c in runs:
+        checked(p, "the parent")
+        checked(c, "the change")
     pairs = [{"seed": seed, "first": first, "parent": value(p, METRIC),
               "change": value(c, METRIC),
               "failed": [p["failed"], c["failed"]],
