@@ -14,8 +14,8 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
-                     kernel, opposite, solve)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum,
+                     _kernel_rows, inverse, opposite, solve)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -198,7 +198,8 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     (Z(A) intersect ker d) + the dual line, plus the line through b - x
     exactly when d = ad(x) is inner. Z(A) intersect ker d is solved inside
     the cached centre: the combinations sum a_k z_k of its basis with
-    sum a_k d(z_k) = 0.
+    sum a_k d(z_k) = 0, mapped on from the kernel's unreduced rows, since
+    the one final span reduces them.
     """
     dmat = _deriv_mat(aq, d)
     dim = (aq.dim if aq is not None else 0) + 2
@@ -206,7 +207,7 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     if aq is not None:
         z = aq.alg.centre().basis
         # column k of d z^T is d(z_k)
-        core = kernel(dmat * z.transpose()).basis * z
+        core = Mat._of(_kernel_rows(dmat * z.transpose()), z.rows) * z
         rows = [{j + 1: e for j, e in r.items()} for r in core.sparse_rows]
     rows.append({dim - 1: ONE})
     x = inner_preimage(aq, dmat)
@@ -217,13 +218,14 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
 
 def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     """0 != im(d) + A^2 contained in Z(A) intersect ker(d): s lies in
-    Z(A) and d(s) = 0, so neither ker(d) nor the intersection is solved."""
+    Z(A) and d(s) = 0, so neither ker(d) nor the intersection is solved.
+    s is spanned in one elimination, of d's columns and A^2's basis."""
     dmat = _deriv_mat(aq, d)
     if aq is None:
         return False
     n = aq.dim
-    image = Subspace._of(n, dmat.transpose().sparse_rows)
-    s = image.sum(aq.alg.derived())
+    s = Subspace._of(n, dmat.transpose().sparse_rows
+                     + aq.alg.derived().basis.sparse_rows)
     if s.dim == 0:
         return False
     return (aq.alg.centre().contains(s)
@@ -348,26 +350,49 @@ def chain_reduced_check(ch: ExtensionChain) -> bool:
 def derivation_space(aq: QuadraticStructure) -> Subspace:
     """All form-skew derivations, as row-major vectorized matrices.
 
-    With F symmetric, d is form-skew exactly when S = F d is alternating,
-    so d = G S for G = F^-1 and S = sum over a < b of s_ab (E_ab - E_ba):
-    the map D_ab has column b equal to column a of G and column a equal to
-    minus column b of G. Only the derivation law is solved, on the
-    n(n-1)/2 unknowns s_ab, one row per nonzero key of its map, keys
-    sorted; the kernel mapped back to d spans the space, and the RREF
+    d is a skew derivation exactly when s(u, v) = F(u, d v) is an
+    alternating, closed 2-form: s([x,y],z) + s([y,z],x) + s([z,x],y) = 0,
+    since F(D(x,y), z) is minus that sum for the derivation law's D and F
+    is invariant and nondegenerate (Medina-Revoy 1985). So the law is
+    solved on the n(n-1)/2 entries s_ab, a < b, of S = F d, one row per
+    sorted triple, in one sum over the stored brackets: a term c e_r of
+    [e_i, e_j] adds c s(r, z) to the row of {i, j, z}, negated when
+    i < z < j. The kernel maps back to d = G S, G = F^-1: D_ab has column
+    b equal to column a of G and column a minus column b of G. The RREF
     basis of the Subspace is canonical.
     """
     n = aq.dim
-    g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
-    law = _derivation_map(aq.alg)
+    # unknown[r][z] = (k, sign) with s(r, z) = sign s_k, r != z
+    unknown: list[list[tuple[int, int]]] = [[(0, 0)] * n for _ in range(n)]
     gens = []  # row k: the k-th D_ab, vectorized
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
     for a in range(n):
         for b in range(a + 1, n):
-            ents = ([(r, b, c) for r, c in g[a].items()]
-                    + [(r, a, -c) for r, c in g[b].items()])
-            for key, x in law(ents).items():
-                rows.setdefault(key, {})[len(gens)] = x
-            gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
-    sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
-    return Subspace._of(n * n,
-                        (sol.basis * Mat._of(gens, n * n)).sparse_rows)
+            unknown[a][b], unknown[b][a] = (len(gens), 1), (len(gens), -1)
+            gens.append(dict(sorted(
+                [(r * n + b, c) for r, c in g[a].items()]
+                + [(r * n + a, -c) for r, c in g[b].items()])))
+
+    def terms():  # ((sorted triple, unknown), numerator, denominator)
+        for (i, j), nz in aq.alg.terms.items():
+            i, j = i - 1, j - 1
+            for z in range(n):
+                if z < i:
+                    key, f = (z, i, j), 1
+                elif z == i or z == j:
+                    continue
+                elif z < j:
+                    key, f = (i, z, j), -1
+                else:
+                    key, f = (i, j, z), 1
+                for r, c in nz:
+                    if r != z:
+                        k, sign = unknown[r][z]
+                        yield ((key, k), f * sign * c.numerator,
+                               c.denominator)
+    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
+    for (key, k), x in _fsum(terms()).items():
+        rows.setdefault(key, {})[k] = x
+    sol = _kernel_rows(Mat._of(rows.values(), len(gens)))
+    return Subspace._of(n * n, (Mat._of(sol, len(gens))
+                                * Mat._of(gens, n * n)).sparse_rows)

@@ -277,18 +277,25 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel(m: Mat) -> "Subspace":
-    """{x : m x = 0} as a Subspace of dim cols - rank."""
+def _kernel_rows(m: Mat) -> list[dict[int, Fraction]]:
+    """A basis of {x : m x = 0}, one row per free column f of m's RREF R:
+    x_f = 1, x_p = -R[p][f] at each pivot p, 0 elsewhere, as {column:
+    entry} rows, columns ascending. The rows are not in RREF; a caller
+    that maps them on spans the image once, in its own Subspace."""
     R, pivots = rref(m)
-    nc = m.cols
     pivset = set(pivots)
-    gens = {f: {f: ONE} for f in range(nc) if f not in pivset}
+    gens = {f: {f: ONE} for f in range(m.cols) if f not in pivset}
     # pivot row p is x_p + sum R[p][f] x_f over the free columns f
     for p, row in zip(pivots, R.sparse_rows):
         for f, e in row.items():
             if f != p:
                 gens[f][p] = -e
-    return Subspace._of(nc, [dict(sorted(v.items())) for v in gens.values()])
+    return [dict(sorted(v.items())) for v in gens.values()]
+
+
+def kernel(m: Mat) -> "Subspace":
+    """{x : m x = 0} as a Subspace of dim cols - rank."""
+    return Subspace._of(m.cols, _kernel_rows(m))
 
 
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:

@@ -12,7 +12,9 @@ shared index. Names say which:
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple,
   or a law check as it was, one basis pair at a time;
 - `_ref_*`: a construction, law check or file reader as it was, with
-  its own validation.
+  its own validation;
+- `_pair_law_*`: a solver as it was, on the derivation law over every
+  basis pair and component.
 
 `basis_vec` and `_dense_direct_sum` stand in for `linalg.basis_vec` and
 `LieAlgebra.direct_sum`, which the package no longer has, and
@@ -44,7 +46,7 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
                      permute_quadratic, rank, rref, scalar, solve,
                      tstar_extend)
-from quadlie.doubleext import _deriv_mat
+from quadlie.doubleext import _deriv_mat, _derivation_map
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
 from quadlie.linalg import ONE, opposite, vstack
 
@@ -957,6 +959,28 @@ def _ref_derivation_space(aq):
                         row[(s - 1) * n + (j - 1)] -= c2
                 rows.append(row)
     return kernel(Mat.from_rows(rows, cols=nn))
+
+
+def _pair_law_derivation_space(aq):
+    """derivation_space as it was before it solved the closed-2-form law:
+    d = G S for alternating S and G = F^-1, with the derivation law solved
+    on the n(n-1)/2 unknowns s_ab, one row per nonzero key (i, j, t) of
+    its map, and the kernel put into RREF before it is mapped back."""
+    n = aq.dim
+    g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
+    law = _derivation_map(aq.alg)
+    gens = []  # row k: the k-th D_ab, vectorized
+    rows = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            ents = ([(r, b, c) for r, c in g[a].items()]
+                    + [(r, a, -c) for r, c in g[b].items()])
+            for key, x in law(ents).items():
+                rows.setdefault(key, {})[len(gens)] = x
+            gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
+    sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
+    return Subspace._of(n * n,
+                        (sol.basis * Mat._of(gens, n * n)).sparse_rows)
 
 
 def _ref_deriv_mat(aq, d):

@@ -10,8 +10,8 @@ from quadlie import (CocycleCoeffs, ExtensionChain, Mat, QuadraticStructure,
                      chain_to_algebra, chain_to_coeffs, derivation_defect,
                      derivation_space, double_extend, double_extend_1d,
                      fold_chain, heisenberg, hyperbolic_form, inner_preimage,
-                     inverse, invariance_defect, parse_coeffs, skew_defect,
-                     tstar_extend, two_step_criterion)
+                     inverse, invariance_defect, parse_coeffs, rank,
+                     skew_defect, tstar_extend, two_step_criterion)
 from quadlie.doubleext import _deriv_mat
 from quadlie.randgen import random_coeffs, random_skew_derivation
 from reference import (_dense_basis_brackets, _dense_contains_vec,
@@ -22,7 +22,10 @@ from reference import (_dense_basis_brackets, _dense_contains_vec,
                        _ref_centre_by_rows, _ref_inner_preimage,
                        _ref_inner_preimage_by_rows,
                        _ref_two_step_by_intersection,
-                       _ref_validate_chain, basis_vec)
+                       _ref_validate_chain, _pair_law_derivation_space,
+                       basis_vec)
+from test_fraction_free import (_changed_basis, _rational_basis_change,
+                                _rational_coeffs)
 
 
 def hyperbolic_abelian(m):
@@ -687,7 +690,113 @@ def test_derivation_space_matches_dense_reference():
              for aq in bases}
     assert len(bases) > 30
     for aq in bases.values():
-        assert derivation_space(aq) == _ref_derivation_space(aq)
+        space = derivation_space(aq)
+        assert space == _ref_derivation_space(aq)
+        assert space == _pair_law_derivation_space(aq)
+
+
+def _general_form(n, g):
+    """A seeded symmetric nondegenerate n x n form, entries in -3..3."""
+    while True:
+        f = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                f[i][j] = f[j][i] = g.randint(-3, 3)
+        m = Mat(f)
+        if rank(m) == n:
+            return m
+
+
+@pytest.fixture(scope="module")
+def general_form_bases():
+    """Bases whose forms are not hyperbolic: abelian algebras under seeded
+    forms with entries in -3..3 and their one-dimensional extensions by a
+    seeded skew derivation, and seeded rational T*-extensions moved into
+    a seeded rational basis, brackets and form both transported."""
+    g = SplitMix64(2828)
+    out = []
+    for k in range(8):
+        aq = QuadraticStructure(abelian(2 + k % 5), _general_form(2 + k % 5,
+                                                                  g))
+        out.append(aq)
+        d = random_skew_derivation(aq, 300 + k)
+        if not d.is_zero():
+            out.append(double_extend_1d(aq, d))
+    for k in range(4):
+        q = tstar_extend(_rational_coeffs(3 + k % 2, 80 + k))
+        out.append(_changed_basis(q, _rational_basis_change(q.dim, 90 + k)))
+    return tuple(out)
+
+
+def test_derivation_space_on_general_forms(general_form_bases):
+    # the forms hold entries other than 0 and +-1, so G = F^-1 is not F
+    entries = {e for aq in general_form_bases
+               for r in aq.form.sparse_rows for e in r.values()}
+    assert entries - {1, -1}
+    assert any(e.denominator > 1 for aq in general_form_bases
+               for r in inverse(aq.form).sparse_rows for e in r.values())
+    dims = set()
+    for aq in general_form_bases:
+        space = derivation_space(aq)
+        assert space == _ref_derivation_space(aq)
+        assert space == _pair_law_derivation_space(aq)
+        dims.add(space.dim)
+    assert len(dims) > 5
+
+
+def test_extension_formulas_on_general_forms(general_form_bases):
+    # the two-step criterion and the centre formula, which now solve
+    # their spans in one elimination, over bases with general forms
+    for k, aq in enumerate(general_form_bases):
+        d = random_skew_derivation(aq, 400 + k)
+        ext = double_extend_1d(aq, d)
+        assert two_step_criterion(aq, d) == (ext.alg.nilindex() == 2)
+        assert two_step_criterion(aq, d) == \
+            _ref_two_step_by_intersection(aq, d)
+        assert centre_formula_1d(aq, d) == ext.alg.centre()
+        assert centre_formula_1d(aq, d) == \
+            _ref_centre_formula_by_intersection(aq, d)
+
+
+def test_closed_two_form_identity(general_form_bases):
+    # phi(D(x,y), z) = -(s([x,y],z) + s([y,z],x) + s([z,x],y)) for
+    # s(u, v) = phi(u, d v), d = G S and any alternating S, on basis
+    # vectors, over the dense brackets: this pins the sign of the
+    # closed-2-form law without the kernel
+    g = SplitMix64(2829)
+    bases = general_form_bases + (tstar_extend(parse_coeffs("123+345")),)
+    for aq in bases:
+        n = aq.dim
+        S = [[Fraction(0)] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                S[a][b] = Fraction(g.randint(-3, 3), g.randint(1, 4))
+                S[b][a] = -S[a][b]
+        d = (inverse(aq.form) * Mat(S)).data
+        f = aq.form.data
+        bb = _dense_basis_brackets(aq.alg)
+        cols = [[d[r][c] for r in range(n)] for c in range(n)]
+
+        def s(u, k):  # u^T S e_k
+            return sum(u[a] * S[a][k] for a in range(n))
+
+        def br(i, j):  # [e_i, e_j], 0-based labels, any order
+            if i > j:
+                return tuple(-x for x in br(j, i))
+            return bb(i + 1, j + 1) if i < j else (Fraction(0),) * n
+        e = [basis_vec(n, k + 1) for k in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                # D(e_i, e_j) = d[e_i, e_j] - [d e_i, e_j] - [e_i, d e_j]
+                lhs = [sum(d[t][r] * x for r, x in enumerate(br(i, j)))
+                       for t in range(n)]
+                rhs1 = aq.alg.bracket(cols[i], e[j])
+                rhs2 = aq.alg.bracket(e[i], cols[j])
+                D = [a - b - c for a, b, c in zip(lhs, rhs1, rhs2)]
+                for k in range(n):
+                    phi = sum(D[t] * f[t][k] for t in range(n))
+                    cyc = s(br(i, j), k) + s(br(j, k), i) + s(br(k, i), j)
+                    assert phi == -cyc, (aq, i, j, k)
 
 
 def test_double_extend_matches_dense_reference(phi_cases):

@@ -12,7 +12,8 @@ from reference import (_dense_contains_vec, _dense_intersect,
                        _dense_solve, _old_add,
                        _old_hstack, _old_inverse, _old_is_skew,
                        _old_is_symmetric, _old_mul, _old_neg, _old_scale,
-                       _old_sub, _old_transpose, _old_vstack)
+                       _old_sub, _old_transpose, _old_vstack,
+                       _pair_law_derivation_space)
 
 
 def test_scalar_coercion():
@@ -237,10 +238,12 @@ def test_contains_matches_rank_reference():
 # ---- the sparse rref against the dense Gauss-Jordan it replaced ----
 
 def _recorded_systems(monkeypatch):
-    """Every distinct matrix that centre, derived, derivation_space and
-    Subspace.intersect hand to rref on the catalog and on every 25th seed
-    of the corpora of criteria 4 and 5. derivation_space runs on the
-    catalog entries with n <= 5 and on the last entry of each larger n."""
+    """Every distinct matrix that centre, derived, derivation_space, the
+    pair-law derivation_space it replaced and Subspace.intersect hand to
+    rref on the catalog and on every 25th seed of the corpora of criteria
+    4 and 5. The derivation spaces run on the catalog entries with n <= 5
+    and on the last entry of each larger n; the pair law's tall systems
+    are the ones past 200 rows."""
     from quadlie import (CATALOG, algebra_from_trivector, derivation_space,
                          double_extend_1d, random_coeffs, tstar_extend)
     from quadlie import linalg
@@ -266,6 +269,7 @@ def _recorded_systems(monkeypatch):
         alg.centre().intersect(alg.derived())
         if with_derivations:
             derivation_space(q)
+            _pair_law_derivation_space(q)
     monkeypatch.undo()
     return list(seen.values())
 

@@ -3,7 +3,7 @@ import ast
 import re
 from pathlib import Path
 
-_REFERENCE = re.compile(r"_(dense|ref|loop|old)(_|$)")
+_REFERENCE = re.compile(r"_(dense|ref|loop|old|pair_law)(_|$)")
 
 
 def _reference_names(source):
@@ -35,8 +35,9 @@ def test_reference_helpers_are_defined_once_in_reference_module():
 def test_replaced_paths_are_kept_as_references():
     # the paths that rref's early stop, the ad-index centre rows, the
     # once-per-pair skew check, the sparse file readers, the
-    # fraction-free sums, the one-build roads check and the batched
-    # brackets replaced, and the dense solvers they are checked against
+    # fraction-free sums, the one-build roads check, the batched
+    # brackets and the closed-2-form derivation law replaced, and the
+    # dense solvers they are checked against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
         encoding="utf-8")
     assert {"_ref_centre_rows", "_ref_centre_by_rows",
@@ -50,5 +51,5 @@ def test_replaced_paths_are_kept_as_references():
             "_old_derivation_space", "_old_random_skew_derivation",
             "_old_chain_dcoeffs", "_old_is_isometry", "_ref_all_roads",
             "_ref_coeffs_to_family", "_old_decompose_as_tstar",
-            "_loop_is_isometry"} <= set(
+            "_loop_is_isometry", "_pair_law_derivation_space"} <= set(
                 _reference_names(source))
