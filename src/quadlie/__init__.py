@@ -7,8 +7,8 @@ from .algebra import (AlgebraType, LieAlgebra, abelian, from_bracket_table,
 from .alternating import AltCoeffs, format_coeffs, parse_coeffs
 from .catalog import (CATALOG, CatalogEntry, catalog, catalog_counts,
                       lambda_trivector)
-from .convert import (RoadsReport, all_roads, coeffs_to_chain,
-                      coeffs_to_family, count_parameters, family_to_coeffs)
+from .convert import (RoadsReport, all_roads, coeffs_to_family,
+                      count_parameters, family_to_coeffs)
 from .doubleext import (ExtensionChain, build_chain, centre_formula_1d,
                         chain_dcoeffs, chain_display_permutation,
                         chain_reduced_check, chain_to_algebra,
@@ -21,10 +21,9 @@ from .forms import (QuadraticStructure, hyperbolic_form, invariance_defect,
                     is_isometry, is_lagrangian, lagrangian_complement,
                     orthogonal_complement, permute_quadratic)
 from .linalg import (Fraction, Mat, Subspace, kernel, rank, rref, scalar,
-                     scalar_str, solve, inverse)
+                     solve, inverse)
 from .quadfam import (QuadraticFamily, algebra_from_family, f_matrix,
-                      family_defects, is_nondegenerate_family,
-                      validate_family)
+                      is_nondegenerate_family, validate_family)
 from .randgen import (SplitMix64, random_coeffs, random_invertible,
                       random_matrix, random_skew_derivation)
 from .trivector import (Trivector, algebra_from_trivector, contract, gl_act,

@@ -16,7 +16,7 @@ import re
 from typing import Iterable, Mapping, Sequence
 
 from .errors import QuadlieError
-from .linalg import Fraction, Mat, Subspace, ZERO, kernel, scalar, scalar_str
+from .linalg import Fraction, ZERO, scalar
 
 
 def sorted_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -84,9 +84,6 @@ class AltCoeffs:
                 tot += c * det
         return tot
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -124,26 +121,6 @@ class AltCoeffs:
             acc.setdefault((i, k), []).append((j - 1, -c))
             acc.setdefault((j, k), []).append((i - 1, c))
         return {p: tuple(acc[p]) for p in sorted(acc)}
-
-    def contraction_with(self, x: Sequence[Fraction]) -> Mat:
-        """The skew 2-form c(x, -, -) as an n x n matrix: entry (j, k) sums
-        x_i c_ijk over slot i of pair (j, k), as c_ijk = c_jki. Pairs come
-        sorted, so every row fills in ascending columns."""
-        if len(x) != self.n:
-            raise ValueError("vector length != n")
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
-        for (j, k), nz in self.pair_terms().items():
-            v = sum((x[i] * c for i, c in nz if x[i]), ZERO)
-            if v:
-                rows[j - 1][k - 1] = v
-                rows[k - 1][j - 1] = -v
-        return Mat._of(rows, self.n)
-
-    def kernel_subspace(self) -> Subspace:
-        """{x : c(x, -, -) = 0}: one sparse row per pair (j, k), holding
-        c_ijk at column i; untouched pairs have zero rows and are left out."""
-        return kernel(Mat._of([dict(nz) for nz in self.pair_terms().values()],
-                              self.n))
 
 
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
@@ -206,7 +183,7 @@ def format_coeffs(c: AltCoeffs) -> str:
             parts.append(("-", f"{i}{j}{k}"))
         else:
             sign = "-" if v < 0 else "+"
-            parts.append((sign, f"{scalar_str(abs(v))}*[{i},{j},{k}]"))
+            parts.append((sign, f"{abs(v)!s}*[{i},{j},{k}]"))
     first_sign, first = parts[0]
     out = (first_sign if first_sign == "-" else "") + first
     for sign, body in parts[1:]:

@@ -17,9 +17,8 @@ import sys
 from .acceptance import run_all, verify_catalog_entry, verify_report
 from .alternating import format_coeffs, parse_coeffs
 from .catalog import CATALOG, catalog, catalog_counts, lambda_trivector
-from .convert import (all_roads, coeffs_to_chain, coeffs_to_family,
-                      family_to_coeffs)
-from .doubleext import chain_to_algebra, chain_to_coeffs
+from .convert import all_roads, coeffs_to_family, family_to_coeffs
+from .doubleext import build_chain, chain_to_algebra, chain_to_coeffs
 from .errors import QuadlieError, ValidationError
 from .forms import QuadraticStructure
 from .io import (_mat_out, _scalar_in, algebra_from_obj, algebra_to_obj,
@@ -28,7 +27,7 @@ from .io import (_mat_out, _scalar_in, algebra_from_obj, algebra_to_obj,
                  general_cocycle_from_obj, general_cocycle_to_obj, load_json,
                  quadratic_to_obj)
 from .latex import bracket_cells, latex_table
-from .linalg import rank, scalar_str
+from .linalg import rank
 from .quadfam import f_matrix, validate_family
 from .randgen import random_coeffs
 from .trivector import algebra_from_trivector, trivector_rank
@@ -192,7 +191,7 @@ def cmd_convert(args) -> int:
         else:
             print(dumps(family_to_obj(fam)), end="")
     elif to == "chain":
-        ch = coeffs_to_chain(c)
+        ch = build_chain(c)
         if fmt == "summary":
             print(f"chain with {ch.n} links, nnp={ch.nnp}, 2sp={ch.two_sp}")
         else:
@@ -257,7 +256,7 @@ def cmd_random(args) -> int:
     q = tstar_extend(c)
     summary = {
         "n": args.n, "seed": args.seed,
-        "density": scalar_str(density),
+        "density": str(density),
         "coefficients": len(c.terms),
         "nilindex": q.alg.nilindex(),
         "reduced": q.alg.is_reduced(),
@@ -266,10 +265,13 @@ def cmd_random(args) -> int:
     if args.out:
         cpath = f"{args.out}.cocycle.json"
         apath = f"{args.out}.algebra.json"
-        with open(cpath, "w", encoding="utf-8") as fh:
-            fh.write(dumps(coeffs_to_obj(c)))
-        with open(apath, "w", encoding="utf-8") as fh:
-            fh.write(dumps(quadratic_to_obj(q)))
+        for path, obj in ((cpath, coeffs_to_obj(c)),
+                          (apath, quadratic_to_obj(q))):
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(dumps(obj))
+            except OSError as e:
+                raise QuadlieError(f"{path}: {e.strerror or e}")
         print(f"wrote {cpath} and {apath}")
         print(dumps(summary), end="")
     else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .doubleext import ExtensionChain, build_chain, chain_to_coeffs
+from .doubleext import build_chain, chain_to_coeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure
 from .linalg import Mat
@@ -49,14 +49,6 @@ def coeffs_to_family(c: CocycleCoeffs) -> QuadraticFamily:
     return QuadraticFamily(n, tuple(Mat._of(m, n) for m in mats))
 
 
-def coeffs_to_chain(c: CocycleCoeffs) -> ExtensionChain:
-    """build_chain, refusing zero coefficients as _check_chain refuses
-    their all-zero chain, so every chain written here reads back."""
-    if c.n >= 3 and c.is_zero():
-        raise ValidationError("all chain derivations are zero", law="nnp")
-    return build_chain(c)
-
-
 @dataclass(frozen=True)
 class RoadsReport:
     """Outcome of building one algebra along all three routes."""
@@ -79,7 +71,7 @@ def all_roads(c: CocycleCoeffs) -> RoadsReport:
         raise ValidationError("zero coefficients give an abelian algebra",
                               law="nonzero")
     base = tstar_extend(c)
-    carried = chain_to_coeffs(coeffs_to_chain(c))
+    carried = chain_to_coeffs(build_chain(c))
     family = algebra_from_family(coeffs_to_family(c))
     mism = []
     if carried != c:

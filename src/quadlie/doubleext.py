@@ -8,7 +8,7 @@ driven by an alternating coefficient family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
@@ -25,10 +25,10 @@ def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
             for s, c in row.items()]
 
 
-def _derivation_map(alg: LieAlgebra):
-    """The map d -> D(i, j) = d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], i < j,
-    as image(nonzero entries of d) -> {(i, j, t): D(i, j)_t}, 0-based, the
-    nonzero values with keys ascending.
+def _derivation_map(alg: LieAlgebra, entries) -> Iterator[tuple]:
+    """D(i, j) = d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], i < j, for the
+    d with these nonzero entries (r, s, d[r][s]), as the _fsum terms
+    ((i, j, t), numerator, denominator) of D(i, j)_t, 0-based.
 
     Only stored brackets are read. An entry d[r][s] = c adds c v_s e_r to
     D(a, b) for each stored [e_a, e_b] = v, and -c [e_r, e_y] to D(s, y)
@@ -39,22 +39,16 @@ def _derivation_map(alg: LieAlgebra):
         for s, x in v:
             by_comp.setdefault(s, []).append((a - 1, b - 1, x))
     ad = alg._ad_index()
-
-    def terms(entries):
-        for r, s, c in entries:
-            f, g = c.numerator, c.denominator
-            for a, b, x in by_comp.get(s, ()):
-                yield (a, b, r), f * x.numerator, g * x.denominator
-            for y, nz in ad[r]:
-                if y != s:
-                    # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
-                    i, j, h = (s, y, -f) if s < y else (y, s, f)
-                    for t, x in nz:
-                        yield (i, j, t), h * x.numerator, g * x.denominator
-
-    def image(entries) -> dict[tuple[int, int, int], Fraction]:
-        return _fsum(terms(entries))
-    return image
+    for r, s, c in entries:
+        f, g = c.numerator, c.denominator
+        for a, b, x in by_comp.get(s, ()):
+            yield (a, b, r), f * x.numerator, g * x.denominator
+        for y, nz in ad[r]:
+            if y != s:
+                # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
+                i, j, h = (s, y, -f) if s < y else (y, s, f)
+                for t, x in nz:
+                    yield (i, j, t), h * x.numerator, g * x.denominator
 
 
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
@@ -84,7 +78,7 @@ def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
     if not d.rows == d.cols == alg.dim:
         raise ValueError(f"shape mismatch: algebra dim {alg.dim}, "
                          f"d {d.rows}x{d.cols}")
-    acc = _derivation_map(alg)(_entries(d))
+    acc = _fsum(_derivation_map(alg, _entries(d)))
     return sorted({(i + 1, j + 1) for i, j, _ in acc})
 
 
@@ -279,11 +273,15 @@ def build_chain(c: AltCoeffs) -> ExtensionChain:
     half, kills the dual half and is skew for the hyperbolic form. The dual
     half is then central and holds the derived algebra of the chain folded
     so far, so each link is a skew derivation of it (Medina-Revoy 1985),
-    and the links are not checked here.
+    and the links are not checked here. Zero coefficients are refused as
+    _check_chain refuses their all-zero chain, so every chain built here
+    reads back.
     """
     n = c.n
     if n < 3:
         raise ValidationError("need dimension at least 3", law="dimension")
+    if c.is_zero():
+        raise ValidationError("all chain derivations are zero", law="nnp")
     # a term c(a,b,k+1) = v, a < b, lands only in link k, as c(k+1,a,b) = v
     # at d_k(e_a)'s dual-b entry and -v at d_k(e_b)'s dual-a entry. c.terms
     # is sorted, so a row's terms (a,l,k+1), a < l, then (l,b,k+1) fill it

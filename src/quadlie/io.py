@@ -14,7 +14,7 @@ from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
 from .errors import QuadlieError
 from .forms import QuadraticStructure
-from .linalg import Fraction, Mat, ONE, scalar, scalar_str
+from .linalg import Fraction, Mat, ONE, scalar
 from .quadfam import QuadraticFamily
 from .tstar import GeneralCocycle
 
@@ -166,10 +166,10 @@ def _mat_in(rows, where: str, memo: dict) -> Mat:
 
 def _dense_out(nz, n: int) -> list[str]:
     """The n-length list of strings for the nonzero (index, value) pairs
-    nz: "0" where absent, scalar_str of each stored value."""
+    nz: "0" where absent, the str of each stored value."""
     out = ["0"] * n
     for r, c in nz:
-        out[r] = scalar_str(c)
+        out[r] = str(c)
     return out
 
 
@@ -227,7 +227,7 @@ def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
 def coeffs_to_obj(c: AltCoeffs) -> dict:
     return {
         "n": c.n,
-        "terms": [{"ijk": list(key), "c": scalar_str(v)}
+        "terms": [{"ijk": list(key), "c": str(v)}
                   for key, v in c.terms],
     }
 
@@ -242,12 +242,7 @@ def coeffs_from_obj(obj: Any) -> AltCoeffs:
             raise QuadlieError(f"bad index triple {ijk!r}")
         vals.append((tuple(ijk), _scalar_in(_expect(ent, "c", "term"),
                                             f"term {ijk}")))
-    try:
-        return AltCoeffs(n, vals)
-    except QuadlieError:
-        raise
-    except ValueError as e:
-        raise QuadlieError(str(e))
+    return AltCoeffs(n, vals)
 
 
 def general_cocycle_to_obj(w: GeneralCocycle) -> dict:

@@ -61,11 +61,6 @@ def _fsum(terms: Iterable[tuple[object, int, int]]) -> dict:
             for k, v in sorted(acc.items()) if v}
 
 
-def scalar_str(x: Fraction) -> str:
-    # Fraction str() is already "p/q" or "p" in lowest terms
-    return str(x)
-
-
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
     return tuple(scalar(e) for e in entries)
 
@@ -139,10 +134,6 @@ class Mat:
             (x := s[j].get(i)) is e or x == e
             for i, r in enumerate(s) for j, e in r.items())
 
-    def _same_shape(self, other: "Mat"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Mat) and self.rows == other.rows
                 and self.cols == other.cols
@@ -156,7 +147,8 @@ class Mat:
 
     def _combine(self, other: "Mat", c: Fraction) -> "Mat":
         """self + c other, row by row."""
-        self._same_shape(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
         out = []
         for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
             v = dict(r1)

@@ -59,8 +59,9 @@ def _skew(rows, cols) -> bool:
 
 
 def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:
-    """family_defects, and the sparse rows of each matrix's transpose read
-    for them: column j of M_i is row j of its transpose, taken once."""
+    """The violations of the admissibility laws, and the sparse rows of each
+    matrix's transpose read for them: column j of M_i is row j of its
+    transpose, taken once."""
     out = []
     cols = []
     for i, m in enumerate(fam.mats, start=1):
@@ -78,13 +79,10 @@ def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:
     return out, cols
 
 
-def family_defects(fam: QuadraticFamily) -> list[str]:
-    """Violations of the three admissibility laws, as readable strings."""
-    return _laws(fam)[0]
-
-
 def validate_family(fam: QuadraticFamily) -> tuple[bool, list[str]]:
-    problems = family_defects(fam)
+    """Whether fam is admissible, and the violations of the three laws as
+    readable strings."""
+    problems = _laws(fam)[0]
     return (not problems, problems)
 
 

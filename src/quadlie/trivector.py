@@ -14,23 +14,34 @@ from typing import Sequence
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
-from .linalg import Fraction, Mat, Subspace, hstack, inverse, vstack
+from .linalg import (Fraction, Mat, Subspace, ZERO, hstack, inverse, kernel,
+                     vstack)
 from .tstar import tstar_extend
 
 Trivector = AltCoeffs
 
 
 def contract(t: Trivector, x: Sequence[Fraction]) -> Mat:
-    """The skew 2-form t(x, ., .) as a matrix."""
+    """The skew 2-form t(x, ., .) as a matrix: entry (j, k) sums x_i t_ijk
+    over slot i of pair (j, k), as t_ijk = t_jki. Pairs come sorted, so
+    every row fills in ascending columns."""
     if len(x) != t.n:
         raise ValidationError(f"vector length {len(x)} != dimension {t.n}",
                               law="shape")
-    return t.contraction_with(x)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(t.n)]
+    for (j, k), nz in t.pair_terms().items():
+        v = sum((x[i] * c for i, c in nz if x[i]), ZERO)
+        if v:
+            rows[j - 1][k - 1] = v
+            rows[k - 1][j - 1] = -v
+    return Mat._of(rows, t.n)
 
 
 def trivector_kernel(t: Trivector) -> Subspace:
-    """Vectors x with t(x, ., .) = 0."""
-    return t.kernel_subspace()
+    """Vectors x with t(x, ., .) = 0: one sparse row per pair (j, k),
+    holding t_ijk at column i; untouched pairs have zero rows and are left
+    out."""
+    return kernel(Mat._of([dict(nz) for nz in t.pair_terms().values()], t.n))
 
 
 def trivector_rank(t: Trivector) -> int:

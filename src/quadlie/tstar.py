@@ -76,9 +76,6 @@ class GeneralCocycle:
         c = dict(self.terms.get((min(i, j), max(i, j)), ())).get(k - 1, ZERO)
         return -c if i > j else c
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def _general(w: GeneralCocycle | AltCoeffs) -> GeneralCocycle:
     return GeneralCocycle.from_coeffs(w) if isinstance(w, AltCoeffs) else w
@@ -204,11 +201,9 @@ def tstar_extend(w: GeneralCocycle | AltCoeffs) -> QuadraticStructure:
 
 
 def radical(w: GeneralCocycle | AltCoeffs) -> Subspace:
-    """{b in B : w(b, -) = 0}: the centre of the bracket w on B, which for
-    alternating coefficients is their kernel."""
-    if isinstance(w, AltCoeffs):
-        return w.kernel_subspace()
-    return LieAlgebra._of(w.base.dim, w.terms).centre()
+    """{b in B : w(b, -) = 0}: the centre of the bracket w on B."""
+    g = _general(w)
+    return LieAlgebra._of(g.base.dim, g.terms).centre()
 
 
 def value_span(w: GeneralCocycle | AltCoeffs) -> Subspace:

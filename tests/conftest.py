@@ -11,8 +11,8 @@ import pytest
 
 from quadlie import (CATALOG, CocycleCoeffs, GeneralCocycle, LieAlgebra, Mat,
                      QuadraticStructure, SplitMix64, abelian,
-                     algebra_from_trivector, chain_to_algebra,
-                     coeffs_to_chain, decompose_as_tstar, gl_act, heisenberg,
+                     algebra_from_trivector, build_chain, chain_to_algebra,
+                     decompose_as_tstar, gl_act, heisenberg,
                      hyperbolic_form, inverse, lambda_trivector,
                      random_invertible, random_skew_derivation, tstar_extend)
 from quadlie.acceptance import _jordan_extension, _random_extension_case
@@ -176,7 +176,7 @@ def two_step_corpus():
                           density=Fraction(1 + seed % 3, 4), nonzero=True)
         corpus.append(tstar_extend(c))
         if seed % 4 == 0:
-            corpus.append(chain_to_algebra(coeffs_to_chain(c)))
+            corpus.append(chain_to_algebra(build_chain(c)))
     corpus.append(tstar_extend(_det_cocycle()))
     return tuple(corpus)
 

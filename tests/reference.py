@@ -40,13 +40,13 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      LieAlgebra, Mat, QuadlieError, QuadraticFamily,
                      QuadraticStructure, RoadsReport, SplitMix64, Subspace,
                      ValidationError, abelian, algebra_from_family,
-                     chain_dcoeffs, chain_to_algebra, coeffs_to_chain,
+                     build_chain, chain_dcoeffs, chain_to_algebra,
                      coeffs_to_family,
                      double_extend_1d, hyperbolic_form, inner_preimage,
                      inverse, is_lagrangian, kernel, lagrangian_complement,
                      permute_quadratic, rank, rref, scalar, solve,
                      tstar_extend)
-from quadlie.doubleext import _deriv_mat, _derivation_map
+from quadlie.doubleext import _deriv_mat
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
 from quadlie.linalg import ONE, opposite, vstack
 
@@ -543,7 +543,7 @@ def _dense_kernel(t):
 
 
 def _dense_contraction(t, x):
-    """contraction_with as it was: each term adds to six dense entries."""
+    """contract as it was: each term adds to six dense entries."""
     m = [[0] * t.n for _ in range(t.n)]
     for (i, j, k), c in t.terms:
         xi, xj, xk = x[i - 1], x[j - 1], x[k - 1]
@@ -750,7 +750,8 @@ def _ref_coeffs_to_family(c):
 
 
 def _loop_family_defects(fam):
-    """family_defects as it was, on the dense entry and column views."""
+    """validate_family's problems as they were, on the dense entry and
+    column views."""
     out = []
     cols = [_dense_cols(m) for m in fam.mats]
     for i, m in enumerate(fam.mats, start=1):
@@ -769,9 +770,10 @@ def _loop_family_defects(fam):
 
 
 def _ref_family_defects_by_rows(fam):
-    """family_defects as it was before the skew law compared each pair
-    once: every row of M_i against the same row of its transpose, so each
-    off-diagonal pair is compared from both of its rows."""
+    """validate_family's problems as they were before the skew law compared
+    each pair once: every row of M_i against the same row of its
+    transpose, so each off-diagonal pair is compared from both of its
+    rows."""
     def negated(a, b):
         return len(a) == len(b) and all(opposite(a.get(k), e)
                                         for k, e in b.items())
@@ -865,7 +867,7 @@ def _ref_all_roads(c):
                               law="nonzero")
     routes = {
         "tstar": tstar_extend(c),
-        "chain": chain_to_algebra(coeffs_to_chain(c)),
+        "chain": chain_to_algebra(build_chain(c)),
         "family": algebra_from_family(coeffs_to_family(c)),
     }
     base = routes["tstar"]
@@ -965,10 +967,11 @@ def _pair_law_derivation_space(aq):
     """derivation_space as it was before it solved the closed-2-form law:
     d = G S for alternating S and G = F^-1, with the derivation law solved
     on the n(n-1)/2 unknowns s_ab, one row per nonzero key (i, j, t) of
-    its map, and the kernel put into RREF before it is mapped back."""
+    its map (read on _old_derivation_map, zero sums dropped), and the
+    kernel put into RREF before it is mapped back."""
     n = aq.dim
     g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
-    law = _derivation_map(aq.alg)
+    law = _old_derivation_map(aq.alg)
     gens = []  # row k: the k-th D_ab, vectorized
     rows = {}
     for a in range(n):
@@ -976,7 +979,8 @@ def _pair_law_derivation_space(aq):
             ents = ([(r, b, c) for r, c in g[a].items()]
                     + [(r, a, -c) for r, c in g[b].items()])
             for key, x in law(ents).items():
-                rows.setdefault(key, {})[len(gens)] = x
+                if x:
+                    rows.setdefault(key, {})[len(gens)] = x
             gens.append(dict(sorted((r * n + s, c) for r, s, c in ents)))
     sol = kernel(Mat._of([rows[k] for k in sorted(rows)], len(gens)))
     return Subspace._of(n * n,
@@ -1355,8 +1359,9 @@ def _old_lower_central_series(alg):
 
 
 def _old_derivation_map(alg):
-    """doubleext._derivation_map as it was: image keeps zero sums, in the
-    order their keys were first met."""
+    """doubleext._derivation_map as it was: a map of d's entries, built
+    once per algebra, whose image keeps zero sums, in the order their keys
+    were first met."""
     by_comp = {}  # s -> (a, b, v_s) with v_s != 0
     for (a, b), v in alg.terms.items():
         for s, x in v:

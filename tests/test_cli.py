@@ -63,6 +63,19 @@ def test_verify_flags_flipped_sign(tmp_path, capsys):
     assert out.rstrip().endswith("result: FAIL")
 
 
+def test_verify_summary_names_the_jacobi_defect(tmp_path, capsys):
+    from test_theorems import _non_lie_base
+    q = _non_lie_base()
+    path = tmp_path / "nonlie.json"
+    path.write_text(dumps(quadratic_to_obj(q)), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "lie: no" in out
+    bad = [list(t[:3]) for t in q.alg.jacobi_defect()]
+    assert f"  jacobi defect at: {bad}" in out
+    assert out.rstrip().endswith("result: FAIL")
+
+
 def test_verify_json_format(tmp_path, capsys):
     path = write_catalog_algebra(tmp_path, "L5,1")
     code, out, err = run(capsys, "verify", str(path), "--format", "json")
@@ -288,6 +301,21 @@ def test_family_degenerate(tmp_path, capsys):
     assert "nondegenerate: no" in out
 
 
+def test_family_summary_lists_each_problem(tmp_path, capsys):
+    from quadlie import validate_family
+    from quadlie.io import family_from_obj
+    obj = family_to_obj(coeffs_to_family(parse_coeffs("123")))
+    obj["mats"][0][0][0] = "1"  # M_1 neither skew nor zero in column 1
+    path = tmp_path / "fam.json"
+    path.write_text(dumps(obj), encoding="utf-8")
+    problems = validate_family(family_from_obj(obj))[1]
+    assert len(problems) == 2
+    code, out, _ = run(capsys, "family", str(path))
+    assert code == 1
+    assert "valid: no" in out
+    assert out.splitlines()[2:4] == [f"  {p}" for p in problems]
+
+
 def test_rank_command(capsys):
     code, out, _ = run(capsys, "rank", "123+145", "--n", "5")
     assert code == 0
@@ -356,6 +384,18 @@ def test_decompose_json_isometry_is_the_verified_matrix(tmp_path, capsys,
     assert iso == decompose_as_tstar(q, find_lagrangian_ideal(q))[2]
     w = general_cocycle_from_obj(rep["cocycle"])
     assert is_isometry(q, tstar_extend(w), iso) == (True, "ok")
+
+
+def test_decompose_without_lagrangian_ideal(tmp_path, capsys):
+    # the identity form on Q^4 has no isotropic vector over the rationals
+    path = tmp_path / "abelian.json"
+    path.write_text(dumps({"dim": 4, "brackets": [], "form": [
+        ["1" if r == k else "0" for k in range(4)] for r in range(4)]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "decompose", str(path))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "no abelian lagrangian ideal found",
+                               "law": "lagrangian"}
 
 
 def test_decompose_needs_form(tmp_path, capsys):
@@ -631,6 +671,14 @@ def test_every_written_chain_reads_back(tmp_path, monkeypatch, capsys):
         "density-empty"])
 def test_bad_rational_option_is_one_json_error(argv):
     _assert_one_json_error(*argv, in_error=argv[-2])
+
+
+def test_random_out_into_a_missing_directory_is_one_json_error(tmp_path):
+    prefix = tmp_path / "missing" / "x"
+    _assert_one_json_error("random", "--n", "3", "--seed", "1", "--out",
+                           str(prefix), in_error=f"{prefix}.cocycle.json: "
+                           "No such file or directory")
+    assert not (tmp_path / "missing").exists()
 
 
 _CONVERT = ("convert", "--from", "cocycle", "--to")

@@ -110,7 +110,7 @@ def test_cli_matches_golden(tmp_path, monkeypatch):
 def _input_files() -> dict:
     from quadlie import algebra_from_trivector, catalog, heisenberg
     from quadlie.alternating import parse_coeffs
-    from quadlie.convert import coeffs_to_chain, coeffs_to_family
+    from quadlie.convert import build_chain, coeffs_to_family
     from quadlie.io import (chain_to_obj, coeffs_to_obj, dumps,
                             family_to_obj, general_cocycle_to_obj,
                             quadratic_to_obj)
@@ -134,7 +134,7 @@ def _input_files() -> dict:
         "cocycle.json": dumps(coeffs_to_obj(c)),
         "trivector.json": dumps(coeffs_to_obj(parse_coeffs("124+135+236"))),
         "fam.json": dumps(family_to_obj(coeffs_to_family(c))),
-        "chain.json": dumps(chain_to_obj(coeffs_to_chain(c))),
+        "chain.json": dumps(chain_to_obj(build_chain(c))),
         "chain-not-skew.json": dumps({"n": 3, "derivs": [
             [], zero2, [["0", "0", "0", "0"], ["0", "0", "0", "0"],
                         ["0", "7", "0", "0"], ["5", "0", "0", "0"]]]}),

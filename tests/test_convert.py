@@ -5,11 +5,12 @@ from math import comb
 import pytest
 
 from quadlie import (AltCoeffs, CocycleCoeffs, ExtensionChain, Mat,
-                     QuadraticFamily, ValidationError, all_roads,
-                     chain_to_coeffs, coeffs_to_chain, coeffs_to_family,
-                     convert, count_parameters, doubleext, family_to_coeffs,
+                     QuadraticFamily, ValidationError, all_roads, build_chain,
+                     chain_to_coeffs, coeffs_to_family, convert,
+                     count_parameters, doubleext, family_to_coeffs,
                      parse_coeffs, tstar_extend)
 from quadlie.randgen import random_coeffs
+import reference
 from reference import (_loop_coeffs_to_family, _loop_family_defects,
                        _loop_read_coeffs, _ref_all_roads)
 
@@ -23,7 +24,7 @@ def test_family_round_trip():
 def test_chain_round_trip():
     for text in ("123", "124+135+236", "123+147+257+367+456"):
         c = parse_coeffs(text)
-        assert chain_to_coeffs(coeffs_to_chain(c)) == c
+        assert chain_to_coeffs(build_chain(c)) == c
 
 
 def test_family_to_coeffs_rejects_inconsistent():
@@ -113,12 +114,12 @@ def test_coeffs_to_family_matches_value_loop(construction_coeffs):
 
 
 def test_family_defects_match_dense_loop(construction_coeffs):
-    from quadlie import family_defects
+    from quadlie import validate_family
     kinds = set()  # 0 skew, 1 own column, 2 cross columns
     several = clean = 0
     for fam in _families(construction_coeffs):
         want = _loop_family_defects(fam)
-        assert family_defects(fam) == want
+        assert validate_family(fam)[1] == want
         kinds.update(("skew" in p, "nonzero" in p, "minus" in p).index(True)
                      for p in want)
         several += len(want) > 1
@@ -239,6 +240,7 @@ def test_all_roads_matches_reference_on_a_chain_that_breaks_a_law(
         for c in corpus:
             with monkeypatch.context() as m:
                 m.setattr(convert, "build_chain", broken)
+                m.setattr(reference, "build_chain", broken)
                 got = _outcome(all_roads, c)
                 assert got == _outcome(_ref_all_roads, c)
             assert got[0] == law

@@ -16,14 +16,23 @@ _READERS = {"Mat.__repr__", "Subspace.vectors", "gl_act", "isometry_from_gl"}
 _DELETED = {"Mat": {"entry", "row", "col", "matvec"},
             "LieAlgebra": {"bracket_basis"},
             "GeneralCocycle": {"values", "value_pair"}}
+# names that restated another function or had no caller: each operation
+# keeps one entry point (contract, trivector_kernel, str, build_chain,
+# validate_family)
+_DELETED_METHODS = {"AltCoeffs": {"contraction_with", "kernel_subspace",
+                                  "__bool__"},
+                    "GeneralCocycle": {"is_zero"}}
+_DELETED_FUNCTIONS = {"scalar_str", "coeffs_to_chain", "family_defects"}
 
 
 class _Scan(ast.NodeVisitor):
     """The qualified name of each function that reads an attribute in
-    _DENSE, and the methods each class defines."""
+    _DENSE, the methods each class defines, and the module-level
+    functions."""
 
     def __init__(self):
         self.scope, self.readers, self.methods = [], set(), {}
+        self.functions = set()
 
     def visit_ClassDef(self, node):
         self.methods.setdefault(node.name, set()).update(
@@ -31,6 +40,8 @@ class _Scan(ast.NodeVisitor):
         self.visit_FunctionDef(node)
 
     def visit_FunctionDef(self, node):
+        if not self.scope and isinstance(node, ast.FunctionDef):
+            self.functions.add(node.name)
         self.scope.append(node.name)
         self.generic_visit(node)
         self.scope.pop()
@@ -55,6 +66,7 @@ def test_scanner_names_nested_readers():
                          "def k():\n    z.data = 1\n"))
     assert scan.readers == {"C.f", "g.h"}
     assert scan.methods == {"C": {"f"}}
+    assert scan.functions == {"g", "k"}
 
 
 def test_only_the_pinned_functions_read_a_dense_view():
@@ -68,6 +80,15 @@ def test_deleted_dense_accessors_stay_deleted():
     for cls, obj in (("Mat", Mat), ("LieAlgebra", LieAlgebra),
                      ("GeneralCocycle", GeneralCocycle)):
         assert not any(hasattr(obj, name) for name in _DELETED[cls])
+
+
+def test_duplicate_entry_points_stay_deleted():
+    scan = _scan()
+    for cls, names in _DELETED_METHODS.items():
+        assert not names & scan.methods[cls], cls
+        assert not any(hasattr(getattr(quadlie, cls), n) for n in names)
+    assert not _DELETED_FUNCTIONS & scan.functions
+    assert not any(hasattr(quadlie, name) for name in _DELETED_FUNCTIONS)
 
 
 def test_mat_data_is_built_on_each_read():

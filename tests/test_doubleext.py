@@ -919,7 +919,7 @@ def _skew_defect_cases(coeffs):
     random maps under random symmetric forms of entries in -3..3."""
     g = SplitMix64(1729)
     for c in coeffs:
-        for k, d in enumerate(build_chain(c).derivs):
+        for k, d in enumerate(_chain(c).derivs):
             yield hyperbolic_form(k), d
     for seed in range(30):
         aq = (tstar_extend(random_coeffs(3 + seed % 3, seed=seed,
@@ -942,8 +942,18 @@ def _skew_defect_cases(coeffs):
 
 
 def _chain_coeffs(coeffs):
-    """The coefficients build_chain accepts: n >= 3."""
+    """The coefficients with a chain: n >= 3."""
     return [c for c in coeffs if c.n >= 3]
+
+
+def _zero_chain(n):
+    """The all-zero chain of n links, which build_chain refuses to build."""
+    return ExtensionChain(n, tuple(Mat.zero(2 * k, 2 * k) for k in range(n)))
+
+
+def _chain(c):
+    """c's chain: build_chain's, or the all-zero chain of zero c."""
+    return _zero_chain(c.n) if c.is_zero() else build_chain(c)
 
 
 def test_skew_defect_matches_dense_definition_on_construction_inputs(
@@ -968,7 +978,7 @@ def _chains_with_corruptions(coeffs):
     and an entry added anywhere; last the all-zero chains of n = 0..6."""
     g = SplitMix64(2718)
     for c in coeffs:
-        ch = build_chain(c)
+        ch = _chain(c)
         yield ch
         for kind in ("kept", "broken", "anywhere"):
             k = g.randint(1, ch.n - 1)
@@ -986,8 +996,7 @@ def _chains_with_corruptions(coeffs):
             derivs[k] = Mat(rows)
             yield ExtensionChain(ch.n, tuple(derivs))
     for n in range(7):
-        yield ExtensionChain(n, tuple(Mat.zero(2 * k, 2 * k)
-                                      for k in range(n)))
+        yield _zero_chain(n)
 
 
 def test_chain_validation_matches_reference(construction_coeffs):
@@ -1023,6 +1032,14 @@ def test_chain_validation_matches_reference(construction_coeffs):
 def test_build_chain_matches_value_loop(construction_coeffs):
     links = 0
     for c in _chain_coeffs(construction_coeffs):
+        if c.is_zero():
+            # refused as _check_chain refuses the chain the loop builds
+            with pytest.raises(ValidationError) as e:
+                build_chain(c)
+            assert (e.value.law, str(e.value)) == (
+                "nnp", "all chain derivations are zero")
+            assert _loop_build_chain(c) == _zero_chain(c.n)
+            continue
         got, want = build_chain(c), _loop_build_chain(c)
         assert got == want
         for a, b in zip(got.derivs, want.derivs):

@@ -5,8 +5,8 @@ import pytest
 
 from quadlie import (Mat, QuadraticFamily, SplitMix64, ValidationError,
                      algebra_from_family, coeffs_to_family, f_matrix,
-                     family_defects, is_nondegenerate_family, parse_coeffs,
-                     tstar_extend, validate_family)
+                     is_nondegenerate_family, parse_coeffs, tstar_extend,
+                     validate_family)
 from quadlie.quadfam import _negated
 from quadlie.randgen import random_coeffs
 from reference import _loop_family_defects, _ref_family_defects_by_rows
@@ -39,7 +39,6 @@ def test_family_matches_coeffs_route():
 
 
 def test_family_defects_empty_on_consistent():
-    assert family_defects(fam123()) == []
     ok, problems = validate_family(fam123())
     assert ok and problems == []
 
@@ -48,15 +47,15 @@ def test_family_defects_report_each_law():
     # break skewness
     m1 = Mat([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
     fam = QuadraticFamily(3, (m1, fam123().mats[1], fam123().mats[2]))
-    assert any("skew" in p for p in family_defects(fam))
+    assert any("skew" in p for p in validate_family(fam)[1])
     # break the own-column law: column i of M_i must vanish
     m1 = Mat([[0, 0, 0], [1, 0, -1], [0, 1, 0]])
     fam = QuadraticFamily(3, (m1, fam123().mats[1], fam123().mats[2]))
-    assert any("column" in p for p in family_defects(fam))
+    assert any("column" in p for p in validate_family(fam)[1])
     # break cross-column compatibility between M_1 and M_2
     m2 = Mat([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     fam = QuadraticFamily(3, (fam123().mats[0], m2, fam123().mats[2]))
-    assert family_defects(fam) != []
+    assert validate_family(fam)[1] != []
 
 
 _F = Fraction
@@ -85,7 +84,7 @@ def test_negated_rows_near_misses(a, b, want):
 def test_family_defects_with_fractional_entries():
     # c_123 = 2/3 and c_145 = -3/5 sit at entries 2/3, -2/3, -3/5 and 3/5
     fam = coeffs_to_family(parse_coeffs("2/3*[1,2,3]-3/5*[1,4,5]", n=5))
-    assert family_defects(fam) == []
+    assert validate_family(fam)[1] == []
     assert algebra_from_family(fam) == \
         tstar_extend(parse_coeffs("2/3*[1,2,3]-3/5*[1,4,5]", n=5))
     m1 = [list(r) for r in fam.mats[0].data]
@@ -95,7 +94,7 @@ def test_family_defects_with_fractional_entries():
     # column 1 of M_2
     m1[1][2] = _F(-2, 5)
     bad = QuadraticFamily(5, (Mat(m1),) + fam.mats[1:])
-    assert family_defects(bad) == [
+    assert validate_family(bad)[1] == [
         "M_1 is not skew", "column 3 of M_1 is not minus column 1 of M_3"]
     with pytest.raises(ValidationError, match="M_1 is not skew"):
         algebra_from_family(bad)
@@ -120,7 +119,7 @@ def test_one_faulty_pair_or_diagonal_entry_is_not_skew(entries):
         rows[r][k] = _F(e)
     fam = QuadraticFamily(n, (Mat.zero(n, n), Mat(rows), Mat.zero(n, n),
                               Mat.zero(n, n)))
-    got = family_defects(fam)
+    got = validate_family(fam)[1]
     assert "M_2 is not skew" in got
     assert got == _ref_family_defects_by_rows(fam) == \
         _loop_family_defects(fam)
@@ -142,7 +141,8 @@ def test_family_defects_match_the_full_row_check():
     kinds = {"ok": 0, "not skew": 0, "other": 0}
     families = _roads_families()
     for fam in families:
-        assert family_defects(fam) == _ref_family_defects_by_rows(fam) == []
+        assert (validate_family(fam)[1] == _ref_family_defects_by_rows(fam)
+                == [])
         n = fam.n
         for _ in range(4):
             i, r, k = (g.randint(0, n - 1) for _ in range(3))
@@ -153,7 +153,7 @@ def test_family_defects_match_the_full_row_check():
                 rows[k][r] -= rows[r][k] + rows[k][r]
             bad = QuadraticFamily(n, fam.mats[:i] + (Mat(rows),)
                                   + fam.mats[i + 1:])
-            got = family_defects(bad)
+            got = validate_family(bad)[1]
             assert got == _ref_family_defects_by_rows(bad)
             kinds["not skew" if f"M_{i + 1} is not skew" in got
                   else "other" if got else "ok"] += 1
@@ -215,7 +215,7 @@ def test_random_families_are_consistent():
     for seed in range(25):
         c = random_coeffs(3 + seed % 5, seed=seed)
         fam = coeffs_to_family(c)
-        assert family_defects(fam) == []
+        assert validate_family(fam)[1] == []
         # nondegeneracy equals full rank of the concatenation by definition
         from quadlie import rank
         assert is_nondegenerate_family(fam) == (rank(f_matrix(fam)) == fam.n)

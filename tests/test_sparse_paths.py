@@ -14,7 +14,7 @@ import pytest
 
 from quadlie import (CocycleCoeffs, GeneralCocycle, LieAlgebra, SplitMix64,
                      Subspace, abelian, algebra_from_family,
-                     chain_to_algebra, coeffs_to_chain, coeffs_to_family,
+                     build_chain, chain_to_algebra, coeffs_to_family,
                      decompose_as_tstar, heisenberg, is_isometry, kernel,
                      random_matrix, tstar_extend)
 from quadlie.tstar import _general, _tstar_algebra
@@ -52,7 +52,7 @@ def test_closed_form_builders_match_dense_reference(seeded_coeffs,
     inputs += [_chain_cocycle(n) for n in (3, 8, 25)]
     inputs += catalog_coeffs
     for c in inputs:
-        ch = coeffs_to_chain(c)
+        ch = build_chain(c)
         _same_terms(chain_to_algebra(ch).alg, _dense_chain_algebra(ch))
         fam = coeffs_to_family(c)
         _same_terms(algebra_from_family(fam).alg, _dense_family_algebra(fam))

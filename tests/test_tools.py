@@ -55,6 +55,41 @@ def test_claim_counts_wins_and_gain():
     assert others["case_p50_ms"]["change"]["values"] == [1.0] * 4
 
 
+_FLAT = [100.0, 100.0, 100.0, 100.0]
+_WIDE = [60.0, 100.0, 140.0, 100.0]  # IQR 40% of the median
+
+
+@pytest.mark.parametrize("par, chg, better, want", [
+    (_FLAT, [96.0, 95.0, 97.0, 96.0], "higher", "within"),
+    (_FLAT, [89.0, 91.0, 88.0, 89.0], "higher", "worse"),
+    (_FLAT, [111.0, 109.0, 110.0, 112.0], "lower", "worse"),
+    (_FLAT, [104.0, 109.0, 103.0, 101.0], "lower", "within"),
+    (_FLAT, [80.0, 70.0, 90.0, 85.0], "lower", "within"),
+    (_WIDE, [100.0, 100.0, 100.0, 100.0], "higher", "unresolved"),
+    (_WIDE, [30.0, 35.0, 40.0, 50.0], "higher", "unresolved"),
+    # every change run beats every parent run: no spread hides that
+    (_WIDE, [150.0, 141.0, 160.0, 155.0], "higher", "within"),
+    (_WIDE, [50.0, 55.0, 40.0, 59.0], "lower", "within"),
+], ids=["higher-within", "higher-worse", "lower-worse", "lower-within",
+        "lower-better", "wide-level", "wide-worse", "wide-all-beat",
+        "wide-all-beat-lower"])
+def test_verdict_against_the_bound(par, chg, better, want):
+    assert pairs.verdict(par, chg, better, 0.1) == want
+
+
+def test_claim_gives_each_end_to_end_metric_a_verdict():
+    bounds = pairs.end_to_end()
+    assert bounds["cases_per_s"] == ("higher", 0.1)
+    assert bounds["case_p50_ms"] == ("lower", 0.15)
+    runs = [(first, _result(r, p50=1.0), _result(r * 0.95, p50=p50))
+            for first, r, p50 in (("parent", 100.0, 1.1),
+                                  ("change", 102.0, 1.2),
+                                  ("parent", 98.0, 1.2))]
+    block = pairs.claim(runs, "w", 1, "cmd")
+    assert block["verdict"] == "within"  # 5% slower against a 10% bound
+    assert block["other_metrics"]["case_p50_ms"]["verdict"] == "worse"
+
+
 def test_a_tie_in_every_pair_wins_nothing():
     block = pairs.claim(_runs([50.0] * 3, [50.0] * 3), "w", 1, "cmd")
     assert block["wins"] == 0 and block["gain"] == 0

@@ -23,8 +23,10 @@ def test_role_names_are_one_class():
 
 def test_contract():
     t = tv("123")
+    # iota_{e1} t = dx2 ^ dx3 as a skew matrix in coordinates 2,3
     m = contract(t, (1, 0, 0))
     assert m == Mat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    assert m == -m.transpose()
     with pytest.raises(ValidationError) as e:
         contract(t, (1, 0))
     assert e.value.law == "shape"
@@ -34,6 +36,7 @@ def test_kernel_and_rank():
     t = tv("123", n=4)
     k = trivector_kernel(t)
     assert k.dim == 1 and _dense_contains_vec(k, (0, 0, 0, 1))
+    assert trivector_kernel(tv("123")).dim == 0
     assert trivector_rank(t) == 3
     assert trivector_rank(tv("123")) == 3
     assert trivector_rank(tv("123+145")) == 5
@@ -150,7 +153,7 @@ def test_pair_term_readers_match_dense_loops(construction_coeffs):
             xs += [tuple(int(a == b) for a in range(t.n))
                    for b in range(t.n)]
         for x in xs:
-            got = t.contraction_with(x)
+            got = contract(t, x)
             assert got == _dense_contraction(t, x)
             # same rows, columns in the same order
             assert [list(r.items()) for r in got.sparse_rows] == \

@@ -199,6 +199,15 @@ def test_find_lagrangian_ideal_none_for_odd_like_cases():
     # the identity form on 2 dims has no lagrangian over the rationals
     q = QuadraticStructure(abelian(2), Mat.identity(2))
     assert find_lagrangian_ideal(q) is None
+    # an odd dimension has no half, though e1 + e2 is isotropic here
+    q = QuadraticStructure(abelian(3), Mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]]))
+    assert find_lagrangian_ideal(q) is None
+    # an invariant form on an even-dimensional algebra that is not Lie: the
+    # non-Lie base of test_theorems plus one central direction
+    from test_theorems import _non_lie_base
+    alg = _dense_direct_sum(_non_lie_base().alg, abelian(1))
+    q = QuadraticStructure(alg, Mat.identity(6))
+    assert not alg.is_lie() and find_lagrangian_ideal(q) is None
 
 
 def _abelian_quadratics():
@@ -469,18 +478,19 @@ def test_decomposed_cocycles_match_dense_reference():
         _assert_sparse_store(w)
 
 
-def test_radical_of_coefficients_solves_one_row_per_pair(monkeypatch):
-    # criterion 4's cocycles: the rows of (s, r) and (r, s) are one row;
-    # radical solves them through AltCoeffs.kernel_subspace
-    from quadlie import alternating
+def test_coefficient_kernel_solves_one_row_per_pair(monkeypatch):
+    # criterion 4's cocycles: trivector_kernel takes the rows of (s, r) and
+    # (r, s) as one row, and radical, which solves the centre of the pair
+    # terms, agrees with it
+    from quadlie import trivector
     sizes = []
-    real = alternating.kernel
+    real = trivector.kernel
 
     def counting(m):
         sizes.append(m.rows)
         return real(m)
 
-    monkeypatch.setattr(alternating, "kernel", counting)
+    monkeypatch.setattr(trivector, "kernel", counting)
     dims = set()
     for seed in range(1000, 1500):
         n = 3 + seed % 5
@@ -488,8 +498,9 @@ def test_radical_of_coefficients_solves_one_row_per_pair(monkeypatch):
         g = GeneralCocycle.from_coeffs(c)
         want = LieAlgebra(n, _dense_values(g)).centre()
         sizes.clear()
-        got = radical(c)
-        assert got == want == radical(g)
-        assert sizes[0] <= n * (n - 1) // 2
+        got = trivector.trivector_kernel(c)
+        assert got == want == radical(c) == radical(g)
+        # one solve, and radical's is a separate computation
+        assert len(sizes) == 1 and sizes[0] <= n * (n - 1) // 2
         dims.add(got.dim)
     assert len(dims) > 2

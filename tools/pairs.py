@@ -20,7 +20,13 @@ correct; then the pairs in which the change ran more cases per second
 (ties count for neither side), each side's median and quartiles
 (`statistics.quantiles(values, n=4)`, as benchmarks/sweep.py takes them),
 the gain, the parent's interquartile range, the median difference, and
-every other end-to-end metric's values per side. It is printed, and
+every other end-to-end metric's values per side. Each end-to-end metric,
+cases_per_s and every other one, gets a verdict against its `better` and
+`bound` in BENCHMARK.json: `worse` when the change's median is worse than
+the parent's by more than the bound (relative to the parent's median),
+`unresolved` when the parent's interquartile range over its median is
+wider than the bound, unless every change run beats every parent run, and
+`within` otherwise. The block is printed, with the verdicts on stderr, and
 written to --out when given.
 """
 from __future__ import annotations
@@ -78,6 +84,28 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def end_to_end() -> dict[str, tuple[str, float]]:
+    """BENCHMARK.json's end-to-end metrics: name -> (better, bound)."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: (m["better"], m["bound"])
+                for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(par: list[float], chg: list[float], better: str,
+            bound: float) -> str:
+    """within, worse or unresolved, for a metric whose `better` is
+    "higher" or "lower", from the parent's and the change's runs."""
+    sign = 1 if better == "higher" else -1
+    if min(sign * c for c in chg) > max(sign * p for p in par):
+        return "within"  # every change run beats every parent run
+    ps = spread(par)
+    scale = bound * abs(ps["median"])
+    if ps["q3"] - ps["q1"] > scale:
+        return "unresolved"
+    worse_by = sign * (ps["median"] - statistics.median(chg))
+    return "worse" if worse_by > scale else "within"
+
+
 def value(res: dict, name: str) -> float:
     return res["metrics"][name]["value"]
 
@@ -97,19 +125,21 @@ def claim(runs: list[tuple[str, dict, dict]], workload: str, seed: int,
     par = [x["parent"] for x in pairs]
     chg = [x["change"] for x in pairs]
     ps, cs = spread(par), spread(chg)
+    bounds = end_to_end()
     others = {}
     for name in runs[0][1]["metrics"]:
         if name != METRIC:
-            others[name] = {}
-            for side, k in (("parent", 1), ("change", 2)):
-                vals = [value(r[k], name) for r in runs]
-                others[name][side] = {**spread(vals), "values": vals}
+            vals = [[value(r[k], name) for r in runs] for k in (1, 2)]
+            others[name] = {side: {**spread(v), "values": v}
+                            for side, v in zip(("parent", "change"), vals)}
+            others[name]["verdict"] = verdict(*vals, *bounds[name])
     return {"metric": f"{workload} {METRIC}", "command": command,
             "pairs": pairs, "wins": sum(c > p for p, c in zip(par, chg)),
             "parent": ps, "change": cs,
             "gain": cs["median"] / ps["median"] - 1,
             "parent_iqr": ps["q3"] - ps["q1"],
             "median_difference": cs["median"] - ps["median"],
+            "verdict": verdict(par, chg, *bounds[METRIC]),
             "other_metrics": others}
 
 
@@ -143,6 +173,10 @@ def main() -> int:
                f"git archive against the working tree, one run of each per "
                f"pair, alternating which runs first")
     block = claim(runs, args.workload, args.seed, command)
+    verdicts = {METRIC: block["verdict"], **{
+        name: m["verdict"] for name, m in block["other_metrics"].items()}}
+    print("verdicts: " + ", ".join(f"{k} {v}" for k, v in verdicts.items()),
+          file=sys.stderr)
     text = json.dumps(block, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
