@@ -1,10 +1,13 @@
-"""Alternating 3-index coefficient maps: storage, evaluation, parsing."""
+"""Alternating 3-index coefficient maps: storage, evaluation, parsing,
+contraction."""
 from fractions import Fraction
 
 import pytest
 
-from quadlie import AltCoeffs, QuadlieError, format_coeffs, parse_coeffs
+from quadlie import (AltCoeffs, Mat, QuadlieError, contract, format_coeffs,
+                     parse_coeffs, trivector_kernel)
 from quadlie.alternating import sorted_triple
+from reference import _dense_contains_vec
 
 
 def test_sorted_triple_signs():
@@ -54,6 +57,22 @@ def test_add_scale():
     s = AltCoeffs(5, a.terms).scale(-1) + b
     assert s == parse_coeffs("145", n=5)
     assert s.support() == {1, 4, 5}
+
+
+def test_contraction_matrix():
+    c = parse_coeffs("123")
+    # iota_{e1} c = dx2 ^ dx3 as a skew matrix in coordinates 2,3
+    m = contract(c, (1, 0, 0))
+    assert m == Mat([[0, 0, 0], [0, 0, 1], [0, -1, 0]])
+    assert m == -m.transpose()
+
+
+def test_kernel_subspace():
+    c = parse_coeffs("123", n=4)
+    k = trivector_kernel(c)
+    assert k.dim == 1
+    assert _dense_contains_vec(k, (0, 0, 0, 1))
+    assert trivector_kernel(parse_coeffs("123")).dim == 0
 
 
 def test_parse_compact_and_bracket_forms():
