@@ -19,7 +19,7 @@ from .doubleext import centre_formula_1d, double_extend_1d, \
     two_step_criterion
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, invariance_defect
-from .linalg import Mat, kernel, rank
+from .linalg import Mat, rank
 from .quadfam import is_nondegenerate_family
 from .randgen import random_coeffs, random_skew_derivation
 from .trivector import algebra_from_trivector, trivector_rank
@@ -53,8 +53,12 @@ def verify_report(alg: LieAlgebra, form: Mat | None) -> dict:
         rep["type"] = [r, s]
         rep["reduced"] = alg.is_reduced()
         if form is not None and rep["nondegenerate"]:
-            perp = kernel(alg.derived().basis * form)
-            rep["derived_perp_equals_centre"] = perp == alg.centre()
+            # the form is nondegenerate, so D^perp has dimension dim - dim
+            # D, and Z = D^perp exactly when Z has it and D F Z^T = 0
+            D, Z = alg.derived(), alg.centre()
+            rep["derived_perp_equals_centre"] = (
+                Z.dim == alg.dim - D.dim
+                and (D.basis * form * Z.basis.transpose()).is_zero())
     rep["pass"] = ok
     return rep
 

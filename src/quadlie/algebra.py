@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
-from .linalg import Fraction, Mat, Subspace, ZERO, _fsum, kernel, scalar, vec
+from .linalg import (Fraction, Mat, Subspace, ZERO, _divide, _isum, kernel,
+                     scalar, vec)
 
 
 class AlgebraType(NamedTuple):
@@ -111,7 +112,7 @@ class LieAlgebra:
     def _brackets(self, vs: Sequence[Mapping[int, Fraction]]
                   ) -> dict[tuple[int, int, int], Fraction]:
         """[v_a, v_b]_r for every a < b over sparse vectors {y: v_y} of
-        nonzero Fractions, as one _fsum keyed (a, b, r): the vectors are read
+        nonzero Fractions, as one _isum keyed (a, b, r): the vectors are read
         last first, and a stored [e_p, e_y] meets only later ones holding y."""
         ad = self._ad_index()
         holders: dict[int, list[tuple[int, int, int]]] = {}  # y -> (b, v_b[y])
@@ -128,22 +129,24 @@ class LieAlgebra:
                 for y, c in vs[a].items():
                     holders.setdefault(y, []).append(
                         (a, c.numerator, c.denominator))
-        return _fsum(terms())
+        return _divide(*_isum(terms()))
 
     def _ad_images(self, vs: Sequence[Mapping[int, Fraction]]
-                   ) -> dict[tuple[int, int], dict[int, Fraction]]:
+                   ) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
         """The nonzero rows [e_s, v_i] over sparse vectors v_i and every s,
-        keyed (i, s) ascending, from one sum over the ad index."""
+        keyed (i, s) ascending, from one sum over the ad index: integer
+        rows over one common denominator, returned with it. A span reads
+        the rows alone."""
         ad = self._ad_index()
         # [e_b, e_s] = w adds -v_b w to [e_s, v], row (i, s) of the sum
-        sums = _fsum(((i, s, r), -c.numerator * e.numerator,
-                      c.denominator * e.denominator)
-                     for i, v in enumerate(vs) for b, c in v.items()
-                     for s, w in ad[b] for r, e in w)
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        sums, den = _isum(((i, s, r), -c.numerator * e.numerator,
+                           c.denominator * e.denominator)
+                          for i, v in enumerate(vs) for b, c in v.items()
+                          for s, w in ad[b] for r, e in w)
+        rows: dict[tuple[int, int], dict[int, int]] = {}
         for (i, s, r), e in sums.items():
             rows.setdefault((i, s), {})[r] = e
-        return rows
+        return rows, den
 
     # ---- Lie-ness ----
 
@@ -179,7 +182,7 @@ class LieAlgebra:
                                 yield ((key, k), f * e.numerator,
                                        x.denominator * e.denominator)
             acc: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-            for (key, k), e in _fsum(terms()).items():
+            for (key, k), e in _divide(*_isum(terms())).items():
                 acc.setdefault(key, {})[k] = e
             self._jacobi = [(*key, self._dense(t.items()))
                             for key, t in acc.items()]
@@ -240,7 +243,7 @@ class LieAlgebra:
                 return series
             cur = nxt
             nxt = Subspace._of(self.dim, self._ad_images(
-                cur.basis.sparse_rows).values())
+                cur.basis.sparse_rows)[0].values())
 
     def nilindex(self) -> int | None:
         """Smallest t with A^{t+1} = 0, or None when not nilpotent."""

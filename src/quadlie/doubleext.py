@@ -14,8 +14,8 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum,
-                     _kernel_rows, inverse, opposite, solve)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _isum,
+                     _kernel_rows, _span_rows, inverse, opposite, solve)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -27,7 +27,7 @@ def _entries(d: Mat) -> list[tuple[int, int, Fraction]]:
 
 def _derivation_map(alg: LieAlgebra, entries) -> Iterator[tuple]:
     """D(i, j) = d[e_i,e_j] - [d e_i, e_j] - [e_i, d e_j], i < j, for the
-    d with these nonzero entries (r, s, d[r][s]), as the _fsum terms
+    d with these nonzero entries (r, s, d[r][s]), as the _isum terms
     ((i, j, t), numerator, denominator) of D(i, j)_t, 0-based.
 
     Only stored brackets are read. An entry d[r][s] = c adds c v_s e_r to
@@ -78,8 +78,8 @@ def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
     if not d.rows == d.cols == alg.dim:
         raise ValueError(f"shape mismatch: algebra dim {alg.dim}, "
                          f"d {d.rows}x{d.cols}")
-    acc = _fsum(_derivation_map(alg, _entries(d)))
-    return sorted({(i + 1, j + 1) for i, j, _ in acc})
+    sums, _ = _isum(_derivation_map(alg, _entries(d)))
+    return sorted({(i + 1, j + 1) for i, j, _ in sums})
 
 
 def _deriv_mat(aq: QuadraticStructure | None, d: Mat) -> Mat:
@@ -192,17 +192,18 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
     (Z(A) intersect ker d) + the dual line, plus the line through b - x
     exactly when d = ad(x) is inner. Z(A) intersect ker d is solved inside
     the cached centre: the combinations sum a_k z_k of its basis with
-    sum a_k d(z_k) = 0, mapped on from the kernel's unreduced rows, since
-    the one final span reduces them.
+    sum a_k d(z_k) = 0, mapped on from the kernel's unreduced integer
+    rows, since the one final span reduces them.
     """
     dmat = _deriv_mat(aq, d)
     dim = (aq.dim if aq is not None else 0) + 2
     rows = []
     if aq is not None:
         z = aq.alg.centre().basis
-        # column k of d z^T is d(z_k)
-        core = Mat._of(_kernel_rows(dmat * z.transpose()), z.rows) * z
-        rows = [{j + 1: e for j, e in r.items()} for r in core.sparse_rows]
+        # column k of d z^T is d(z_k); a scaled row has the same kernel
+        dz = _span_rows(dmat.sparse_rows, z.transpose())
+        core = _span_rows(_kernel_rows(Mat._of(dz, z.rows)), z)
+        rows = [{j + 1: e for j, e in r.items()} for r in core]
     rows.append({dim - 1: ONE})
     x = inner_preimage(aq, dmat)
     if x is not None:
@@ -213,17 +214,17 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
 def two_step_criterion(aq: QuadraticStructure | None, d) -> bool:
     """0 != im(d) + A^2 contained in Z(A) intersect ker(d): s lies in
     Z(A) and d(s) = 0, so neither ker(d) nor the intersection is solved.
-    s is spanned in one elimination, of d's columns and A^2's basis."""
+    A span lies in a subspace exactly when its generators do, so d's
+    columns and A^2's basis are tested as they are, with no elimination:
+    first d(s) = 0, which stops at the first generator d does not kill."""
     dmat = _deriv_mat(aq, d)
     if aq is None:
         return False
-    n = aq.dim
-    s = Subspace._of(n, dmat.transpose().sparse_rows
-                     + aq.alg.derived().basis.sparse_rows)
-    if s.dim == 0:
+    dt = dmat.transpose()
+    gens = dt.sparse_rows + aq.alg.derived().basis.sparse_rows
+    if not any(gens):
         return False
-    return (aq.alg.centre().contains(s)
-            and (s.basis * dmat.transpose()).is_zero())
+    return not any(_span_rows(gens, dt)) and aq.alg.centre()._holds(gens)
 
 
 @dataclass(frozen=True)
@@ -388,9 +389,10 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
                         k, sign = unknown[r][z]
                         yield ((key, k), f * sign * c.numerator,
                                c.denominator)
-    rows: dict[tuple[int, int, int], dict[int, Fraction]] = {}
-    for (key, k), x in _fsum(terms()).items():
+    # the law's integer sums share one denominator, which the kernel
+    # does not read
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (key, k), x in _isum(terms())[0].items():
         rows.setdefault(key, {})[k] = x
     sol = _kernel_rows(Mat._of(rows.values(), len(gens)))
-    return Subspace._of(n * n, (Mat._of(sol, len(gens))
-                                * Mat._of(gens, n * n)).sparse_rows)
+    return Subspace._of(n * n, _span_rows(sol, Mat._of(gens, n * n)))

@@ -14,8 +14,8 @@ from typing import Sequence
 
 from .algebra import LieAlgebra
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
-                     kernel, opposite, rank, rref, vec)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _divide,
+                     _eliminate, _isum, inverse, kernel, opposite, rank, vec)
 
 
 @cache
@@ -141,7 +141,7 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
     top = q.dim - 1
     rev = [dict(sorted((top - j, e) for j, e in r.items()))
            for r in s.basis.sparse_rows]
-    last = {top - p for p in rref(Mat._of(rev, q.dim))[1]}
+    last = {top - p for p in _eliminate(Mat._of(rev, q.dim))}
     picks = [{t: ONE} for t in range(q.dim) if t not in last]
     T = Mat._of(picks, q.dim)
     S = s.basis
@@ -168,10 +168,10 @@ def is_isometry(q1: QuadraticStructure, q2: QuadraticStructure,
         return False, ("not invertible" if rank(m) != q1.dim
                        else "form not preserved")
     cols = mt.sparse_rows
-    lhs = _fsum(((i - 1, j - 1, k), c.numerator * e.numerator,
-                 c.denominator * e.denominator)
-                for (i, j), nz in q1.alg.terms.items() for r, c in nz
-                for k, e in cols[r].items())
+    lhs = _divide(*_isum(((i - 1, j - 1, k), c.numerator * e.numerator,
+                          c.denominator * e.denominator)
+                         for (i, j), nz in q1.alg.terms.items()
+                         for r, c in nz for k, e in cols[r].items()))
     rhs = q2.alg._brackets(cols)
     if lhs != rhs:
         i, j = min(key[:2] for key in lhs.keys() | rhs.keys()

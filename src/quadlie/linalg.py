@@ -2,12 +2,16 @@
 
 Everything downstream runs on this: matrices of `fractions.Fraction` stored
 once, as each row's nonzero entries in a {column: entry} dict, with the
-dense rows a view built on each read; the unique RREF by a fraction-free
-elimination of those dicts scaled to integers, which stops once it holds
-a pivot in every column that has an entry; fraction-free sums of products
-(`_fsum`: integer numerators over one common denominator, one division per
-sum), which matrix products, brackets and the law checks accumulate in;
-kernels, solving, and row-space subspaces in canonical RREF form.
+dense rows a view built on each read; fraction-free sums of products
+(`_isum`: integer numerators over one common denominator), which matrix
+products, brackets and the law checks accumulate in; and one integer
+elimination core, `_eliminate`, which reduces those dicts scaled to
+integers to primitive integer pivot rows and stops once it holds a pivot
+in every column that has an entry. Its callers read the integers: `rank`
+the pivot count, `inverse` the right half, `solve` one column, `kernel`
+integer rows, and a span takes integer rows as they are. Fractions are
+built only where a caller reads them: the RREF (`rref`, and so the
+canonical basis of each `Subspace`), an inverse, a solution, a product.
 
 Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
 are 1-based; coordinates here are 0-based Python indices.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,11 +45,13 @@ def opposite(x: Fraction | None, y: Fraction | None) -> bool:
             and x.numerator == -y.numerator)
 
 
-def _fsum(terms: Iterable[tuple[object, int, int]]) -> dict:
+def _isum(terms: Iterable[tuple[object, int, int]]) -> tuple[dict, int]:
     """The sum of n/d at each key over (key, n, d) terms, for integers n
-    and d > 0, as its nonzero values, keys ascending. The numerators add
-    over one common denominator, scaled up to the lcm only when a term's
-    d does not divide it, and each sum divides once at the end."""
+    and d > 0, as integers over one common denominator: the nonzero
+    integer sums, keys ascending, and that denominator. The numerators
+    add over it, scaled up to the lcm only when a term's d does not
+    divide it; a span reads the sums alone, and `_divide` makes them
+    Fractions."""
     acc: dict = {}
     den = 1
     for k, n, d in terms:
@@ -57,8 +63,15 @@ def _fsum(terms: Iterable[tuple[object, int, int]]) -> dict:
                 den = g
             n *= den // d
         acc[k] = acc.get(k, 0) + n
-    return {k: Fraction(v) if den == 1 else Fraction(v, den)
-            for k, v in sorted(acc.items()) if v}
+    return {k: v for k, v in sorted(acc.items()) if v}, den
+
+
+def _divide(sums: dict, den: int) -> dict:
+    """Each integer sum of _isum over its denominator, as a Fraction: one
+    division per sum, none when the denominator is 1."""
+    if den == 1:
+        return {k: Fraction(v) for k, v in sums.items()}
+    return {k: Fraction(v, den) for k, v in sums.items()}
 
 
 def vec(entries: Iterable) -> tuple[Fraction, ...]:
@@ -183,9 +196,9 @@ class Mat:
         """x self for x given as (row, entry) pairs: the sum of entry times
         that row, as its nonzero entries, columns ascending."""
         rows = self.sparse_rows
-        return _fsum((k, c.numerator * e.numerator,
-                      c.denominator * e.denominator)
-                     for j, c in x for k, e in rows[j].items())
+        return _divide(*_isum((k, c.numerator * e.numerator,
+                               c.denominator * e.denominator)
+                              for j, c in x for k, e in rows[j].items()))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in r) for r in self.data)
@@ -229,60 +242,95 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {j: e // g for j, e in row.items()}
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """The unique reduced row echelon form, zero rows last, and its pivot
-    columns. Fraction-free: each row's {column: entry} dict is scaled to
-    integers by the lcm of its denominators and reduced by the pivot rows
-    found so far, which are primitive and zero in every other pivot column;
-    a row that stays nonzero clears its first column from them. Only the
-    result divides, by each row's pivot; it comes as a sparse view alone.
+def _eliminate(m: Mat) -> dict[int, dict[int, int]]:
+    """The primitive integer pivot rows of m's row space, as pivot column
+    -> {column: entry}: each row is zero in every other pivot column, so
+    dividing row p by its entry at p gives row p of the RREF. Entries of m
+    may be ints or Fractions; a row whose denominators are all 1 is read
+    as it is, any other is scaled to integers by their lcm. Each row is
+    reduced by the pivot rows found so far; one that stays nonzero is made
+    primitive and clears its first column from the pivot rows that hold
+    it, which are looked for only once some pivot row has held it.
 
     The rank cannot pass the number of columns that hold an entry, so the
     elimination stops once it has that many pivots: their rows then span
     every such column, and each later row already lies in the span."""
     occupied = len(set().union(*m.sparse_rows))
     piv: dict[int, dict[int, int]] = {}  # pivot column -> its row
+    held: set[int] = set()  # every column a pivot row has held
     for r in m.sparse_rows:
-        den = lcm(*[e.denominator for e in r.values()])
-        row = {j: e.numerator * (den // e.denominator) for j, e in r.items()}
+        row = {j: e.numerator for j, e in r.items() if e.denominator == 1}
+        if len(row) < len(r):
+            den = lcm(*[e.denominator for e in r.values()])
+            row = {j: e.numerator * (den // e.denominator)
+                   for j, e in r.items()}
         for p in [p for p in row if p in piv]:
             _clear(row, p, piv[p])
         if not row:
             continue
         row = _primitive(row)
         col = min(row)
-        for p, prow in piv.items():
-            if col in prow:
-                _clear(prow, col, row)
-                piv[p] = _primitive(prow)
+        if col in held:
+            for p, prow in piv.items():
+                if col in prow:
+                    _clear(prow, col, row)
+                    piv[p] = _primitive(prow)
         piv[col] = row
+        held.update(row)
         if len(piv) == occupied:
             break
+    return piv
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """The unique reduced row echelon form, zero rows last, and its pivot
+    columns: each pivot row of _eliminate divided by its pivot, which
+    becomes the shared ONE; a pivot of 1 divides nothing. The result comes
+    as a sparse view alone."""
+    piv = _eliminate(m)
     pivots = tuple(sorted(piv))
-    sparse = [{j: ONE if j == p else Fraction(e, piv[p][p])
-               for j, e in sorted(piv[p].items())} for p in pivots]
+    sparse = [_reduced(piv[p], p) for p in pivots]
     sparse += [{}] * (m.rows - len(pivots))
     return Mat._of(sparse, m.cols), pivots
 
 
+def _reduced(row: dict[int, int], p: int) -> dict[int, Fraction]:
+    """Pivot row p of _eliminate as a row of the RREF, columns ascending."""
+    a = row[p]
+    if a == 1:
+        return {j: ONE if j == p else Fraction(e)
+                for j, e in sorted(row.items())}
+    return {j: ONE if j == p else Fraction(e, a)
+            for j, e in sorted(row.items())}
+
+
 def rank(m: Mat) -> int:
-    return len(rref(m)[1])
+    return len(_eliminate(m))
 
 
-def _kernel_rows(m: Mat) -> list[dict[int, Fraction]]:
-    """A basis of {x : m x = 0}, one row per free column f of m's RREF R:
-    x_f = 1, x_p = -R[p][f] at each pivot p, 0 elsewhere, as {column:
-    entry} rows, columns ascending. The rows are not in RREF; a caller
-    that maps them on spans the image once, in its own Subspace."""
-    R, pivots = rref(m)
-    pivset = set(pivots)
-    gens = {f: {f: ONE} for f in range(m.cols) if f not in pivset}
-    # pivot row p is x_p + sum R[p][f] x_f over the free columns f
-    for p, row in zip(pivots, R.sparse_rows):
+def _kernel_rows(m: Mat) -> list[dict[int, int]]:
+    """A basis of {x : m x = 0}, one integer row per free column f of m:
+    pivot row p of _eliminate reads a_p x_p + sum e_f x_f = 0 over the free
+    columns f, so with L the lcm of the pivots a_p of the rows that hold f,
+    x_f = -L and x_p = e_f (L / a_p), 0 elsewhere; divided by -L it is the
+    row with x_f = 1. Rows are {column: entry}, columns ascending, and not
+    in RREF; a caller that maps them on spans the image once, in its own
+    Subspace."""
+    piv = _eliminate(m)
+    reads: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(m.cols) if f not in piv}  # f -> (p, a_p, e_f)
+    for p, row in piv.items():
+        a = row[p]
         for f, e in row.items():
             if f != p:
-                gens[f][p] = -e
-    return [dict(sorted(v.items())) for v in gens.values()]
+                reads[f].append((p, a, e))
+    out = []
+    for f, rs in reads.items():
+        L = lcm(*[a for _, a, _ in rs])
+        x = {p: e * (L // a) for p, a, e in rs}
+        x[f] = -L
+        out.append(dict(sorted(x.items())))
+    return out
 
 
 def kernel(m: Mat) -> "Subspace":
@@ -290,18 +338,32 @@ def kernel(m: Mat) -> "Subspace":
     return Subspace._of(m.cols, _kernel_rows(m))
 
 
+def _span_rows(xs: Iterable[dict], m: Mat) -> Iterator[dict[int, int]]:
+    """The rows x m for rows x of ints or Fractions, one at a time, each as
+    integers over its own denominator, which is dropped: each is a
+    positive multiple of x m, so a span, a kernel or a zero test reads
+    them as they are."""
+    rows = m.sparse_rows
+    return (_isum((k, c.numerator * e.numerator,
+                   c.denominator * e.denominator)
+                  for j, c in x.items() for k, e in rows[j].items())[0]
+            for x in xs)
+
+
 def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of m x = rhs, or None. Free variables set to 0."""
     if m.rows != len(rhs):
         raise ValueError("length mismatch")
-    aug = [{**r, m.cols: b} if b else r
-           for r, b in zip(m.sparse_rows, map(scalar, rhs))]
-    R, pivots = rref(Mat._of(aug, m.cols + 1))
-    if m.cols in pivots:
+    b = m.cols
+    aug = [{**r, b: c} if c else r
+           for r, c in zip(m.sparse_rows, map(scalar, rhs))]
+    piv = _eliminate(Mat._of(aug, b + 1))
+    if b in piv:
         return None  # inconsistent
-    x = [ZERO] * m.cols
-    for p, row in zip(pivots, R.sparse_rows):
-        x[p] = row.get(m.cols, ZERO)
+    x = [ZERO] * b
+    for p, row in piv.items():
+        if b in row:
+            x[p] = Fraction(row[b], row[p])
     return tuple(x)
 
 
@@ -309,11 +371,12 @@ def inverse(m: Mat) -> Mat:
     if m.rows != m.cols:
         raise ValueError("not square")
     n = m.rows
-    R, pivots = rref(hstack(m, Mat.identity(n)))
-    if len(pivots) != n or any(p >= n for p in pivots):
+    piv = _eliminate(hstack(m, Mat.identity(n)))
+    if len(piv) != n or any(p >= n for p in piv):
         raise ValueError("singular matrix")
-    return Mat._of(({j - n: e for j, e in r.items() if j >= n}
-                    for r in R.sparse_rows), n)
+    # RREF [I | m^-1]: row p holds its pivot and row p of m^-1
+    return Mat._of(({j - n: e for j, e in _reduced(piv[p], p).items()
+                     if j >= n} for p in range(n)), n)
 
 
 @dataclass(frozen=True)
@@ -335,7 +398,7 @@ class Subspace:
     @classmethod
     def _of(cls, ambient_dim: int, sparse: Sequence[dict]) -> "Subspace":
         """Trusted constructor: the span of {column: entry} rows of nonzero
-        Fractions, columns ascending and below ambient_dim."""
+        ints or Fractions, columns below ambient_dim."""
         R, pivots = rref(Mat._of(sparse, ambient_dim))
         return cls(ambient_dim, Mat._of(R.sparse_rows[:len(pivots)],
                                         ambient_dim))
@@ -378,10 +441,10 @@ class Subspace:
         n = self.ambient_dim
         rows = [{**u, **{j + n: e for j, e in u.items()}}
                 for u in self.basis.sparse_rows]
-        R, pivots = rref(Mat._of(rows + list(other.basis.sparse_rows), 2 * n))
+        piv = _eliminate(Mat._of(rows + list(other.basis.sparse_rows),
+                                 2 * n))
         return Subspace._of(n, [{j - n: e for j, e in row.items()}
-                                for row, p in zip(R.sparse_rows, pivots)
-                                if p >= n])
+                                for p, row in piv.items() if p >= n])
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
         """The dense basis rows, for callers outside the package."""

@@ -15,7 +15,7 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
 from .linalg import (Fraction, Mat, Subspace, ZERO, hstack, inverse, kernel,
-                     vstack)
+                     rank, vstack)
 from .tstar import tstar_extend
 
 Trivector = AltCoeffs
@@ -37,15 +37,22 @@ def contract(t: Trivector, x: Sequence[Fraction]) -> Mat:
     return Mat._of(rows, t.n)
 
 
+def _pair_rows(t: Trivector) -> Mat:
+    """One sparse row per pair (j, k), holding t_ijk at column i, so that
+    the rows vanish on x exactly when t(x, ., .) = 0; untouched pairs have
+    zero rows and are left out."""
+    return Mat._of([dict(nz) for nz in t.pair_terms().values()], t.n)
+
+
 def trivector_kernel(t: Trivector) -> Subspace:
-    """Vectors x with t(x, ., .) = 0: one sparse row per pair (j, k),
-    holding t_ijk at column i; untouched pairs have zero rows and are left
-    out."""
-    return kernel(Mat._of([dict(nz) for nz in t.pair_terms().values()], t.n))
+    """Vectors x with t(x, ., .) = 0."""
+    return kernel(_pair_rows(t))
 
 
 def trivector_rank(t: Trivector) -> int:
-    return t.n - trivector_kernel(t).dim
+    """n minus the dimension of the kernel: the rank of the pair rows, in
+    one elimination that builds no Fraction."""
+    return rank(_pair_rows(t))
 
 
 def algebra_from_trivector(t: Trivector) -> QuadraticStructure:

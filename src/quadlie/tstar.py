@@ -17,8 +17,8 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import (QuadraticStructure, _cyclic_defect, hyperbolic_form,
                     is_isometry, lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _fsum, inverse,
-                     scalar, vstack)
+from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _divide, _isum,
+                     inverse, scalar, vstack)
 
 
 # Cyclic 2-cocycle data on the abelian algebra of dimension n: the role name
@@ -278,17 +278,17 @@ def decompose_as_tstar(q: QuadraticStructure, ideal: Subspace
     ibasis = ideal.basis.sparse_rows
     if q.alg._brackets(ibasis):
         raise ValidationError("ideal is not abelian", law="abelian")
-    if not ideal._holds(q.alg._ad_images(ibasis).values()):
+    if not ideal._holds(q.alg._ad_images(ibasis)[0].values()):
         raise ValidationError("subspace is not an ideal", law="ideal")
     coords = inverse(vstack(L.basis, ideal.basis).transpose())
     # rows: the coordinates along L, then the pairings phi(l_c, .)
     iso = Mat._of(coords.sparse_rows[:n] + (L.basis * q.form).sparse_rows,
                   dim)
     cols = iso.transpose().sparse_rows  # cols[r] is iso e_r
-    read = _fsum(((a, b, k), c.numerator * e.numerator,
-                  c.denominator * e.denominator) for (a, b, r), c
-                 in q.alg._brackets(L.basis.sparse_rows).items()
-                 for k, e in cols[r].items())
+    read = _divide(*_isum(((a, b, k), c.numerator * e.numerator,
+                           c.denominator * e.denominator) for (a, b, r), c
+                          in q.alg._brackets(L.basis.sparse_rows).items()
+                          for k, e in cols[r].items()))
     halves: tuple[dict, dict] = ({}, {})  # B's brackets, then w's values
     for (a, b, k), c in read.items():
         halves[k >= n].setdefault((a + 1, b + 1), []).append((k % n, c))

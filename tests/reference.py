@@ -7,8 +7,10 @@ dense vectors and matrices, loops over every basis pair or triple, no
 shared index. Names say which:
 
 - `_dense_*`: straight from the definition, over dense views;
-- `_old_*`: a Mat operation as it was on dense rows, or a sum of
-  products as it was in Fractions, before `linalg._fsum`;
+- `_old_*`: a Mat operation as it was on dense rows, a sum of
+  products as it was in Fractions, before `linalg._fsum`, and `_fsum`,
+  `rref` and `_kernel_rows` as they were before the integer core
+  `linalg._eliminate`;
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple,
   or a law check as it was, one basis pair at a time;
 - `_ref_*`: a construction, law check or file reader as it was, with
@@ -137,6 +139,104 @@ def _dense_rref(m):
         if pr == nr:
             break
     return Mat.from_rows(rows, nc), tuple(pivots)
+
+
+def _old_rref(m):
+    """rref as it was before the integer core: every row is scaled to
+    integers by the lcm of its denominators, each new pivot row scans
+    every pivot row found so far for its column, and each pivot row is
+    divided by its pivot, a pivot of 1 included; with its own copies of
+    the clearing and gcd steps."""
+    from math import gcd, lcm
+
+    def clear(row, col, prow):
+        a, f = prow[col], row[col]
+        g = gcd(a, f)
+        a, f = a // g, f // g
+        if a != 1:
+            for j in row:
+                row[j] *= a
+        for j, e in prow.items():
+            x = row.get(j, 0) - f * e
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+    def primitive(row):
+        g = gcd(*row.values())
+        return row if g == 1 else {j: e // g for j, e in row.items()}
+
+    occupied = len(set().union(*m.sparse_rows))
+    piv = {}
+    for r in m.sparse_rows:
+        den = lcm(*[e.denominator for e in r.values()])
+        row = {j: e.numerator * (den // e.denominator) for j, e in r.items()}
+        for p in [p for p in row if p in piv]:
+            clear(row, p, piv[p])
+        if not row:
+            continue
+        row = primitive(row)
+        col = min(row)
+        for p, prow in piv.items():
+            if col in prow:
+                clear(prow, col, row)
+                piv[p] = primitive(prow)
+        piv[col] = row
+        if len(piv) == occupied:
+            break
+    pivots = tuple(sorted(piv))
+    sparse = [{j: ONE if j == p else Fraction(e, piv[p][p])
+               for j, e in sorted(piv[p].items())} for p in pivots]
+    sparse += [{}] * (m.rows - len(pivots))
+    return Mat._of(sparse, m.cols), pivots
+
+
+def _old_kernel_rows(m):
+    """linalg._kernel_rows as it was, in Fractions read off _old_rref:
+    x_f = 1, x_p = -R[p][f] at each pivot p, one row per free column f."""
+    R, pivots = _old_rref(m)
+    pivset = set(pivots)
+    gens = {f: {f: ONE} for f in range(m.cols) if f not in pivset}
+    for p, row in zip(pivots, R.sparse_rows):
+        for f, e in row.items():
+            if f != p:
+                gens[f][p] = -e
+    return [dict(sorted(v.items())) for v in gens.values()]
+
+
+def _old_kernel(m):
+    """linalg.kernel as it was: the span of _old_kernel_rows, put into
+    RREF by _old_rref."""
+    R, pivots = _old_rref(Mat._of(_old_kernel_rows(m), m.cols))
+    return Subspace(m.cols, Mat._of(R.sparse_rows[:len(pivots)], m.cols))
+
+
+def _old_sparse_solve(m, rhs):
+    """linalg.solve as it was: column cols of _old_rref of [m | rhs]."""
+    if m.rows != len(rhs):
+        raise ValueError("length mismatch")
+    aug = [{**r, m.cols: b} if b else r
+           for r, b in zip(m.sparse_rows, map(scalar, rhs))]
+    R, pivots = _old_rref(Mat._of(aug, m.cols + 1))
+    if m.cols in pivots:
+        return None
+    x = [ZERO] * m.cols
+    for p, row in zip(pivots, R.sparse_rows):
+        x[p] = row.get(m.cols, ZERO)
+    return tuple(x)
+
+
+def _old_sparse_inverse(m):
+    """linalg.inverse as it was: the right half of _old_rref of [m | I]."""
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    n = m.rows
+    R, pivots = _old_rref(_old_hstack(m, Mat.identity(n)))
+    if len(pivots) != n or any(p >= n for p in pivots):
+        raise ValueError("singular matrix")
+    return Mat._of(({j - n: e for j, e in r.items() if j >= n}
+                    for r in R.sparse_rows), n)
 
 
 def _dense(rows, cols):
@@ -1261,6 +1361,27 @@ def _ref_family_from_obj(obj):
     mats = tuple(_ref_mat_in(m, f"matrix {i + 1}")
                  for i, m in enumerate(mats))
     return QuadraticFamily(_dim_in(n), mats)
+
+
+# ---- the one-division sums that linalg._isum replaced ----
+
+def _old_fsum(terms):
+    """linalg._fsum as it was: the sum of n/d at each key over (key, n, d)
+    terms as nonzero Fractions, keys ascending, one division per sum."""
+    from math import lcm
+    acc = {}
+    den = 1
+    for k, n, d in terms:
+        if d != den:
+            if den % d:
+                g = lcm(den, d)
+                for j in acc:
+                    acc[j] *= g // den
+                den = g
+            n *= den // d
+        acc[k] = acc.get(k, 0) + n
+    return {k: Fraction(v) if den == 1 else Fraction(v, den)
+            for k, v in sorted(acc.items()) if v}
 
 
 # ---- the Fraction multiply-accumulate loops that linalg._fsum replaced,

@@ -300,7 +300,7 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     alg = q.alg
     rows = Mat._of([dict(nz) for nz in alg.terms.values()], alg.dim)
     centre_rows = Mat._of(alg._ad_rows().values(), alg.dim)
-    real = linalg.rref
+    real = linalg._eliminate
     runs = []
     centre_runs = []
 
@@ -309,7 +309,7 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
         centre_runs.append(m == centre_rows)
         return real(m)
 
-    monkeypatch.setattr(linalg, "rref", counting)
+    monkeypatch.setattr(linalg, "_eliminate", counting)
     assert alg.is_reduced()
     assert alg.algebra_type() == (6, 6)
     assert [s.dim for s in alg.lower_central_series()] == [12, 6, 0]

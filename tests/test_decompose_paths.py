@@ -143,10 +143,14 @@ def test_bracket_sums_match_pair_loops(decompose_inputs):
                            for r, c in _old_bracket(alg, x, y).items()}
             assert list(got) == sorted(got)
             assert all(type(c) is F and c for c in got.values())
-            images = alg._ad_images(vs)
-            assert images == {(i, s): row for i, v in enumerate(vs)
-                              for s in range(n)
-                              if (row := _old_bracket(alg, {s: ONE}, v))}
+            images, den = alg._ad_images(vs)
+            assert {key: {r: F(e, den) for r, e in row.items()}
+                    for key, row in images.items()} == {
+                (i, s): row for i, v in enumerate(vs) for s in range(n)
+                if (row := _old_bracket(alg, {s: ONE}, v))}
+            assert den > 0 and all(type(e) is int and e
+                                   for row in images.values()
+                                   for e in row.values())
             assert list(images) == sorted(images)
             assert all(list(row) == sorted(row) for row in images.values())
             nonzero += bool(got)

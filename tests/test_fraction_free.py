@@ -1,4 +1,4 @@
-"""Fraction-free sums (`linalg._fsum`) against the Fraction loops they
+"""Fraction-free sums (`linalg._isum`) against the Fraction loops they
 replaced, on rational inputs.
 
 Every benchmark workload has integer entries only, so a sum there never
@@ -28,13 +28,13 @@ from quadlie import (CATALOG, CocycleCoeffs, LieAlgebra, Mat,
 from quadlie.acceptance import _jordan_extension
 from quadlie.alternating import AltCoeffs
 from quadlie.doubleext import _derivation_map, _entries
-from quadlie.linalg import _fsum
+from quadlie.linalg import _divide, _isum
 from quadlie.randgen import random_coeffs
 from reference import (_dense_bracket, _dense_cols, _dense_inverse,
                        _dense_jacobi_defect, _dense_lower_central_series,
                        _dense_matvec, _old_bracket, _old_chain_dcoeffs,
                        _old_derivation_defect, _old_derivation_map,
-                       _old_derivation_space, _old_is_isometry,
+                       _old_derivation_space, _old_fsum, _old_is_isometry,
                        _old_jacobi_defect, _old_lower_central_series,
                        _old_mul, _old_random_skew_derivation,
                        _old_sparse_mul, _old_transpose,
@@ -124,13 +124,18 @@ def test_fsum_matches_fraction_sums():
         cases.append([(g.randint(0, 5), g.randint(-6, 6), g.randint(1, 7))
                       for _ in range(size)])
     for terms in cases:
-        got = _fsum(iter(terms))
-        assert got == _fraction_sum(terms)
-        assert list(got) == sorted(got)
+        sums, den = _isum(iter(terms))
+        got = _divide(sums, den)
+        assert got == _fraction_sum(terms) == _old_fsum(terms)
+        assert list(sums) == sorted(sums) and den > 0
+        assert all(type(v) is int and v for v in sums.values())
         assert all(type(v) is Fraction and v for v in got.values())
-    assert _fsum([(2, 3, 1), (1, 1, 2), (2, 1, 3)]) == {1: F(1, 2),
-                                                         2: F(10, 3)}
-    assert _fsum([(0, 2, 4), (0, 1, 2)]) == {0: F(1)}
+    # 1 -> 2 -> 6: 3/6 and 20/6; the sum 4/4 stays over 4 until divided
+    assert _isum([(2, 3, 1), (1, 1, 2), (2, 1, 3)]) == ({1: 3, 2: 20}, 6)
+    assert _divide(*_isum([(2, 3, 1), (1, 1, 2), (2, 1, 3)])) == {
+        1: F(1, 2), 2: F(10, 3)}
+    assert _isum([(0, 2, 4), (0, 1, 2)]) == ({0: 4}, 4)
+    assert _divide(*_isum([(0, 2, 4), (0, 1, 2)])) == {0: F(1)}
 
 
 def test_products_match_references(rational_structures):
@@ -211,7 +216,7 @@ def test_derivation_law_matches_references(rational_structures,
             assert got == _old_derivation_defect(q.alg, v)
             if small:
                 assert got == _ref_derivation_defect(q.alg, v)
-            image = _fsum(_derivation_map(q.alg, _entries(v)))
+            image = _divide(*_isum(_derivation_map(q.alg, _entries(v))))
             old = _old_derivation_map(q.alg)(_entries(v))
             assert image == {k: x for k, x in sorted(old.items()) if x}
             assert list(image) == sorted(image)

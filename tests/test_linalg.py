@@ -7,12 +7,15 @@ import pytest
 from quadlie.linalg import (Mat, Subspace, hstack, inverse, kernel,
                             opposite, rank, rref, scalar, solve,
                             vec, vstack)
+from quadlie.linalg import _kernel_rows
 from reference import (_dense_contains_vec, _dense_intersect,
                        _dense_inverse, _dense_matvec, _dense_rref,
                        _dense_solve, _old_add,
                        _old_hstack, _old_inverse, _old_is_skew,
-                       _old_is_symmetric, _old_mul, _old_neg, _old_scale,
-                       _old_sub, _old_transpose, _old_vstack,
+                       _old_is_symmetric, _old_kernel, _old_kernel_rows,
+                       _old_mul, _old_neg, _old_rref, _old_scale,
+                       _old_sparse_inverse, _old_sparse_solve, _old_sub,
+                       _old_transpose, _old_vstack,
                        _pair_law_derivation_space)
 
 
@@ -241,7 +244,8 @@ def test_contains_matches_rank_reference():
 def _recorded_systems(monkeypatch):
     """Every distinct matrix that centre, derived, derivation_space, the
     pair-law derivation_space it replaced and Subspace.intersect hand to
-    rref on the catalog and on every 25th seed of the corpora of criteria
+    the elimination core `_eliminate` (through rref, kernel, inverse and
+    the spans; some with integer entries) on the catalog and on every 25th seed of the corpora of criteria
     4 and 5. The derivation spaces run on the catalog entries with n <= 5
     and on the last entry of each larger n; the pair law's tall systems
     are the ones past 200 rows."""
@@ -250,13 +254,13 @@ def _recorded_systems(monkeypatch):
     from quadlie import linalg
     from quadlie.acceptance import _random_extension_case
     seen = {}
-    real = linalg.rref
+    real = linalg._eliminate
 
     def record(m):
         seen.setdefault((m.cols, m.data), m)
         return real(m)
 
-    monkeypatch.setattr(linalg, "rref", record)
+    monkeypatch.setattr(linalg, "_eliminate", record)
     last = {e.n: e for e in CATALOG}
     cases = [(algebra_from_trivector(e.trivector), e.n <= 5 or last[e.n] is e)
              for e in CATALOG]
@@ -330,6 +334,48 @@ def test_rref_matches_dense_reference(monkeypatch):
     assert deficient > 100
 
 
+# ---- the integer elimination core against the Fraction code it replaced ----
+
+def test_integer_core_matches_old_elimination(monkeypatch):
+    """rref, rank, kernel, solve and inverse read _eliminate's integer
+    rows; each gives what it gave when it read the Fraction RREF, and each
+    integer kernel row over its free-column entry is the old row."""
+    systems = _recorded_systems(monkeypatch) + _random_systems()
+    systems += list(_tall_systems()) + _edge_systems()
+    squares = [m for m in systems if m.rows == m.cols]
+    squares += [Mat.identity(5), hstack(Mat.identity(3), Mat.zero(3, 0))]
+    squares += _built_forms()
+    wide = 0
+    for m in systems:
+        R, pivots = _old_rref(m)
+        assert rref(m) == (R, pivots)
+        assert rank(m) == len(pivots)
+        rows = _kernel_rows(m)
+        free = [f for f in range(m.cols) if f not in pivots]
+        assert len(rows) == len(free)
+        for f, x, y in zip(free, rows, _old_kernel_rows(m)):
+            assert list(x) == sorted(x)
+            assert all(type(e) is int and e for e in x.values())
+            assert {j: Fraction(e, x[f]) for j, e in x.items()} == y
+        k = kernel(m)
+        assert k == _old_kernel(m)
+        assert all(type(e) is Fraction for r in k.basis.sparse_rows
+                   for e in r.values())
+        wide += len(free) > 1
+        # a consistent right-hand side (the sum of the columns) and one
+        # that is usually not
+        for rhs in ([sum(r.values(), Fraction(0)) for r in m.sparse_rows],
+                    [Fraction(i + 1, 2) for i in range(m.rows)]):
+            assert solve(m, rhs) == _old_sparse_solve(m, rhs)
+    for m in squares:
+        got, want = _outcome(inverse, m), _outcome(_old_sparse_inverse, m)
+        if isinstance(want, Mat):
+            _same(got, want)
+        else:
+            assert got == want
+    assert wide > 50 and len(squares) > 50
+
+
 # ---- the early stop on tall systems ----
 
 @functools.cache
@@ -385,8 +431,13 @@ def test_tall_rref_matches_dense_reference():
 
 
 class _Row(dict):
-    """A sparse row that records when rref reads its entries."""
+    """A sparse row that records when rref reads its entries, through
+    items() (an integer row) or values() (a row with denominators)."""
     reads: list = []
+
+    def items(self):
+        _Row.reads.append(id(self))
+        return super().items()
 
     def values(self):
         _Row.reads.append(id(self))
@@ -408,7 +459,9 @@ def test_rref_reads_no_row_past_the_occupied_rank():
         got = rref(Mat._of(rows, 6))
         assert got == _dense_rref(Mat._of(rows, 6))
         assert got[1] == (0, 2, 3, 5)
-        assert _Row.reads == [id(r) for r in rows[:want_rows]]
+        # a row with denominators is read more than once
+        assert list(dict.fromkeys(_Row.reads)) == [
+            id(r) for r in rows[:want_rows]]
 
 
 def test_solve_finds_the_last_inconsistent_row():

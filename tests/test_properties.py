@@ -1,10 +1,11 @@
 """Property tests of the stored-half form laws against their dense
 definitions: cyclic_defect, invariance_defect and skew_defect on sparse
 rational data drawn by Hypothesis, derandomized so every run draws the
-same examples; and of what a roads case reads (the symmetry test
+same examples; of what a roads case reads (the symmetry test
 without a transpose, the family written from the terms, the pair terms
 and the shared hyperbolic forms) against the code it replaced or the
-definition.
+definition; and of the integer sums of `linalg._isum` against the
+Fraction sums they replaced.
 Each test also counts what it drew, so a change to the strategies cannot
 quietly stop reaching repeated-index witnesses, forms with entries other
 than 1, or inputs where the law holds."""
@@ -16,9 +17,10 @@ from quadlie import (AltCoeffs, GeneralCocycle, LieAlgebra, Mat, abelian,
                      all_roads, coeffs_to_family, cyclic_defect,
                      hyperbolic_form, invariance_defect, inverse, rank,
                      skew_defect)
+from quadlie.linalg import _isum
 from quadlie.tstar import _tstar_algebra
 from reference import (_dense_invariance_defect, _dense_skew_defect,
-                       _loop_pair_terms, _ref_coeffs_to_family,
+                       _loop_pair_terms, _old_fsum, _ref_coeffs_to_family,
                        _ref_cyclic_defect)
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -276,3 +278,27 @@ def test_shared_hyperbolic_forms_survive_all_roads():
             assert hyperbolic_form(n) is hyperbolic_form(n)
     check()
     assert ran >= 10
+
+
+def test_isum_over_its_denominator_matches_old_fsum():
+    seen = {"rescaled": 0, "cancelled": 0, "integral": 0}
+
+    @_SETTINGS
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-6, 6),
+                              st.integers(1, 12)), max_size=12),
+           st.integers(0, 5), st.booleans())
+    def check(terms, drop, whole):
+        if whole:  # integer terms, which stay over the denominator 1
+            terms = [(k, n, 1) for k, n, _ in terms]
+        # the terms at key drop, negated, cancel its sum
+        terms += [(k, -n, d) for k, n, d in terms if k == drop]
+        sums, den = _isum(iter(terms))
+        want = _old_fsum(terms)
+        assert {k: Fraction(v, den) for k, v in sums.items()} == want
+        assert list(sums) == list(want) and den > 0
+        assert all(type(v) is int and v for v in sums.values())
+        seen["rescaled"] += den > 1
+        seen["cancelled"] += len(sums) < len({k for k, n, _ in terms if n})
+        seen["integral"] += bool(sums) and den == 1
+    check()
+    assert min(seen.values()) >= 10

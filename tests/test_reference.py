@@ -36,8 +36,9 @@ def test_replaced_paths_are_kept_as_references():
     # the paths that rref's early stop, the ad-index centre rows, the
     # once-per-pair skew check, the sparse file readers, the
     # fraction-free sums, the one-build roads check, the batched
-    # brackets and the closed-2-form derivation law replaced, and the
-    # dense solvers they are checked against
+    # brackets, the closed-2-form derivation law and the integer
+    # elimination core replaced, and the dense solvers they are checked
+    # against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
         encoding="utf-8")
     assert {"_ref_centre_rows", "_ref_centre_by_rows",
@@ -51,5 +52,7 @@ def test_replaced_paths_are_kept_as_references():
             "_old_derivation_space", "_old_random_skew_derivation",
             "_old_chain_dcoeffs", "_old_is_isometry", "_ref_all_roads",
             "_ref_coeffs_to_family", "_old_decompose_as_tstar",
-            "_loop_is_isometry", "_pair_law_derivation_space"} <= set(
+            "_loop_is_isometry", "_pair_law_derivation_space", "_old_rref",
+            "_old_kernel_rows", "_old_kernel", "_old_sparse_solve",
+            "_old_sparse_inverse", "_old_fsum"} <= set(
                 _reference_names(source))

@@ -123,35 +123,40 @@ def test_layers_counts_eliminations_by_caller_and_shape():
     from types import SimpleNamespace
 
     from quadlie import (Mat, QuadraticStructure, abelian, derivation_space,
-                         hyperbolic_form, kernel, linalg, rref)
+                         forms, hyperbolic_form, kernel, linalg)
     aq = QuadraticStructure(abelian(4), hyperbolic_form(2))
     m = Mat([[1, 2, 3], [2, 4, 6]])
     cases = [SimpleNamespace(run=lambda: derivation_space(aq)),
              SimpleNamespace(run=lambda: kernel(m)),
-             SimpleNamespace(run=lambda: linalg.rref(m))]
-    orig = linalg.rref
+             SimpleNamespace(run=lambda: linalg.rref(m)),
+             SimpleNamespace(run=lambda: linalg.rank(m)),
+             SimpleNamespace(run=lambda: linalg._eliminate(m))]
+    orig = linalg._eliminate
     out = layers.record(cases)
-    assert linalg.rref is orig and rref is orig  # every binding restored
+    # every binding restored
+    assert linalg._eliminate is orig and forms._eliminate is orig
     space = "doubleext.derivation_space"
     calls = {chain: row["calls"] for chain, row in out["by_caller"].items()}
     assert calls == {f"{space} > linalg.inverse": 1,
                      f"{space} > linalg._kernel_rows": 1,
-                     f"{space} > linalg.Subspace._of": 1,
+                     f"{space} > linalg.Subspace._of > linalg.rref": 1,
                      "linalg.kernel > linalg._kernel_rows": 1,
-                     "linalg.kernel > linalg.Subspace._of": 1,
+                     "linalg.kernel > linalg.Subspace._of > linalg.rref": 1,
+                     "linalg.rref": 1, "linalg.rank": 1,
                      "(outside quadlie)": 1}
-    assert out["rref"]["calls"] == 6
+    assert out["eliminate"]["calls"] == 8
     # the form is 4x4, inverted as [F | I]; no triple has a bracket, so
     # the law has no rows; the 6 unknowns map to 16 entries; m and its
     # two kernel rows are 2x3
     shapes = {k: row["calls"] for k, row in out["by_shape"].items()}
-    assert shapes == {"4x8": 1, "0x6": 1, "6x16": 1, "2x3": 3}
+    assert shapes == {"4x8": 1, "0x6": 1, "6x16": 1, "2x3": 5}
     assert out["by_function"][space]["calls"] == 3
     assert out["by_function"]["linalg._kernel_rows"]["calls"] == 2
     assert out["by_function"]["linalg.kernel"]["calls"] == 2
+    assert out["by_function"]["linalg.rref"]["calls"] == 3
     tables = [out["by_caller"], out["by_function"], out["by_shape"]]
     for table in tables:
         secs = [row["seconds"] for row in table.values()]
         assert secs == sorted(secs, reverse=True) and min(secs) >= 0
     assert sum(r["seconds"] for r in out["by_caller"].values()) == \
-        pytest.approx(out["rref"]["seconds"])
+        pytest.approx(out["eliminate"]["seconds"])

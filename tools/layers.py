@@ -1,5 +1,6 @@
-"""Count the eliminations of one benchmark workload pass: `rref` calls and
-their seconds, by caller chain and by shape.
+"""Count the eliminations of one benchmark workload pass: the calls of the
+integer elimination core `linalg._eliminate` and their seconds, by caller
+chain and by shape.
 
     python3 tools/layers.py --workload extension-derivations --seed 11
         [--tree DIR] [--out layers.json]
@@ -8,13 +9,17 @@ The case list is built by benchmarks/workloads.py from the seed, as the
 benchmark worker builds it, with quadlie imported from the tree's `src/`
 (by default this checkout's; point --tree at an unpacked parent commit to
 count its eliminations). One pass runs unrecorded to warm up, then one
-pass runs with every binding of `linalg.rref` in the loaded quadlie modules
-wrapped; outputs are not checked, since benchmarks/run.py does that.
+pass runs with every binding of `linalg._eliminate` in the loaded quadlie
+modules wrapped, so that the eliminations of `rref`, `rank`, `kernel`,
+`inverse`, `solve` and the spans are all counted; in a tree that has no
+`_eliminate`, every elimination passes through `linalg.rref`, which is
+wrapped instead. Outputs are not checked, since benchmarks/run.py does
+that.
 
 A call's caller chain is the quadlie functions on the stack above it,
 outermost first, as `module.qualname` joined by " > ", for example
 `doubleext.derivation_space > linalg.inverse`. The JSON written holds:
-- `rref`: the calls and seconds of the pass;
+- `eliminate`: the calls and seconds of the pass;
 - `by_caller`: calls and seconds per chain;
 - `by_function`: calls and seconds of the eliminations each quadlie
   function is on the chain of, itself included;
@@ -60,15 +65,16 @@ def _by_seconds(table: dict) -> dict:
 
 
 def record(cases) -> dict:
-    """Run each case once with `rref` wrapped; the tables of the module
-    docstring. Every binding is restored afterwards."""
+    """Run each case once with `_eliminate` wrapped; the tables of the
+    module docstring. Every binding is restored afterwards."""
     from quadlie import linalg
-    orig = linalg.rref
+    # a tree from before the elimination core eliminates in rref
+    orig = getattr(linalg, "_eliminate", None) or linalg.rref
     by_caller: dict = {}
     by_shape: dict = {}
     clock = time.perf_counter
 
-    def rref(m):
+    def eliminate(m):
         t0 = clock()
         try:
             return orig(m)
@@ -82,7 +88,7 @@ def record(cases) -> dict:
     bound = [(m, key) for m in mods for key, val in vars(m).items()
              if val is orig]
     for m, key in bound:
-        setattr(m, key, rref)
+        setattr(m, key, eliminate)
     try:
         for case in cases:
             case.run()
@@ -95,9 +101,9 @@ def record(cases) -> dict:
             f = by_function.setdefault(name, {"calls": 0, "seconds": 0.0})
             f["calls"] += row["calls"]
             f["seconds"] += row["seconds"]
-    return {"rref": {"calls": sum(r["calls"] for r in by_caller.values()),
-                     "seconds": sum(r["seconds"]
-                                    for r in by_caller.values())},
+    rows = by_caller.values()
+    return {"eliminate": {"calls": sum(r["calls"] for r in rows),
+                          "seconds": sum(r["seconds"] for r in rows)},
             "by_caller": _by_seconds(by_caller),
             "by_function": _by_seconds(by_function),
             "by_shape": _by_seconds(by_shape)}
