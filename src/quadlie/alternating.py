@@ -15,8 +15,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
-from .errors import QuadlieError
-from .linalg import Fraction, ZERO, scalar
+from .errors import MAX_N, QuadlieError, within_limit
+from .linalg import Fraction, ZERO, _divide, _isum, scalar, vec
 
 
 def sorted_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -70,19 +70,14 @@ class AltCoeffs:
         c = self._map.get(key, ZERO)
         return c if sign > 0 else -c
 
-    def __call__(self, x: Sequence[Fraction], y: Sequence[Fraction],
-                 z: Sequence[Fraction]) -> Fraction:
+    def __call__(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
+        """t(x, y, z): the pullback along the n x 3 matrix [x y z]."""
+        x, y, z = vec(x), vec(y), vec(z)
         if not (len(x) == len(y) == len(z) == self.n):
             raise ValueError("vector length != n")
-        tot = ZERO
-        for (i, j, k), c in self.terms:
-            a, b, d = i - 1, j - 1, k - 1
-            det = (x[a] * (y[b] * z[d] - y[d] * z[b])
-                   - x[b] * (y[a] * z[d] - y[d] * z[a])
-                   + x[d] * (y[a] * z[b] - y[b] * z[a]))
-            if det:
-                tot += c * det
-        return tot
+        rows = [{s: v[a] for s, v in enumerate((x, y, z)) if v[a]}
+                for a in range(self.n)]
+        return _pullback(self, rows, 3).value(1, 2, 3)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -123,6 +118,28 @@ class AltCoeffs:
         return {p: tuple(acc[p]) for p in sorted(acc)}
 
 
+def _pullback(t: AltCoeffs, rows: Sequence[Mapping[int, Fraction]],
+              m: int) -> AltCoeffs:
+    """t(M., M., M.) for the n x m matrix M with these sparse rows: a stored
+    term c e_a* ^ e_b* ^ e_d* expands over rows a, b and d into products at
+    distinct columns p, q, r, each added at the sorted 1-based (p, q, r)
+    of one _isum, signed by its sort."""
+    ent = [[(p + 1, e.numerator, e.denominator) for p, e in r.items()]
+           for r in rows]
+
+    def terms():
+        for (a, b, d), c in t.terms:
+            for p, xn, xd in ent[a - 1]:
+                for q, yn, yd in ent[b - 1]:
+                    if q != p:
+                        f, g = c.numerator * xn * yn, c.denominator * xd * yd
+                        for r, zn, zd in ent[d - 1]:
+                            key, sign = sorted_triple(p, q, r)
+                            if sign:
+                                yield key, sign * f * zn, g * zd
+    return AltCoeffs._of(m, list(_divide(*_isum(terms())).items()))
+
+
 _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
                    r"(?:\[(\d+),(\d+),(\d+)\]|([1-9]{3}))$")
 
@@ -131,6 +148,7 @@ def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
     """Parse "123+145", "1*[1,2,3]+1*[1,4,5]", mixes of both, or "0"."""
     if n is not None and n < 0:
         raise QuadlieError(f"negative dimension {n}")
+    within_limit(n or 0, MAX_N, "dimension")
     s = "".join(text.split())
     if s in ("", "0"):
         return AltCoeffs(n or 0)
@@ -165,7 +183,7 @@ def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
         items.append((ijk, c))
     top = max(max(t) for t, _ in items)
     if n is None:
-        n = top
+        n = within_limit(top, MAX_N, "index")
     elif top > n:
         raise QuadlieError(f"index {top} exceeds dimension {n}")
     return AltCoeffs(n, items)
@@ -173,19 +191,8 @@ def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
 
 def format_coeffs(c: AltCoeffs) -> str:
     """Inverse of parse_coeffs up to equality of the parsed value."""
-    if not c.terms:
-        return "0"
-    parts = []
-    for (i, j, k), v in c.terms:
-        if k <= 9 and v == 1:
-            parts.append(("+", f"{i}{j}{k}"))
-        elif k <= 9 and v == -1:
-            parts.append(("-", f"{i}{j}{k}"))
-        else:
-            sign = "-" if v < 0 else "+"
-            parts.append((sign, f"{abs(v)!s}*[{i},{j},{k}]"))
-    first_sign, first = parts[0]
-    out = (first_sign if first_sign == "-" else "") + first
-    for sign, body in parts[1:]:
-        out += sign + body
-    return out
+    out = "".join(("-" if v < 0 else "+")
+                  + (f"{i}{j}{k}" if k <= 9 and abs(v) == 1
+                     else f"{abs(v)!s}*[{i},{j},{k}]")
+                  for (i, j, k), v in c.terms)
+    return out.removeprefix("+") or "0"

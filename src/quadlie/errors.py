@@ -1,9 +1,13 @@
-"""Shared exception types.
+"""Shared exception types, and the bound on dimensions read from input.
 
 Validation failures carry which law broke and the first violating witness
 (usually a basis triple) so callers can report precisely.
 """
 from __future__ import annotations
+
+# The largest base dimension that outside input may set; an algebra read
+# from a file, a T* extension of such a base, may have twice it.
+MAX_N = 1_000
 
 
 class QuadlieError(Exception):
@@ -15,3 +19,12 @@ class ValidationError(QuadlieError):
         super().__init__(message)
         self.law = law
         self.witness = witness
+
+
+def within_limit(value: int, top: int, what: str) -> int:
+    """value, when it is at most top; else the one `limit` error, raised
+    before anything of that size is built."""
+    if value > top:
+        raise ValidationError(f"{what} {value} exceeds the limit {top}",
+                              law="limit")
+    return value

@@ -12,7 +12,7 @@ from typing import Any
 from .alternating import AltCoeffs
 from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
-from .errors import QuadlieError
+from .errors import MAX_N, QuadlieError, within_limit
 from .forms import QuadraticStructure
 from .linalg import Fraction, Mat, ONE, scalar
 from .quadfam import QuadraticFamily
@@ -115,10 +115,11 @@ def _int_in(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _dim_in(n: Any) -> int:
+def _dim_in(n: Any, top: int = MAX_N) -> int:
+    """A dimension read from a file: an int from 0 to top."""
     if not _int_in(n) or n < 0:
         raise QuadlieError(f"bad dimension {n!r}")
-    return n
+    return within_limit(n, top, "dimension")
 
 
 def _scalar_in(x, where: str, memo: dict | None = None):
@@ -197,7 +198,7 @@ def quadratic_to_obj(q: QuadraticStructure) -> dict:
 
 
 def algebra_from_obj(obj: Any) -> tuple[LieAlgebra, Mat | None]:
-    dim = _dim_in(_expect(obj, "dim", "algebra"))
+    dim = _dim_in(_expect(obj, "dim", "algebra"), 2 * MAX_N)
     memo: dict[str, Fraction] = {}  # one parse per distinct string
     brackets = {}
     for ent in _expect_list(obj, "brackets", "algebra"):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .alternating import AltCoeffs
+from .alternating import AltCoeffs, _pullback
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
 from .linalg import (Fraction, Mat, Subspace, ZERO, hstack, inverse, kernel,
-                     rank, vstack)
+                     rank, vec, vstack)
 from .tstar import tstar_extend
 
 Trivector = AltCoeffs
@@ -25,6 +25,7 @@ def contract(t: Trivector, x: Sequence[Fraction]) -> Mat:
     """The skew 2-form t(x, ., .) as a matrix: entry (j, k) sums x_i t_ijk
     over slot i of pair (j, k), as t_ijk = t_jki. Pairs come sorted, so
     every row fills in ascending columns."""
+    x = vec(x)
     if len(x) != t.n:
         raise ValidationError(f"vector length {len(x)} != dimension {t.n}",
                               law="shape")
@@ -80,17 +81,7 @@ def _gl_inverse(sigma: Mat, n: int) -> Mat:
 def gl_act(sigma: Mat, t: Trivector) -> Trivector:
     """Pullback action (sigma . t)(x, y, z) = t applied to the inverse
     images; singular sigma is rejected."""
-    n = t.n
-    inv = _gl_inverse(sigma, n)
-    cols = inv.transpose().data
-    vals = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                v = t(cols[i - 1], cols[j - 1], cols[k - 1])
-                if v:
-                    vals[(i, j, k)] = v
-    return Trivector(n, vals)
+    return _pullback(t, _gl_inverse(sigma, t.n).sparse_rows, t.n)
 
 
 def isometry_from_gl(sigma: Mat, t1: Trivector, t2: Trivector) -> Mat:
@@ -101,15 +92,11 @@ def isometry_from_gl(sigma: Mat, t1: Trivector, t2: Trivector) -> Mat:
         raise ValidationError("trivectors live in different dimensions",
                               law="shape")
     inv = _gl_inverse(sigma, n)
-    scols = sigma.transpose().data
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                if t1.value(i, j, k) != t2(scols[i - 1], scols[j - 1],
-                                           scols[k - 1]):
-                    raise ValidationError(
-                        f"trivectors disagree under the action at "
-                        f"{(i, j, k)}", law="compatible", witness=(i, j, k))
+    diff = set(t1.terms) ^ set(_pullback(t2, sigma.sparse_rows, n).terms)
+    if diff:
+        key = min(k for k, _ in diff)
+        raise ValidationError(f"trivectors disagree under the action at "
+                              f"{key}", law="compatible", witness=key)
     zero = Mat.zero(n, n)
     out = vstack(hstack(sigma, zero), hstack(zero, inv.transpose()))
     if n >= 3 and not t1.is_zero() and not t2.is_zero():

@@ -45,12 +45,15 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
                      build_chain, chain_dcoeffs, chain_to_algebra,
                      coeffs_to_family,
                      double_extend_1d, hyperbolic_form, inner_preimage,
-                     inverse, is_lagrangian, kernel, lagrangian_complement,
+                     inverse, is_isometry, is_lagrangian, kernel,
+                     lagrangian_complement,
                      permute_quadratic, rank, rref, scalar, solve,
                      tstar_extend)
 from quadlie.doubleext import _deriv_mat
+from quadlie.errors import MAX_N
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
-from quadlie.linalg import ONE, opposite, vstack
+from quadlie.linalg import ONE, hstack, opposite, vstack
+from quadlie.trivector import _gl_inverse
 
 ZERO = Fraction(0)
 
@@ -654,6 +657,63 @@ def _dense_contraction(t, x):
         m[i - 1][j - 1] += xk * c
         m[j - 1][i - 1] -= xk * c
     return Mat(m)
+
+
+# ---- the GL action: the evaluators as they were before one sparse
+# pullback served them, a determinant per term over dense vectors and a
+# loop over every basis triple ----
+
+def _dense_call(t, x, y, z):
+    """t(x, y, z) as AltCoeffs.__call__ was: a 3x3 determinant of the
+    dense vectors per stored term."""
+    if not (len(x) == len(y) == len(z) == t.n):
+        raise ValueError("vector length != n")
+    tot = ZERO
+    for (i, j, k), c in t.terms:
+        a, b, d = i - 1, j - 1, k - 1
+        det = (x[a] * (y[b] * z[d] - y[d] * z[b])
+               - x[b] * (y[a] * z[d] - y[d] * z[a])
+               + x[d] * (y[a] * z[b] - y[b] * z[a]))
+        if det:
+            tot += c * det
+    return tot
+
+
+def _dense_gl_act(sigma, t):
+    """gl_act as it was: t at the dense columns of sigma^-1, at every
+    basis triple i < j < k."""
+    cols = _dense_cols(_gl_inverse(sigma, t.n))
+    vals = {}
+    for i, j, k in itertools.combinations(range(1, t.n + 1), 3):
+        v = _dense_call(t, cols[i - 1], cols[j - 1], cols[k - 1])
+        if v:
+            vals[(i, j, k)] = v
+    return CocycleCoeffs(t.n, vals)
+
+
+def _dense_isometry_from_gl(sigma, t1, t2):
+    """isometry_from_gl as it was: t1 against t2 at sigma's dense columns,
+    basis triple by basis triple, the first that differs reported."""
+    n = t1.n
+    if t2.n != n:
+        raise ValidationError("trivectors live in different dimensions",
+                              law="shape")
+    inv = _gl_inverse(sigma, n)
+    cols = _dense_cols(sigma)
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        if t1.value(i, j, k) != _dense_call(t2, cols[i - 1], cols[j - 1],
+                                            cols[k - 1]):
+            raise ValidationError(
+                f"trivectors disagree under the action at {(i, j, k)}",
+                law="compatible", witness=(i, j, k))
+    zero = Mat.zero(n, n)
+    out = vstack(hstack(sigma, zero), hstack(zero, inv.transpose()))
+    if n >= 3 and not t1.is_zero() and not t2.is_zero():
+        ok, why = is_isometry(tstar_extend(t1), tstar_extend(t2), out)
+        if not ok:
+            raise ValidationError(f"constructed map is not an isometry: "
+                                  f"{why}", law="isometry")
+    return out
 
 
 # ---- T*-extensions: the two paths each function had before one sparse
@@ -1297,7 +1357,7 @@ def _ref_mat_in(rows, where, memo=None):
 def _ref_algebra_from_obj(obj):
     """io.algebra_from_obj as it was: dense tuples of coerced entries,
     checked by LieAlgebra(dim, brackets), then the form by _ref_mat_in."""
-    dim = _dim_in(_expect(obj, "dim", "algebra"))
+    dim = _dim_in(_expect(obj, "dim", "algebra"), 2 * MAX_N)
     memo = {}
     brackets = {}
     for ent in _expect_list(obj, "brackets", "algebra"):

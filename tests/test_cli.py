@@ -800,3 +800,53 @@ def test_selftest_json_lists_each_check_with_seconds(capsys, monkeypatch):
     monkeypatch.setenv("QUADLIE_FORMAT", "json")
     code, out, err = run(capsys, "selftest")
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+def _assert_limit_error(capsys, *argv):
+    """argv refused in process: exit 1, empty stdout, one JSON error of
+    law "limit" on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["law"] == "limit"
+    assert set(json.loads(line)) == {"error", "law"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("tstar", "[1,2,1001]"),
+    ("tstar", "1*[1,2,1001]+123"),
+    ("rank", "[1,2,1001]", "--format", "json"),
+    ("tstar", "123", "--n", "1001"),
+    ("rank", "0", "--n", "1001"),
+    _CONVERT + ("chain", "123", "--n", "1001"),
+], ids=["tstar-index", "tstar-mixed", "rank-index", "tstar-n", "rank-zero-n",
+        "convert-n"])
+def test_inline_dimension_past_the_limit_is_one_limit_error(capsys, argv):
+    _assert_limit_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("cmd,obj", [
+    (("tstar",), {"n": 1001, "terms": []}),
+    (("rank",), {"n": 1001, "terms": [{"ijk": [1, 2, 3], "c": "1"}]}),
+    (("tstar",), {"n": 1001, "base": {"dim": 3, "brackets": []},
+                  "pairs": []}),
+    (("extend", "--chain"), {"n": 1001, "derivs": []}),
+    (("family",), {"n": 1001, "mats": []}),
+    (("verify",), {"dim": 2001, "brackets": []}),
+    (("decompose",), {"dim": 2001, "brackets": []}),
+], ids=["coeffs", "coeffs-rank", "general-cocycle", "chain", "family",
+        "verify", "decompose"])
+def test_file_dimension_past_the_limit_is_one_limit_error(tmp_path, capsys,
+                                                          cmd, obj):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    _assert_limit_error(capsys, *cmd, str(path))
+
+
+def test_dimension_at_the_limit_is_read(tmp_path, capsys):
+    assert run(capsys, "rank", "123", "--n", "1000", "--format", "json") == (
+        0, dumps({"n": 1000, "rank": 3}), "")
+    assert run(capsys, "rank", "[1,2,1000]") == (0, "rank: 3\n", "")
+    path = tmp_path / "at.json"
+    path.write_text(json.dumps({"n": 1000, "terms": []}), encoding="utf-8")
+    assert run(capsys, "rank", str(path)) == (0, "rank: 0\n", "")

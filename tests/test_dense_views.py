@@ -10,9 +10,7 @@ from quadlie import GeneralCocycle, LieAlgebra, Mat, heisenberg
 
 _SRC = Path(quadlie.__file__).resolve().parent
 _DENSE = {"data", "brackets", "vectors"}
-# AltCoeffs evaluates its determinants on dense columns, so the gl action
-# and its isometry read sigma's columns densely
-_READERS = {"Mat.__repr__", "Subspace.vectors", "gl_act", "isometry_from_gl"}
+_READERS = {"Mat.__repr__", "Subspace.vectors"}
 _DELETED = {"Mat": {"entry", "row", "col", "matvec"},
             "LieAlgebra": {"bracket_basis"},
             "GeneralCocycle": {"values", "value_pair"}}

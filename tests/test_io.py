@@ -276,3 +276,21 @@ def test_algebra_from_obj_memo_keeps_errors():
                                   {"i": 1, "j": 3, "v": ["0", "y", "0"]}]}
     with pytest.raises(QuadlieError, match=r"bracket \(1,2\)$"):
         algebra_from_obj(obj)
+
+
+def test_dimensions_are_read_up_to_the_limit():
+    from quadlie.errors import MAX_N, ValidationError
+    assert MAX_N == 1000
+    assert algebra_from_obj({"dim": 2 * MAX_N, "brackets": []})[0].dim == 2000
+    assert coeffs_from_obj({"n": MAX_N, "terms": []}).n == 1000
+    assert parse_coeffs(f"[1,2,{MAX_N}]").n == parse_coeffs("0", MAX_N).n
+    for read in (lambda: algebra_from_obj({"dim": 2001, "brackets": []}),
+                 lambda: coeffs_from_obj({"n": 1001, "terms": []}),
+                 lambda: family_from_obj({"n": 1001, "mats": []}),
+                 lambda: chain_from_obj({"n": 1001, "derivs": []}),
+                 lambda: parse_coeffs("123", 1001),
+                 lambda: parse_coeffs("[1,2,1001]"),
+                 lambda: parse_coeffs("[1,2," + "9" * 20 + "]")):
+        with pytest.raises(ValidationError) as e:
+            read()
+        assert e.value.law == "limit"

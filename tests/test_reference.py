@@ -36,9 +36,9 @@ def test_replaced_paths_are_kept_as_references():
     # the paths that rref's early stop, the ad-index centre rows, the
     # once-per-pair skew check, the sparse file readers, the
     # fraction-free sums, the one-build roads check, the batched
-    # brackets, the closed-2-form derivation law and the integer
-    # elimination core replaced, and the dense solvers they are checked
-    # against
+    # brackets, the closed-2-form derivation law, the integer
+    # elimination core and the sparse pullback of the GL action replaced,
+    # and the dense solvers they are checked against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
         encoding="utf-8")
     assert {"_ref_centre_rows", "_ref_centre_by_rows",
@@ -54,5 +54,6 @@ def test_replaced_paths_are_kept_as_references():
             "_ref_coeffs_to_family", "_old_decompose_as_tstar",
             "_loop_is_isometry", "_pair_law_derivation_space", "_old_rref",
             "_old_kernel_rows", "_old_kernel", "_old_sparse_solve",
-            "_old_sparse_inverse", "_old_fsum"} <= set(
+            "_old_sparse_inverse", "_old_fsum", "_dense_call",
+            "_dense_gl_act", "_dense_isometry_from_gl"} <= set(
                 _reference_names(source))

@@ -1,12 +1,16 @@
 """Trivectors: the duality with cocycles, group action, induced isometries."""
+from fractions import Fraction
+
 import pytest
 
 from quadlie import (AltCoeffs, CocycleCoeffs, Mat, Trivector,
                      ValidationError, algebra_from_trivector, contract,
                      gl_act, is_isometry, isometry_from_gl, parse_coeffs,
                      trivector_kernel, trivector_rank, tstar_extend)
+from quadlie.linalg import rank
 from quadlie.randgen import SplitMix64, random_coeffs, random_invertible
-from reference import _dense_contains_vec, _dense_contraction, _dense_kernel
+from reference import (_dense_call, _dense_contains_vec, _dense_contraction,
+                       _dense_gl_act, _dense_isometry_from_gl, _dense_kernel)
 
 
 def tv(text, n=None):
@@ -132,6 +136,119 @@ def test_isometry_from_gl_random_cases():
         ok, why = is_isometry(algebra_from_trivector(t1),
                               algebra_from_trivector(t2), m)
         assert ok, (seed, why)
+
+
+# ---- the sparse pullback against the dense evaluators it replaced ----
+
+
+def _outcome(f, *args):
+    """f's value, or the type, message, law and witness of its error."""
+    try:
+        return f(*args)
+    except ValueError as e:  # ValidationError is not one
+        return ValueError, str(e)
+    except ValidationError as e:
+        return ValidationError, str(e), e.law, e.witness
+
+
+def _permutation(n, g):
+    perm = list(range(n))
+    for a in range(n - 1, 0, -1):
+        b = g.randint(0, a)
+        perm[a], perm[b] = perm[b], perm[a]
+    return Mat([[int(perm[c] == r) for c in range(n)] for r in range(n)])
+
+
+def _elementary(n, g):
+    """The identity plus one nonzero rational entry off the diagonal."""
+    i, j = g.randint(0, n - 1), g.randint(0, n - 2)
+    j += j >= i
+    c = Fraction(g.nonzero_entry(), g.randint(1, 3))
+    return Mat([[int(r == s) + (c if (r, s) == (i, j) else 0)
+                 for s in range(n)] for r in range(n)])
+
+
+def _rational(n, g):
+    while True:
+        m = Mat([[Fraction(g.randint(-2, 2), g.randint(1, 3))
+                  for _ in range(n)] for _ in range(n)])
+        if rank(m) == n:
+            return m
+
+
+def _perturbed(t, g):
+    """t with one triple changed: a stored coefficient moved, or a term
+    added where t has none."""
+    triples = [(i, j, k) for i in range(1, t.n + 1)
+               for j in range(i + 1, t.n + 1) for k in range(j + 1, t.n + 1)]
+    key = triples[g.randint(0, len(triples) - 1)]
+    return t + Trivector(t.n, {key: g.nonzero_entry()})
+
+
+def _check_pullbacks(sigma, t, g):
+    """gl_act, isometry_from_gl on the image and on a perturbed image, and
+    t(x, y, z) on rational vectors, each equal to its dense reference."""
+    t2 = gl_act(sigma, t)
+    assert t2.terms == _dense_gl_act(sigma, t).terms
+    for u in (t2, _perturbed(t2, g)):
+        assert _outcome(isometry_from_gl, sigma, t, u) == \
+            _outcome(_dense_isometry_from_gl, sigma, t, u)
+    x, y, z = ([Fraction(g.randint(-3, 3), g.randint(1, 3))
+                for _ in range(t.n)] for _ in range(3))
+    assert t(x, y, z) == _dense_call(t, x, y, z)
+    assert t2(x, y, z) == _dense_call(t2, x, y, z)
+
+
+def test_pullback_matches_dense_reference_on_the_catalog(catalog_coeffs):
+    g = SplitMix64(2027)
+    for seed, t in enumerate(catalog_coeffs):
+        _check_pullbacks(random_invertible(t.n, 40 + seed, bound=2), t, g)
+
+
+def test_pullback_matches_dense_reference_on_seeded_coeffs():
+    g = SplitMix64(31)
+    for n in range(3, 9):
+        for seed in range(2):
+            t = random_coeffs(n, seed=100 * n + seed,
+                              density=Fraction(1 + 2 * seed, 4))
+            for make in (_permutation, _elementary, _rational):
+                _check_pullbacks(make(n, g), t, g)
+
+
+def test_pullback_errors_match_dense_reference():
+    t = tv("123+145")
+    sigma = random_invertible(5, 7)
+    cases = [(sigma, t, tv("123", n=4)),            # dimensions differ
+             (Mat.zero(5, 5), t, t),                # singular
+             (Mat.identity(4), t, t),               # wrong shape
+             (Mat.identity(5), t, t.scale(-1)),     # both terms differ
+             (sigma, t, t)]
+    for case in cases:
+        assert _outcome(isometry_from_gl, *case) == \
+            _outcome(_dense_isometry_from_gl, *case)
+    assert _outcome(isometry_from_gl, *cases[3]) == (
+        ValidationError, "trivectors disagree under the action at (1, 2, 3)",
+        "compatible", (1, 2, 3))
+    for args in [(sigma, t), (Mat.zero(5, 5), t), (Mat.identity(3), t)]:
+        assert _outcome(gl_act, *args) == _outcome(_dense_gl_act, *args)
+    e = tuple(tuple(int(a == b) for a in range(5)) for b in range(3))
+    assert _outcome(t, *e[:2], e[2][:4]) == _outcome(_dense_call, t, *e[:2],
+                                                     e[2][:4])
+    assert t(*e) == _dense_call(t, *e) == 1
+    assert tv("0", n=0)((), (), ()) == 0
+
+
+def test_evaluation_and_contraction_read_exact_scalars():
+    t = tv("123")
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    assert t(("1/2", 0, 0), e2, e3) == Fraction(1, 2)
+    assert type(t(e1, e2, e3)) is Fraction
+    assert contract(t, ("1/2", 0, 0)) == contract(t, (1, 0, 0)).scale("1/2")
+    for bad in [lambda: t((1.0, 0, 0), e2, e3),
+                lambda: t(e1, e2, (0, 0, 1.5)),
+                lambda: contract(t, (1.5, 0, 0))]:
+        with pytest.raises(TypeError, match="floats are not exact"):
+            bad()
 
 
 # ---- the pair-terms readers against the dense loops they replaced ----

@@ -11,10 +11,8 @@ benchmark worker builds it, with quadlie imported from the tree's `src/`
 count its eliminations). One pass runs unrecorded to warm up, then one
 pass runs with every binding of `linalg._eliminate` in the loaded quadlie
 modules wrapped, so that the eliminations of `rref`, `rank`, `kernel`,
-`inverse`, `solve` and the spans are all counted; in a tree that has no
-`_eliminate`, every elimination passes through `linalg.rref`, which is
-wrapped instead. Outputs are not checked, since benchmarks/run.py does
-that.
+`inverse`, `solve` and the spans are all counted. Outputs are not
+checked, since benchmarks/run.py does that.
 
 A call's caller chain is the quadlie functions on the stack above it,
 outermost first, as `module.qualname` joined by " > ", for example
@@ -68,8 +66,7 @@ def record(cases) -> dict:
     """Run each case once with `_eliminate` wrapped; the tables of the
     module docstring. Every binding is restored afterwards."""
     from quadlie import linalg
-    # a tree from before the elimination core eliminates in rref
-    orig = getattr(linalg, "_eliminate", None) or linalg.rref
+    orig = linalg._eliminate
     by_caller: dict = {}
     by_shape: dict = {}
     clock = time.perf_counter
