@@ -84,18 +84,17 @@ class LieAlgebra:
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, {len(self.terms)} brackets)"
 
-    def _ad_index(self) -> list[list[tuple[int, tuple]]]:
-        """ad[r] lists (y, the terms of [e_r, e_y]) for every y with
-        [e_r, e_y] != 0, r and y 0-based, y ascending; built once per
-        algebra."""
+    def _ad_index(self) -> list[list[tuple[int, int, tuple]]]:
+        """ad[r] lists (y, g, nz) for each y with [e_r, e_y] = g nz != 0: nz
+        the stored terms of the pair {r, y}, g = 1 if r < y else -1, r and y
+        0-based, y ascending; built once per algebra."""
         if self._ad is None:
-            ad: list[list[tuple[int, tuple]]] = [[] for _ in range(self.dim)]
+            ad: list[list] = [[] for _ in range(self.dim)]
             for (i, j), nz in self.terms.items():
-                ad[i - 1].append((j - 1, nz))
-                ad[j - 1].append((i - 1, tuple((r, -c) for r, c in nz)))
-            for pairs in ad:
-                pairs.sort()  # y is unique in each list, so nz is not compared
-            self._ad = ad
+                ad[i - 1].append((j - 1, 1, nz))
+                ad[j - 1].append((i - 1, -1, nz))
+            # y is unique in each list, so g and nz are not compared
+            self._ad = [sorted(pairs) for pairs in ad]
         return self._ad
 
     # ---- bracket evaluation ----
@@ -120,9 +119,9 @@ class LieAlgebra:
         def terms():
             for a in range(len(vs) - 1, -1, -1):
                 for p, x in vs[a].items():
-                    for y, nz in ad[p]:
+                    for y, g, nz in ad[p]:
                         for b, yn, yd in holders.get(y, ()):
-                            f, d = x.numerator * yn, x.denominator * yd
+                            f, d = g * x.numerator * yn, x.denominator * yd
                             for r, c in nz:
                                 yield ((a, b, r), f * c.numerator,
                                        d * c.denominator)
@@ -138,11 +137,11 @@ class LieAlgebra:
         rows over one common denominator, returned with it. A span reads
         the rows alone."""
         ad = self._ad_index()
-        # [e_b, e_s] = w adds -v_b w to [e_s, v], row (i, s) of the sum
-        sums, den = _isum(((i, s, r), -c.numerator * e.numerator,
+        # [e_b, e_s] = g w adds -g v_b w to [e_s, v], row (i, s) of the sum
+        sums, den = _isum(((i, s, r), -g * c.numerator * e.numerator,
                            c.denominator * e.denominator)
                           for i, v in enumerate(vs) for b, c in v.items()
-                          for s, w in ad[b] for r, e in w)
+                          for s, g, w in ad[b] for r, e in w)
         rows: dict[tuple[int, int], dict[int, int]] = {}
         for (i, s, r), e in sums.items():
             rows.setdefault((i, s), {})[r] = e
@@ -165,19 +164,19 @@ class LieAlgebra:
             def terms():  # ((sorted triple, k), numerator, denominator)
                 for (b, c), v in self.terms.items():
                     for r, x in v:
-                        for a, w in ad[r]:
+                        for a, g, w in ad[r]:
                             a += 1
                             if a == b or a == c:
                                 continue
                             # b < c, so the sorted triple is one of three, and
                             # (a,b,c) is a cyclic shift of it unless b < a < c
                             if a < b:
-                                key, f = (a, b, c), -x.numerator
+                                key, f = (a, b, c), -g * x.numerator
                             elif a < c:
-                                key, f = (b, a, c), x.numerator
+                                key, f = (b, a, c), g * x.numerator
                             else:
-                                key, f = (b, c, a), -x.numerator
-                            # [e_a, e_r] = -w, the terms of [e_r, e_a]
+                                key, f = (b, c, a), -g * x.numerator
+                            # [e_a, e_r] = -g w, w the stored terms of {a, r}
                             for k, e in w:
                                 yield ((key, k), f * e.numerator,
                                        x.denominator * e.denominator)
@@ -212,9 +211,9 @@ class LieAlgebra:
         ascending. x is central exactly when every row vanishes on it."""
         rows: dict[tuple[int, int], dict[int, Fraction]] = {}
         for s, pairs in enumerate(self._ad_index()):
-            for y, nz in pairs:
+            for y, g, nz in pairs:
                 for r, c in nz:
-                    rows.setdefault((s, r), {})[y] = c
+                    rows.setdefault((s, r), {})[y] = c if g > 0 else -c
         return rows
 
     def centre(self) -> Subspace:

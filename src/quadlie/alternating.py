@@ -13,6 +13,7 @@ arbitrary indices.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MAX_N, QuadlieError, within_limit
@@ -36,7 +37,7 @@ def sorted_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
 class AltCoeffs:
     """Immutable alternating family; `terms` holds ((i,j,k), c) with i<j<k."""
 
-    __slots__ = ("n", "terms", "_map")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coeffs: Mapping | Iterable = ()):
         if n < 0:
@@ -53,22 +54,21 @@ class AltCoeffs:
             acc[key] = acc[key] + c if key in acc else c
         self.n = n
         self.terms = tuple(sorted((t, c) for t, c in acc.items() if c))
-        self._map = dict(self.terms)
 
     @classmethod
     def _of(cls, n: int, terms: list) -> "AltCoeffs":
         """Trusted constructor: terms ((i, j, k), c) sorted, with
         1 <= i < j < k <= n and each c a nonzero Fraction."""
         c = object.__new__(cls)
-        c.n, c.terms, c._map = n, tuple(terms), dict(terms)
+        c.n, c.terms = n, tuple(terms)
         return c
 
     def value(self, i: int, j: int, k: int) -> Fraction:
-        key, sign = sorted_triple(i, j, k)
-        if sign == 0:
+        key, sign = sorted_triple(i, j, k)  # a repeated index is never stored
+        p = bisect_left(self.terms, (key,))
+        if p == len(self.terms) or self.terms[p][0] != key:
             return ZERO
-        c = self._map.get(key, ZERO)
-        return c if sign > 0 else -c
+        return self.terms[p][1] if sign > 0 else -self.terms[p][1]
 
     def __call__(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
         """t(x, y, z): the pullback along the n x 3 matrix [x y z]."""

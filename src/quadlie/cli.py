@@ -19,7 +19,7 @@ from .alternating import format_coeffs, parse_coeffs
 from .catalog import CATALOG, catalog, catalog_counts, lambda_trivector
 from .convert import all_roads, coeffs_to_family, family_to_coeffs
 from .doubleext import build_chain, chain_to_algebra, chain_to_coeffs
-from .errors import QuadlieError, ValidationError
+from .errors import MAX_N, QuadlieError, ValidationError, within_limit
 from .forms import QuadraticStructure
 from .io import (_mat_out, _scalar_in, algebra_from_obj, algebra_to_obj,
                  chain_from_obj, chain_to_obj, coeffs_from_obj, coeffs_to_obj,
@@ -251,6 +251,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_random(args) -> int:
+    within_limit(args.n, MAX_N, "dimension")
     density = _scalar_in(args.density, "--density")
     c = random_coeffs(args.n, seed=args.seed, density=density)
     q = tstar_extend(c)

@@ -43,10 +43,10 @@ def _derivation_map(alg: LieAlgebra, entries) -> Iterator[tuple]:
         f, g = c.numerator, c.denominator
         for a, b, x in by_comp.get(s, ()):
             yield (a, b, r), f * x.numerator, g * x.denominator
-        for y, nz in ad[r]:
+        for y, sign, nz in ad[r]:
             if y != s:
-                # -c [e_r, e_y] at (s, y) is c [e_r, e_y] at (y, s)
-                i, j, h = (s, y, -f) if s < y else (y, s, f)
+                # -c [e_r, e_y] = -c sign nz at (s, y) is c sign nz at (y, s)
+                i, j, h = (s, y, -sign * f) if s < y else (y, s, sign * f)
                 for t, x in nz:
                     yield (i, j, t), h * x.numerator, g * x.denominator
 
@@ -363,14 +363,13 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
     n = aq.dim
     # unknown[r][z] = (k, sign) with s(r, z) = sign s_k, r != z
     unknown: list[list[tuple[int, int]]] = [[(0, 0)] * n for _ in range(n)]
-    gens = []  # row k: the k-th D_ab, vectorized
+    first, second = [], []  # D_ab is row k of first minus row k of second
     g = inverse(aq.form).sparse_rows  # G is symmetric: row a is column a
     for a in range(n):
         for b in range(a + 1, n):
-            unknown[a][b], unknown[b][a] = (len(gens), 1), (len(gens), -1)
-            gens.append(dict(sorted(
-                [(r * n + b, c) for r, c in g[a].items()]
-                + [(r * n + a, -c) for r, c in g[b].items()])))
+            unknown[a][b], unknown[b][a] = (len(first), 1), (len(first), -1)
+            first.append({r * n + b: c for r, c in g[a].items()})
+            second.append({r * n + a: c for r, c in g[b].items()})
 
     def terms():  # ((sorted triple, unknown), numerator, denominator)
         for (i, j), nz in aq.alg.terms.items():
@@ -394,5 +393,7 @@ def derivation_space(aq: QuadraticStructure) -> Subspace:
     rows: dict[tuple[int, int, int], dict[int, int]] = {}
     for (key, k), x in _isum(terms())[0].items():
         rows.setdefault(key, {})[k] = x
-    sol = _kernel_rows(Mat._of(rows.values(), len(gens)))
-    return Subspace._of(n * n, _span_rows(sol, Mat._of(gens, n * n)))
+    sol = _kernel_rows(Mat._of(rows.values(), len(first)))
+    return Subspace._of(n * n, _span_rows(
+        ({**x, **{k + len(first): -e for k, e in x.items()}} for x in sol),
+        Mat._of(first + second, n * n)))

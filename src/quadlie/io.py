@@ -41,7 +41,7 @@ def dumps(obj: Any) -> str:
     out: list[str] = []
     try:
         _write(obj, out, "\n")
-    except (_Other, RecursionError):
+    except (_Other, RecursionError):  # json reports a circular container
         return json.dumps(obj, indent=2) + "\n"
     out.append("\n")
     return "".join(out)

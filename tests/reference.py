@@ -10,7 +10,8 @@ shared index. Names say which:
 - `_old_*`: a Mat operation as it was on dense rows, a sum of
   products as it was in Fractions, before `linalg._fsum`, and `_fsum`,
   `rref` and `_kernel_rows` as they were before the integer core
-  `linalg._eliminate`;
+  `linalg._eliminate`; `_old_ad_index` is the ad index with a negated
+  copy of each bracket, which the `_old_*` law readers read;
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple,
   or a law check as it was, one basis pair at a time;
 - `_ref_*`: a construction, law check or file reader as it was, with
@@ -1467,9 +1468,23 @@ def _old_sparse_mul(a, b):
                    b.cols)
 
 
+def _old_ad_index(alg):
+    """LieAlgebra._ad_index as it was: ad[r] lists (y, the terms of
+    [e_r, e_y]) for every y with [e_r, e_y] != 0, r and y 0-based, y
+    ascending, with a negated copy of every bracket for its mirrored
+    pair."""
+    ad = [[] for _ in range(alg.dim)]
+    for (i, j), nz in alg.terms.items():
+        ad[i - 1].append((j - 1, nz))
+        ad[j - 1].append((i - 1, tuple((r, -c) for r, c in nz)))
+    for pairs in ad:
+        pairs.sort()
+    return ad
+
+
 def _old_bracket(alg, x, y):
     """LieAlgebra._bracket as it was, for sparse x and y."""
-    ad = alg._ad_index()
+    ad = _old_ad_index(alg)
     out = {}
     for a, xa in x.items():
         for b, nz in ad[a]:
@@ -1483,7 +1498,7 @@ def _old_bracket(alg, x, y):
 
 def _old_jacobi_defect(alg):
     """LieAlgebra.jacobi_defect's pass as it was, one dict per triple."""
-    ad = alg._ad_index()
+    ad = _old_ad_index(alg)
     acc = {}
     for (b, c), v in alg.terms.items():
         for r, x in v:
@@ -1516,7 +1531,7 @@ def _old_jacobi_defect(alg):
 def _old_lower_central_series(alg):
     """LieAlgebra.lower_central_series as it was, one dict per [e_a, v]."""
     alg._require_lie()
-    ad = alg._ad_index()
+    ad = _old_ad_index(alg)
     cur = Subspace.full(alg.dim)
     series = [cur]
     nxt = alg.derived()
@@ -1547,7 +1562,7 @@ def _old_derivation_map(alg):
     for (a, b), v in alg.terms.items():
         for s, x in v:
             by_comp.setdefault(s, []).append((a - 1, b - 1, x))
-    ad = alg._ad_index()
+    ad = _old_ad_index(alg)
 
     def image(entries):
         acc = {}

@@ -8,7 +8,7 @@ from quadlie import (LieAlgebra, Mat, SplitMix64, Subspace, ValidationError,
 from reference import (_dense_ad_vec, _dense_bracket, _dense_centre,
                        _dense_cols, _dense_direct_sum, _dense_jacobi_defect,
                        _dense_lower_central_series, _dense_matvec,
-                       _dense_permute_basis, basis_vec)
+                       _dense_permute_basis, _old_ad_index, basis_vec)
 
 
 def test_constructor_canonicalizes():
@@ -273,6 +273,51 @@ def test_jacobi_centre_and_series_match_dense_definitions():
     assert cases == 22 + 3 + 2 * 30 + 2 + 5 + 3 + 12 + 12 + 3
     assert 40 < lie < cases - 20
     assert {0, 1, 2, 3, 4, 5, 6} <= steps
+
+
+def _rational_tstar_algebras(g):
+    """T*-extensions of seeded coefficients with entries p/q, p in -3..3
+    nonzero and q in 2..7, each with a seeded relabelling of it."""
+    from itertools import combinations
+    from quadlie import CocycleCoeffs, tstar_extend
+    for seed in range(8):
+        n = 3 + seed % 4
+        alg = tstar_extend(CocycleCoeffs(n, {
+            t: Fraction(g.nonzero_entry(), g.randint(2, 7))
+            for t in combinations(range(1, n + 1), 3)
+            if g.randint(0, 1)} or {(1, 2, 3): Fraction(-5, 6)})).alg
+        yield alg
+        yield alg.permute_basis(_seeded_perm(alg.dim, g))
+
+
+def test_ad_index_signs_the_stored_brackets():
+    # each entry is the stored tuple with a sign, never a copy, and expands
+    # to the negated-copy index it replaced; the centre's rows read it
+    g = SplitMix64(3232)
+    algs = list(_series_inputs()) + list(_rational_tstar_algebras(g))
+    fractional = 0
+    for alg in algs:
+        old = _old_ad_index(alg)
+        ad = alg._ad_index()
+        assert [[(y, tuple((r, sign * c) for r, c in nz))
+                 for y, sign, nz in pairs] for pairs in ad] == old
+        for r, pairs in enumerate(ad):
+            for y, sign, nz in pairs:
+                assert sign == (1 if r < y else -1)
+                assert nz is alg.terms[(min(r, y) + 1, max(r, y) + 1)]
+        rows = {}
+        for s, pairs in enumerate(old):
+            for y, nz in pairs:
+                for r, c in nz:
+                    rows.setdefault((s, r), {})[y] = c
+        got = alg._ad_rows()
+        assert [(k, list(v.items())) for k, v in got.items()] == \
+            [(k, list(v.items())) for k, v in rows.items()]
+        fractional += any(c < 0 and c.denominator != 1
+                          for nz in alg.terms.values() for _, c in nz)
+    # every rational T*-extension and its relabelling has a negative
+    # non-integer coefficient
+    assert fractional >= 16
 
 
 def test_chain_cocycle_at_dim_120():

@@ -24,6 +24,22 @@ def test_value_alternates():
     assert c.value(2, 3, 1) == 1
     assert c.value(1, 1, 3) == 0
     assert c.value(1, 2, 4) == 0
+    # every index triple, permuted, repeated, absent or out of range, read
+    # against a dict lookup on the stored terms
+    from itertools import combinations, product
+    from quadlie.randgen import random_coeffs
+    fams = [AltCoeffs(0), AltCoeffs(3), AltCoeffs(5, {(2, 4, 5): "-7/3"})]
+    fams += [random_coeffs(3 + seed, seed=seed,
+                           density=Fraction(1 + seed % 3, 4)).scale(
+                               Fraction(1, 1 + seed % 3))
+             for seed in range(6)]
+    for fam in fams:
+        stored = dict(fam.terms)
+        for ijk in product(range(fam.n + 2), repeat=3):
+            flips = sum(a > b for a, b in combinations(ijk, 2))
+            want = (0 if len(set(ijk)) < 3 else
+                    (-1) ** flips * stored.get(tuple(sorted(ijk)), 0))
+            assert fam.value(*ijk) == want
 
 
 def test_constructor_normalizes_keys():

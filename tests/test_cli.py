@@ -819,8 +819,9 @@ def _assert_limit_error(capsys, *argv):
     ("tstar", "123", "--n", "1001"),
     ("rank", "0", "--n", "1001"),
     _CONVERT + ("chain", "123", "--n", "1001"),
+    ("random", "--n", "1001", "--seed", "1"),
 ], ids=["tstar-index", "tstar-mixed", "rank-index", "tstar-n", "rank-zero-n",
-        "convert-n"])
+        "convert-n", "random-n"])
 def test_inline_dimension_past_the_limit_is_one_limit_error(capsys, argv):
     _assert_limit_error(capsys, *argv)
 
@@ -841,6 +842,13 @@ def test_file_dimension_past_the_limit_is_one_limit_error(tmp_path, capsys,
     path = tmp_path / "big.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     _assert_limit_error(capsys, *cmd, str(path))
+
+
+def test_random_dimension_past_the_limit_writes_nothing(tmp_path, capsys):
+    # refused before any of the C(n, 3) triples is listed
+    _assert_limit_error(capsys, "random", "--n", "1001", "--seed", "1",
+                        "--out", str(tmp_path / "big"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dimension_at_the_limit_is_read(tmp_path, capsys):

@@ -34,9 +34,9 @@ def test_reference_helpers_are_defined_once_in_reference_module():
 
 def test_replaced_paths_are_kept_as_references():
     # the paths that rref's early stop, the ad-index centre rows, the
-    # once-per-pair skew check, the sparse file readers, the
-    # fraction-free sums, the one-build roads check, the batched
-    # brackets, the closed-2-form derivation law, the integer
+    # signed ad index, the once-per-pair skew check, the sparse file
+    # readers, the fraction-free sums, the one-build roads check, the
+    # batched brackets, the closed-2-form derivation law, the integer
     # elimination core and the sparse pullback of the GL action replaced,
     # and the dense solvers they are checked against
     source = (Path(__file__).resolve().parent / "reference.py").read_text(
@@ -47,8 +47,9 @@ def test_replaced_paths_are_kept_as_references():
             "_ref_algebra_from_obj", "_ref_mat_in",
             "_ref_general_cocycle_from_obj", "_ref_chain_from_obj",
             "_ref_family_from_obj", "_old_vecmat", "_old_sparse_mul",
-            "_old_bracket", "_old_jacobi_defect", "_old_lower_central_series",
-            "_old_derivation_map", "_old_derivation_defect",
+            "_old_ad_index", "_old_bracket", "_old_jacobi_defect",
+            "_old_lower_central_series", "_old_derivation_map",
+            "_old_derivation_defect",
             "_old_derivation_space", "_old_random_skew_derivation",
             "_old_chain_dcoeffs", "_old_is_isometry", "_ref_all_roads",
             "_ref_coeffs_to_family", "_old_decompose_as_tstar",
