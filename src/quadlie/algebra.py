@@ -8,11 +8,12 @@ bracket. A bracket keeps its nonzero coefficients as (r, c) pairs, r
 """
 from __future__ import annotations
 
+from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .linalg import (Fraction, Mat, Subspace, ZERO, _divide, _isum, kernel,
-                     scalar, vec)
+                     scalar, solve, vec)
 
 
 class AlgebraType(NamedTuple):
@@ -205,22 +206,38 @@ class LieAlgebra:
                 self.dim, [dict(nz) for nz in self.terms.values()])
         return self._derived
 
-    def _ad_rows(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero rows of the centre's system, read from the ad index:
-        row (s, r) -> {y: [e_s, e_y]_r}, s, r and y 0-based, columns
+    def _ad_rows(self) -> tuple[dict[tuple[int, int], dict[int, int]], int]:
+        """The nonzero rows of the centre's system, read from the ad index,
+        and their scale L, the lcm of the stored denominators: row (s, r)
+        -> {y: L [e_s, e_y]_r} in integers, s, r and y 0-based, columns
         ascending. x is central exactly when every row vanishes on it."""
-        rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+        L = lcm(*[c.denominator for nz in self.terms.values() for _, c in nz])
+        rows: dict[tuple[int, int], dict[int, int]] = {}
         for s, pairs in enumerate(self._ad_index()):
             for y, g, nz in pairs:
                 for r, c in nz:
-                    rows.setdefault((s, r), {})[y] = c if g > 0 else -c
-        return rows
+                    rows.setdefault((s, r), {})[y] = \
+                        g * c.numerator * (L // c.denominator)
+        return rows, L
+
+    def _ad_preimage(self, d_rows: Sequence[Mapping[int, Fraction]]
+                     ) -> tuple[Fraction, ...] | None:
+        """x with [x, e_s] = d e_s for every s, for d given by its sparse
+        rows, or None; free components are 0. [x, e_s]_r = -[e_s, x]_r, so
+        x solves the centre's rows against -L d[r][s], and none does when
+        an absent row meets a nonzero entry of d."""
+        rows, L = self._ad_rows()
+        if any((s, r) not in rows for r, row in enumerate(d_rows)
+               for s in row):
+            return None
+        return solve(Mat._of(rows.values(), self.dim),
+                     tuple(-L * d_rows[r].get(s, 0) for s, r in rows))
 
     def centre(self) -> Subspace:
         """{x : [e_s, x] = 0 for all s}; one kernel computation per algebra,
         and row order cannot change it."""
         if self._centre is None:
-            rows = self._ad_rows()
+            rows, _ = self._ad_rows()
             self._centre = (kernel(Mat._of(rows.values(), self.dim)) if rows
                             else Subspace.full(self.dim))
         return self._centre

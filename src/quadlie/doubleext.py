@@ -15,7 +15,7 @@ from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _isum,
-                     _kernel_rows, _span_rows, inverse, opposite, solve)
+                     _kernel_rows, _span_rows, inverse, opposite)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -170,20 +170,11 @@ def double_extend_1d(aq: QuadraticStructure | None,
 
 def inner_preimage(aq: QuadraticStructure | None, d) -> tuple | None:
     """x with d = ad(x), or None when d is outer. Free components are 0.
-
-    d e_s = [x, e_s], so x solves the centre's rows (s, r) ->
-    {y: [e_s, e_y]_r} against -d[r][s], and none does when an absent row
-    meets a nonzero entry of d.
-    """
+    d e_s = [x, e_s], which the algebra solves on its centre's rows."""
     d = _deriv_mat(aq, d)
     if aq is None:
         return ()
-    rows = aq.alg._ad_rows()
-    if any((s, r) not in rows for r, s, _ in _entries(d)):
-        return None
-    dr = d.sparse_rows
-    return solve(Mat._of(rows.values(), aq.dim),
-                 tuple(-dr[r].get(s, ZERO) for s, r in rows))
+    return aq.alg._ad_preimage(d.sparse_rows)
 
 
 def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:

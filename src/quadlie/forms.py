@@ -56,13 +56,11 @@ def invariance_defect(alg: LieAlgebra, form: Mat) -> list[tuple[int, int, int]]:
     if not form.is_symmetric():
         raise ValidationError("form is not symmetric", law="symmetric")
     nz = form.sparse_rows  # phi(e_r, e_k) for the nonzero k, 0-based
-    t: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j), v in alg.terms.items():
-        for r, c in v:
-            for k, e in nz[r].items():
-                key = (i, j, k + 1)
-                x = c if e is ONE else c * e  # hyperbolic forms hold ONE
-                t[key] = t[key] + x if key in t else x
+    # T over one common denominator: the comparisons read the sums alone
+    t, _ = _isum(((i, j, k + 1), c.numerator * e.numerator,
+                  c.denominator * e.denominator)
+                 for (i, j), v in alg.terms.items()
+                 for r, c in v for k, e in nz[r].items())
     return _cyclic_defect(t)
 
 

@@ -6,15 +6,16 @@ Emission is deterministic: fixed key order, brackets and terms sorted.
 from __future__ import annotations
 
 import json
+import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .alternating import AltCoeffs
 from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
-from .errors import MAX_N, QuadlieError, within_limit
+from .errors import MAX_N, QuadlieError, ValidationError, within_limit
 from .forms import QuadraticStructure
-from .linalg import Fraction, Mat, ONE, scalar
+from .linalg import Fraction, Mat, scalar
 from .quadfam import QuadraticFamily
 from .tstar import GeneralCocycle
 
@@ -126,8 +127,7 @@ def _scalar_in(x, where: str, memo: dict | None = None):
     """memo keeps the value of each good str parsed so far; only str keys,
     since the float 1.0 would find a kept int 1. Bad strings fail each time.
     The JSON true and false are not scalars, though Python counts them as
-    ints. A value of 1 comes back as the shared ONE, so a form read from a
-    file keeps the `is ONE` shortcut of invariance_defect and skew_defect."""
+    ints."""
     if isinstance(x, bool):
         raise QuadlieError(f"bad scalar {json.dumps(x)} in {where}")
     if memo is not None and isinstance(x, str):
@@ -135,10 +135,9 @@ def _scalar_in(x, where: str, memo: dict | None = None):
             memo[x] = _scalar_in(x, where)
         return memo[x]
     try:
-        c = scalar(x)
+        return scalar(x)
     except (ValueError, TypeError, ZeroDivisionError):
         raise QuadlieError(f"bad scalar {x!r} in {where}")
-    return ONE if c == 1 else c
 
 
 def _sparse_in(v: list, where: str, memo: dict) -> dict[int, Fraction]:
@@ -167,10 +166,16 @@ def _mat_in(rows, where: str, memo: dict) -> Mat:
 
 def _dense_out(nz, n: int) -> list[str]:
     """The n-length list of strings for the nonzero (index, value) pairs
-    nz: "0" where absent, the str of each stored value."""
+    nz: "0" where absent, the str of each stored value. A value with more
+    digits than the interpreter converts to str is the one `limit` error."""
     out = ["0"] * n
-    for r, c in nz:
-        out[r] = str(c)
+    try:
+        for r, c in nz:
+            out[r] = str(c)
+    except ValueError:  # only the int-to-str digit limit raises it here
+        raise ValidationError(
+            f"a scalar to write exceeds the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits", law="limit")
     return out
 
 

@@ -1,5 +1,6 @@
 """Structure-constant Lie algebras: brackets, Jacobi, series, invariants."""
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -305,12 +306,17 @@ def test_ad_index_signs_the_stored_brackets():
             for y, sign, nz in pairs:
                 assert sign == (1 if r < y else -1)
                 assert nz is alg.terms[(min(r, y) + 1, max(r, y) + 1)]
+        # the centre's rows are L times the rows read from the old index,
+        # in integers, L the lcm of the stored denominators
+        L = lcm(*[c.denominator for nz in alg.terms.values() for _, c in nz])
         rows = {}
         for s, pairs in enumerate(old):
             for y, nz in pairs:
                 for r, c in nz:
-                    rows.setdefault((s, r), {})[y] = c
-        got = alg._ad_rows()
+                    rows.setdefault((s, r), {})[y] = L * c
+        got, scale = alg._ad_rows()
+        assert scale == L
+        assert all(type(e) is int for v in got.values() for e in v.values())
         assert [(k, list(v.items())) for k, v in got.items()] == \
             [(k, list(v.items())) for k, v in rows.items()]
         fractional += any(c < 0 and c.denominator != 1
@@ -344,7 +350,7 @@ def test_derived_is_eliminated_once_per_algebra(monkeypatch):
     q = algebra_from_trivector(catalog("L6,1").trivector)
     alg = q.alg
     rows = Mat._of([dict(nz) for nz in alg.terms.values()], alg.dim)
-    centre_rows = Mat._of(alg._ad_rows().values(), alg.dim)
+    centre_rows = Mat._of(alg._ad_rows()[0].values(), alg.dim)
     real = linalg._eliminate
     runs = []
     centre_runs = []

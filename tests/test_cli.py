@@ -804,12 +804,13 @@ def test_selftest_json_lists_each_check_with_seconds(capsys, monkeypatch):
 
 def _assert_limit_error(capsys, *argv):
     """argv refused in process: exit 1, empty stdout, one JSON error of
-    law "limit" on stderr."""
+    law "limit" on stderr, which is returned."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert json.loads(line)["law"] == "limit"
     assert set(json.loads(line)) == {"error", "law"}
+    return json.loads(line)
 
 
 @pytest.mark.parametrize("argv", [
@@ -849,6 +850,30 @@ def test_random_dimension_past_the_limit_writes_nothing(tmp_path, capsys):
     _assert_limit_error(capsys, "random", "--n", "1001", "--seed", "1",
                         "--out", str(tmp_path / "big"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_decompose_json_past_the_str_digit_limit_is_one_limit_error(
+        tmp_path, capsys):
+    # the hyperbolic algebra scaled by 10^2500: its cocycle has a value of
+    # about 5,000 digits, past the interpreter's int-to-str limit
+    big = 10 ** 2500
+
+    def v(k, c):
+        return ["0"] * k + [str(c)] + ["0"] * (5 - k)
+    form = [v(i + 3, big) for i in range(3)] + [v(i, big) for i in range(3)]
+    obj = {"dim": 6, "brackets": [{"i": 1, "j": 2, "v": v(5, big)},
+                                  {"i": 1, "j": 3, "v": v(4, -big)},
+                                  {"i": 2, "j": 3, "v": v(3, big)}],
+           "form": form}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.endswith("result: PASS\n")
+    code, out, _ = run(capsys, "decompose", str(path), "--format", "summary")
+    assert code == 0 and "isometry verified: yes" in out
+    err = _assert_limit_error(capsys, "decompose", str(path),
+                              "--format", "json")
+    assert str(sys.get_int_max_str_digits()) in err["error"]
 
 
 def test_dimension_at_the_limit_is_read(tmp_path, capsys):

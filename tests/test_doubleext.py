@@ -677,6 +677,39 @@ def test_centre_and_inner_preimage_match_the_old_centre_rows(
         assert alg.centre() == _ref_centre_by_rows(alg)
 
 
+def test_inner_preimage_matches_dense_reference_over_scaled_rows():
+    # T*-bases whose coefficients have denominators 2 and 3, so the centre's
+    # rows are scaled by L > 1 and solved against -L d: inner maps ad(x) and
+    # seeded skew derivations, against the dense n^2-row system
+    from itertools import combinations
+    g = SplitMix64(2023)
+    kinds = {"inner": 0, "outer": 0}
+    for seed in range(10):
+        n = 3 + seed % 3
+        aq = tstar_extend(CocycleCoeffs(n, {
+            t: Fraction(g.nonzero_entry(), g.randint(2, 3))
+            for t in combinations(range(1, n + 1), 3)
+            if g.randint(0, 1)} or {(1, 2, 3): Fraction(-1, 6)}))
+        assert aq.alg._ad_rows()[1] > 1
+        dim = aq.dim
+        x = tuple(Fraction(g.randint(-3, 3), g.randint(1, 3))
+                  for _ in range(dim))
+        ad_x = Mat([aq.alg.bracket(x, basis_vec(dim, j))
+                    for j in range(1, dim + 1)]).transpose()
+        for d in (ad_x, random_skew_derivation(aq, seed)):
+            want = _outcome(_ref_inner_preimage, aq, d)
+            assert _outcome(inner_preimage, aq, d) == want
+            if want[1] is None:
+                kinds["outer"] += 1
+            else:
+                kinds["inner"] += any(want[1])
+        # the preimage of ad(x) is x up to the centre
+        pre = inner_preimage(aq, ad_x)
+        assert aq.alg.centre().contains(Subspace.from_rows(
+            dim, [[a - b for a, b in zip(pre, x)]]))
+    assert kinds["inner"] >= 8 and kinds["outer"] >= 8
+
+
 def test_derivation_space_matches_dense_reference():
     # equal bases keep every random_skew_derivation seed
     from quadlie import algebra_from_trivector

@@ -237,10 +237,10 @@ def test_algebra_from_obj_parses_each_string_once(monkeypatch):
     assert len(parsed) == 2 * (len(strings) - 1)
 
 
-def test_read_ones_are_the_shared_one():
-    # invariance_defect and skew_defect skip the product for a form entry
-    # that is ONE, so every spelling of 1 in a file reads as that object
-    from quadlie.linalg import ONE
+def test_every_spelling_of_one_reads_as_one():
+    # "1", 1, "2/2", "3/3" and "01" are each the value 1, and no check of a
+    # form depends on which object holds it
+    from quadlie.acceptance import verify_report
     obj = {"dim": 4, "brackets": [{"i": 1, "j": 2,
                                    "v": ["0", "0", "1", "2/2"]}],
            "form": [["0", "0", "1", "0"], ["0", "0", "0", "3/3"],
@@ -248,10 +248,24 @@ def test_read_ones_are_the_shared_one():
     alg, form = algebra_from_obj(obj)
     entries = [c for _, c in alg.terms[(1, 2)]]
     entries += [e for row in form.sparse_rows for e in row.values()]
-    assert len(entries) == 6 and all(e is ONE for e in entries)
+    assert entries == [1] * 6
+    assert all(type(e) is Fraction for e in entries)
     alg, _ = algebra_from_obj({"dim": 2, "brackets": [
         {"i": 1, "j": 2, "v": ["-1", "1/2"]}]})
     assert [c for _, c in alg.terms[(1, 2)]] == [-1, Fraction(1, 2)]
+    # the hyperbolic algebra, and a copy whose bracket breaks invariance
+    good = quadratic_to_obj(tstar_extend(parse_coeffs("123")))
+    bad = json.loads(json.dumps(good))
+    bad["brackets"][0]["v"][5] = "2"
+    for base in (good, bad):
+        reports = []
+        for one in ("1", 1, "2/2", "01"):
+            obj = json.loads(json.dumps(base))
+            obj["form"] = [[one if e == "1" else e for e in r]
+                           for r in obj["form"]]
+            reports.append(verify_report(*algebra_from_obj(obj)))
+        assert reports == [reports[0]] * 4
+        assert reports[0]["invariant"] is (base is good)
 
 
 def test_algebra_from_obj_memo_keeps_errors():

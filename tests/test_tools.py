@@ -1,6 +1,8 @@
-"""tools/pairs.py's claim arithmetic on synthetic run results, and
-tools/layers.py's elimination counts on a tiny synthetic case list: each
-tool is loaded from its file, and no subprocess or git runs."""
+"""tools/pairs.py's claim arithmetic on synthetic run results,
+tools/layers.py's elimination counts on a tiny synthetic case list, and
+one chain and one dense rung of tools/ladder.py at dim 40: each tool is
+loaded from its file. No git runs; the two rungs are the only
+subprocesses, each a fresh interpreter."""
 import importlib.util
 import statistics
 from pathlib import Path
@@ -160,3 +162,23 @@ def test_layers_counts_eliminations_by_caller_and_shape():
         assert secs == sorted(secs, reverse=True) and min(secs) >= 0
     assert sum(r["seconds"] for r in out["by_caller"].values()) == \
         pytest.approx(out["eliminate"]["seconds"])
+
+
+# ---- tools/ladder.py: one rung of each kind, in a child interpreter ----
+
+_LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
+_dspec = importlib.util.spec_from_file_location("ladder", _LADDER)
+ladder = importlib.util.module_from_spec(_dspec)
+_dspec.loader.exec_module(ladder)
+
+
+@pytest.mark.parametrize("kind", ["chain", "dense"])
+def test_ladder_rung_reports_every_timing_and_a_peak(kind):
+    # the rung exits nonzero, and rung raises, on a wrong nilindex,
+    # reducedness or rank
+    src = str(Path(ladder.ROOT) / "src")
+    out = ladder.rung(src, kind, 40)
+    keys = ("tstar_extend_s", "nilindex_s", "is_reduced_s", "wall_s",
+            "rank_s")
+    assert set(out) == {*keys, "peak_rss_mb"}
+    assert all(out[k] >= 0 for k in keys) and out["peak_rss_mb"] > 0
