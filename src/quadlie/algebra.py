@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _int_in
 from .linalg import (Fraction, Mat, Subspace, ZERO, _divide, _isum, kernel,
                      scalar, solve, vec)
 
@@ -40,10 +40,10 @@ class LieAlgebra:
         """The stored terms of items, ((i, j), length, nonzero (r, c) pairs
         with r ascending) per bracket: the one check of bracket keys and
         lengths. In item order, each key is checked, then its pairs are
-        read, then its length is checked."""
+        read, then its length is checked. A key holds two int labels."""
         terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), n, nz in items:
-            if not (1 <= i < j <= dim):
+            if not (_int_in(i) and _int_in(j) and 1 <= i < j <= dim):
                 raise ValueError(f"bracket key ({i},{j}) not 1 <= i < j <= {dim}")
             nz = tuple(nz)
             if n != dim:

@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
-from .errors import MAX_N, QuadlieError, within_limit
+from .errors import MAX_N, QuadlieError, _int_in, within_limit
 from .linalg import Fraction, ZERO, _divide, _isum, scalar, vec
 
 
@@ -45,6 +45,8 @@ class AltCoeffs:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         acc: dict[tuple[int, int, int], Fraction] = {}
         for (i, j, k), c in items:
+            if not (_int_in(i) and _int_in(j) and _int_in(k)):
+                raise QuadlieError(f"triple {(i, j, k)} out of range 1..{n}")
             key, sign = sorted_triple(i, j, k)
             if sign == 0:
                 raise QuadlieError(f"repeated index in triple {(i, j, k)}")

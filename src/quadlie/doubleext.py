@@ -13,9 +13,9 @@ from typing import Iterator, Sequence
 from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
-from .forms import QuadraticStructure, hyperbolic_form, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _isum,
-                     _kernel_rows, _span_rows, inverse, opposite)
+from .forms import QuadraticStructure, permute_quadratic
+from .linalg import (Fraction, Mat, ONE, Subspace, _isum, _kernel_rows,
+                     _skew_pairs, _span_rows, inverse)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
 
@@ -54,23 +54,19 @@ def _derivation_map(alg: LieAlgebra, entries) -> Iterator[tuple]:
 def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
     """Pairs (i,j) with phi(d e_i, e_j) + phi(e_i, d e_j) != 0, for a
     symmetric form F: the sum is S(j,i) + S(i,j) for S = F d, so these are
-    the keys where S is not opposite its transpose."""
+    the _skew_pairs of S."""
     if not form.rows == form.cols == d.rows == d.cols:
         raise ValueError(f"shape mismatch: form {form.rows}x{form.cols}, "
                          f"d {d.rows}x{d.cols}")
     if not form.is_symmetric():
         raise ValidationError("form is not symmetric", law="symmetric")
     rows = form.sparse_rows  # also F's columns
-    s: dict[tuple[int, int], Fraction] = {}
+    s: list[dict[int, Fraction]] = [{} for _ in rows]
     for r, j, c in _entries(d):
         for i, f in rows[r].items():
             x = c if f is ONE else f * c  # hyperbolic forms hold ONE
-            s[i, j] = s[i, j] + x if (i, j) in s else x
-    bad = set()
-    for (i, j), x in s.items():
-        if not opposite(x, s.get((j, i), ZERO)):
-            bad.update(((i + 1, j + 1), (j + 1, i + 1)))
-    return sorted(bad)
+            s[i][j] = s[i][j] + x if j in s[i] else x
+    return _skew_pairs(s)
 
 
 def derivation_defect(alg: LieAlgebra, d: Mat) -> list[tuple[int, int]]:
@@ -252,7 +248,9 @@ def _check_chain(ch: ExtensionChain) -> None:
     if not ch.two_sp:
         raise ValidationError("two-step property fails", law="2sp")
     for k, d in enumerate(ch.derivs):
-        bad = skew_defect(hyperbolic_form(k), d)
+        # with two_sp, the hyperbolic F d is link k's rows k..2k-1 moved up,
+        # so their _skew_pairs are skew_defect(hyperbolic_form(k), d)
+        bad = _skew_pairs(d.sparse_rows[k:])
         if bad:
             raise ValidationError(f"link {k} not skew at {bad[0]}",
                                   law="skew", witness=bad[0])

@@ -1,4 +1,5 @@
-"""Shared exception types, and the bound on dimensions read from input.
+"""Shared exception types, the bound on dimensions read from input, and
+the test of an integer basis label.
 
 Validation failures carry which law broke and the first violating witness
 (usually a basis triple) so callers can report precisely.
@@ -19,6 +20,12 @@ class ValidationError(QuadlieError):
         super().__init__(message)
         self.law = law
         self.witness = witness
+
+
+def _int_in(x) -> bool:
+    """Whether x is an integer label: an int, but not the bool True or
+    False, which Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def within_limit(value: int, top: int, what: str) -> int:

@@ -13,7 +13,8 @@ from typing import Any
 from .alternating import AltCoeffs
 from .algebra import LieAlgebra
 from .doubleext import ExtensionChain
-from .errors import MAX_N, QuadlieError, ValidationError, within_limit
+from .errors import (MAX_N, QuadlieError, ValidationError, _int_in,
+                     within_limit)
 from .forms import QuadraticStructure
 from .linalg import Fraction, Mat, scalar
 from .quadfam import QuadraticFamily
@@ -108,12 +109,6 @@ def _expect_list(obj: Any, key: str, kind: str) -> list:
     if not isinstance(val, list):
         raise QuadlieError(f"{kind} {key} must be a list")
     return val
-
-
-def _int_in(x: Any) -> bool:
-    """Whether x is a JSON integer: an int, but not the bool true or false,
-    which Python counts as ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _dim_in(n: Any, top: int = MAX_N) -> int:

@@ -45,6 +45,18 @@ def opposite(x: Fraction | None, y: Fraction | None) -> bool:
             and x.numerator == -y.numerator)
 
 
+def _skew_pairs(rows: Sequence[dict]) -> list[tuple[int, int]]:
+    """The sorted 1-based pairs (i+1, j+1), (j+1, i+1) for each stored
+    rows[i][j] not opposite rows[j].get(i, ZERO): where the square matrix
+    of these sparse rows, ints or Fractions, is not minus its transpose."""
+    bad = set()
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            if not opposite(x, rows[j].get(i, ZERO)):
+                bad.update(((i + 1, j + 1), (j + 1, i + 1)))
+    return sorted(bad)
+
+
 def _isum(terms: Iterable[tuple[object, int, int]]) -> tuple[dict, int]:
     """The sum of n/d at each key over (key, n, d) terms, for integers n
     and d > 0, as integers over one common denominator: the nonzero
@@ -121,7 +133,10 @@ class Mat:
             if cols is None:
                 raise ValueError("empty matrix needs explicit column count")
             return cls.zero(0, cols)
-        return cls(rows)
+        m = cls(rows)
+        if cols is not None and cols != m.cols:
+            raise ValueError(f"rows have {m.cols} columns, not {cols}")
+        return m
 
     @property
     def data(self) -> tuple[tuple[Fraction, ...], ...]:

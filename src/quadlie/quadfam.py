@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, ZERO, opposite, rank
+from .linalg import Mat, ZERO, _skew_pairs, opposite, rank
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,6 @@ def _negated(a: dict, b: dict) -> bool:
                                     for k, e in b.items())
 
 
-def _skew(rows, cols) -> bool:
-    """Whether the matrix with these sparse rows and columns is skew. Each
-    pair r < k is compared once, entry (r, k) of row r against entry (k, r)
-    of column r. When every entry above the diagonal has its mirror below,
-    the matrix holds twice as many entries as lie above it exactly when
-    its diagonal is zero and no entry below lacks a mirror above."""
-    above = 0
-    for r, (a, b) in enumerate(zip(rows, cols)):
-        for k, e in a.items():
-            if k > r:
-                if not opposite(b.get(k), e):
-                    return False
-                above += 1
-    return sum(map(len, rows)) == 2 * above
-
-
 def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:
     """The violations of the admissibility laws, and the sparse rows of each
     matrix's transpose read for them: column j of M_i is row j of its
@@ -67,7 +51,7 @@ def _laws(fam: QuadraticFamily) -> tuple[list[str], list]:
     for i, m in enumerate(fam.mats, start=1):
         t = m.transpose().sparse_rows
         cols.append(t)
-        if not _skew(m.sparse_rows, t):
+        if _skew_pairs(m.sparse_rows):
             out.append(f"M_{i} is not skew")
         if t[i - 1]:
             out.append(f"column {i} of M_{i} is nonzero")

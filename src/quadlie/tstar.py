@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
-from .errors import ValidationError
+from .errors import ValidationError, _int_in
 from .forms import (QuadraticStructure, _cyclic_defect, hyperbolic_form,
                     is_isometry, lagrangian_complement)
 from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _divide, _isum,
@@ -45,10 +45,10 @@ class GeneralCocycle:
         """The stored terms of items, ((i, j), length, nonzero (k, c) pairs
         with k ascending) per pair: the one check of pairs and lengths. In
         item order, each pair is checked, then its entries are read, then
-        its length is checked."""
+        its length is checked. A pair holds two int labels."""
         terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), m, nz in items:
-            if not (1 <= i < j <= n):
+            if not (_int_in(i) and _int_in(j) and 1 <= i < j <= n):
                 raise ValidationError(f"bad pair {(i, j)}; need 1 <= i < j <= {n}")
             nz = tuple(nz)
             if m != n:

@@ -1,4 +1,5 @@
 """Structure-constant Lie algebras: brackets, Jacobi, series, invariants."""
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +31,15 @@ def test_constructor_rejects_bad_keys():
         LieAlgebra(3, {(1, 4): (0, 0, 1)})
     with pytest.raises(ValueError):
         LieAlgebra(3, {(1, 2): (0, 0)})
+
+
+def test_constructor_rejects_labels_that_are_not_ints():
+    # a float or bool label fails with the bad-key error, rather than being
+    # stored and failing later as a list index
+    for key in ((True, 2), (2.0, 3), (1, 2.0), (2, True)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bracket key ({key[0]},{key[1]}) not 1 <= i < j <= 3")):
+            LieAlgebra(3, {key: (0, 0, 1)})
 
 
 def test_bracket_antisymmetry():

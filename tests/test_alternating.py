@@ -1,5 +1,6 @@
 """Alternating 3-index coefficient maps: storage, evaluation, parsing,
 contraction."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,15 @@ def test_constructor_validates_range():
         AltCoeffs(3, {(0, 1, 2): 1})
     with pytest.raises(QuadlieError):
         AltCoeffs(3, {(1, 1, 2): 1})
+
+
+def test_constructor_rejects_labels_that_are_not_ints():
+    # True is not read as 1, nor 1.0 or "1": each fails as out of range
+    for x in (True, 1.0, "1"):
+        for ijk in ((x, 2, 3), (2, x, 3), (2, 3, x)):
+            with pytest.raises(QuadlieError, match=re.escape(
+                    f"triple {ijk} out of range 1..3")):
+                AltCoeffs(3, {ijk: 1})
 
 
 def test_call_trilinear():

@@ -889,13 +889,15 @@ def test_plain_matrix_is_validated_once_per_structure(monkeypatch):
 
 
 def test_chain_links_are_validated_once(monkeypatch):
+    pairs = _counting(monkeypatch, "_skew_pairs")
     skew = _counting(monkeypatch, "skew_defect")
     deriv = _counting(monkeypatch, "derivation_defect")
     ch = build_chain(parse_coeffs("123+145+246"))
-    assert skew == []  # a trusted builder checks no link
+    assert pairs == []  # a trusted builder checks no link
     chain_to_algebra(ch)
-    assert len(skew) == ch.n
-    assert deriv == []
+    # one comparison per link, on its dual block, and no form is built
+    assert pairs == [(d.sparse_rows[k:],) for k, d in enumerate(ch.derivs)]
+    assert skew == [] and deriv == []
 
 
 def test_bad_matrix_fails_the_same_way_every_call(monkeypatch,
@@ -1060,6 +1062,72 @@ def test_chain_validation_matches_reference(construction_coeffs):
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds["zero"] >= 10 and kinds["two-step broken"] > 40
     assert kinds["not skew"] > 60 and kinds["good"] > 50
+
+
+def _two_step_chains_with_broken_blocks(count):
+    """Seeded chains of n = 1..6 links, each link k a skew k x k block of
+    p/q entries in rows k..2k-1, columns 0..k-1, kept skew or with one or
+    two links broken in one way: a diagonal entry, a missing mirror, a
+    mirror of the wrong sign, or a mirror with the same numerator over
+    another denominator. Every chain keeps the two-step property."""
+    g = SplitMix64(3141)
+
+    def entry():
+        return Fraction(g.randint(1, 4) * (1 - 2 * g.randint(0, 1)),
+                        g.randint(1, 3))
+
+    for _ in range(count):
+        n = g.randint(1, 6)
+        blocks = []
+        for k in range(n):
+            b = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    if g.randint(0, 2):
+                        b[i][j] = entry()
+                        b[j][i] = -b[i][j]
+            blocks.append(b)
+        kind = ("kept", "diagonal", "mirror", "sign", "p/q")[g.randint(0, 4)]
+        for _ in range(g.randint(1, 2) if n > 1 and kind != "kept" else 0):
+            k = g.randint(1, n - 1)
+            b = blocks[k]
+            i, j = g.randint(0, k - 1), g.randint(0, k - 1)
+            if kind == "diagonal" or i == j:
+                b[i][i] += entry()
+                continue
+            if not b[i][j]:
+                b[i][j] = entry()
+            e = b[i][j]
+            b[j][i] = {"mirror": 0, "sign": e,
+                       "p/q": Fraction(-e.numerator, e.denominator + 1)
+                       }[kind]
+        yield ExtensionChain(n, tuple(
+            Mat([[0] * (2 * k)] * k + [r + [0] * k for r in b])
+            for k, b in enumerate(blocks)))
+
+
+def test_chain_skew_check_matches_dense_hyperbolic_defect():
+    # _check_chain reads each link's dual block with no form; the dense
+    # defect of d against the hyperbolic form of dim 2k must agree, law,
+    # witness and the first failing link included
+    laws = {}
+    for ch in _two_step_chains_with_broken_blocks(600):
+        assert ch.two_sp
+        bad = next(((k, w) for k, d in enumerate(ch.derivs)
+                    if (w := _dense_skew_defect(hyperbolic_form(k), d))),
+                   None)
+        got = _outcome(chain_to_coeffs, ch)
+        if not ch.nnp:
+            want = ("error", "nnp", None, "all chain derivations are zero")
+        elif bad:
+            k, w = bad
+            want = ("error", "skew", w[0], f"link {k} not skew at {w[0]}")
+        else:
+            want = ("ok", chain_dcoeffs(ch))
+        assert got == want
+        law = want[1] if want[0] == "error" else "ok"
+        laws[law] = laws.get(law, 0) + 1
+    assert laws["skew"] > 300 and laws["ok"] > 50 and laws["nnp"] > 10
 
 
 def test_build_chain_matches_value_loop(construction_coeffs):

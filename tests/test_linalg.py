@@ -7,7 +7,7 @@ import pytest
 from quadlie.linalg import (Mat, Subspace, hstack, inverse, kernel,
                             opposite, rank, rref, scalar, solve,
                             vec, vstack)
-from quadlie.linalg import _kernel_rows
+from quadlie.linalg import _kernel_rows, _skew_pairs
 from reference import (_dense_contains_vec, _dense_intersect,
                        _dense_inverse, _dense_matvec, _dense_rref,
                        _dense_solve, _old_add,
@@ -59,6 +59,20 @@ def test_opposite_near_misses(x, y, want):
         assert (x == -y) is want
 
 
+def test_skew_pairs_reads_ints_and_fractions():
+    # both orders of each failing pair, sorted; a stored zero counts only
+    # against a nonzero mirror
+    assert _skew_pairs([{1: 2}, {0: -2}]) == []
+    assert _skew_pairs([{1: _F(2, 3)}, {0: _F(-2, 3)}]) == []
+    assert _skew_pairs([{1: 2}, {0: _F(-2)}]) == []
+    assert _skew_pairs([{0: 0, 1: 0}, {}]) == []
+    assert _skew_pairs([{}, {1: 1}]) == [(2, 2)]
+    assert _skew_pairs([{1: 2}, {}]) == [(1, 2), (2, 1)]
+    assert _skew_pairs([{}, {0: 0}, {1: _F(2, 3)}, {1: _F(-2, 5)}]) == [
+        (2, 3), (2, 4), (3, 2), (4, 2)]
+    assert _skew_pairs([{1: 1}, {0: 1}, {}]) == [(1, 2), (2, 1)]
+
+
 def test_vec_helpers():
     assert vec([1, "1/2"]) == (Fraction(1), Fraction(1, 2))
 
@@ -78,6 +92,14 @@ def test_mat_zero_identity():
     assert Mat.from_rows([], cols=4).cols == 4
     with pytest.raises(ValueError):
         Mat.from_rows([])
+
+
+def test_from_rows_checks_an_explicit_column_count():
+    assert Mat.from_rows([[1, 2]], cols=2) == Mat.from_rows([[1, 2]])
+    for cols in (1, 3):
+        with pytest.raises(ValueError, match=f"^rows have 2 columns, not "
+                                             f"{cols}$"):
+            Mat.from_rows([[1, 2]], cols=cols)
 
 
 def test_mat_symmetry_predicates():

@@ -136,7 +136,9 @@ def _roads_families():
 
 
 def test_family_defects_match_the_full_row_check():
-    # every off-diagonal pair is compared once now, from its upper entry
+    # the skew law compares each stored entry with its mirror, in
+    # linalg._skew_pairs; the reference compares each row of M_i with the
+    # same row of its transpose
     g = SplitMix64(5150)
     kinds = {"ok": 0, "not skew": 0, "other": 0}
     families = _roads_families()

@@ -1,4 +1,5 @@
 """Dual extensions: cyclic cocycles, T*-algebras, the split decomposition."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,13 @@ def test_cocycle_values_reject_out_of_range_labels():
         with pytest.raises(ValueError, match="basis label out of range"):
             w.value(*ijk)
     assert [w.value(3, 3, k) for k in (1, 2, 3)] == [0, 0, 0]
+
+
+def test_cocycle_rejects_labels_that_are_not_ints():
+    for pair in ((True, 2), (1.0, 2), (1, 3.0), (2, True)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"bad pair {pair}; need 1 <= i < j <= 3")):
+            GeneralCocycle(heisenberg(), {pair: (0, 0, 1)})
 
 
 def test_cyclic_and_cocycle_defects():
