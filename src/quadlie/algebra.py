@@ -27,6 +27,8 @@ class LieAlgebra:
     __slots__ = ("dim", "terms", "_jacobi", "_ad", "_derived", "_centre")
 
     def __init__(self, dim: int, brackets: Mapping[tuple[int, int], Sequence]):
+        if not _int_in(dim):
+            raise ValueError(f"dimension {dim!r} is not an int")
         if dim < 0:
             raise ValueError("negative dimension")
         # each value is coerced lazily, between the key and length checks
@@ -44,7 +46,8 @@ class LieAlgebra:
         terms: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for (i, j), n, nz in items:
             if not (_int_in(i) and _int_in(j) and 1 <= i < j <= dim):
-                raise ValueError(f"bracket key ({i},{j}) not 1 <= i < j <= {dim}")
+                raise ValueError(f"bracket key ({i!r},{j!r}) "
+                                 f"not 1 <= i < j <= {dim}")
             nz = tuple(nz)
             if n != dim:
                 raise ValueError(f"bracket value for ({i},{j}) has wrong length")

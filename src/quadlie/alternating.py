@@ -40,6 +40,8 @@ class AltCoeffs:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, coeffs: Mapping | Iterable = ()):
+        if not _int_in(n):
+            raise ValueError(f"dimension {n!r} is not an int")
         if n < 0:
             raise ValueError("negative dimension")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs

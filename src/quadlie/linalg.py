@@ -48,11 +48,17 @@ def opposite(x: Fraction | None, y: Fraction | None) -> bool:
 def _skew_pairs(rows: Sequence[dict]) -> list[tuple[int, int]]:
     """The sorted 1-based pairs (i+1, j+1), (j+1, i+1) for each stored
     rows[i][j] not opposite rows[j].get(i, ZERO): where the square matrix
-    of these sparse rows, ints or Fractions, is not minus its transpose."""
+    of these sparse rows, ints or Fractions, is not minus its transpose.
+    Each pair is compared once, from its entry above the diagonal; an
+    entry on or below it is only tested for zero, where nothing above
+    mirrors it."""
     bad = set()
     for i, r in enumerate(rows):
         for j, x in r.items():
-            if not opposite(x, rows[j].get(i, ZERO)):
+            if j > i:
+                if not opposite(x, rows[j].get(i, ZERO)):
+                    bad.update(((i + 1, j + 1), (j + 1, i + 1)))
+            elif (j == i or i not in rows[j]) and x:
                 bad.update(((i + 1, j + 1), (j + 1, i + 1)))
     return sorted(bad)
 

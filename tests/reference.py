@@ -10,7 +10,8 @@ shared index. Names say which:
 - `_old_*`: a Mat operation as it was on dense rows, a sum of
   products as it was in Fractions, before `linalg._fsum`, and `_fsum`,
   `rref` and `_kernel_rows` as they were before the integer core
-  `linalg._eliminate`; `_old_ad_index` is the ad index with a negated
+  `linalg._eliminate`; `_old_skew_pairs` compares every stored entry
+  with its mirror; `_old_ad_index` is the ad index with a negated
   copy of each bracket, which the `_old_*` law readers read;
 - `_loop_*`: a conversion as it was, reading c_ijk at every index triple,
   or a law check as it was, one basis pair at a time;
@@ -303,6 +304,17 @@ def _old_is_skew(m):
         return False
     return all(d[i][j] == -d[j][i]
                for i in range(m.rows) for j in range(i + 1, m.cols))
+
+
+def _old_skew_pairs(rows):
+    """linalg._skew_pairs as it was before it compared each pair once:
+    every stored entry against its mirror, so each pair from both sides."""
+    bad = set()
+    for i, r in enumerate(rows):
+        for j, x in r.items():
+            if not opposite(x, rows[j].get(i, ZERO)):
+                bad.update(((i + 1, j + 1), (j + 1, i + 1)))
+    return sorted(bad)
 
 
 def _old_hstack(a, b):

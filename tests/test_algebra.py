@@ -42,6 +42,25 @@ def test_constructor_rejects_labels_that_are_not_ints():
             LieAlgebra(3, {key: (0, 0, 1)})
 
 
+def test_constructor_quotes_a_str_label():
+    # ("1", 2) read as "(1,2)" named a key that looks valid
+    for key, shown in ((("1", 2), "('1',2)"), ((1, "3"), "(1,'3')")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"bracket key {shown} not 1 <= i < j <= 3")):
+            LieAlgebra(3, {key: (0, 0, 1)})
+
+
+def test_constructor_rejects_a_dimension_that_is_not_an_int():
+    # 3.0 was stored, and failed later in nilindex with a TypeError
+    for dim in (3.0, True, False, "3", Fraction(3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dimension {dim!r} is not an int")):
+            LieAlgebra(dim, {(1, 2): (0, 0, 1)})
+    with pytest.raises(ValueError, match="negative dimension"):
+        LieAlgebra(-1, {})
+    assert LieAlgebra(3, {(1, 2): (0, 0, 1)}).nilindex() == 2
+
+
 def test_bracket_antisymmetry():
     h = heisenberg()
     assert h.brackets == {(1, 2): (0, 0, 1)}

@@ -68,6 +68,18 @@ def test_constructor_rejects_labels_that_are_not_ints():
                 AltCoeffs(3, {ijk: 1})
 
 
+def test_constructor_rejects_a_dimension_that_is_not_an_int():
+    # 3.5 was stored as the dimension, and True read as 1 in the range
+    # message; a negative int keeps its own message
+    for n in (3.5, 3.0, True, False, "3", Fraction(3)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dimension {n!r} is not an int")):
+            AltCoeffs(n, {(1, 2, 3): 1})
+    with pytest.raises(ValueError, match="negative dimension"):
+        AltCoeffs(-1)
+    assert AltCoeffs(3, {(1, 2, 3): 1}).n == 3
+
+
 def test_call_trilinear():
     c = AltCoeffs(3, {(1, 2, 3): 2})
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)

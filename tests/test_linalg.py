@@ -1,5 +1,6 @@
 """Exact linear algebra: RREF, kernel, solve, inverse, subspaces."""
 import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from reference import (_dense_contains_vec, _dense_intersect,
                        _old_hstack, _old_inverse, _old_is_skew,
                        _old_is_symmetric, _old_kernel, _old_kernel_rows,
                        _old_mul, _old_neg, _old_rref, _old_scale,
-                       _old_sparse_inverse, _old_sparse_solve, _old_sub,
+                       _old_skew_pairs, _old_sparse_inverse,
+                       _old_sparse_solve, _old_sub,
                        _old_transpose, _old_vstack,
                        _pair_law_derivation_space)
 
@@ -71,6 +73,61 @@ def test_skew_pairs_reads_ints_and_fractions():
     assert _skew_pairs([{}, {0: 0}, {1: _F(2, 3)}, {1: _F(-2, 5)}]) == [
         (2, 3), (2, 4), (3, 2), (4, 2)]
     assert _skew_pairs([{1: 1}, {0: 1}, {}]) == [(1, 2), (2, 1)]
+
+
+def _seeded_near_skew_rows(g, n):
+    """A random skew matrix of size n as sparse rows, int or p/q entries,
+    with up to three faults or harmless additions: a stored zero, a
+    diagonal entry, an entry without its mirror, a mirror with the wrong
+    sign, or a mirror with the same numerator over another denominator."""
+    rows = [{} for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g.randint(0, 2):
+                continue
+            x = (g.randint(-3, 3) if g.randint(0, 1)
+                 else _F(g.randint(-5, 5), g.randint(1, 4)))
+            if x:
+                rows[i][j], rows[j][i] = x, -x
+    kinds = []
+    for _ in range(g.randint(0, 3)):
+        i, j = g.randint(0, n - 1), g.randint(0, n - 1)
+        kind = g.choice(["zero", "diagonal", "one-sided", "sign",
+                         "denominator"])
+        kinds.append(kind)
+        x = _F(g.randint(1, 5), g.randint(1, 3)) * g.choice([1, -1])
+        if kind == "zero":
+            rows[i][j] = g.choice([0, _F(0)])
+        elif kind == "diagonal":
+            rows[i][i] = g.choice([x, x.numerator])
+        elif kind == "one-sided":
+            rows[i][j] = x
+            if i != j:
+                rows[j].pop(i, None)
+        elif kind == "sign":
+            rows[i][j] = rows[j][i] = x
+        else:
+            rows[i][j] = x
+            rows[j][i] = _F(-x.numerator, x.denominator + 1)
+    return rows, kinds
+
+
+def test_skew_pairs_matches_the_two_sided_comparison():
+    # each pair compared once gives the witnesses of every stored entry
+    # compared with its mirror, on int and p/q entries, stored zeros,
+    # diagonal entries, one-sided entries and p/q mirrors over another
+    # denominator
+    g = random.Random("skew-pairs:7")
+    seen = {"ok": 0, "bad": 0}
+    kinds = set()
+    for _ in range(3000):
+        rows, k = _seeded_near_skew_rows(g, g.randint(1, 7))
+        kinds.update(k)
+        got = _skew_pairs(rows)
+        assert got == _old_skew_pairs(rows)
+        seen["bad" if got else "ok"] += 1
+    assert kinds == {"zero", "diagonal", "one-sided", "sign", "denominator"}
+    assert seen["ok"] > 500 and seen["bad"] > 1000
 
 
 def test_vec_helpers():

@@ -1,4 +1,5 @@
 """Skew matrix families encoding 2-step quadratic algebras."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from quadlie import (Mat, QuadraticFamily, SplitMix64, ValidationError,
                      algebra_from_family, coeffs_to_family, f_matrix,
                      is_nondegenerate_family, parse_coeffs, tstar_extend,
                      validate_family)
-from quadlie.quadfam import _negated
 from quadlie.randgen import random_coeffs
 from reference import _loop_family_defects, _ref_family_defects_by_rows
 
@@ -78,7 +78,22 @@ _F = Fraction
         "-2/3,-2/3", "2,-2/3", "2/3,-2/5", "other-column", "a-shorter",
         "b-shorter", "b-empty"])
 def test_negated_rows_near_misses(a, b, want):
-    assert _negated(a, b) is want
+    # the rows a and b are column 2 of M_1 and column 1 of M_2, moved to
+    # rows 3..5 of a family of 5 zero matrices: the column law compares
+    # them as pair (1, 2) of N_3, N_4 and N_5, and fails on each near miss
+    n = 5
+    cols = []
+    for col, entries in ((1, a), (0, b)):
+        rows = [[_F(0)] * n for _ in range(n)]
+        for k, e in entries.items():
+            rows[k + 2][col] = e
+        cols.append(Mat(rows))
+    fam = QuadraticFamily(n, tuple(cols) + (Mat.zero(n, n),) * 3)
+    got = validate_family(fam)[1]
+    assert ("column 2 of M_1 is not minus column 1 of M_2" in got) is \
+        (not want)
+    assert got == _ref_family_defects_by_rows(fam) == \
+        _loop_family_defects(fam)
 
 
 def test_family_defects_with_fractional_entries():
@@ -136,9 +151,10 @@ def _roads_families():
 
 
 def test_family_defects_match_the_full_row_check():
-    # the skew law compares each stored entry with its mirror, in
-    # linalg._skew_pairs; the reference compares each row of M_i with the
-    # same row of its transpose
+    # all three laws are linalg._skew_pairs, on each M_i and on each N_k
+    # (row i of N_k is row k of M_i); the reference compares each row of
+    # M_i with the same row of its transpose, and the columns of the
+    # matrices pair by pair
     g = SplitMix64(5150)
     kinds = {"ok": 0, "not skew": 0, "other": 0}
     families = _roads_families()
@@ -163,11 +179,47 @@ def test_family_defects_match_the_full_row_check():
     assert kinds["not skew"] > 150 and kinds["other"] > 100
 
 
+def test_family_laws_are_2n_skew_checks_and_no_transpose(monkeypatch):
+    import quadlie.quadfam as qf
+    from quadlie.linalg import _skew_pairs
+    calls = []
+    transposes = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _skew_pairs(rows)
+    monkeypatch.setattr(qf, "_skew_pairs", counted)
+    monkeypatch.setattr(Mat, "transpose",
+                        lambda m: transposes.append(m))
+    c = parse_coeffs("2/3*[1,2,3]-3/5*[1,4,5]+246", n=6)
+    fam = coeffs_to_family(c)
+    q = algebra_from_family(fam)
+    # one check per matrix M_i, and one per N_k, whose row i is row k of
+    # M_i; nothing is transposed
+    assert len(calls) == 2 * fam.n and transposes == []
+    assert [list(c) for c in calls[:fam.n]] == [
+        [m.sparse_rows[k] for m in fam.mats] for k in range(fam.n)]
+    assert calls[fam.n:] == [m.sparse_rows for m in fam.mats]
+    f_matrix(fam)
+    assert len(calls) == 2 * fam.n and transposes == []
+    assert q.alg == tstar_extend(c).alg
+
+
 def test_family_shape_validation():
     with pytest.raises(ValidationError):
         QuadraticFamily(3, (Mat.zero(3, 3), Mat.zero(3, 3)))
     with pytest.raises(ValidationError):
         QuadraticFamily(2, (Mat.zero(2, 2), Mat.zero(3, 3)))
+
+
+def test_family_rejects_a_dimension_that_is_not_an_int():
+    # 3.0 was stored, and validate_family failed on it with a TypeError;
+    # True stood for 1
+    mats = fam123().mats
+    for n, given in ((3.0, mats), (True, mats[:1]), ("3", mats)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"dimension {n!r} is not an int")):
+            QuadraticFamily(n, given)
 
 
 def test_f_matrix_concatenation():

@@ -56,5 +56,6 @@ def test_replaced_paths_are_kept_as_references():
             "_loop_is_isometry", "_pair_law_derivation_space", "_old_rref",
             "_old_kernel_rows", "_old_kernel", "_old_sparse_solve",
             "_old_sparse_inverse", "_old_fsum", "_dense_call",
-            "_dense_gl_act", "_dense_isometry_from_gl"} <= set(
+            "_dense_gl_act", "_dense_isometry_from_gl",
+            "_old_skew_pairs"} <= set(
                 _reference_names(source))

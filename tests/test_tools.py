@@ -1,8 +1,8 @@
-"""tools/pairs.py's claim arithmetic on synthetic run results,
-tools/layers.py's elimination counts on a tiny synthetic case list, and
-one chain and one dense rung of tools/ladder.py at dim 40: each tool is
-loaded from its file. No git runs; the two rungs are the only
-subprocesses, each a fresh interpreter."""
+"""tools/pairs.py's claim arithmetic and workload pairing on synthetic
+run results, tools/layers.py's elimination counts on a tiny synthetic
+case list, and one chain and one dense rung of tools/ladder.py at dim
+40: each tool is loaded from its file. No git runs; the two rungs are
+the only subprocesses, each a fresh interpreter."""
 import importlib.util
 import statistics
 from pathlib import Path
@@ -111,6 +111,45 @@ def test_a_failed_or_wrong_run_stops_the_claim(side, bad):
         pairs.claim(runs, "w", 1, "cmd")
     assert "no claim is made" in str(e.value)
     assert pairs.checked(_result(1.0), "x") == _result(1.0)
+
+
+def test_workload_names_expand_all_in_benchmark_order():
+    known = [w["name"] for w in pairs.benchmark()["workloads"]]
+    assert len(known) == 4
+    assert pairs.workload_names(["all"]) == known
+    assert pairs.workload_names(["scale-ladder", "all"]) == \
+        ["scale-ladder"] + [w for w in known if w != "scale-ladder"]
+    assert pairs.workload_names(["roads-corpus", "roads-corpus"]) == \
+        ["roads-corpus"]
+    with pytest.raises(SystemExit, match="unknown workload 'roads'"):
+        pairs.workload_names(["roads-corpus", "roads"])
+
+
+def test_pairs_of_every_workload_get_their_own_verdicts(capsys):
+    # canned results stand in for run.py: the parent tree runs at rate
+    # 100 on every workload, the change at a rate set per workload
+    names = pairs.workload_names(["all"])
+    rate = dict(zip(names, (120.0, 100.0, 80.0, 101.0)))
+    calls = []
+
+    def run(tree, workload):
+        calls.append((tree, workload))
+        return _result(100.0 if tree == "parent-tree" else rate[workload])
+    blocks = {w: pairs.claim(pairs.run_pairs("parent-tree", w, 3, run), w,
+                             7, "cmd") for w in names}
+    assert calls == [(tree, w) for w in names
+                     for tree in ("parent-tree", pairs.ROOT, pairs.ROOT,
+                                  "parent-tree", "parent-tree", pairs.ROOT)]
+    assert [b["metric"] for b in blocks.values()] == \
+        [f"{w} cases_per_s" for w in names]
+    assert [b["wins"] for b in blocks.values()] == [3, 0, 0, 3]
+    assert [b["verdict"] for b in blocks.values()] == \
+        ["within", "within", "worse", "within"]
+    assert [b["pairs"][k]["first"] for b in blocks.values()
+            for k in range(3)] == ["parent", "change", "parent"] * 4
+    assert pairs.verdict_line(names[2], blocks[names[2]]) == \
+        f"{names[2]} verdicts: cases_per_s worse, case_p50_ms within"
+    assert capsys.readouterr().err.count(" pair ") == 12
 
 
 # ---- tools/layers.py on a tiny synthetic case list ----

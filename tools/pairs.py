@@ -1,8 +1,12 @@
-"""Run one benchmark workload in alternated pairs: a git revision against
+"""Run benchmark workloads in alternated pairs: a git revision against
 the working tree.
 
     python3 tools/pairs.py --rev HEAD --workload roads-corpus --seed 2626
         [--seconds 20] [--pairs 10] [--out claim.json]
+
+--workload takes one or more names from BENCHMARK.json, or `all` for
+every workload there in its order; the workloads run one after another,
+each in its own pairs.
 
 The revision is unpacked with `git archive <rev>` into a temporary
 directory. Each pair runs `benchmarks/run.py --workload W --seed S
@@ -27,7 +31,9 @@ the parent's by more than the bound (relative to the parent's median),
 `unresolved` when the parent's interquartile range over its median is
 wider than the bound, unless every change run beats every parent run, and
 `within` otherwise. The block is printed, with the verdicts on stderr, and
-written to --out when given.
+written to --out when given. With more than one workload the output is
+one object mapping each workload to its block, and stderr holds one
+verdict line per workload.
 """
 from __future__ import annotations
 
@@ -84,11 +90,55 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def benchmark() -> dict:
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def end_to_end() -> dict[str, tuple[str, float]]:
     """BENCHMARK.json's end-to-end metrics: name -> (better, bound)."""
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return {m["name"]: (m["better"], m["bound"])
-                for m in json.load(fh)["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"])
+            for m in benchmark()["end_to_end"]}
+
+
+def workload_names(given: list[str]) -> list[str]:
+    """The workloads given, each once in the order given, with `all`
+    standing for every workload of BENCHMARK.json in its order; a name
+    that is not there stops the tool."""
+    known = [w["name"] for w in benchmark()["workloads"]]
+    names: list[str] = []
+    for name in given:
+        if name != "all" and name not in known:
+            raise SystemExit(f"unknown workload {name!r}; known: "
+                             f"{', '.join(known)} or all")
+        names += [w for w in (known if name == "all" else [name])
+                  if w not in names]
+    return names
+
+
+def run_pairs(parent: str, workload: str, count: int, run) -> list:
+    """count alternated pairs of run(tree, workload), the parent tree and
+    this checkout, the parent first in odd pairs: (first, parent result,
+    change result) per pair."""
+    runs = []
+    for k in range(count):
+        first = "parent" if k % 2 == 0 else "change"
+        order = [("parent", parent), ("change", ROOT)]
+        res = {}
+        for side, tree in (order if first == "parent" else order[::-1]):
+            res[side] = run(tree, workload)
+        runs.append((first, res["parent"], res["change"]))
+        print(f"{workload} pair {k + 1}/{count} ({first} first): parent "
+              f"{value(res['parent'], METRIC):.6g}, change "
+              f"{value(res['change'], METRIC):.6g}", file=sys.stderr)
+    return runs
+
+
+def verdict_line(workload: str, block: dict) -> str:
+    verdicts = {METRIC: block["verdict"], **{
+        name: m["verdict"] for name, m in block["other_metrics"].items()}}
+    return f"{workload} verdicts: " + ", ".join(
+        f"{k} {v}" for k, v in verdicts.items())
 
 
 def verdict(par: list[float], chg: list[float], better: str,
@@ -144,40 +194,35 @@ def claim(runs: list[tuple[str, dict, dict]], workload: str, seed: int,
 
 
 def main() -> int:
-    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--rev", required=True, help="the parent revision")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, nargs="+",
+                   help="one or more workload names, or all")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", default="20")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--out", default=None)
     args = p.parse_args()
+    names = workload_names(args.workload)
 
-    runs = []
+    def run(tree: str, workload: str) -> dict:
+        return run_once(tree, workload, args.seed, args.seconds)
+
+    blocks = {}
     with tempfile.TemporaryDirectory(prefix="pairs-") as parent:
         commit = unpack(args.rev, parent)
-        for k in range(args.pairs):
-            first = "parent" if k % 2 == 0 else "change"
-            order = [("parent", parent), ("change", ROOT)]
-            res = {}
-            for side, tree in (order if first == "parent" else order[::-1]):
-                res[side] = run_once(tree, args.workload, args.seed,
-                                     args.seconds)
-            runs.append((first, res["parent"], res["change"]))
-            print(f"pair {k + 1}/{args.pairs} ({first} first): parent "
-                  f"{value(res['parent'], METRIC):.6g}, change "
-                  f"{value(res['change'], METRIC):.6g}", file=sys.stderr)
-    command = (f"python3 benchmarks/run.py --workload {args.workload} --seed "
-               f"{args.seed} --seconds {args.seconds} --trace 0 in {args.pairs}"
-               f" pairs by tools/pairs.py: the parent {commit} unpacked with "
-               f"git archive against the working tree, one run of each per "
-               f"pair, alternating which runs first")
-    block = claim(runs, args.workload, args.seed, command)
-    verdicts = {METRIC: block["verdict"], **{
-        name: m["verdict"] for name, m in block["other_metrics"].items()}}
-    print("verdicts: " + ", ".join(f"{k} {v}" for k, v in verdicts.items()),
-          file=sys.stderr)
-    text = json.dumps(block, indent=1) + "\n"
+        for w in names:
+            runs = run_pairs(parent, w, args.pairs, run)
+            command = (f"python3 benchmarks/run.py --workload {w} --seed "
+                       f"{args.seed} --seconds {args.seconds} --trace 0 in "
+                       f"{args.pairs} pairs by tools/pairs.py: the parent "
+                       f"{commit} unpacked with git archive against the "
+                       f"working tree, one run of each per pair, "
+                       f"alternating which runs first")
+            blocks[w] = claim(runs, w, args.seed, command)
+            print(verdict_line(w, blocks[w]), file=sys.stderr)
+    out = blocks[names[0]] if len(names) == 1 else blocks
+    text = json.dumps(out, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
