@@ -10,7 +10,6 @@ seconds.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 from .algebra import LieAlgebra, abelian, heisenberg
 from .catalog import CATALOG, catalog_counts, lambda_trivector
@@ -216,11 +215,11 @@ def _jordan_extension(n: int) -> QuadraticStructure:
     """Extend the 2n-dim abelian algebra by the nilpotent two-block map
     d(a_l) = a_{l+1}, d(a_{n+m}) = -a_{n+m-1}."""
     dim = 2 * n
-    d: list[dict[int, Fraction]] = [{} for _ in range(dim)]
+    d: list[dict[int, int]] = [{} for _ in range(dim)]
     for l in range(1, n):
-        d[l] = {l - 1: Fraction(1)}
+        d[l] = {l - 1: 1}
     for m in range(n + 2, dim + 1):
-        d[m - 2] = {m - 1: Fraction(-1)}
+        d[m - 2] = {m - 1: -1}
     aq = QuadraticStructure(abelian(dim), hyperbolic_form(n))
     return double_extend_1d(aq, Mat._of(d, dim))
 

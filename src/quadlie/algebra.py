@@ -12,8 +12,8 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError, _int_in
-from .linalg import (Fraction, Mat, Subspace, ZERO, _divide, _isum, kernel,
-                     scalar, solve, vec)
+from .linalg import (Fraction, Mat, Subspace, _divide, _isum, kernel, scalar,
+                     solve, vec)
 
 
 class AlgebraType(NamedTuple):
@@ -59,7 +59,7 @@ class LieAlgebra:
     def _of(cls, dim: int, terms: dict, jacobi: list | None = None
             ) -> "LieAlgebra":
         """Trusted constructor: terms as stored, keys 1 <= i < j <= dim, each
-        value nonempty, its Fractions nonzero and its r ascending. jacobi is
+        value nonempty, its scalars nonzero and its r ascending. jacobi is
         [] only where a theorem gives the Jacobi identity from hypotheses
         its caller has just checked; it is kept as the Jacobi pass's result,
         and None leaves that pass to run on first use."""
@@ -69,14 +69,14 @@ class LieAlgebra:
         alg._jacobi = jacobi
         return alg
 
-    def _dense(self, nz) -> tuple[Fraction, ...]:
-        v = [ZERO] * self.dim
+    def _dense(self, nz) -> tuple[int | Fraction, ...]:
+        v = [0] * self.dim
         for r, c in nz:
             v[r] = c
         return tuple(v)
 
     @property
-    def brackets(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    def brackets(self) -> dict[tuple[int, int], tuple]:
         """The dense view, for callers outside the package: [e_i, e_j] as
         a dim-length tuple per stored key."""
         return {key: self._dense(nz) for key, nz in self.terms.items()}
@@ -103,7 +103,8 @@ class LieAlgebra:
 
     # ---- bracket evaluation ----
 
-    def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
+    def bracket(self, x: Sequence, y: Sequence
+                ) -> tuple[int | Fraction, ...]:
         """[x, y] for dense vectors of ints, Fractions or 'p/q' strings."""
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
@@ -115,7 +116,7 @@ class LieAlgebra:
     def _brackets(self, vs: Sequence[Mapping[int, Fraction]]
                   ) -> dict[tuple[int, int, int], Fraction]:
         """[v_a, v_b]_r for every a < b over sparse vectors {y: v_y} of
-        nonzero Fractions, as one _isum keyed (a, b, r): the vectors are read
+        nonzero scalars, as one _isum keyed (a, b, r): the vectors are read
         last first, and a stored [e_p, e_y] meets only later ones holding y."""
         ad = self._ad_index()
         holders: dict[int, list[tuple[int, int, int]]] = {}  # y -> (b, v_b[y])
@@ -153,7 +154,7 @@ class LieAlgebra:
 
     # ---- Lie-ness ----
 
-    def jacobi_defect(self) -> list[tuple[int, int, int, tuple[Fraction, ...]]]:
+    def jacobi_defect(self) -> list[tuple[int, int, int, tuple]]:
         """Basis triples i<j<k whose cyclic bracket sum is nonzero.
 
         Only stored brackets are visited: each term [e_a,[e_b,e_c]] of a
@@ -224,7 +225,7 @@ class LieAlgebra:
         return rows, L
 
     def _ad_preimage(self, d_rows: Sequence[Mapping[int, Fraction]]
-                     ) -> tuple[Fraction, ...] | None:
+                     ) -> tuple[int | Fraction, ...] | None:
         """x with [x, e_s] = d e_s for every s, for d given by its sparse
         rows, or None; free components are 0. [x, e_s]_r = -[e_s, x]_r, so
         x solves the centre's rows against -L d[r][s], and none does when
@@ -312,7 +313,7 @@ def from_bracket_table(dim: int,
     """Build from {(i,j): {k: coeff}} meaning [e_i,e_j] = sum coeff*e_k."""
     br = {}
     for (i, j), terms in table.items():
-        v = [ZERO] * dim
+        v = [0] * dim
         for k, c in terms.items():
             if (not isinstance(k, int) or isinstance(k, bool)
                     or not 1 <= k <= dim):

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MAX_N, QuadlieError, _int_in, within_limit
-from .linalg import Fraction, ZERO, _divide, _isum, scalar, vec
+from .linalg import Fraction, _divide, _exact, _isum, scalar, vec
 
 
 def sorted_triple(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int]:
@@ -55,26 +55,27 @@ class AltCoeffs:
             if key[2] > n or key[0] < 1:
                 raise QuadlieError(f"triple {(i, j, k)} out of range 1..{n}")
             c = scalar(c) if sign > 0 else -scalar(c)
-            acc[key] = acc[key] + c if key in acc else c
+            acc[key] = _exact(acc[key] + c) if key in acc else c
         self.n = n
         self.terms = tuple(sorted((t, c) for t, c in acc.items() if c))
 
     @classmethod
     def _of(cls, n: int, terms: list) -> "AltCoeffs":
         """Trusted constructor: terms ((i, j, k), c) sorted, with
-        1 <= i < j < k <= n and each c a nonzero Fraction."""
+        1 <= i < j < k <= n and each c a nonzero scalar."""
         c = object.__new__(cls)
         c.n, c.terms = n, tuple(terms)
         return c
 
-    def value(self, i: int, j: int, k: int) -> Fraction:
+    def value(self, i: int, j: int, k: int) -> int | Fraction:
         key, sign = sorted_triple(i, j, k)  # a repeated index is never stored
         p = bisect_left(self.terms, (key,))
         if p == len(self.terms) or self.terms[p][0] != key:
-            return ZERO
+            return 0
         return self.terms[p][1] if sign > 0 else -self.terms[p][1]
 
-    def __call__(self, x: Sequence, y: Sequence, z: Sequence) -> Fraction:
+    def __call__(self, x: Sequence, y: Sequence, z: Sequence
+                 ) -> int | Fraction:
         """t(x, y, z): the pullback along the n x 3 matrix [x y z]."""
         x, y, z = vec(x), vec(y), vec(z)
         if not (len(x) == len(y) == len(z) == self.n):
@@ -150,6 +151,8 @@ _TERM = re.compile(r"^([+-]?)(?:(\d+(?:/0*[1-9]\d*)?)\*)?"
 
 def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
     """Parse "123+145", "1*[1,2,3]+1*[1,4,5]", mixes of both, or "0"."""
+    if n is not None and not _int_in(n):
+        raise QuadlieError(f"dimension {n!r} is not an int")
     if n is not None and n < 0:
         raise QuadlieError(f"negative dimension {n}")
     within_limit(n or 0, MAX_N, "dimension")
@@ -177,7 +180,7 @@ def parse_coeffs(text: str, n: int | None = None) -> AltCoeffs:
             raise QuadlieError(f"cannot parse trivector term {chunk!r}")
         sign, coef, bi, bj, bk, compact = m.groups()
         try:
-            c = scalar(coef) if coef else Fraction(1)
+            c = scalar(coef) if coef else 1
             ijk = (int(bi), int(bj), int(bk)) if compact is None else \
                 tuple(int(d) for d in compact)
         except ValueError as e:  # more digits than int() converts

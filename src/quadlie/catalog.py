@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .alternating import parse_coeffs
 from .errors import QuadlieError, ValidationError
-from .linalg import Fraction, scalar
+from .linalg import scalar
 from .trivector import Trivector, trivector_rank
 
 
@@ -86,10 +86,9 @@ def lambda_trivector(lam) -> Trivector:
     lam = scalar(lam)
     if not lam:
         raise ValidationError("parameter must be nonzero", law="nonzero")
-    one = Fraction(1)
     return Trivector(9, {
         (1, 2, 3): lam, (4, 5, 6): lam, (7, 8, 9): lam,
-        (1, 4, 7): one, (1, 5, 8): one,
+        (1, 4, 7): 1, (1, 5, 8): 1,
     })
 
 

@@ -14,7 +14,7 @@ from .algebra import LieAlgebra, abelian
 from .alternating import AltCoeffs
 from .errors import ValidationError
 from .forms import QuadraticStructure, permute_quadratic
-from .linalg import (Fraction, Mat, ONE, Subspace, _isum, _kernel_rows,
+from .linalg import (Fraction, Mat, Subspace, _isum, _kernel_rows,
                      _skew_pairs, _span_rows, inverse)
 from .tstar import GeneralCocycle, _tstar_algebra, tstar_extend, value_span
 
@@ -64,7 +64,7 @@ def skew_defect(form: Mat, d: Mat) -> list[tuple[int, int]]:
     s: list[dict[int, Fraction]] = [{} for _ in rows]
     for r, j, c in _entries(d):
         for i, f in rows[r].items():
-            x = c if f is ONE else f * c  # hyperbolic forms hold ONE
+            x = c if f == 1 else f * c  # hyperbolic forms hold 1
             s[i][j] = s[i][j] + x if j in s[i] else x
     return _skew_pairs(s)
 
@@ -141,11 +141,11 @@ def double_extend(aq: QuadraticStructure | None, b: LieAlgebra,
                     law="homomorphism", witness=(i, j))
 
     # b pairs with its duals, and A keeps its form
-    form = [{m + amn + i: ONE} for i in range(m)]
+    form = [{m + amn + i: 1} for i in range(m)]
     if aq is not None:
         form += [{m + j: e for j, e in r.items()}
                  for r in aq.form.sparse_rows]
-    form += [{i: ONE} for i in range(m)]
+    form += [{i: 1} for i in range(m)]
     # Medina-Revoy 1985: with b Lie and phi a homomorphism into the skew
     # derivations, the form is invariant and nondegenerate, and the
     # extension is Lie when A is; over a non-Lie A, nilindex still runs
@@ -191,10 +191,10 @@ def centre_formula_1d(aq: QuadraticStructure | None, d) -> Subspace:
         dz = _span_rows(dmat.sparse_rows, z.transpose())
         core = _span_rows(_kernel_rows(Mat._of(dz, z.rows)), z)
         rows = [{j + 1: e for j, e in r.items()} for r in core]
-    rows.append({dim - 1: ONE})
+    rows.append({dim - 1: 1})
     x = inner_preimage(aq, dmat)
     if x is not None:
-        rows.append({0: ONE, **{j + 1: -c for j, c in enumerate(x) if c}})
+        rows.append({0: 1, **{j + 1: -c for j, c in enumerate(x) if c}})
     return Subspace._of(dim, rows)
 
 

@@ -14,15 +14,15 @@ from typing import Sequence
 
 from .algebra import LieAlgebra
 from .errors import ValidationError
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _divide,
-                     _eliminate, _isum, inverse, kernel, opposite, rank, vec)
+from .linalg import (Fraction, Mat, Subspace, _divide, _eliminate, _exact,
+                     _isum, inverse, kernel, opposite, rank, vec)
 
 
 @cache
 def hyperbolic_form(n: int) -> Mat:
     """The 2n x 2n pairing with phi(e_i, e_{n+i}) = 1, zero elsewhere: one
     Mat per n, shared by every caller, which must not mutate it."""
-    return Mat._of([{(i + n) % (2 * n): ONE} for i in range(2 * n)], 2 * n)
+    return Mat._of([{(i + n) % (2 * n): 1} for i in range(2 * n)], 2 * n)
 
 
 def _cyclic_defect(t: dict) -> list[tuple[int, int, int]]:
@@ -33,12 +33,12 @@ def _cyclic_defect(t: dict) -> list[tuple[int, int, int]]:
     bad = set()
     for (i, j, k), c in t.items():
         # T(i,k,j) is t(i,k,j) for i < k, else -t(k,i,j), absent at k = i
-        if not (opposite(c, t.get((i, k, j), ZERO)) if i < k
-                else c == t.get((k, i, j), ZERO)):
+        if not (opposite(c, t.get((i, k, j), 0)) if i < k
+                else c == t.get((k, i, j), 0)):
             bad.update(((i, j, k), (i, k, j)))
         # T(j,k,i) is t(j,k,i) for j < k, else -t(k,j,i), absent at k = j
-        if not (c == t.get((j, k, i), ZERO) if j < k
-                else opposite(c, t.get((k, j, i), ZERO))):
+        if not (c == t.get((j, k, i), 0) if j < k
+                else opposite(c, t.get((k, j, i), 0))):
             bad.update(((j, i, k), (j, k, i)))
     return sorted(bad)
 
@@ -99,12 +99,13 @@ class QuadraticStructure:
     def dim(self) -> int:
         return self.alg.dim
 
-    def phi(self, x: Sequence, y: Sequence) -> Fraction:
+    def phi(self, x: Sequence, y: Sequence) -> int | Fraction:
         x, y = vec(x), vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise ValueError("vector length mismatch")
-        return sum((a * e * y[j] for a, r in zip(x, self.form.sparse_rows)
-                    if a for j, e in r.items() if y[j]), start=ZERO)
+        return _exact(sum((a * e * y[j]
+                           for a, r in zip(x, self.form.sparse_rows)
+                           if a for j, e in r.items() if y[j]), start=0))
 
 
 def orthogonal_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
@@ -140,7 +141,7 @@ def lagrangian_complement(q: QuadraticStructure, s: Subspace) -> Subspace:
     rev = [dict(sorted((top - j, e) for j, e in r.items()))
            for r in s.basis.sparse_rows]
     last = {top - p for p in _eliminate(Mat._of(rev, q.dim))}
-    picks = [{t: ONE} for t in range(q.dim) if t not in last]
+    picks = [{t: 1} for t in range(q.dim) if t not in last]
     T = Mat._of(picks, q.dim)
     S = s.basis
     P = T * q.form * S.transpose()     # P[a][k] = phi(t_a, s_k), invertible

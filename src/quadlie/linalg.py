@@ -1,19 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream runs on this: matrices of `fractions.Fraction` stored
-once, as each row's nonzero entries in a {column: entry} dict, with the
-dense rows a view built on each read; fraction-free sums of products
-(`_isum`: integer numerators over one common denominator), which matrix
-products, brackets and the law checks accumulate in; and one integer
-elimination core, `_eliminate`, which reduces those dicts scaled to
-integers to primitive integer pivot rows and stops once it holds a pivot
-in every column that has an entry. Its callers read the integers: `rank`
-the pivot count, `inverse` the right half, `solve` one column, `kernel`
-integer rows, and a span takes integer rows as they are. Fractions are
-built only where a caller reads them: the RREF (`rref`, and so the
-canonical basis of each `Subspace`), an inverse, a solution, a product.
+Everything downstream runs on this: matrices stored once, as each row's
+nonzero entries in a {column: entry} dict, with the dense rows a view
+built on each read; fraction-free sums of products (`_isum`: integer
+numerators over one common denominator), which matrix products, brackets
+and the law checks accumulate in; and one integer elimination core,
+`_eliminate`, which reduces those dicts scaled to integers to primitive
+integer pivot rows and stops once it holds a pivot in every column that
+has an entry. Its callers read the integers: `rank` the pivot count,
+`inverse` the right half, `solve` one column, `kernel` integer rows, and
+a span takes integer rows as they are.
 
-Vectors are plain tuples of Fractions. Basis labels elsewhere in the package
+The scalar contract: every value stored or returned is exact and has one
+type, an `int` when it is integral and a `fractions.Fraction` (denominator
+above 1) otherwise, never a float. `str`, `==` and `hash` agree between n
+and Fraction(n), so readers need not tell them apart; `.numerator` and
+`.denominator` read both. An int / int is a float, so divide two returned
+values with `Fraction(a, b)`, never `/`.
+
+Vectors are plain tuples of scalars. Basis labels elsewhere in the package
 are 1-based; coordinates here are 0-based Python indices.
 """
 from __future__ import annotations
@@ -23,22 +28,30 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
-
-def scalar(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to Fraction."""
-    if isinstance(x, Fraction):
+def scalar(x) -> int | Fraction:
+    """Coerce ints, 'p/q' strings and Fractions to the exact scalar: an
+    int when the value is integral, else a Fraction. A float is refused."""
+    if type(x) is int:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, Fraction or 'p/q'")
-    return Fraction(x)
+    return _exact(x if isinstance(x, Fraction) else Fraction(x))
 
 
-def opposite(x: Fraction | None, y: Fraction | None) -> bool:
+def _exact(x: int | Fraction) -> int | Fraction:
+    """x as an int when it is integral: the one type of each value."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(n: int, d: int) -> int | Fraction:
+    """n/d for ints n and d != 0, as an int when d divides n."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def opposite(x, y) -> bool:
     """Whether x = -y, and False where either is None (an absent entry).
-    A Fraction is kept in lowest terms with a positive denominator, so
+    An int or a Fraction in lowest terms has a positive denominator, so
     this compares numerators and denominators without building -y."""
     return (x is not None and y is not None
             and x.denominator == y.denominator
@@ -47,7 +60,7 @@ def opposite(x: Fraction | None, y: Fraction | None) -> bool:
 
 def _skew_pairs(rows: Sequence[dict]) -> list[tuple[int, int]]:
     """The sorted 1-based pairs (i+1, j+1), (j+1, i+1) for each stored
-    rows[i][j] not opposite rows[j].get(i, ZERO): where the square matrix
+    rows[i][j] not opposite rows[j].get(i, 0): where the square matrix
     of these sparse rows, ints or Fractions, is not minus its transpose.
     Each pair is compared once, from its entry above the diagonal; an
     entry on or below it is only tested for zero, where nothing above
@@ -56,7 +69,7 @@ def _skew_pairs(rows: Sequence[dict]) -> list[tuple[int, int]]:
     for i, r in enumerate(rows):
         for j, x in r.items():
             if j > i:
-                if not opposite(x, rows[j].get(i, ZERO)):
+                if not opposite(x, rows[j].get(i, 0)):
                     bad.update(((i + 1, j + 1), (j + 1, i + 1)))
             elif (j == i or i not in rows[j]) and x:
                 bad.update(((i + 1, j + 1), (j + 1, i + 1)))
@@ -69,7 +82,7 @@ def _isum(terms: Iterable[tuple[object, int, int]]) -> tuple[dict, int]:
     integer sums, keys ascending, and that denominator. The numerators
     add over it, scaled up to the lcm only when a term's d does not
     divide it; a span reads the sums alone, and `_divide` makes them
-    Fractions."""
+    scalars."""
     acc: dict = {}
     den = 1
     for k, n, d in terms:
@@ -85,21 +98,22 @@ def _isum(terms: Iterable[tuple[object, int, int]]) -> tuple[dict, int]:
 
 
 def _divide(sums: dict, den: int) -> dict:
-    """Each integer sum of _isum over its denominator, as a Fraction: one
-    division per sum, none when the denominator is 1."""
+    """Each integer sum of _isum over its denominator, as a scalar: sums
+    itself when the denominator is 1, else one division per sum."""
     if den == 1:
-        return {k: Fraction(v) for k, v in sums.items()}
-    return {k: Fraction(v, den) for k, v in sums.items()}
+        return sums
+    return {k: _ratio(v, den) for k, v in sums.items()}
 
 
-def vec(entries: Iterable) -> tuple[Fraction, ...]:
+def vec(entries: Iterable) -> tuple[int | Fraction, ...]:
     return tuple(scalar(e) for e in entries)
 
 
 class Mat:
-    """Immutable matrix over Fraction, stored once as `sparse_rows`: each
-    row's nonzero entries as a {column: entry} dict, columns ascending. The
-    dicts are shared: never mutate them. `data` is the dense view."""
+    """Immutable matrix over the rationals, stored once as `sparse_rows`:
+    each row's nonzero entries as a {column: entry} dict, columns
+    ascending, each entry an int when integral and a Fraction otherwise.
+    The dicts are shared: never mutate them. `data` is the dense view."""
 
     __slots__ = ("rows", "cols", "sparse_rows")
 
@@ -114,8 +128,8 @@ class Mat:
                                   for r in rows])
 
     @classmethod
-    def _of(cls, sparse: Iterable[dict[int, Fraction]], cols: int) -> "Mat":
-        """Trusted constructor: rows of nonzero Fractions as {column: entry},
+    def _of(cls, sparse: Iterable[dict], cols: int) -> "Mat":
+        """Trusted constructor: rows of nonzero scalars as {column: entry},
         columns ascending and below cols, explicit so that a result with no
         rows keeps its shape."""
         m = object.__new__(cls)
@@ -130,7 +144,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls._of([{k: ONE} for k in range(n)], n)
+        return cls._of([{k: 1} for k in range(n)], n)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
@@ -145,14 +159,14 @@ class Mat:
         return m
 
     @property
-    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+    def data(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """The dense rows, built on each read: the dense API of Mat."""
-        z = (ZERO,) * self.cols
+        z = (0,) * self.cols
         return tuple(tuple(map(r.get, range(self.cols), z))
                      for r in self.sparse_rows)
 
     def transpose(self) -> "Mat":
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        out: list[dict] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.sparse_rows):
             for j, e in r.items():
                 out[j][i] = e
@@ -179,30 +193,30 @@ class Mat:
             tuple((j, e.numerator, e.denominator) for j, e in r.items())
             for r in self.sparse_rows)))
 
-    def _combine(self, other: "Mat", c: Fraction) -> "Mat":
-        """self + c other, row by row."""
+    def _combine(self, other: "Mat", c: int) -> "Mat":
+        """self + c other, row by row, for c = 1 or -1."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
         out = []
         for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
             v = dict(r1)
             for j, e in r2.items():
-                v[j] = v.get(j, ZERO) + c * e
-            out.append({j: x for j, x in sorted(v.items()) if x})
+                v[j] = v.get(j, 0) + c * e
+            out.append({j: _exact(x) for j, x in sorted(v.items()) if x})
         return Mat._of(out, self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
-        return self._combine(other, ONE)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self._combine(other, -ONE)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Mat":
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def scale(self, c) -> "Mat":
         c = scalar(c)
-        return Mat._of([{j: c * e for j, e in r.items()} if c else {}
+        return Mat._of([{j: _exact(c * e) for j, e in r.items()} if c else {}
                         for r in self.sparse_rows], self.cols)
 
     def __mul__(self, other: "Mat") -> "Mat":
@@ -212,8 +226,7 @@ class Mat:
         return Mat._of([other._vecmat(r.items()) for r in self.sparse_rows],
                        other.cols)
 
-    def _vecmat(self, x: Iterable[tuple[int, Fraction]]
-                ) -> dict[int, Fraction]:
+    def _vecmat(self, x: Iterable[tuple[int, int | Fraction]]) -> dict:
         """x self for x given as (row, entry) pairs: the sum of entry times
         that row, as its nonzero entries, columns ascending."""
         rows = self.sparse_rows
@@ -306,8 +319,8 @@ def _eliminate(m: Mat) -> dict[int, dict[int, int]]:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """The unique reduced row echelon form, zero rows last, and its pivot
     columns: each pivot row of _eliminate divided by its pivot, which
-    becomes the shared ONE; a pivot of 1 divides nothing. The result comes
-    as a sparse view alone."""
+    becomes 1; a pivot of 1 divides nothing. The result comes as a sparse
+    view alone."""
     piv = _eliminate(m)
     pivots = tuple(sorted(piv))
     sparse = [_reduced(piv[p], p) for p in pivots]
@@ -315,14 +328,12 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat._of(sparse, m.cols), pivots
 
 
-def _reduced(row: dict[int, int], p: int) -> dict[int, Fraction]:
+def _reduced(row: dict[int, int], p: int) -> dict:
     """Pivot row p of _eliminate as a row of the RREF, columns ascending."""
     a = row[p]
     if a == 1:
-        return {j: ONE if j == p else Fraction(e)
-                for j, e in sorted(row.items())}
-    return {j: ONE if j == p else Fraction(e, a)
-            for j, e in sorted(row.items())}
+        return dict(sorted(row.items()))
+    return {j: _ratio(e, a) for j, e in sorted(row.items())}
 
 
 def rank(m: Mat) -> int:
@@ -371,7 +382,7 @@ def _span_rows(xs: Iterable[dict], m: Mat) -> Iterator[dict[int, int]]:
             for x in xs)
 
 
-def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def solve(m: Mat, rhs: Sequence) -> tuple[int | Fraction, ...] | None:
     """One solution of m x = rhs, or None. Free variables set to 0."""
     if m.rows != len(rhs):
         raise ValueError("length mismatch")
@@ -381,10 +392,10 @@ def solve(m: Mat, rhs: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     piv = _eliminate(Mat._of(aug, b + 1))
     if b in piv:
         return None  # inconsistent
-    x = [ZERO] * b
+    x = [0] * b
     for p, row in piv.items():
         if b in row:
-            x[p] = Fraction(row[b], row[p])
+            x[p] = _ratio(row[b], row[p])
     return tuple(x)
 
 
@@ -441,8 +452,8 @@ class Subspace:
             raise ValueError("length mismatch")
         return self._holds(other.basis.sparse_rows)
 
-    def _holds(self, rows: Iterable[dict[int, Fraction]]) -> bool:
-        """Whether every sparse row of nonzero Fractions lies in the span.
+    def _holds(self, rows: Iterable[dict]) -> bool:
+        """Whether every sparse row of nonzero scalars lies in the span.
         The basis is in RREF, each row's first key its pivot, so v does
         exactly when v = sum v_p b_p over the pivots p in v's support."""
         lead = {next(iter(b)): k for k, b in enumerate(self.basis.sparse_rows)}
@@ -467,6 +478,6 @@ class Subspace:
         return Subspace._of(n, [{j - n: e for j, e in row.items()}
                                 for p, row in piv.items() if p >= n])
 
-    def vectors(self) -> list[tuple[Fraction, ...]]:
+    def vectors(self) -> list[tuple[int | Fraction, ...]]:
         """The dense basis rows, for callers outside the package."""
         return list(self.basis.data)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import ValidationError, _int_in
 from .forms import QuadraticStructure, hyperbolic_form
-from .linalg import Mat, ZERO, _skew_pairs, rank
+from .linalg import Mat, _skew_pairs, rank
 
 
 @dataclass(frozen=True)
@@ -27,6 +27,8 @@ class QuadraticFamily:
     def __post_init__(self):
         if not _int_in(self.n):
             raise ValidationError(f"dimension {self.n!r} is not an int")
+        if self.n < 0:
+            raise ValidationError(f"negative dimension {self.n}")
         if len(self.mats) != self.n:
             raise ValidationError(f"need {self.n} matrices, got "
                                   f"{len(self.mats)}")
@@ -39,7 +41,7 @@ class QuadraticFamily:
         """Coefficient of e_k* in [e_i, e_j]: entry (k, j) of M_i."""
         if not all(1 <= x <= self.n for x in (i, j, k)):
             raise ValueError(f"basis label out of range: ({i},{j},{k})")
-        return self.mats[i - 1].sparse_rows[k - 1].get(j - 1, ZERO)
+        return self.mats[i - 1].sparse_rows[k - 1].get(j - 1, 0)
 
 
 def _laws(fam: QuadraticFamily) -> list[str]:

@@ -6,6 +6,8 @@ output on every platform and run; nothing reads global RNG state.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, islice
+from math import comb
 
 from .alternating import AltCoeffs
 from .doubleext import derivation_space
@@ -47,36 +49,38 @@ class SplitMix64:
             if u < limit:
                 return lo + u % span
 
-    def nonzero_entry(self, bound: int = 3) -> Fraction:
+    def nonzero_entry(self, bound: int = 3) -> int:
         v = self.randint(1, 2 * bound)
-        return Fraction(v - 2 * bound - 1 if v > bound else v)
+        return v - 2 * bound - 1 if v > bound else v
 
 
 def random_coeffs(n: int, seed: int, density: Fraction = Fraction(1, 2),
                   nonzero: bool = False) -> AltCoeffs:
     """Random alternating coefficients with entries in -3..3; each triple
     is filled with probability `density`. With nonzero=True an all-zero
-    draw gets one forced entry, still seed-deterministic."""
+    draw gets one forced entry, still seed-deterministic. The triples are
+    drawn in lexicographic order, one at a time, and never listed."""
     if n < 3:
         raise QuadlieError("need dimension at least 3")
     if not 0 <= density <= 1:
         raise QuadlieError("density must be between 0 and 1")
     rng = SplitMix64(seed)
-    triples = [(i, j, k) for i in range(1, n + 1)
-               for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
     num, den = density.numerator, density.denominator
     vals = {}
-    for t in triples:
+    for t in combinations(range(1, n + 1), 3):
         if rng.randint(1, den) <= num:
             vals[t] = rng.nonzero_entry()
     if nonzero and not vals:
-        vals[triples[rng.randint(0, len(triples) - 1)]] = rng.nonzero_entry()
+        # the entry is drawn before the index of its triple
+        v = rng.nonzero_entry()
+        pick = rng.randint(0, comb(n, 3) - 1)
+        vals[next(islice(combinations(range(1, n + 1), 3), pick, None))] = v
     return AltCoeffs(n, vals)
 
 
 def random_matrix(n: int, seed: int, bound: int = 3) -> Mat:
     rng = SplitMix64(seed)
-    return Mat([[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+    return Mat([[rng.randint(-bound, bound) for _ in range(n)]
                 for _ in range(n)])
 
 
@@ -84,7 +88,7 @@ def random_invertible(n: int, seed: int, bound: int = 3) -> Mat:
     """First invertible matrix along the seeded stream."""
     rng = SplitMix64(seed)
     while True:
-        m = Mat([[Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+        m = Mat([[rng.randint(-bound, bound) for _ in range(n)]
                  for _ in range(n)])
         if rank(m) == n:
             return m
@@ -97,7 +101,7 @@ def random_skew_derivation(aq: QuadraticStructure, seed: int,
     rng = SplitMix64(seed)
     n = aq.dim
     cs = [rng.randint(-bound, bound) for _ in range(space.dim)]
-    out: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    out: list[dict] = [{} for _ in range(n)]
     # the vectorized sum is keyed r * n + s, so each row fills in order
     for rs, e in space.basis._vecmat(enumerate(cs)).items():
         r, s = divmod(rs, n)

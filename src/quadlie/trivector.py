@@ -14,8 +14,8 @@ from typing import Sequence
 from .alternating import AltCoeffs, _pullback
 from .errors import ValidationError
 from .forms import QuadraticStructure, is_isometry
-from .linalg import (Fraction, Mat, Subspace, ZERO, hstack, inverse, kernel,
-                     rank, vec, vstack)
+from .linalg import (Fraction, Mat, Subspace, _exact, hstack, inverse,
+                     kernel, rank, vec, vstack)
 from .tstar import tstar_extend
 
 Trivector = AltCoeffs
@@ -31,7 +31,7 @@ def contract(t: Trivector, x: Sequence[Fraction]) -> Mat:
                               law="shape")
     rows: list[dict[int, Fraction]] = [{} for _ in range(t.n)]
     for (j, k), nz in t.pair_terms().items():
-        v = sum((x[i] * c for i, c in nz if x[i]), ZERO)
+        v = _exact(sum((x[i] * c for i, c in nz if x[i]), 0))
         if v:
             rows[j - 1][k - 1] = v
             rows[k - 1][j - 1] = -v

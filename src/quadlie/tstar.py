@@ -17,7 +17,7 @@ from .alternating import AltCoeffs
 from .errors import ValidationError, _int_in
 from .forms import (QuadraticStructure, _cyclic_defect, hyperbolic_form,
                     is_isometry, lagrangian_complement)
-from .linalg import (Fraction, Mat, ONE, Subspace, ZERO, _divide, _isum,
+from .linalg import (Fraction, Mat, Subspace, _divide, _exact, _isum,
                      inverse, scalar, vstack)
 
 
@@ -69,11 +69,11 @@ class GeneralCocycle:
         """w(e_i,e_j)(e_k) = c_ijk over the abelian base: c's pair terms."""
         return cls._of(abelian(c.n), c.pair_terms())
 
-    def value(self, i: int, j: int, k: int) -> Fraction:
+    def value(self, i: int, j: int, k: int) -> int | Fraction:
         """w(e_i, e_j)(e_k), read from the stored (min, max) pair."""
         if not all(1 <= x <= self.base.dim for x in (i, j, k)):
             raise ValueError(f"basis label out of range: ({i},{j},{k})")
-        c = dict(self.terms.get((min(i, j), max(i, j)), ())).get(k - 1, ZERO)
+        c = dict(self.terms.get((min(i, j), max(i, j)), ())).get(k - 1, 0)
         return -c if i > j else c
 
 
@@ -124,10 +124,10 @@ def _tstar_algebra(w: GeneralCocycle, aq: QuadraticStructure | None = None,
                     row(k, m + s + 1)[m + r] = c
                     for j, f in form[r].items():
                         if s < j:
-                            beta[(s, j)] = beta.get((s, j), ZERO) + c * f
+                            beta[(s, j)] = beta.get((s, j), 0) + c * f
             for (s, j), x in beta.items():
                 if x:
-                    row(m + s + 1, m + j + 1)[star + k - 1] = x
+                    row(m + s + 1, m + j + 1)[star + k - 1] = _exact(x)
     # every entry written is nonzero, and no entry is written twice
     return LieAlgebra._of(star + m, {key: tuple(sorted(r.items()))
                                      for key, r in rows.items()}, jacobi)
@@ -241,15 +241,15 @@ def find_lagrangian_ideal(q: QuadraticStructure) -> Subspace | None:
             return alg.derived()
         return None
     # e_s, then e_s + e_t and e_s - e_t for s < t
-    cands = [{s: ONE} for s in range(dim)]
-    cands += [{s: ONE, t: Fraction(sg)} for s in range(dim)
+    cands = [{s: 1} for s in range(dim)]
+    cands += [{s: 1, t: sg} for s in range(dim)
               for t in range(s + 1, dim) for sg in (1, -1)]
     cur = Subspace.zero(dim)
     for c in cands:
         if cur.dim == n:
             break
         cf = q.form._vecmat(c.items())  # phi(c, .) must vanish on c and cur
-        if any(sum(cf.get(j, ZERO) * e for j, e in u.items())
+        if any(sum(cf.get(j, 0) * e for j, e in u.items())
                for u in (c, *cur.basis.sparse_rows)):
             continue
         grown = cur.sum(Subspace._of(dim, [c]))

@@ -20,6 +20,9 @@ shared index. Names say which:
 - `_pair_law_*`: a solver as it was, on the derivation law over every
   basis pair and component.
 
+`_canonical` is the package's scalar contract as a test: an int, or a
+Fraction that is not integral.
+
 `basis_vec` and `_dense_direct_sum` stand in for `linalg.basis_vec` and
 `LieAlgebra.direct_sum`, which the package no longer has, and
 `_dense_contains_vec` for `Subspace.contains_vec`. The package's dense
@@ -54,10 +57,18 @@ from quadlie import (CocycleCoeffs, ExtensionChain, GeneralCocycle,
 from quadlie.doubleext import _deriv_mat
 from quadlie.errors import MAX_N
 from quadlie.io import _dim_in, _expect, _expect_list, _int_in
-from quadlie.linalg import ONE, hstack, opposite, vstack
+from quadlie.linalg import hstack, opposite, vstack
 from quadlie.trivector import _gl_inverse
 
+# the Fraction constants the replaced code held; the package stores 0 and 1
 ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def _canonical(e):
+    """Whether e has the one type the package gives each value: an int
+    when integral, a Fraction with denominator above 1 otherwise."""
+    return type(e) is int or (type(e) is Fraction and e.denominator > 1)
 
 
 def basis_vec(n, k):
@@ -1738,3 +1749,19 @@ def _old_decompose_as_tstar(q, ideal):
     if not ok:
         raise ValidationError(f"recovered map failed verification: {why}")
     return B, w, iso
+
+
+def _old_random_coeffs(n, seed, density=Fraction(1, 2), nonzero=False):
+    """randgen.random_coeffs as it was, with every triple listed first;
+    the forced entry is drawn before its index, as the assignment read
+    them."""
+    rng = SplitMix64(seed)
+    triples = [(i, j, k) for i in range(1, n + 1)
+               for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+    vals = {}
+    for t in triples:
+        if rng.randint(1, density.denominator) <= density.numerator:
+            vals[t] = rng.nonzero_entry()
+    if nonzero and not vals:
+        vals[triples[rng.randint(0, len(triples) - 1)]] = rng.nonzero_entry()
+    return CocycleCoeffs(n, vals)

@@ -134,6 +134,18 @@ def test_parse_zero_and_dimension():
         parse_coeffs("1x3")
 
 
+def test_parse_refuses_a_dimension_that_is_not_an_int():
+    # True read as 1 ("index 3 exceeds dimension True"), and 3.5 reached
+    # AltCoeffs, which raised a ValueError
+    for n in (True, False, 3.5, 3.0, "3", Fraction(3)):
+        with pytest.raises(QuadlieError, match=re.escape(
+                f"dimension {n!r} is not an int")):
+            parse_coeffs("123", n=n)
+    with pytest.raises(QuadlieError, match="negative dimension -1"):
+        parse_coeffs("123", n=-1)
+    assert parse_coeffs("123", n=3).n == 3
+
+
 def test_parse_needs_indices_above_nine_bracketed():
     c = parse_coeffs("[1,2,10]")
     assert c.n == 10 and c.value(1, 2, 10) == 1

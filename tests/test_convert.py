@@ -161,7 +161,8 @@ def _roads_corpus(catalog_coeffs):
                             density=Fraction(1 + seed % 3, 4), nonzero=True)
               for seed in range(21)]
     seeded = [c if k % 3 else CocycleCoeffs(c.n, [
-        (t, v / (2, 3, 5)[m % 3]) for m, (t, v) in enumerate(c.terms)])
+        (t, Fraction(v, (2, 3, 5)[m % 3]))
+        for m, (t, v) in enumerate(c.terms)])
         for k, c in enumerate(seeded)]
     return (list(catalog_coeffs) + seeded
             + [CocycleCoeffs(n) for n in (0, 2, 3, 5)])

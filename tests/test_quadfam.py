@@ -222,6 +222,15 @@ def test_family_rejects_a_dimension_that_is_not_an_int():
             QuadraticFamily(n, given)
 
 
+def test_family_names_a_negative_dimension():
+    # it failed as "need -1 matrices, got 0"
+    for n in (-1, -3):
+        with pytest.raises(ValidationError,
+                           match=f"^negative dimension {n}$"):
+            QuadraticFamily(n, ())
+    assert QuadraticFamily(0, ()).n == 0
+
+
 def test_f_matrix_concatenation():
     f = f_matrix(fam123())
     assert f == Mat([[0, 0, 1], [0, -1, 0], [1, 0, 0]])

@@ -1,4 +1,5 @@
 """Deterministic random data: the 64-bit mixer and seeded generators."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from quadlie import (QuadlieError, SplitMix64, abelian, hyperbolic_form,
                      parse_coeffs)
 from quadlie.doubleext import derivation_defect, skew_defect
 from quadlie.linalg import Mat, inverse
+from reference import _old_random_coeffs
 
 
 def test_mixer_reference_stream():
@@ -83,6 +85,32 @@ def test_random_coeffs_density_extremes():
     assert empty.is_zero()
     forced = random_coeffs(5, seed=3, density=Fraction(0), nonzero=True)
     assert len(forced.terms) == 1
+
+
+def test_random_coeffs_match_the_listing_draw():
+    # the triples are drawn one at a time in the order the list held them,
+    # and the forced entry lands where the listing put it
+    forced = 0
+    for n in range(3, 16):
+        for seed in range(12):
+            for density in (Fraction(0), Fraction(1, 60), Fraction(1, 3)):
+                for nonzero in (False, True):
+                    got = random_coeffs(n, seed, density, nonzero)
+                    assert got.terms == _old_random_coeffs(
+                        n, seed, density, nonzero).terms
+                    forced += nonzero and density == 0
+    assert forced == 13 * 12
+
+
+def test_random_coeffs_lists_no_triples():
+    # C(120, 3) = 280,840 triples: a list of them took about 20 MiB
+    tracemalloc.start()
+    try:
+        c = random_coeffs(120, seed=5, density=Fraction(0), nonzero=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(c.terms) == 1 and peak < 2 * 2 ** 20
 
 
 def test_random_coeffs_validation():

@@ -219,5 +219,14 @@ def test_ladder_rung_reports_every_timing_and_a_peak(kind):
     out = ladder.rung(src, kind, 40)
     keys = ("tstar_extend_s", "nilindex_s", "is_reduced_s", "wall_s",
             "rank_s")
-    assert set(out) == {*keys, "peak_rss_mb"}
+    counts = [f"{s}_{k}" for s in ladder.STEPS for k in ("objects", "gen2")]
+    assert ladder.STEPS == ("tstar_extend", "nilindex", "is_reduced",
+                            "rank")
+    assert set(out) == {*keys, *counts, "peak_rss_mb"}
     assert all(out[k] >= 0 for k in keys) and out["peak_rss_mb"] > 0
+    assert out["wall_s"] == pytest.approx(
+        out["tstar_extend_s"] + out["nilindex_s"] + out["is_reduced_s"])
+    # a collection may untrack more than a step adds, so a growth may be
+    # negative; a count of collections may not
+    assert all(type(out[k]) is int for k in counts)
+    assert all(out[f"{s}_gen2"] >= 0 for s in ladder.STEPS)

@@ -17,6 +17,14 @@ rung's median to the one before it of the same kind. The peak RSS is
 read after the three steps; then each rung times trivector_rank on a
 fresh trivector copy of its cocycle as rank_s, outside wall_s and the
 peak, and checks that the rank is n. No target is asserted.
+
+Each step also reports, as medians, the growth of the objects the cyclic
+garbage collector tracks (`<step>_objects`, from len(gc.get_objects())
+before and after it) and the generation-2 collections it ran
+(`<step>_gen2`, from gc.get_stats()); the steps are tstar_extend,
+nilindex, is_reduced and rank. The counts are taken between the timed
+intervals, so they add to no step's seconds, but their lists of objects
+are inside the peak.
 """
 from __future__ import annotations
 
@@ -29,11 +37,12 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-DENSE_DIMS = (40, 80, 120, 160)
+DENSE_DIMS = (40, 80, 120, 160, 200, 240)
 DENSE_SEED = 1
+STEPS = ("tstar_extend", "nilindex", "is_reduced", "rank")
 
 RUNG = f"DENSE_SEED = {DENSE_SEED}\n" + """
-import json, resource, sys, time
+import gc, json, resource, sys, time
 from fractions import Fraction
 from quadlie import AltCoeffs, CocycleCoeffs, trivector_rank, tstar_extend
 from quadlie.randgen import random_coeffs
@@ -42,24 +51,29 @@ if kind == "chain":
     c = CocycleCoeffs(n, {(i, i + 1, i + 2): 1 for i in range(1, n - 1)})
 else:
     c = random_coeffs(n, seed=DENSE_SEED, density=Fraction(1, 2))
-t0 = time.perf_counter()
-q = tstar_extend(c)
-t1 = time.perf_counter()
-nilindex = q.alg.nilindex()
-t2 = time.perf_counter()
-reduced = q.alg.is_reduced()
-t3 = time.perf_counter()
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+out = {}
+
+def step(name, fn):
+    objects, gen2 = len(gc.get_objects()), gc.get_stats()[2]["collections"]
+    t0 = time.perf_counter()
+    got = fn()
+    out[name + "_s"] = time.perf_counter() - t0
+    out[name + "_objects"] = len(gc.get_objects()) - objects
+    out[name + "_gen2"] = gc.get_stats()[2]["collections"] - gen2
+    return got
+
+q = step("tstar_extend", lambda: tstar_extend(c))
+nilindex = step("nilindex", q.alg.nilindex)
+reduced = step("is_reduced", q.alg.is_reduced)
+out["wall_s"] = (out["tstar_extend_s"] + out["nilindex_s"]
+                 + out["is_reduced_s"])
+out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 t = AltCoeffs(c.n, c.terms)  # a fresh copy: nothing cached on c is reused
-t4 = time.perf_counter()
-rank = trivector_rank(t)
-t5 = time.perf_counter()
+rank = step("rank", lambda: trivector_rank(t))
 if (nilindex, reduced, rank) != (2, True, n):
     sys.exit(f"dim {2 * n}: nilindex {nilindex}, reduced {reduced}, "
              f"rank {rank}")
-print(json.dumps({"tstar_extend_s": t1 - t0, "nilindex_s": t2 - t1,
-                  "is_reduced_s": t3 - t2, "wall_s": t3 - t0,
-                  "rank_s": t5 - t4, "peak_rss_mb": peak}))
+print(json.dumps(out))
 """
 
 
@@ -85,8 +99,9 @@ def main() -> int:
         for dim in kind_dims:
             runs = [rung(args.src, kind, dim) for _ in range(args.runs)]
             row = {"kind": kind, "dim": dim}
-            for key in ("tstar_extend_s", "nilindex_s", "is_reduced_s",
-                        "wall_s", "rank_s"):
+            keys = [f"{s}_{k}" for k in ("s", "objects", "gen2")
+                    for s in STEPS] + ["wall_s"]
+            for key in keys:
                 row[key] = statistics.median(r[key] for r in runs)
             row["peak_rss_mb"] = max(r["peak_rss_mb"] for r in runs)
             row["wall_values"] = [r["wall_s"] for r in runs]
@@ -98,7 +113,10 @@ def main() -> int:
                   f"{row['nilindex_s']:.3f}, is_reduced "
                   f"{row['is_reduced_s']:.3f}), rank "
                   f"{row['rank_s']:.3f} s, peak "
-                  f"{row['peak_rss_mb']:.1f} MiB"
+                  f"{row['peak_rss_mb']:.1f} MiB, objects "
+                  + "/".join(f"{row[f'{s}_objects']:+.0f}" for s in STEPS)
+                  + ", gen-2 "
+                  + "/".join(f"{row[f'{s}_gen2']:.0f}" for s in STEPS)
                   + (f", x{row['growth']:.2f} over the rung before"
                      if "growth" in row else ""))
     if args.out:
